@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, config
+from . import __version__
 from .counting import ball, c1_estimate, koecher_identity_check, lhs_count, \
     primitive_zeta_check
 from .errors import EnumerationCapError, LatrankError, ValidationError
@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir",
                        default=os.environ.get("LATRANK_OUTPUT_DIR", "latrank_out"))
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("field-info")
@@ -307,7 +308,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"latrank: cannot read config: {exc}", file=sys.stderr)
         return 4
-    config.set_max_threads(getattr(args, "threads", 1) or 1)
     t0 = time.monotonic()
     try:
         fld, records, cfg = COMMANDS[args.command](args)

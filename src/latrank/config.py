@@ -1,16 +1,5 @@
-"""Global knobs: enumeration cap and worker count."""
+"""Global knobs: the enumeration cap."""
 
 from __future__ import annotations
 
 DEFAULT_ENUM_CAP = 50_000_000
-
-_max_threads = 1
-
-
-def set_max_threads(n: int) -> None:
-    global _max_threads
-    _max_threads = max(1, int(n))
-
-
-def get_max_threads() -> int:
-    return _max_threads

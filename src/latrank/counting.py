@@ -152,7 +152,8 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
     method "direct" enumerates the full matrix ball and filters by rank;
     "stratified" decomposes the sum over the modules Lambda_D carrying the
     rank-k matrices, which is how large T stays tractable.  The two methods
-    agree exactly (tested), so "auto" picks by cost.
+    agree exactly (tested), so "auto" picks by cost.  `threads` is accepted
+    for compatibility and has no effect.
     """
     if not (n > m >= k >= 1):
         raise ValueError("need n > m >= k >= 1")
@@ -162,9 +163,9 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
     if method == "auto":
         method = "direct" if k == m else "stratified"
     if method == "direct":
-        return _lhs_direct(field, n, m, k, T, f, cap=cap, threads=threads)
+        return _lhs_direct(field, n, m, k, T, f, cap=cap)
     if method == "stratified":
-        return _lhs_stratified(field, n, m, k, T, f, cap=cap, threads=threads)
+        return _lhs_stratified(field, n, m, k, T, f, cap=cap)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -180,20 +181,19 @@ def _support_times_T(f: TestFunction, T: Fraction) -> Fraction:
     return Fraction(f.support_radius).limit_denominator(10 ** 12) * T * Fraction(1001, 1000)
 
 
-def _lhs_direct(field, n, m, k, T, f, cap=None, threads=None):
+def _lhs_direct(field, n, m, k, T, f, cap=None):
     d = field.degree
     lat = okn_lattice(field, n * m)
     radius_exact = _support_times_T(f, T)
-    coords = short_vectors(lat, radius_exact, cap=cap, threads=threads)
+    coords = short_vectors(lat, radius_exact, cap=cap)
     seen = len(coords)
     if field.degree == 1 and f.kind == "ball":
-        batch = np.array(coords, dtype=np.int64).reshape(len(coords), n, m)
-        ranks = kernels.ranks_over_z(batch)
+        ranks = kernels.ranks_over_z(coords.reshape(seen, n, m))
         raw = float(np.count_nonzero(ranks == k))
         return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),
                                matrices_seen=seen, method="direct")
     raw = 0.0
-    for rows in _coords_to_matrices(field, lat, coords, n, m):
+    for rows in _coords_to_matrices(field, lat, coords.tolist(), n, m):
         if rank_over_K([list(r) for r in rows]) != k:
             continue
         raw += _evaluate_exactish(field, f, rows, T, m)
@@ -220,7 +220,7 @@ def _evaluate_exactish(field, f, rows, T, m) -> float:
     return float(f.evaluator(emb / float(T)))
 
 
-def _lhs_stratified(field, n, m, k, T, f, cap=None, threads=None):
+def _lhs_stratified(field, n, m, k, T, f, cap=None):
     d = field.degree
     RT = _support_times_T(f, T)
     # any module carrying a rank-k matrix of norm <= RT satisfies
@@ -243,21 +243,21 @@ def _lhs_stratified(field, n, m, k, T, f, cap=None, threads=None):
         if shortest_nonzero_sqnorm(lam) > bound_sq:
             continue
         stacked = direct_sum(lam, n)
-        coords = short_vectors(stacked, RT, cap=cap, threads=threads)
+        coords = short_vectors(stacked, RT, cap=cap)
         seen += len(coords)
-        r = lam.rank
-        arr = np.array(coords, dtype=np.int64).reshape(len(coords), n, r)
         if field.degree == 1:
-            ranks = kernels.ranks_over_z(arr)   # rank of coefficients = rank of A
+            # rank of coefficients = rank of A
+            ranks = kernels.ranks_over_z(coords.reshape(len(coords), n, lam.rank))
         else:
             ranks = np.array([
                 rank_over_K([list(row) for row in rows])
-                for rows in _coords_to_matrices(field, stacked, coords, n, m)
+                for rows in _coords_to_matrices(field, stacked, coords.tolist(), n, m)
             ])
         if f.kind == "ball":
             raw += float(np.count_nonzero(ranks == k))
         else:
-            for rows, rk in zip(_coords_to_matrices(field, stacked, coords, n, m), ranks):
+            for rows, rk in zip(_coords_to_matrices(field, stacked, coords.tolist(), n, m),
+                                ranks):
                 if rk == k:
                     raw += _evaluate_exactish(field, f, rows, T, m)
     return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),

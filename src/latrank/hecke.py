@@ -227,7 +227,7 @@ def lattice_sum(hl: HeckeLattice, g: TestFunction, include_zero: bool = True,
     radius = (PowerProduct.coerce(sup ** 2) * hl.t_scale_sq).sqrt()
     total = 0.0
     inv_t = 1.0 / hl.t_scale
-    for c in short_vectors(hl.lattice, radius, cap=cap):
+    for c in short_vectors(hl.lattice, radius, cap=cap).tolist():
         if not include_zero and not any(c):
             continue
         emb = hl.lattice.ambient.embed(hl.lattice.to_ambient(c))
@@ -302,23 +302,18 @@ def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: 
     okn = okn_lattice(field, n)
     t_sq = PowerProduct.of(p, Fraction(2 * (n - s), n * d))
     radius = (PowerProduct.coerce(Fraction(g.radius) ** 2) * t_sq).sqrt()
-    cols = short_vectors(okn, radius, cap=cap)
+    cols = short_vectors(okn, radius, cap=cap).tolist()
     # reduction of each candidate column to F_p^n
-    reduced = []
-    for c in cols:
-        kvec = okn.kvector_of_coords(c)
-        reduced.append(tuple(field.reduce_mod_prime(x, P) for x in kvec))
+    red_arr = np.array([[field.reduce_mod_prime(x, P) for x in okn.kvector_of_coords(c)]
+                        for c in cols], dtype=np.int64)          # (|C|, n)
     probs = [containment_probability(k, s, n, p) for k in range(min(n, m) + 1)]
-    red_arr = np.array(reduced, dtype=np.int64)          # (|C|, n)
-    combos = list(itertools.product(range(len(cols)), repeat=m))
-    batch = np.stack([red_arr[list(c)].T for c in combos])  # (N, n, m)
+    # every m-tuple of columns, in itertools.product order: (|C|^m, m) indices
+    combos = np.indices((len(cols),) * m).reshape(m, -1).T
+    batch = red_arr[combos].transpose(0, 2, 1)                  # (N, n, m)
     from .kernels import ranks_mod_p
 
-    ranks = ranks_mod_p(batch, p)
-    total = Fraction(0)
-    for rk in ranks:
-        total += probs[int(rk)]
-    return total
+    counts = np.bincount(ranks_mod_p(batch, p), minlength=len(probs))
+    return sum((int(c) * probs[k] for k, c in enumerate(counts)), Fraction(0))
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:

@@ -1,8 +1,9 @@
 """Hot numeric kernels: short-vector enumeration and batched rank filters.
 
-Each kernel has a plain NumPy/Python implementation and, when numba is
-importable and LATRANK_PURE_NUMPY is unset, an @njit-compiled twin.  The two
-paths are interchangeable; `benchmarks/bench_kernels.py` compares them.
+Every kernel is array-native NumPy: the enumeration expands a whole level of
+the Fincke-Pohst tree at once, and the rank filters run one elimination step
+on every matrix of a batch at once.  The loop versions they replace are kept
+in the tests as reference implementations.
 
 The enumeration kernel works in float64 on an LLL-reduced Gram and is always
 followed by an exact integer-arithmetic filter in zlattice.py, so float error
@@ -13,203 +14,126 @@ caller pads the bound).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "LATRANK_PURE_NUMPY"
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAS_NUMBA = False
-
-
-def numba_enabled() -> bool:
-    return HAS_NUMBA and not os.environ.get(_ENV_FLAG)
-
-
-def _fp_enumerate_impl(lmat, dvec, bound, last_lo, last_hi, out):
-    """Fincke-Pohst: fill `out` with all integer x, Q(x) <= bound.
-
-    Q(x) = sum_i dvec[i] * (x[i] + c_i)^2 with c_i = sum_{j>i} x[j]*lmat[j,i]
-    (lmat unit lower triangular from an LDL^T split of the Gram matrix).
-    The outermost coordinate x[r-1] is restricted to [last_lo, last_hi] so
-    callers can window the search across workers.  Children are visited by
-    increasing coordinate.  Returns the count, or -1 if `out` is too small.
-    """
-    r = dvec.shape[0]
-    cap = out.shape[0]
-    x = np.zeros(r, dtype=np.int64)
-    center = np.zeros(r, dtype=np.float64)
-    partial = np.zeros(r + 1, dtype=np.float64)
-    hi = np.zeros(r, dtype=np.int64)
-    count = 0
-    i = r - 1
-
-    # bounds at the top level
-    rem = bound
-    if rem < 0.0:
-        return 0
-    halfw = math.sqrt(rem / dvec[i])
-    lo_i = int(math.ceil(-halfw))
-    hi_i = int(math.floor(halfw))
-    if lo_i < last_lo:
-        lo_i = last_lo
-    if hi_i > last_hi:
-        hi_i = last_hi
-    center[i] = 0.0
-    hi[i] = hi_i
-    x[i] = lo_i - 1
-
-    while True:
-        x[i] += 1
-        if x[i] > hi[i]:
-            i += 1
-            if i >= r:
-                return count
-            continue
-        t = x[i] + center[i]
-        partial[i] = partial[i + 1] + dvec[i] * t * t
-        if partial[i] > bound:
-            # larger x[i] values at this level only grow Q once past the
-            # vertex, and the range already clips them; keep scanning
-            continue
-        if i == 0:
-            if count >= cap:
-                return -1
-            for j in range(r):
-                out[count, j] = x[j]
-            count += 1
-            continue
-        i -= 1
-        c = 0.0
-        for j in range(i + 1, r):
-            c += x[j] * lmat[j, i]
-        center[i] = c
-        rem = bound - partial[i + 1]
-        if rem < 0.0:
-            rem = 0.0
-        halfw = math.sqrt(rem / dvec[i])
-        x[i] = int(math.ceil(-c - halfw)) - 1
-        hi[i] = int(math.floor(-c + halfw))
-
-
-def _ranks_int_impl(batch, out):
-    """Exact ranks of a batch of small integer matrices (fraction-free elimination).
-
-    Caller guarantees the Bareiss intermediates fit in int64.
-    """
-    nmat = batch.shape[0]
-    nrow = batch.shape[1]
-    ncol = batch.shape[2]
-    work = np.zeros((nrow, ncol), dtype=np.int64)
-    for t in range(nmat):
-        for i in range(nrow):
-            for j in range(ncol):
-                work[i, j] = batch[t, i, j]
-        rank = 0
-        prev = np.int64(1)
-        for col in range(ncol):
-            piv = -1
-            for i in range(rank, nrow):
-                if work[i, col] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != rank:
-                for j in range(ncol):
-                    tmp = work[rank, j]
-                    work[rank, j] = work[piv, j]
-                    work[piv, j] = tmp
-            pval = work[rank, col]
-            for i in range(rank + 1, nrow):
-                ival = work[i, col]
-                for j in range(ncol):
-                    work[i, j] = (pval * work[i, j] - ival * work[rank, j]) // prev
-            prev = pval
-            rank += 1
-            if rank == nrow:
-                break
-        out[t] = rank
-    return out
-
-
-def _ranks_mod_p_impl(batch, p, out):
-    """Ranks of a batch of integer matrices reduced mod a prime p."""
-    nmat = batch.shape[0]
-    nrow = batch.shape[1]
-    ncol = batch.shape[2]
-    work = np.zeros((nrow, ncol), dtype=np.int64)
-    for t in range(nmat):
-        for i in range(nrow):
-            for j in range(ncol):
-                work[i, j] = batch[t, i, j] % p
-        rank = 0
-        for col in range(ncol):
-            piv = -1
-            for i in range(rank, nrow):
-                if work[i, col] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != rank:
-                for j in range(ncol):
-                    tmp = work[rank, j]
-                    work[rank, j] = work[piv, j]
-                    work[piv, j] = tmp
-            # pivot inverse by Fermat
-            inv = np.int64(1)
-            base = work[rank, col] % p
-            e = p - 2
-            while e > 0:
-                if e & 1:
-                    inv = (inv * base) % p
-                base = (base * base) % p
-                e >>= 1
-            for i in range(rank + 1, nrow):
-                f = (work[i, col] * inv) % p
-                if f != 0:
-                    for j in range(ncol):
-                        work[i, j] = (work[i, j] - f * work[rank, j]) % p
-            rank += 1
-            if rank == nrow:
-                break
-        out[t] = rank
-    return out
-
-
-if HAS_NUMBA:
-    _fp_enumerate_nb = numba.njit(cache=True, nogil=True)(_fp_enumerate_impl)
-    _ranks_int_nb = numba.njit(cache=True, nogil=True)(_ranks_int_impl)
-    _ranks_mod_p_nb = numba.njit(cache=True, nogil=True)(_ranks_mod_p_impl)
+# Largest number of children one breadth-first expansion step materializes,
+# and the number of matrices one elimination pass holds; bigger frontiers and
+# batches are processed in consecutive pieces so memory stays bounded.
+_BLOCK = 1 << 16
 
 
 def fp_enumerate(lmat: np.ndarray, dvec: np.ndarray, bound: float,
-                 last_lo: int, last_hi: int, capacity: int) -> np.ndarray:
-    """All integer coordinate vectors with Q(x) <= bound; grows its buffer on demand."""
-    impl = _fp_enumerate_nb if numba_enabled() else _fp_enumerate_impl
-    cap = max(int(capacity), 64)
-    while True:
-        out = np.zeros((cap, dvec.shape[0]), dtype=np.int64)
-        n = impl(lmat, dvec, float(bound), int(last_lo), int(last_hi), out)
-        if n >= 0:
-            return out[:n]
-        cap *= 2
+                 last_lo: int, last_hi: int) -> np.ndarray:
+    """All integer coordinate vectors x with Q(x) <= bound, as an (N, r) int64 array.
+
+    Q(x) = sum_i dvec[i] * (x[i] + c_i)^2 with c_i = sum_{j>i} x[j]*lmat[j,i]
+    (lmat unit lower triangular from an LDL^T split of the Gram matrix).
+    The outermost coordinate x[r-1] is restricted to [last_lo, last_hi].
+
+    Breadth-first Fincke-Pohst: one step fixes the next coordinate, x[r-1]
+    down to x[0], for every node of a block at once, with the same float
+    operations per node as the depth-first loop, so the candidate set is the
+    same.  A frontier whose children would exceed _BLOCK is cut into
+    consecutive blocks (at the top level: windows of x[r-1]) and finished
+    block by block.  Rows come out ordered lexicographically on
+    (x[r-1], ..., x[0]).
+    """
+    r = dvec.shape[0]
+    if bound < 0.0:
+        return np.zeros((0, r), dtype=np.int64)
+    halfw = math.sqrt(bound / dvec[r - 1])
+    lo = max(int(math.ceil(-halfw)), last_lo)
+    hi = min(int(math.floor(halfw)), last_hi)
+    top = np.arange(lo, hi + 1, dtype=np.int64)
+    t = top.astype(np.float64)
+    partial = dvec[r - 1] * t * t
+    keep = partial <= bound
+    # blocks still to expand, last one first; a block is (level, x[level:], partial)
+    stack = [(r - 1, top[keep, None], partial[keep])]
+    done = []
+    while stack:
+        level, xs, part = stack.pop()
+        if level == 0:
+            done.append(xs)
+            continue
+        i = level - 1
+        center = np.zeros(xs.shape[0])
+        for j in range(level, r):
+            center += xs[:, j - level] * lmat[j, i]
+        halfw = np.sqrt(np.maximum(bound - part, 0.0) / dvec[i])
+        lo = np.ceil(-center - halfw).astype(np.int64)
+        counts = np.maximum(np.floor(-center + halfw).astype(np.int64) - lo + 1, 0)
+        ends = np.cumsum(counts)
+        if ends.shape[0] > 1 and ends[-1] > _BLOCK:
+            cut = max(int(np.searchsorted(ends, _BLOCK, side="right")), 1)
+            stack.append((level, xs[cut:], part[cut:]))
+            xs, part = xs[:cut], part[:cut]
+            center, lo, counts, ends = center[:cut], lo[:cut], counts[:cut], ends[:cut]
+        parent = np.repeat(np.arange(xs.shape[0]), counts)
+        xi = np.arange(ends[-1] if ends.shape[0] else 0) - np.repeat(ends - counts - lo, counts)
+        t = xi + center[parent]
+        child = part[parent] + dvec[i] * t * t
+        keep = child <= bound
+        nxt = np.empty((int(np.count_nonzero(keep)), r - i), dtype=np.int64)
+        nxt[:, 0] = xi[keep]
+        nxt[:, 1:] = xs[parent[keep]]
+        stack.append((i, nxt, child[keep]))
+    return np.concatenate(done)
+
+
+def _ranks_by_elimination(batch: np.ndarray, combine) -> np.ndarray:
+    """Ranks of an (N, n, m) int64 batch by row elimination on all matrices at once.
+
+    Column by column, each matrix takes as pivot its first row at or below
+    its current rank with a nonzero entry in the column (a masked argmax),
+    swaps it up, and `combine(rows, pivot_row, pivot_value, row_entries,
+    previous_pivot)` replaces every row below it.  Rows of matrices without a
+    pivot, and rows at or above the pivot, keep their values.
+    """
+    nmat, nrow, ncol = batch.shape
+    ranks = np.zeros(nmat, dtype=np.int64)
+    if nrow == 0 or ncol == 0:
+        return ranks
+    rows = np.arange(nrow)
+    for start in range(0, nmat, _BLOCK):
+        work = batch[start:start + _BLOCK].copy()
+        idx = np.arange(work.shape[0])
+        rank = np.zeros(work.shape[0], dtype=np.int64)
+        prev = np.ones(work.shape[0], dtype=np.int64)
+        for col in range(ncol):
+            cand = (work[:, :, col] != 0) & (rows[None, :] >= rank[:, None])
+            piv = cand.argmax(axis=1)
+            has = cand[idx, piv]
+            if not has.any():
+                continue
+            at = np.minimum(rank, nrow - 1)
+            piv = np.where(has, piv, at)
+            pivot_row = work[idx, piv]
+            work[idx, piv] = work[idx, at]
+            work[idx, at] = pivot_row
+            pval = pivot_row[:, col]
+            new = combine(work, pivot_row[:, None, :], pval[:, None, None],
+                          work[:, :, col, None], prev[:, None, None])
+            below = has[:, None] & (rows[None, :] > rank[:, None])
+            work = np.where(below[:, :, None], new, work)
+            prev = np.where(has, pval, prev)
+            rank += has
+        ranks[start:start + work.shape[0]] = rank
+    return ranks
+
+
+def _bareiss_step(rows, pivot_row, pval, entries, prev):
+    # exact division: every entry stays a minor of the input (Bareiss)
+    return (pval * rows - entries * pivot_row) // prev
 
 
 def ranks_int64(batch: np.ndarray) -> np.ndarray:
-    """Exact ranks over Z for a (N, n, m) int64 batch. Caller checks overflow safety."""
-    out = np.zeros(batch.shape[0], dtype=np.int64)
-    if batch.shape[0] == 0:
-        return out
-    impl = _ranks_int_nb if numba_enabled() else _ranks_int_impl
-    return impl(batch, out)
+    """Exact ranks over Z for a (N, n, m) int64 batch. Caller checks overflow safety.
+
+    Fraction-free Bareiss elimination, vectorized over the batch axis.
+    """
+    return _ranks_by_elimination(batch, _bareiss_step)
 
 
 def ranks_int_safe_bound(max_abs: int, nrow: int, ncol: int) -> bool:
@@ -226,9 +150,9 @@ def ranks_over_z(batch: np.ndarray) -> np.ndarray:
     """Exact ranks with automatic fallback to Python big ints when int64 is unsafe."""
     if batch.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    max_abs = int(np.max(np.abs(batch))) if batch.size else 0
+    max_abs = max(int(batch.max()), -int(batch.min())) if batch.size else 0
     if ranks_int_safe_bound(max_abs, batch.shape[1], batch.shape[2]):
-        return ranks_int64(batch.astype(np.int64))
+        return ranks_int64(batch.astype(np.int64, copy=False))
     from . import intmat
 
     return np.array([intmat.rank([[int(v) for v in row] for row in mat])
@@ -236,10 +160,19 @@ def ranks_over_z(batch: np.ndarray) -> np.ndarray:
 
 
 def ranks_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(batch.shape[0], dtype=np.int64)
+    """Ranks of a batch of integer matrices reduced mod a prime p.
+
+    Rows below the pivot become pval * row - entry * pivot_row (mod p), a
+    row scaled by the unit pval plus a multiple of the pivot row, so no
+    pivot inverse is needed; with p*p < 2**31 every product fits in int64.
+    """
     if batch.shape[0] == 0:
-        return out
+        return np.zeros(0, dtype=np.int64)
     if p * p >= 2 ** 31:
         raise ValueError("p too large for the mod-p rank kernel")
-    impl = _ranks_mod_p_nb if numba_enabled() else _ranks_mod_p_impl
-    return impl(batch.astype(np.int64), np.int64(p), out)
+    p = np.int64(p)
+
+    def step(rows, pivot_row, pval, entries, prev):
+        return (pval * rows - entries * pivot_row) % p
+
+    return _ranks_by_elimination(batch.astype(np.int64) % p, step)

@@ -217,7 +217,7 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound
     # minimum is at least the shortest vector of O_K^m, so each ||l_i|| obeys:
     c6 = 2.0 ** (kd * (kd - 1) / 4.0)
     per_vec = (c6 * float(bound) / nu ** (d * (k - 1))) ** (1.0 / d)
-    vecs = short_vectors(okm, per_vec * (1 + 1e-9), cap=cap)
+    vecs = map(tuple, short_vectors(okm, per_vec * (1 + 1e-9), cap=cap).tolist())
 
     # nonzero vectors up to sign, as K-rows
     seen_sign = set()
@@ -292,7 +292,7 @@ def dump_module_lines(modules) -> str:
 def matrices_with_rows(n: int, P: PrimitiveModule, radius, cap: int | None = None):
     """All elements of M_n(Lambda_D) with Frobenius twisted norm <= radius, as K-matrices."""
     stacked = direct_sum(P.lattice, n)
-    coords = short_vectors(stacked, radius, cap=cap)
+    coords = short_vectors(stacked, radius, cap=cap).tolist()
     r = P.lattice.rank
     out = []
     for c in coords:

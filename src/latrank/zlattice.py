@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -362,9 +361,13 @@ def lll_transform_of(lat: ZLattice, delta: float = 0.99):
 
 def covering_radius_bound(lat: ZLattice) -> float:
     """Certified upper bound: half the sum of the norms of an LLL-reduced basis."""
-    red = lll_reduce(lat)
+    return _half_norm_sum(lat, lll_reduce(lat).gram)
+
+
+def _half_norm_sum(lat: ZLattice, reduced_gram) -> float:
+    """Half the sum of the basis norms, from the Gram of an LLL-reduced basis of lat."""
     scale = float(lat.scale_sq)
-    return 0.5 * sum(math.sqrt(scale * float(red.gram[i][i])) for i in range(red.rank))
+    return 0.5 * sum(math.sqrt(scale * float(reduced_gram[i][i])) for i in range(lat.rank))
 
 
 # -- short vectors ------------------------------------------------------------------
@@ -380,32 +383,40 @@ def _coerce_radius_sq(radius) -> PowerProduct:
 
 def ball_count_estimate(lat: ZLattice, radius: float) -> float:
     """Volume-heuristic bound on card{v : ||v|| <= radius}: 2 V(r) (T+rho)^r / H."""
-    rho = covering_radius_bound(lat)
+    return _ball_count(lat, radius, covering_radius_bound(lat))
+
+
+def _ball_count(lat: ZLattice, radius: float, rho: float) -> float:
     r = lat.rank
     return 2.0 * unit_ball_volume(r) * (radius + rho) ** r / lat.height()
 
 
 def short_vectors(lat: ZLattice, radius, cap: int | None = None,
-                  threads: int | None = None) -> list[tuple[int, ...]]:
+                  threads: int | None = None) -> np.ndarray:
     """Exactly the coordinate vectors x with ||x * basis|| <= radius.
 
-    Output is complete (float enumeration is padded, then filtered with exact
-    integer arithmetic), deterministic, sorted lexicographically, includes 0.
-    The radius may be a float, Fraction, or PowerProduct; floats are treated
-    as the exact binary rational they denote.
+    Returns an (N, rank) int64 array whose rows are sorted lexicographically
+    and include 0; if a coordinate does not fit in int64 the array holds
+    Python ints (dtype object), in the same order.  Output is complete
+    (float enumeration is padded, then filtered with exact integer
+    arithmetic) and deterministic.  The radius may be a float, Fraction, or
+    PowerProduct; floats are treated as the exact binary rational they
+    denote.  `threads` is accepted for compatibility and has no effect.
     """
     cap = cap or config.DEFAULT_ENUM_CAP
     radius_sq = _coerce_radius_sq(radius)
     if float(radius_sq) <= 0:
         raise ValueError("radius must be positive")
-    est = ball_count_estimate(lat, math.sqrt(float(radius_sq)))
+    U = lll_transform_of(lat)
+    gram_red = intmat.mat_mul(intmat.mat_mul(U, [list(r) for r in lat.gram]),
+                              intmat.transpose(U))
+    # gram_red is the Gram of the LLL-reduced basis, the same one
+    # covering_radius_bound reduces to, so this is ball_count_estimate exactly
+    est = _ball_count(lat, math.sqrt(float(radius_sq)), _half_norm_sum(lat, gram_red))
     if est > cap:
         raise EnumerationCapError(est, cap, math.sqrt(float(radius_sq)))
 
     bound_pow = radius_sq / lat.scale_sq  # threshold for x G x^T
-    U = lll_transform_of(lat)
-    gram_red = intmat.mat_mul(intmat.mat_mul(U, [list(r) for r in lat.gram]),
-                              intmat.transpose(U))
     den = intmat.lcm_denominator(gram_red)
     g_int = [[int(x * den) for x in row] for row in gram_red]
     bound_int = bound_pow * den
@@ -418,39 +429,20 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None,
     bound_f = float(bound_int) * (1.0 + 1e-9) + 1e-9
     r = lat.rank
     top = int(math.floor(math.sqrt(bound_f / dvec[r - 1]))) + 1
-
-    threads = threads or config.get_max_threads()
-    windows = [(-top, top)]
-    if threads > 1 and 2 * top + 1 >= threads:
-        edges = np.linspace(-top, top + 1, threads + 1).astype(int)
-        windows = [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(threads)]
-
-    capacity = int(est * 1.5) + 64
-
-    def run(win):
-        return kernels.fp_enumerate(lmat, dvec, bound_f, win[0], win[1],
-                                    max(64, capacity // len(windows)))
-
-    if len(windows) == 1:
-        chunks = [run(windows[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(windows)) as ex:
-            chunks = list(ex.map(run, windows))
-    ys = np.concatenate(chunks) if chunks else np.zeros((0, r), dtype=np.int64)
+    ys = kernels.fp_enumerate(lmat, dvec, bound_f, -top, top)
     if ys.shape[0] > cap:
         raise EnumerationCapError(float(ys.shape[0]), cap, math.sqrt(float(radius_sq)))
 
     # exact filter on Q_int = y G_int y^T against bound_int
     accepted = _filter_exact(ys, g_int, bound_int)
+    del ys
     max_u = max((abs(x) for row in U for x in row), default=0)
     max_y = int(np.max(np.abs(accepted))) if accepted.size else 0
     if max_u * max_y * r < 2 ** 62:
-        u_arr = np.array(U, dtype=np.int64)
-        out = [tuple(int(v) for v in (y @ u_arr)) for y in accepted]
-    else:
-        out = [tuple(intmat.vec_mat([int(v) for v in y], U)) for y in accepted]
-    out.sort()
-    return out
+        out = accepted @ np.array(U, dtype=np.int64)
+        return out[np.lexsort(out.T[::-1])]
+    out = sorted(tuple(intmat.vec_mat([int(v) for v in y], U)) for y in accepted)
+    return np.array(out, dtype=object).reshape(len(out), r)
 
 
 def _filter_exact(ys: np.ndarray, g_int, bound_int: PowerProduct) -> np.ndarray:
@@ -503,9 +495,8 @@ def shortest_nonzero_sqnorm(lat: ZLattice) -> PowerProduct:
     red = lll_reduce(lat)
     guess = min(float(lat.scale_sq) * float(red.gram[i][i]) for i in range(red.rank))
     radius = math.sqrt(guess) * (1 + 1e-9)
-    vecs = short_vectors(lat, radius)
     best = None
-    for v in vecs:
+    for v in short_vectors(lat, radius).tolist():
         q = lat.sqnorm_exact_of_coords(v)
         if q is not None and (best is None or q < best):
             best = q
@@ -603,7 +594,7 @@ def successive_k_minima(lat: ZLattice, k: int | None = None) -> MinimaReport:
     radius = math.sqrt(float(shortest_nonzero_sqnorm(lat))) * (1 + 1e-9)
     while len(chosen) < k:
         candidates = []
-        for v in short_vectors(lat, radius):
+        for v in short_vectors(lat, radius).tolist():
             q = lat.sqnorm_exact_of_coords(v)
             if q is None:
                 continue

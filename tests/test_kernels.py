@@ -1,15 +1,13 @@
-"""The numba-compiled kernels and their pure-Python/NumPy twins must agree."""
-
-import subprocess
-import sys
+"""The vectorized kernels must agree with the reference loops in tests_support."""
 
 import numpy as np
 import pytest
 
-from latrank import kernels
+from latrank import intmat, kernels
+from tests_support import fp_enumerate_loop, ranks_int_loop, ranks_mod_p_loop
 
-
-pure_only = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable")
+# largest prime with p*p < 2**31, the mod-p kernel's limit
+P_MAX = 46337
 
 
 def _cholesky_data(gram):
@@ -20,115 +18,136 @@ def _cholesky_data(gram):
     return lmat, dvec
 
 
-def _enumerate_both(gram, bound):
-    lmat, dvec = _cholesky_data(gram)
-    out_py = np.zeros((4096, len(dvec)), dtype=np.int64)
-    n_py = kernels._fp_enumerate_impl(lmat, dvec, bound, -10 ** 9, 10 ** 9, out_py)
-    results = [np.array(sorted(map(tuple, out_py[:n_py])))]
-    if kernels.HAS_NUMBA:
-        out_nb = np.zeros((4096, len(dvec)), dtype=np.int64)
-        n_nb = kernels._fp_enumerate_nb(lmat, dvec, bound, -10 ** 9, 10 ** 9, out_nb)
-        results.append(np.array(sorted(map(tuple, out_nb[:n_nb]))))
-    return results
+def _loop_enumerate(lmat, dvec, bound, lo=-10 ** 9, hi=10 ** 9):
+    out = np.zeros((1 << 16, len(dvec)), dtype=np.int64)
+    n = fp_enumerate_loop(lmat, dvec, bound, lo, hi, out)
+    assert n >= 0
+    return out[:n]
+
+
+def _random_gram(rng, r):
+    while True:
+        B = rng.integers(-4, 5, size=(r, r + 1))
+        g = B @ B.T
+        if np.linalg.matrix_rank(g) == r:
+            return g
 
 
 def test_fp_enumerate_paths_agree():
+    # same rows in the same order as the depth-first loop, ranks 1 to 6
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        r = int(rng.integers(1, 4))
-        B = rng.integers(-4, 5, size=(r, r + 1))
-        g = B @ B.T
-        while np.linalg.matrix_rank(g) < r:
-            B = rng.integers(-4, 5, size=(r, r + 1))
-            g = B @ B.T
-        res = _enumerate_both(g, float(rng.integers(4, 40)))
-        for other in res[1:]:
-            assert np.array_equal(res[0], other)
+    for r in range(1, 7):
+        for _ in range(3):
+            lmat, dvec = _cholesky_data(_random_gram(rng, r))
+            bound = float(rng.integers(4, 60))
+            got = kernels.fp_enumerate(lmat, dvec, bound, -10 ** 9, 10 ** 9)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _loop_enumerate(lmat, dvec, bound))
 
 
 def test_fp_enumerate_z2_counts():
-    res = _enumerate_both([[1, 0], [0, 1]], 4.0 + 1e-9)
-    assert len(res[0]) == 13
-    for other in res[1:]:
-        assert len(other) == 13
+    lmat, dvec = _cholesky_data([[1, 0], [0, 1]])
+    assert len(kernels.fp_enumerate(lmat, dvec, 4.0 + 1e-9, -10, 10)) == 13
+    assert len(kernels.fp_enumerate(lmat, dvec, -1.0, -10, 10)) == 0
 
 
 def test_fp_window_partition():
-    lmat, dvec = _cholesky_data([[2, 1], [1, 3]])
-    full = kernels.fp_enumerate(lmat, dvec, 25.0, -100, 100, 64)
-    parts = [kernels.fp_enumerate(lmat, dvec, 25.0, lo, hi, 64)
-             for lo, hi in [(-100, -1), (0, 0), (1, 100)]]
-    got = sorted(map(tuple, np.concatenate(parts)))
-    assert got == sorted(map(tuple, full))
+    lmat, dvec = _cholesky_data([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    full = kernels.fp_enumerate(lmat, dvec, 25.0, -100, 100)
+    windows = [(-100, -2), (-1, -1), (0, 0), (1, 2), (3, 100)]
+    parts = [kernels.fp_enumerate(lmat, dvec, 25.0, lo, hi) for lo, hi in windows]
+    assert np.array_equal(np.concatenate(parts), full)
+    for (lo, hi), part in zip(windows, parts):
+        assert np.array_equal(part, _loop_enumerate(lmat, dvec, 25.0, lo, hi))
+    assert kernels.fp_enumerate(lmat, dvec, 25.0, 5, 4).shape == (0, 3)
 
 
-def test_fp_buffer_growth():
+def test_fp_chunked_expansion(monkeypatch):
+    # frontiers cut into blocks of a few children give the same rows and order
+    rng = np.random.default_rng(3)
+    cases = [(np.eye(2), 100.0)] + [(_random_gram(rng, r), 30.0) for r in (3, 4, 5)]
+    expect = [kernels.fp_enumerate(*_cholesky_data(g), b, -10 ** 9, 10 ** 9) for g, b in cases]
+    monkeypatch.setattr(kernels, "_BLOCK", 7)
+    for (g, b), want in zip(cases, expect):
+        got = kernels.fp_enumerate(*_cholesky_data(g), b, -10 ** 9, 10 ** 9)
+        assert np.array_equal(got, want)
     lmat, dvec = _cholesky_data(np.eye(2))
-    out = kernels.fp_enumerate(lmat, dvec, 100.0, -100, 100, 4)
-    assert out.shape[0] == sum(1 for a in range(-10, 11) for b in range(-10, 11)
-                               if a * a + b * b <= 100)
+    assert len(kernels.fp_enumerate(lmat, dvec, 100.0, -100, 100)) == sum(
+        1 for a in range(-10, 11) for b in range(-10, 11) if a * a + b * b <= 100)
 
 
-def test_ranks_paths_agree():
+def _rank_batches(rng):
+    """Random, zero and rank-deficient batches of several shapes."""
+    out = []
+    for n, m in [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 5)]:
+        full = rng.integers(-9, 10, size=(40, n, m))
+        thin = rng.integers(-3, 4, size=(40, n, 1)) @ rng.integers(-3, 4, size=(40, 1, m))
+        sparse = full * (rng.random((40, n, m)) < 0.3)
+        zero = np.zeros((3, n, m), dtype=np.int64)
+        out.append(np.concatenate([full, thin, sparse, zero]).astype(np.int64))
+    return out
+
+
+def test_ranks_paths_agree(monkeypatch):
     rng = np.random.default_rng(1)
-    batch = rng.integers(-9, 10, size=(200, 3, 2)).astype(np.int64)
-    out_py = np.zeros(200, dtype=np.int64)
-    kernels._ranks_int_impl(batch, out_py)
-    from latrank import intmat
+    batches = _rank_batches(rng)
+    for batch in batches:
+        expect = [intmat.rank([[int(v) for v in row] for row in M]) for M in batch]
+        loop = ranks_int_loop(batch, np.zeros(len(batch), dtype=np.int64))
+        assert list(loop) == expect
+        assert list(kernels.ranks_int64(batch)) == expect
+        assert list(kernels.ranks_over_z(batch)) == expect
+    # batches that cross a chunk boundary
+    monkeypatch.setattr(kernels, "_BLOCK", 16)
+    for batch in batches:
+        expect = [intmat.rank([[int(v) for v in row] for row in M]) for M in batch]
+        assert list(kernels.ranks_over_z(batch)) == expect
+    assert kernels.ranks_over_z(np.zeros((0, 3, 2), dtype=np.int64)).shape == (0,)
 
-    expect = [intmat.rank([[int(v) for v in row] for row in M]) for M in batch]
-    assert list(out_py) == expect
-    if kernels.HAS_NUMBA:
-        out_nb = np.zeros(200, dtype=np.int64)
-        kernels._ranks_int_nb(batch, out_nb)
-        assert list(out_nb) == expect
+
+def _rank_mod_p_oracle(M, p):
+    """Gauss-Jordan over F_p on Python ints."""
+    rows = [[int(v) % p for v in row] for row in M]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
-def test_ranks_mod_p_paths_agree():
+def test_ranks_mod_p_paths_agree(monkeypatch):
     rng = np.random.default_rng(2)
-    for p in (2, 3, 5, 11):
-        batch = rng.integers(-20, 21, size=(100, 3, 3)).astype(np.int64)
-        out_py = np.zeros(100, dtype=np.int64)
-        kernels._ranks_mod_p_impl(batch, np.int64(p), out_py)
-        if kernels.HAS_NUMBA:
-            out_nb = np.zeros(100, dtype=np.int64)
-            kernels._ranks_mod_p_nb(batch, np.int64(p), out_nb)
-            assert np.array_equal(out_py, out_nb)
-        # oracle: rank over F_p via direct row reduction
-        for M, rk in zip(batch, out_py):
-            red = [[int(v) % p for v in row] for row in M]
-            # brute rank via row reduction mod p
-            rows = [r[:] for r in red]
-            rank = 0
-            for col in range(3):
-                piv = next((i for i in range(rank, 3) if rows[i][col] % p), None)
-                if piv is None:
-                    continue
-                rows[rank], rows[piv] = rows[piv], rows[rank]
-                inv = pow(rows[rank][col], -1, p)
-                for i in range(3):
-                    if i != rank and rows[i][col] % p:
-                        f = rows[i][col] * inv % p
-                        rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-                rank += 1
-            assert rank == rk
+    batches = _rank_batches(rng)
+    for p in (2, 3, 5, 11, 53, P_MAX):
+        for batch in batches:
+            batch = batch * rng.integers(1, 10 ** 6, size=batch.shape)  # entries past p
+            expect = ranks_mod_p_loop(batch, np.int64(p), np.zeros(len(batch), dtype=np.int64))
+            assert np.array_equal(kernels.ranks_mod_p(batch, p), expect)
+            assert list(expect) == [_rank_mod_p_oracle(M, p) for M in batch]
+    monkeypatch.setattr(kernels, "_BLOCK", 16)
+    batch = batches[4]
+    expect = ranks_mod_p_loop(batch, np.int64(5), np.zeros(len(batch), dtype=np.int64))
+    assert np.array_equal(kernels.ranks_mod_p(batch, 5), expect)
+    # p * I has rank 0 mod p
+    assert list(kernels.ranks_mod_p(np.array([5 * np.eye(3, dtype=np.int64)]), 5)) == [0]
+    with pytest.raises(ValueError):
+        kernels.ranks_mod_p(batch, 46349)
 
 
 def test_ranks_over_z_bigint_fallback():
     big = 10 ** 12
-    batch = np.array([[[big, 0], [0, big]], [[big, big], [big, big]]], dtype=np.int64)
-    out = kernels.ranks_over_z(batch)
-    assert list(out) == [2, 1]
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "import os; os.environ['LATRANK_PURE_NUMPY'] = '1';"
-        "from latrank import kernels;"
-        "assert not kernels.numba_enabled();"
-        "import latrank as lr;"
-        "print(len(lr.short_vectors(lr.integer_lattice(2), 2)))"
-    )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "13"
+    batch = np.array([[[big, 0], [0, big]], [[big, big], [big, big]],
+                      [[big, 1], [big + 1, 1]], [[0, 0], [0, 0]]], dtype=np.int64)
+    assert not kernels.ranks_int_safe_bound(big + 1, 2, 2)
+    assert list(kernels.ranks_over_z(batch)) == [2, 1, 2, 0]
+    huge = np.array([[[10 ** 30, 1], [2 * 10 ** 30, 2]], [[10 ** 30, 1], [1, 10 ** 30]]],
+                    dtype=object)
+    assert list(kernels.ranks_over_z(huge)) == [1, 2]

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latrank import (
@@ -110,10 +111,15 @@ class TestHadamard:
             hadamard_ratio([[1, 2], [2, 4]])
 
 
+def _rows(arr):
+    return [tuple(v) for v in arr.tolist()]
+
+
 class TestShortVectors:
     def test_z2_radius1(self):
         got = short_vectors(integer_lattice(2), 1)
-        assert got == sorted([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+        assert got.dtype == np.int64 and got.shape == (5, 2)
+        assert _rows(got) == sorted([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
 
     def test_z2_radius2(self):
         assert len(short_vectors(integer_lattice(2), 2)) == 13
@@ -124,7 +130,7 @@ class TestShortVectors:
         assert len(got) == 5
 
     def test_includes_zero_and_sorted(self):
-        got = short_vectors(integer_lattice(3), Fraction(3, 2))
+        got = _rows(short_vectors(integer_lattice(3), Fraction(3, 2)))
         assert (0, 0, 0) in got
         assert got == sorted(got)
 
@@ -143,7 +149,7 @@ class TestShortVectors:
             radius = Fraction(rng.randint(2, 6))
             got = short_vectors(L, radius)
             expect = brute_force_short(L, Fraction(radius) ** 2)
-            assert got == expect
+            assert _rows(got) == expect
             checked += 1
 
     def test_brute_force_equivalence_twisted(self, Qi, Qs5):
@@ -151,7 +157,7 @@ class TestShortVectors:
             L = okn_lattice(K, 2)
             got = short_vectors(L, 2)
             expect = brute_force_short(L, Fraction(4))
-            assert got == expect
+            assert _rows(got) == expect
 
     def test_irrational_radius_exact_boundary(self, Qs5):
         # norms in O_K(sqrt5) are q * 5^(-1/2); radius chosen to hit one exactly
@@ -184,7 +190,35 @@ class TestShortVectors:
         L = ZLattice([[2, 1, 0], [0, 1, 1], [1, 0, 3]], Ambient.standard(3))
         base = short_vectors(L, 6, threads=1)
         for t in (2, 3, 5):
-            assert short_vectors(L, 6, threads=t) == base
+            assert np.array_equal(short_vectors(L, 6, threads=t), base)
+
+    def test_coordinates_past_int64(self):
+        # Z^2 on a basis whose coordinates of short vectors exceed int64:
+        # the result holds Python ints, still sorted
+        big = 10 ** 19
+        L = ZLattice([[1, 0], [big, 1]], Ambient.standard(2))
+        got = short_vectors(L, 1)
+        assert got.dtype == object
+        assert _rows(got) == [(-big, 1), (-1, 0), (0, 0), (1, 0), (big, -1)]
+
+    def test_cap_gate_is_ball_count_estimate(self):
+        # the gate reuses the reduced Gram of the enumeration; it must be the
+        # public estimate bit for bit
+        rng = random.Random(29)
+        checked = 0
+        while checked < 10:
+            r = rng.randint(1, 4)
+            rows = [[rng.randint(-6, 6) for _ in range(r + 1)] for _ in range(r)]
+            from latrank import intmat
+
+            if intmat.rank(rows) < r:
+                continue
+            L = ZLattice(rows, Ambient.standard(r + 1))
+            radius = rng.randint(1, 9)
+            with pytest.raises(EnumerationCapError) as exc:
+                short_vectors(L, radius, cap=1)
+            assert exc.value.estimate == ball_count_estimate(L, float(radius))
+            checked += 1
 
 
 class TestSaturate:
