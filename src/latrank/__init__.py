@@ -15,7 +15,6 @@ from .counting import (
     lhs_count,
     primitive_zeta_check,
     product_of_balls,
-    rank_factorize,
     term_value,
     zeta,
 )
@@ -54,6 +53,7 @@ from .modules import (
     enumerate_primitive_modules,
     lambda_of,
     matrices_with_rows,
+    rank_factorize,
     schmidt_count,
     to_echelon,
 )

@@ -290,13 +290,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_config_file(args):
+def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The options of one subcommand, by destination."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.option_strings
+            and a.dest != "help"}
+
+
+def _config_value(key: str, val, action: argparse.Action):
+    """val as the subcommand's parser would store it; ValidationError names the key."""
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise ValidationError(f"config key {key!r} must be true or false, got {val!r}")
+        return val
+    if isinstance(val, (list, dict)) or val is None:
+        raise ValidationError(f"config key {key!r} needs a single value, got {val!r}")
+    text = str(val)
+    try:
+        value = action.type(text) if action.type is not None else text
+    except (ValueError, TypeError):
+        raise ValidationError(f"config key {key!r}: invalid value {val!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(f"config key {key!r}: {val!r} is not one of "
+                              f"{', '.join(map(str, action.choices))}")
+    return value
+
+
+def apply_config_file(args, parser: argparse.ArgumentParser):
+    """Override args with the keys of the JSON --config file, checked like flags."""
     if not args.config:
         return args
     with open(args.config) as fh:
-        overrides = json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"config file is not JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ValidationError("config file must hold one JSON object")
+    actions = _subcommand_actions(parser, args.command)
     for key, val in overrides.items():
-        setattr(args, key.replace("-", "_"), val)
+        dest = key.replace("-", "_")
+        if dest not in actions:
+            raise ValidationError(f"unknown config key {key!r} for {args.command}")
+        setattr(args, dest, _config_value(key, val, actions[dest]))
     return args
 
 
@@ -304,10 +340,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = apply_config_file(args)
+        args = apply_config_file(args, parser)
     except OSError as exc:
         print(f"latrank: cannot read config: {exc}", file=sys.stderr)
         return 4
+    except ValidationError as exc:
+        print(f"latrank: invalid configuration: {exc}", file=sys.stderr)
+        return 2
     t0 = time.monotonic()
     try:
         fld, records, cfg = COMMANDS[args.command](args)

@@ -16,11 +16,18 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
+from . import intmat, kernels
 from .exactval import PowerProduct
 from .modules import PrimitiveModule, enumerate_primitive_modules
-from .numfield import NumberField, rank_over_K, unflatten_kvector
-from .zlattice import ZLattice, direct_sum, okn_lattice, short_vectors, unit_ball_volume
+from .numfield import NumberField, unflatten_kvector
+from .zlattice import (
+    ZLattice,
+    direct_sum,
+    okn_lattice,
+    short_vectors,
+    shortest_nonzero_sqnorm,
+    unit_ball_volume,
+)
 
 
 # -- test functions -------------------------------------------------------------
@@ -111,17 +118,34 @@ class C1Estimate:
     terms: list = dc_field(default_factory=list)
 
 
-# -- rank helpers -------------------------------------------------------------------
+# -- rank filter ------------------------------------------------------------------
 
 
-def rank_of_matrix(field: NumberField, rows) -> int:
-    return rank_over_K([[field.coerce(x) for x in row] for row in rows])
+def _theta_powers(field: NumberField) -> np.ndarray:
+    """M(theta)^0, ..., M(theta)^(d-1) stacked as a (d, d, d) int64 array.
+
+    M(theta) is integral because the minimal polynomial is monic and integral.
+    """
+    d = field.degree
+    mult = [[int(x) for x in row] for row in field.mult_matrix(field.gen())]
+    pows = [intmat.identity(d)]
+    for _ in range(d - 1):
+        pows.append(intmat.mat_mul(pows[-1], mult))
+    return np.array(pows, dtype=np.int64)
 
 
-def rank_factorize(field: NumberField, rows):
-    from .modules import rank_factorize as _rf
+def ranks_over_K(field: NumberField, coords, row_basis) -> np.ndarray:
+    """Ranks over K of a batch of matrices given by the lattice coordinates of their rows.
 
-    return _rf(field, rows)
+    coords is an (N, n, r) integer array and row_basis an r x (c d) rational
+    matrix: row t of matrix i has power-basis coordinates coords[i, t] @
+    row_basis, so each matrix is n x c over K.  The denominators of
+    row_basis are cleared once, which scales every matrix and keeps its
+    rank; the integer kernel then ranks the regular representation.
+    """
+    den = intmat.lcm_denominator(row_basis)
+    basis = np.array([[int(x * den) for x in row] for row in row_basis], dtype=object)
+    return kernels.ranks_regular(coords, basis, _theta_powers(field))
 
 
 # -- left side: direct and stratified counting ---------------------------------------
@@ -184,29 +208,27 @@ def _support_times_T(f: TestFunction, T: Fraction) -> Fraction:
 def _lhs_direct(field, n, m, k, T, f, cap=None):
     d = field.degree
     lat = okn_lattice(field, n * m)
-    radius_exact = _support_times_T(f, T)
-    coords = short_vectors(lat, radius_exact, cap=cap)
+    coords = short_vectors(lat, _support_times_T(f, T), cap=cap)
     seen = len(coords)
-    if field.degree == 1 and f.kind == "ball":
-        ranks = kernels.ranks_over_z(coords.reshape(seen, n, m))
-        raw = float(np.count_nonzero(ranks == k))
-        return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),
-                               matrices_seen=seen, method="direct")
-    raw = 0.0
-    for rows in _coords_to_matrices(field, lat, coords.tolist(), n, m):
-        if rank_over_K([list(r) for r in rows]) != k:
-            continue
-        raw += _evaluate_exactish(field, f, rows, T, m)
+    # O_K^(nm) is n copies of O_K^m, one per matrix row; its first block is O_K^m
+    row_basis = [row[:m * d] for row in lat.basis[:m * d]]
+    ranks = ranks_over_K(field, coords.reshape(seen, n, m * d), row_basis)
+    raw = _add_rank_k(0.0, field, f, lat, coords, ranks == k, n, m, T)
     return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),
                            matrices_seen=seen, method="direct")
 
 
-def _evaluate_exactish(field, f, rows, T, m) -> float:
+def _add_rank_k(raw, field, f, lat, coords, hit, n, m, T) -> float:
+    """raw plus the sum of f(A/T) over the enumerated matrices A flagged in hit."""
     if f.kind == "ball":
-        sq = sum(field.t2(x, x) for row in rows for x in row)
-        lhs = PowerProduct.coerce(sq) * field.scale_sq if sq else None
-        bound = PowerProduct.coerce(Fraction(f.radius) ** 2 * T ** 2)
-        return 1.0 if (lhs is None or lhs <= bound) else 0.0
+        # the points were enumerated in f's own ball, so f(A/T) = 1 on each
+        return raw + float(np.count_nonzero(hit))
+    for rows in _coords_to_matrices(field, lat, coords[hit].tolist(), n, m):
+        raw += _evaluate_exactish(field, f, rows, T, m)
+    return raw
+
+
+def _evaluate_exactish(field, f, rows, T, m) -> float:
     if f.kind == "product_of_balls":
         radii = f.column_radii(m)
         for j, sq in enumerate(_column_sqnorms_exact(field, rows)):
@@ -235,7 +257,6 @@ def _lhs_stratified(field, n, m, k, T, f, cap=None):
     raw = 0.0
     seen = 0
     bound_sq = PowerProduct.coerce(RT ** 2)
-    from .zlattice import shortest_nonzero_sqnorm
 
     for P in modules:
         lam = P.lattice
@@ -245,21 +266,12 @@ def _lhs_stratified(field, n, m, k, T, f, cap=None):
         stacked = direct_sum(lam, n)
         coords = short_vectors(stacked, RT, cap=cap)
         seen += len(coords)
-        if field.degree == 1:
-            # rank of coefficients = rank of A
-            ranks = kernels.ranks_over_z(coords.reshape(len(coords), n, lam.rank))
-        else:
-            ranks = np.array([
-                rank_over_K([list(row) for row in rows])
-                for rows in _coords_to_matrices(field, stacked, coords.tolist(), n, m)
-            ])
-        if f.kind == "ball":
-            raw += float(np.count_nonzero(ranks == k))
-        else:
-            for rows, rk in zip(_coords_to_matrices(field, stacked, coords.tolist(), n, m),
-                                ranks):
-                if rk == k:
-                    raw += _evaluate_exactish(field, f, rows, T, m)
+        # A = X D with X = A[:, pivots], as D is the identity on its pivot
+        # columns, so rank_K A = rank_K X: rank the pivot columns only
+        pivots = [p * d + b for p in P.echelon.pivot_cols for b in range(d)]
+        piv_basis = [[row[j] for j in pivots] for row in lam.basis]
+        ranks = ranks_over_K(field, coords.reshape(len(coords), n, lam.rank), piv_basis)
+        raw = _add_rank_k(raw, field, f, stacked, coords, ranks == k, n, m, T)
     return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),
                            matrices_seen=seen, method="stratified")
 

@@ -24,10 +24,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 def vec_mat(v, A):
     cols = len(A[0])
     return [sum(v[i] * A[i][j] for i in range(len(v))) for j in range(cols)]
@@ -35,10 +31,6 @@ def vec_mat(v, A):
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
-
-
-def frac_matrix(A):
-    return [[Fraction(x) for x in row] for row in A]
 
 
 def det(A) -> Fraction:

@@ -480,16 +480,6 @@ class NumberField:
                         acc += cx * cy * row[b]
         return acc
 
-    def t2_gram_integral_basis(self):
-        basis = self.basis_elements()
-        return [[self.t2(u, v) for v in basis] for u in basis]
-
-    def twisted_sqnorm_exact(self, x: FieldElement) -> PowerProduct | None:
-        t = self.t2(x, x)
-        if t == 0:
-            return None
-        return self.scale_sq * t
-
     def twisted_sqnorm(self, x: FieldElement) -> float:
         t = self.t2(x, x)
         return float(self.scale_sq) * float(t)
@@ -658,10 +648,6 @@ def parse_field_file(path) -> NumberField:
 
 
 # -- matrices over K ----------------------------------------------------------
-
-def kmatrix(field: NumberField, rows):
-    return [[field.coerce(x) for x in row] for row in rows]
-
 
 def kmat_mul(A, B):
     rows, inner, cols = len(A), len(B), len(B[0])

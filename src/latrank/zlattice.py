@@ -93,7 +93,8 @@ class ZLattice:
     verified on construction together with positive definiteness.
     """
 
-    __slots__ = ("basis", "gram", "scale_sq", "ambient_dim", "rank", "ambient", "ok_module")
+    __slots__ = ("basis", "gram", "scale_sq", "ambient_dim", "rank", "ambient", "ok_module",
+                 "_lll")
 
     def __init__(self, basis, ambient: Ambient, gram=None, ok_module: bool = False,
                  check: bool = True):
@@ -103,6 +104,7 @@ class ZLattice:
         self.rank = len(self.basis)
         self.scale_sq = ambient.scale_sq
         self.ok_module = ok_module
+        self._lll = None  # LLL transform at the default delta, filled on first use
         computed = None
         if gram is None:
             computed = self._compute_gram()
@@ -342,32 +344,56 @@ def _lll_transform(gram, delta: Fraction):
     return U
 
 
-def lll_reduce(lat: ZLattice, delta: float = 0.99) -> ZLattice:
+_LLL_DELTA = 0.99
+
+
+def _transform(lat: ZLattice, delta: float = _LLL_DELTA):
+    """LLL transform of lat as a tuple of rows; at the default delta, once per lattice."""
+    if delta == _LLL_DELTA and lat._lll is not None:
+        return lat._lll
+    if lat.rank <= 1:
+        U = intmat.identity(lat.rank)
+    else:
+        U = _lll_transform([list(r) for r in lat.gram],
+                           Fraction(delta).limit_denominator(10 ** 6))
+    U = tuple(tuple(row) for row in U)
+    if delta == _LLL_DELTA:
+        lat._lll = U
+    return U
+
+
+def lll_reduce(lat: ZLattice, delta: float = _LLL_DELTA) -> ZLattice:
     """Same lattice on a Lovasz-reduced basis (exact arithmetic on the Gram)."""
     if not 0.25 < delta < 1:
         raise ValueError("delta must be in (0.25, 1)")
     if lat.rank <= 1:
         return lat
-    U = _lll_transform([list(r) for r in lat.gram], Fraction(delta).limit_denominator(10 ** 6))
-    basis = intmat.mat_mul(U, [list(r) for r in lat.basis])
+    basis = intmat.mat_mul(_transform(lat, delta), [list(r) for r in lat.basis])
     return ZLattice(basis, lat.ambient, ok_module=lat.ok_module)
 
 
-def lll_transform_of(lat: ZLattice, delta: float = 0.99):
-    if lat.rank <= 1:
-        return intmat.identity(lat.rank)
-    return _lll_transform([list(r) for r in lat.gram], Fraction(delta).limit_denominator(10 ** 6))
+def lll_transform_of(lat: ZLattice, delta: float = _LLL_DELTA):
+    """Unimodular U, as a tuple of rows, with U G U^T Lovasz-reduced."""
+    return _transform(lat, delta)
+
+
+def _reduced_sqnorms(lat: ZLattice, U) -> list:
+    """Diagonal of U G U^T: the exact Gram norms of the reduced basis rows."""
+    g = lat.gram
+    idx = range(lat.rank)
+    return [sum(u[a] * g[a][b] * u[b] for a in idx if u[a] for b in idx if u[b])
+            for u in U]
 
 
 def covering_radius_bound(lat: ZLattice) -> float:
     """Certified upper bound: half the sum of the norms of an LLL-reduced basis."""
-    return _half_norm_sum(lat, lll_reduce(lat).gram)
+    return _half_norm_sum(lat, _reduced_sqnorms(lat, _transform(lat)))
 
 
-def _half_norm_sum(lat: ZLattice, reduced_gram) -> float:
-    """Half the sum of the basis norms, from the Gram of an LLL-reduced basis of lat."""
+def _half_norm_sum(lat: ZLattice, reduced_sqnorms) -> float:
+    """Half the sum of the basis norms, from the Gram norms of an LLL-reduced basis."""
     scale = float(lat.scale_sq)
-    return 0.5 * sum(math.sqrt(scale * float(reduced_gram[i][i])) for i in range(lat.rank))
+    return 0.5 * sum(math.sqrt(scale * float(q)) for q in reduced_sqnorms)
 
 
 # -- short vectors ------------------------------------------------------------------
@@ -412,7 +438,8 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None,
                               intmat.transpose(U))
     # gram_red is the Gram of the LLL-reduced basis, the same one
     # covering_radius_bound reduces to, so this is ball_count_estimate exactly
-    est = _ball_count(lat, math.sqrt(float(radius_sq)), _half_norm_sum(lat, gram_red))
+    est = _ball_count(lat, math.sqrt(float(radius_sq)),
+                      _half_norm_sum(lat, [gram_red[i][i] for i in range(lat.rank)]))
     if est > cap:
         raise EnumerationCapError(est, cap, math.sqrt(float(radius_sq)))
 
@@ -492,8 +519,9 @@ def _qform_bigint(y, g_int) -> int:
 
 def shortest_nonzero_sqnorm(lat: ZLattice) -> PowerProduct:
     """Exact squared norm of a shortest nonzero vector."""
-    red = lll_reduce(lat)
-    guess = min(float(lat.scale_sq) * float(red.gram[i][i]) for i in range(red.rank))
+    # the cached reduction short_vectors runs on, without building a reduced lattice
+    guess = min(float(lat.scale_sq) * float(q)
+                for q in _reduced_sqnorms(lat, _transform(lat)))
     radius = math.sqrt(guess) * (1 + 1e-9)
     best = None
     for v in short_vectors(lat, radius).tolist():

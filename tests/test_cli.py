@@ -103,6 +103,27 @@ def test_config_file_overrides_flags(tmp_path):
     assert records[0]["raw_sum"] == "28"
 
 
+def test_config_unknown_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": "3", "radius": "2"}))
+    code = main(["--config", str(cfg), "count-rank", "--n", "2", "--m", "1",
+                 "--k", "1", "--T", "2", "--output-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert "'radius'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_bad_value_exit_2(tmp_path, capsys):
+    # --n takes an int and --format a choice, as on the command line
+    for bad in ({"n": "two"}, {"n": 2.5}, {"format": "xml"}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        code = main(["--config", str(cfg), "count-rank", "--n", "2", "--m", "1",
+                     "--k", "1", "--T", "2", "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert repr(next(iter(bad))) in capsys.readouterr().err
+
+
 def test_empty_records_manifest(tmp_path):
     out = tmp_path / "run"
     code = main(["schmidt-table", "--k", "1", "--m", "2", "--T", "",

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from latrank import kernels
 from latrank import (
     ball,
     c1_estimate,
@@ -18,9 +21,11 @@ from latrank.counting import (
     custom,
     pivot_product_integral,
     product_of_balls,
+    ranks_over_K,
     term_value_detail,
 )
-from latrank.zlattice import unit_ball_volume
+from latrank.numfield import kmat_mul, rank_over_K
+from latrank.zlattice import okn_lattice, unit_ball_volume
 
 
 class TestLhsCount:
@@ -48,6 +53,21 @@ class TestLhsCount:
         a = lhs_count(Qi, 2, 1, 1, 1, ball(Fraction(3, 2)), method="direct")
         b = lhs_count(Qi, 2, 1, 1, 1, ball(Fraction(3, 2)), method="stratified")
         assert a.raw_sum == b.raw_sum > 0
+
+    @pytest.mark.parametrize("name,f,T,count", [
+        ("Qi", ball(1), 2, 1352),
+        ("Qi", product_of_balls([1, Fraction(3, 2)]), 1, 180),
+        ("Qs5", ball(Fraction(6, 5)), 1, 36),
+        ("Qs5", product_of_balls([1, Fraction(1, 2)]), 1, 6),
+    ])
+    def test_methods_agree_quadratic_fields(self, name, f, T, count, request):
+        # counts as the per-matrix rref over K gave them
+        field = request.getfixturevalue(name)
+        # the rank-12 lattice of the direct method trips the volume estimate at
+        # the default cap (a known overestimate), not the enumeration itself
+        a = lhs_count(field, 3, 2, 1, T, f, method="direct", cap=10 ** 13)
+        b = lhs_count(field, 3, 2, 1, T, f, method="stratified")
+        assert a.raw_sum == b.raw_sum == count
 
     def test_monotone_in_T(self, QQ):
         vals = [lhs_count(QQ, 3, 2, 1, T, ball(1)).raw_sum for T in (1, 2, 3, 4)]
@@ -224,3 +244,69 @@ class TestCustomEvaluator:
         a = lhs_count(QQ, 2, 1, 1, 3, f_ind, method="direct")
         b = lhs_count(QQ, 2, 1, 1, 3, f_c, method="direct")
         assert a.raw_sum == b.raw_sum
+
+
+# -- the batched rank over K against the per-matrix rref ------------------------------
+
+
+def _element(field, coords):
+    return field.from_integral_coords(coords)
+
+
+@st.composite
+def _kmatrix_batches(draw, field):
+    """Batches of n x c matrices over O_K, each a product X D of inner size j."""
+    d = field.degree
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ints = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    batch = []
+    for _ in range(draw(st.integers(0, 5))):
+        j = draw(st.integers(0, min(n, c)))
+        if j == 0:
+            batch.append([[field.zero()] * c for _ in range(n)])
+            continue
+        X = [[_element(field, draw(ints)) for _ in range(j)] for _ in range(n)]
+        D = [[_element(field, draw(ints)) for _ in range(c)] for _ in range(j)]
+        batch.append(kmat_mul(X, D))
+    return n, c, batch
+
+
+def _batch_coords(field, n, c, batch, scale):
+    """(N, n, c d) integral-basis coordinates of the batch, times scale."""
+    flat = [[[scale * v for x in row for v in field.integral_coords(x)] for row in A]
+            for A in batch]
+    dtype = object if scale > 2 ** 40 else np.int64
+    return np.array(flat, dtype=dtype).reshape(len(batch), n, c * field.degree)
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ranks_over_K_match_rref(name, data, QQ, Qi, Qs5):
+    # scales past the int64 guard take the bigint Bareiss path (10**7) and the
+    # object-array transform (10**20); scaling keeps every rank
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    n, c, batch = data.draw(_kmatrix_batches(field))
+    scale = data.draw(st.sampled_from([1, 10 ** 7, 10 ** 20]))
+    coords = _batch_coords(field, n, c, batch, scale)
+    got = ranks_over_K(field, coords, okn_lattice(field, c).basis)
+    assert got.shape == (len(batch),)
+    assert list(got) == [rank_over_K(A) for A in batch]
+
+
+def test_ranks_over_K_chunks(Qs5, monkeypatch):
+    # a batch that crosses several _BLOCK pieces, half-integral basis
+    rng = np.random.default_rng(4)
+    batch = []
+    for _ in range(60):
+        j = int(rng.integers(0, 3))
+        X = [[_element(Qs5, rng.integers(-4, 5, 2)) for _ in range(j)] for _ in range(3)]
+        D = [[_element(Qs5, rng.integers(-4, 5, 2)) for _ in range(2)] for _ in range(j)]
+        batch.append(kmat_mul(X, D) if j else [[Qs5.zero()] * 2 for _ in range(3)])
+    coords = _batch_coords(Qs5, 3, 2, batch, 1)
+    basis = okn_lattice(Qs5, 2).basis
+    monkeypatch.setattr(kernels, "_BLOCK", 16)
+    got = ranks_over_K(Qs5, coords, basis)
+    assert list(got) == [rank_over_K(A) for A in batch]
+    assert set(got) == {0, 1, 2}
+    assert ranks_over_K(Qs5, coords[:0], basis).shape == (0,)

@@ -26,6 +26,7 @@ from latrank.errors import MembershipError
 from latrank.zlattice import (
     ball_count_estimate,
     is_primitive_in,
+    lll_transform_of,
     saturation_index,
     shortest_nonzero_sqnorm,
 )
@@ -84,6 +85,25 @@ class TestLLL:
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             lll_reduce(integer_lattice(2), delta=1.5)
+
+    def test_transform_cached_per_lattice(self, monkeypatch):
+        from latrank import intmat, zlattice
+
+        L = ZLattice([[1, 0, 0], [10, 1, 0], [3, 7, 1]], Ambient.standard(3))
+        U = lll_transform_of(L)
+        runs = []
+        monkeypatch.setattr(zlattice, "_lll_transform",
+                            lambda *a: runs.append(a) or [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        # the default delta reuses the stored transform; another delta does not
+        assert lll_transform_of(L) == U
+        assert shortest_nonzero_sqnorm(L) == PowerProduct.coerce(1)
+        assert len(short_vectors(L, 1)) == 7  # Z^3: zero and the six units
+        assert [list(r) for r in lll_reduce(L).basis] == \
+            [list(r) for r in ZLattice(intmat.mat_mul(U, [list(r) for r in L.basis]),
+                                       L.ambient).basis]
+        assert runs == []
+        lll_transform_of(L, delta=0.75)
+        assert len(runs) == 1
 
 
 class TestHadamard:
