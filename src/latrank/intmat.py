@@ -56,6 +56,32 @@ def det(A) -> Fraction:
     return sign * result
 
 
+def leading_minors(G):
+    """Fraction-free (Bareiss) elimination of a symmetric integer matrix, no pivoting.
+
+    Returns (d, lam): d[k] is the k-th leading principal minor (d[0] = 1), and
+    for j < i, lam[i][j] = det G[{0..j-1, i}, {0..j}], the entry the elimination
+    leaves below the j-th pivot (d[j+1] * mu_ij of the Gram-Schmidt data when G
+    is a Gram matrix).  Every division is exact.  The pass stops at the first
+    minor that is not positive, so G is positive definite iff min(d) > 0.
+    """
+    n = len(G)
+    M = [[int(x) for x in row[:i + 1]] for i, row in enumerate(G)]  # lower triangle
+    d = [1]
+    for t in range(n):
+        p = M[t][t]
+        d.append(p)
+        if p <= 0:
+            break
+        prev = d[t]
+        for i in range(t + 1, n):
+            Mi, a = M[i], M[i][t]
+            for j in range(t + 1, i + 1):
+                Mi[j] = (p * Mi[j] - a * M[j][t]) // prev
+    lam = [row[:i] for i, row in enumerate(M)]
+    return d, lam
+
+
 def rref(A):
     """Reduced row echelon form over the rationals.
 

@@ -86,6 +86,12 @@ class Ambient:
         return self.field.minkowski_embed(unflatten_kvector(self.field, list(vec)))
 
 
+def _integral(rows):
+    """(den, den * rows) for a Fraction matrix, den the lcm of its denominators."""
+    den = intmat.lcm_denominator(rows)
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 class ZLattice:
     """Discrete rank-r module with exact Gram data.
 
@@ -119,11 +125,9 @@ class ZLattice:
                 for j in range(i):
                     if self.gram[i][j] != self.gram[j][i]:
                         raise ValueError("gram is not symmetric")
-            g = [list(row) for row in self.gram]
-            for k in range(1, self.rank + 1):
-                minor = intmat.det([row[:k] for row in g[:k]])
-                if minor <= 0:
-                    raise ValueError("gram is not positive definite")
+            minors, _ = intmat.leading_minors(_integral(self.gram)[1])
+            if min(minors) <= 0:
+                raise ValueError("gram is not positive definite")
 
     def _compute_gram(self):
         rows = [[Fraction(x) for x in row] for row in self.basis]
@@ -135,7 +139,9 @@ class ZLattice:
     # -- heights ---------------------------------------------------------------
 
     def det_gram(self) -> Fraction:
-        return intmat.det([list(r) for r in self.gram])
+        den, g = _integral(self.gram)
+        d, _ = intmat.leading_minors(g)
+        return Fraction(d[-1], den ** self.rank)  # the gram is positive definite
 
     def height_sq(self) -> PowerProduct:
         return self.scale_sq ** self.rank * self.det_gram()
@@ -306,41 +312,49 @@ def hadamard_ratio(lat_or_basis, ambient: Ambient | None = None) -> float:
 
 
 def _lll_transform(gram, delta: Fraction):
-    """Unimodular U with U G U^T Lovasz-reduced; exact rational arithmetic."""
+    """Unimodular U with U G U^T Lovasz-reduced; integral LLL on the scaled Gram.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7, with
+    exact integers in place of the rational Gram-Schmidt data: d[i] is the i-th
+    leading minor of the lcm-scaled Gram (a positive scale leaves U unchanged)
+    and lam[i][j] = d[j+1] * mu_ij.  Rows are size-reduced against j = k-1 .. 0
+    with r = floor(mu + 1/2) before the Lovasz test, so every decision, and U,
+    is the one the rational algorithm makes.
+    """
     n = len(gram)
+    d, lam = intmat.leading_minors(_integral(gram)[1])
+    p, q = delta.numerator, delta.denominator
     U = intmat.identity(n)
-
-    def inner(i, j):
-        return sum(Fraction(U[i][a]) * gram[a][b] * U[j][b]
-                   for a in range(n) for b in range(n))
-
-    # Gram-Schmidt data recomputed from scratch; fine for the small ranks here
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [Fraction(0)] * n
-        for i in range(n):
-            bstar[i] = inner(i, i)
-            for j in range(i):
-                mu[i][j] = (inner(i, j)
-                            - sum(mu[i][t] * mu[j][t] * bstar[t] for t in range(j))) / bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        return mu, bstar
-
-    mu, bstar = gso()
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            r = math.floor(q + Fraction(1, 2))
+            dj = d[j + 1]
+            r = (2 * lk[j] + dj) // (2 * dj)
             if r:
                 U[k] = [a - r * b for a, b in zip(U[k], U[j])]
-                mu, bstar = gso()
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+                lk[j] -= r * dj
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= r * lj[i]
+        ll = lk[k - 1]
+        if q * (d[k + 1] * d[k - 1] + ll * ll) >= p * d[k] * d[k]:
             k += 1
-        else:
-            U[k], U[k - 1] = U[k - 1], U[k]
-            mu, bstar = gso()
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k (Cohen's SWAPI); lam[k][k-1] is unchanged
+        U[k], U[k - 1] = U[k - 1], U[k]
+        lk1 = lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        dk, dk1 = d[k], d[k + 1]
+        b = (d[k - 1] * dk1 + ll * ll) // dk
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - ll * t) // dk
+            li[k - 1] = (b * t + ll * li[k]) // dk1
+        d[k] = b
+        k = max(k - 1, 1)
     return U
 
 
@@ -349,13 +363,11 @@ _LLL_DELTA = 0.99
 
 def _transform(lat: ZLattice, delta: float = _LLL_DELTA):
     """LLL transform of lat as a tuple of rows; at the default delta, once per lattice."""
+    if not 0.25 < delta < 1:
+        raise ValueError("delta must be in (0.25, 1)")
     if delta == _LLL_DELTA and lat._lll is not None:
         return lat._lll
-    if lat.rank <= 1:
-        U = intmat.identity(lat.rank)
-    else:
-        U = _lll_transform([list(r) for r in lat.gram],
-                           Fraction(delta).limit_denominator(10 ** 6))
+    U = _lll_transform(lat.gram, Fraction(delta).limit_denominator(10 ** 6))
     U = tuple(tuple(row) for row in U)
     if delta == _LLL_DELTA:
         lat._lll = U
@@ -364,11 +376,10 @@ def _transform(lat: ZLattice, delta: float = _LLL_DELTA):
 
 def lll_reduce(lat: ZLattice, delta: float = _LLL_DELTA) -> ZLattice:
     """Same lattice on a Lovasz-reduced basis (exact arithmetic on the Gram)."""
-    if not 0.25 < delta < 1:
-        raise ValueError("delta must be in (0.25, 1)")
+    U = _transform(lat, delta)
     if lat.rank <= 1:
         return lat
-    basis = intmat.mat_mul(_transform(lat, delta), [list(r) for r in lat.basis])
+    basis = intmat.mat_mul(U, [list(r) for r in lat.basis])
     return ZLattice(basis, lat.ambient, ok_module=lat.ok_module)
 
 
@@ -444,8 +455,7 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None,
         raise EnumerationCapError(est, cap, math.sqrt(float(radius_sq)))
 
     bound_pow = radius_sq / lat.scale_sq  # threshold for x G x^T
-    den = intmat.lcm_denominator(gram_red)
-    g_int = [[int(x * den) for x in row] for row in gram_red]
+    den, g_int = _integral(gram_red)
     bound_int = bound_pow * den
 
     g_f = np.array([[float(v) for v in row] for row in g_int], dtype=float)

@@ -79,6 +79,31 @@ def test_rank_and_det():
     assert intmat.det([[2, 0], [0, 0]]) == 0
 
 
+def test_leading_minors_random_symmetric():
+    # d[k] and lam[i][j] against Fraction determinants of the bordered blocks
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        B = random_int_matrix(rng, n, max(1, n + rng.randint(-1, 2)))
+        G = intmat.mat_mul(B, intmat.transpose(B))
+        if rng.random() < 0.3:
+            G[n - 1][n - 1] -= rng.randint(0, 400)  # may turn a minor non-positive
+        d, lam = intmat.leading_minors(G)
+        minors = [intmat.det([row[:k] for row in G[:k]]) for k in range(n + 1)]
+        stop = next((k for k in range(1, n + 1) if minors[k] <= 0), n)
+        assert d == minors[:stop + 1]
+        for i in range(n):
+            for j in range(min(i, stop)):
+                rows = list(range(j)) + [i]
+                assert lam[i][j] == intmat.det([[G[a][b] for b in range(j + 1)] for a in rows])
+
+
+def test_leading_minors_stop_at_first_non_positive():
+    assert intmat.leading_minors([[1, 0, 0], [0, 0, 0], [0, 0, 5]])[0] == [1, 1, 0]
+    assert intmat.leading_minors([[1, 2, 0], [2, 1, 0], [0, 0, 1]])[0] == [1, 1, -3]
+    assert intmat.leading_minors([])[0] == [1]
+
+
 def test_solve_and_inverse():
     A = [[2, 1], [1, 1]]
     x = intmat.solve(A, [3, 2])

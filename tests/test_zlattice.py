@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latrank import (
     Ambient,
@@ -12,9 +13,12 @@ from latrank import (
     ZLattice,
     covering_radius_bound,
     direct_sum,
+    enumerate_subspaces,
     hadamard_ratio,
+    hecke_neighbor,
     height,
     integer_lattice,
+    intmat,
     lll_reduce,
     okn_lattice,
     saturate,
@@ -24,6 +28,7 @@ from latrank import (
 )
 from latrank.errors import MembershipError
 from latrank.zlattice import (
+    _lll_transform,
     ball_count_estimate,
     is_primitive_in,
     lll_transform_of,
@@ -32,7 +37,7 @@ from latrank.zlattice import (
 )
 
 
-from tests_support import brute_force_short
+from tests_support import brute_force_short, lll_transform_loop
 
 
 class TestHeights:
@@ -55,6 +60,36 @@ class TestHeights:
     def test_positive_definite_required(self):
         with pytest.raises(ValueError):
             ZLattice([[1, 0], [1, 0]], Ambient.standard(2))
+
+    @pytest.mark.parametrize("basis, form", [
+        # leading minors 1, 1, then 0: a dependent last row
+        ([[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]]),
+        # leading minors 1, 1, then -1: an indefinite form
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+        # rational: minors 1/2, then 1/6 - 1 < 0
+        ([[1, 0], [0, 1]], [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]),
+    ])
+    def test_last_minor_not_positive_rejected(self, basis, form):
+        with pytest.raises(ValueError, match="gram is not positive definite"):
+            ZLattice(basis, Ambient(form, PowerProduct.coerce(1)))
+
+    def test_det_gram_matches_rational_det(self, Qi, Qs5):
+        lattices = [
+            integer_lattice(2),
+            ZLattice([[2, 0], [0, 3]], Ambient.standard(2)),
+            ZLattice([[2, 1]], Ambient.standard(2)),
+            ZLattice([[1, 0, 0], [10, 1, 0], [3, 7, 1]], Ambient.standard(3)),
+            direct_sum(ZLattice([[2, 1]], Ambient.standard(2)), 3),
+            okn_lattice(Qi, 2),
+            okn_lattice(Qs5, 2),
+            ZLattice([[1, 2], [0, 3]], Ambient([[Fraction(1, 2), Fraction(1, 7)],
+                                                [Fraction(1, 7), Fraction(5, 3)]],
+                                               PowerProduct.coerce(1))),
+        ]
+        for L in lattices:
+            det = intmat.det([list(r) for r in L.gram])
+            assert L.det_gram() == det
+            assert L.height_sq() == L.scale_sq ** L.rank * det
 
 
 class TestLLL:
@@ -83,8 +118,47 @@ class TestLLL:
             assert hadamard_ratio(red) <= hadamard_ratio(L) + 1e-9
 
     def test_delta_validated(self):
-        with pytest.raises(ValueError):
-            lll_reduce(integer_lattice(2), delta=1.5)
+        # delta >= 1 never terminates, so both entry points check before the loop
+        for entry in (lll_reduce, lll_transform_of):
+            for delta in (1.5, 1.0, 0.25):
+                for r in (1, 2):
+                    with pytest.raises(ValueError, match="delta"):
+                        entry(integer_lattice(r), delta=delta)
+
+    @pytest.mark.parametrize("gram, delta, U", [
+        ([[2, 1], [1, 2]], Fraction(99, 100), [[1, 0], [-1, 1]]),  # mu = +1/2 rounds to 1
+        ([[2, -1], [-1, 2]], Fraction(99, 100), [[1, 0], [0, 1]]),  # mu = -1/2 rounds to 0
+        ([[4, 0], [0, 3]], Fraction(3, 4), [[1, 0], [0, 1]]),  # Lovasz equality: no swap
+    ])
+    def test_ties(self, gram, delta, U):
+        gram = [[Fraction(x) for x in row] for row in gram]
+        assert _lll_transform(gram, delta) == U
+        assert lll_transform_loop(gram, delta) == U
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_neighbor_lattices_match_reference(self, QQ, p):
+        P = QQ.prime_above(p)
+        base = okn_lattice(QQ, 3)
+        for S in enumerate_subspaces(2, 3, p):
+            lat = hecke_neighbor(QQ, P, S, base=base).lattice
+            ref = lll_transform_loop([list(r) for r in lat.gram], Fraction(99, 100))
+            assert lll_transform_of(lat) == tuple(tuple(row) for row in ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_loop(self, data):
+        # positive-definite G = s B B^T; 34-bit entries of B put G past 2**63
+        r = data.draw(st.integers(1, 7), label="rank")
+        c = r + data.draw(st.integers(0, 2), label="extra columns")
+        bound = data.draw(st.sampled_from([9, 2 ** 34]), label="entry bound")
+        B = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                               min_size=r, max_size=r), label="B")
+        assume(intmat.rank(B) == r)
+        scale = data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 6),
+                                           Fraction(1, 35)]), label="scale")
+        delta = data.draw(st.sampled_from([Fraction(3, 4), Fraction(99, 100)]), label="delta")
+        G = [[scale * x for x in row] for row in intmat.mat_mul(B, intmat.transpose(B))]
+        assert _lll_transform(G, delta) == lll_transform_loop(G, delta)
 
     def test_transform_cached_per_lattice(self, monkeypatch):
         from latrank import intmat, zlattice

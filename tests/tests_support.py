@@ -173,3 +173,49 @@ def ranks_mod_p_loop(batch, p, out):
                 break
         out[t] = rank
     return out
+
+
+# -- reference loop for the integral LLL in latrank.zlattice ---------------------
+
+
+def lll_transform_loop(gram, delta: Fraction):
+    """Unimodular U with U G U^T Lovasz-reduced; exact rational arithmetic.
+
+    The Gram-Schmidt data are recomputed from scratch after every size
+    reduction and swap.  Rows are size-reduced against j = k-1 .. 0 with
+    r = floor(mu + 1/2) before the Lovasz test at delta.
+    """
+    n = len(gram)
+    U = intmat.identity(n)
+
+    def inner(i, j):
+        return sum(Fraction(U[i][a]) * gram[a][b] * U[j][b]
+                   for a in range(n) for b in range(n))
+
+    def gso():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        bstar = [Fraction(0)] * n
+        for i in range(n):
+            bstar[i] = inner(i, i)
+            for j in range(i):
+                mu[i][j] = (inner(i, j)
+                            - sum(mu[i][t] * mu[j][t] * bstar[t] for t in range(j))) / bstar[j]
+                bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        return mu, bstar
+
+    mu, bstar = gso()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j]
+            r = math.floor(q + Fraction(1, 2))
+            if r:
+                U[k] = [a - r * b for a, b in zip(U[k], U[j])]
+                mu, bstar = gso()
+        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            U[k], U[k - 1] = U[k - 1], U[k]
+            mu, bstar = gso()
+            k = max(k - 1, 1)
+    return U
