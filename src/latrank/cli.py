@@ -103,7 +103,7 @@ def cmd_field_info(args):
         "monogenic_index": fld.monogenic_index,
         "irreducibility_checked": fld.irreducibility_checked,
     }]
-    return fld, records, _config_echo(args, ["field"])
+    return fld, records
 
 
 def cmd_count_rank(args):
@@ -117,7 +117,7 @@ def cmd_count_rank(args):
             "raw_sum": rep.raw_sum, "normalized": rep.normalized,
             "matrices_seen": rep.matrices_seen, "method": rep.method,
         })
-    return fld, records, _config_echo(args, ["field", "n", "m", "k", "T", "ball", "method"])
+    return fld, records
 
 
 def cmd_c1_sum(args):
@@ -131,8 +131,7 @@ def cmd_c1_sum(args):
         "tail_estimate": est.tail_estimate, "tail_is_heuristic": True,
         "mc_stderr": est.mc_stderr, "seed": args.seed,
     }]
-    return fld, records, _config_echo(args, ["field", "n", "m", "k", "ball", "cutoff",
-                                             "mc_samples", "seed"])
+    return fld, records
 
 
 def cmd_schmidt_table(args):
@@ -147,7 +146,7 @@ def cmd_schmidt_table(args):
             os.makedirs(args.output_dir, exist_ok=True)
             with open(os.path.join(args.output_dir, f"modules_T{T}.jsonl"), "w") as fh:
                 fh.write(dump_module_lines(mods))
-    return fld, records, _config_echo(args, ["field", "k", "m", "T"])
+    return fld, records
 
 
 def cmd_identity_check(args):
@@ -162,7 +161,7 @@ def cmd_identity_check(args):
         "kind": args.kind, "n": args.n, "m": args.m, "cutoff": args.cutoff,
         "lhs": lhs, "rhs": rhs, "relative_error": rel,
     }]
-    return fld, records, _config_echo(args, ["field", "kind", "n", "m", "cutoff"])
+    return fld, records
 
 
 def cmd_hecke_moment(args):
@@ -189,8 +188,7 @@ def cmd_hecke_moment(args):
         for r in reports:
             writer.writerow([r.p, fmt_float(r.lhs), fmt_float(r.stratified),
                              fmt_float(r.rhs_limit), fmt_float(r.abs_error)])
-    return fld, records, _config_echo(args, ["field", "n", "m", "s", "primes", "ball",
-                                             "mode", "cutoff", "mc_samples", "seed"])
+    return fld, records
 
 
 def cmd_factorize(args):
@@ -205,7 +203,7 @@ def cmd_factorize(args):
                else ",".join(str(c) for c in x.coords) for x in row] for row in C],
         "D": D.entry_strings(),
     }]
-    return fld, records, _config_echo(args, ["field", "matrix"])
+    return fld, records
 
 
 COMMANDS = {
@@ -216,6 +214,18 @@ COMMANDS = {
     "identity-check": cmd_identity_check,
     "hecke-moment": cmd_hecke_moment,
     "factorize": cmd_factorize,
+}
+
+# options echoed in the manifest's config, for complete and aborted runs alike
+CONFIG_KEYS = {
+    "field-info": ["field"],
+    "count-rank": ["field", "n", "m", "k", "T", "ball", "method"],
+    "c1-sum": ["field", "n", "m", "k", "ball", "cutoff", "mc_samples", "seed"],
+    "schmidt-table": ["field", "k", "m", "T"],
+    "identity-check": ["field", "kind", "n", "m", "cutoff"],
+    "hecke-moment": ["field", "n", "m", "s", "primes", "ball", "mode", "cutoff",
+                     "mc_samples", "seed"],
+    "factorize": ["field", "matrix"],
 }
 
 
@@ -349,7 +359,7 @@ def main(argv=None) -> int:
         return 2
     t0 = time.monotonic()
     try:
-        fld, records, cfg = COMMANDS[args.command](args)
+        fld, records = COMMANDS[args.command](args)
         status = "complete"
         code = 0
     except ValidationError as exc:
@@ -357,19 +367,18 @@ def main(argv=None) -> int:
         return 2
     except EnumerationCapError as exc:
         print(f"latrank: {exc}", file=sys.stderr)
-        fld, records, cfg = None, [], {}
+        # the command loaded this field before it aborted, so loading succeeds again
+        fld, records = _load_field(args), []
         status = "cap_abort"
         code = 3
     except (ValueError, LatrankError) as exc:
         print(f"latrank: invalid configuration: {exc}", file=sys.stderr)
         return 2
     wall_ms = (time.monotonic() - t0) * 1000.0
-    cfg = dict(cfg)
+    cfg = _config_echo(args, CONFIG_KEYS[args.command])
     cfg["seed"] = getattr(args, "seed", 0)
     cfg["threads"] = getattr(args, "threads", 1)
     try:
-        if fld is None:
-            fld = rationals()
         write_report(args.output_dir, args.command, cfg, records,
                      getattr(args, "format", "json"), fld, wall_ms,
                      status=status)

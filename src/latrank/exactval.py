@@ -14,7 +14,8 @@ from fractions import Fraction
 
 
 def _factor(n: int) -> dict[int, int]:
-    """Trial-division factorization. Bases here are tiny (discriminants, primes)."""
+    """Trial-division factorization. Bases here are tiny (discriminants, primes);
+    coefficients reach it only through a power with a non-integer exponent."""
     out: dict[int, int] = {}
     n = abs(n)
     d = 2
@@ -92,11 +93,12 @@ class PowerProduct:
 
     def __pow__(self, e) -> "PowerProduct":
         e = Fraction(e)
+        exps = tuple((p, pe * e) for p, pe in self.exps)
+        if e.denominator == 1:
+            # the coefficient is raised as it is; only the prime bases are refolded
+            return PowerProduct(self.coeff ** int(e), exps)
         cnum, cden = self.coeff.numerator, self.coeff.denominator
-        return PowerProduct(
-            1,
-            ((cnum, e), (cden, -e)) + tuple((p, pe * e) for p, pe in self.exps),
-        )
+        return PowerProduct(1, ((cnum, e), (cden, -e)) + exps)
 
     def sqrt(self) -> "PowerProduct":
         return self ** Fraction(1, 2)
@@ -109,7 +111,11 @@ class PowerProduct:
 
     def _cmp_key_against(self, other: "PowerProduct"):
         """Return (a, b) rationals with self <= other iff a <= b, exactly."""
+        if not self.exps and not other.exps:
+            return self.coeff, other.coeff
         ratio = self / other
+        if not ratio.exps:
+            return ratio.coeff, Fraction(1)
         denoms = [e.denominator for _, e in ratio.exps]
         lcm = 1
         for d in denoms:

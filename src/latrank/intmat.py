@@ -184,17 +184,21 @@ def hermite_normal_form(M):
     return A, U
 
 
-def smith_normal_form(M):
+def smith_normal_form(M, with_inverse: bool = False):
     """Smith normal form with transforms.
 
     Returns (divisors, U, V) with U * M * V diagonal on `divisors`,
-    d_1 | d_2 | ... and d_i >= 0; U, V unimodular.
+    d_1 | d_2 | ... and d_i >= 0; U, V unimodular.  With `with_inverse`,
+    V^-1 follows as a fourth entry: every column operation on V is applied
+    to V^-1 as the inverse row operation, so it stays integral and exact
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.4.14).
     """
     A = [[int(x) for x in row] for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     U = identity(rows)
     V = identity(cols)
+    Vinv = identity(cols)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -205,6 +209,7 @@ def smith_normal_form(M):
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(src, dst, q):
         A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
@@ -215,6 +220,8 @@ def smith_normal_form(M):
             row[dst] += q * row[src]
         for row in V:
             row[dst] += q * row[src]
+        # V (I + q e_src e_dst^T) has inverse (I - q e_src e_dst^T) V^-1
+        Vinv[src] = [a - q * b for a, b in zip(Vinv[src], Vinv[dst])]
 
     t = 0
     n = min(rows, cols)
@@ -267,33 +274,20 @@ def smith_normal_form(M):
             U[t] = [-x for x in U[t]]
         t += 1
     divisors = [A[i][i] for i in range(n)]
+    if with_inverse:
+        return divisors, U, V, Vinv
     return divisors, U, V
 
 
 def saturation_basis(A):
     """Basis of the saturation of the row space of integer matrix A in Z^cols.
 
-    Uses A = U^-1 S V: the saturated lattice is spanned by the first r rows
-    of V^-1, r = rank(A).  Returns a list of integer rows.
+    Uses A = U^-1 S V^-1: the saturated lattice is spanned by the first r
+    rows of V^-1, r = rank(A).  Returns a list of integer rows.
     """
-    divisors, U, V = smith_normal_form(A)
+    divisors, _, _, Vinv = smith_normal_form(A, with_inverse=True)
     r = sum(1 for d in divisors if d != 0)
-    Vinv = integer_inverse(V)
-    return [Vinv[i] for i in range(r)]
-
-
-def integer_inverse(A):
-    """Inverse of a unimodular integer matrix, returned with integer entries."""
-    inv = inverse(A)
-    out = []
-    for row in inv:
-        orow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            orow.append(int(x))
-        out.append(orow)
-    return out
+    return Vinv[:r]
 
 
 def lcm_denominator(rows) -> int:

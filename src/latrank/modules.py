@@ -9,10 +9,13 @@ enumeration of primitive rank-k modules below a height bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import intmat
 from .exactval import PowerProduct
@@ -20,12 +23,12 @@ from .numfield import (
     NumberField,
     flatten_kvector,
     k_rref,
-    rank_over_K,
     unflatten_kvector,
 )
 from .zlattice import (
     Ambient,
     ZLattice,
+    _integral,
     direct_sum,
     is_primitive_in,
     okn_lattice,
@@ -61,25 +64,29 @@ class EchelonMatrix:
         return f"EchelonMatrix(k={self.k}, m={self.m}, pivots={self.pivot_cols})"
 
 
+def _echelon(field: NumberField, mat) -> EchelonMatrix:
+    """Echelon form of the row space of a K-matrix; its k is the rank (0 for zero)."""
+    R, pivots, rk = k_rref(mat)
+    return EchelonMatrix(field=field, rows=tuple(tuple(r) for r in R[:rk]),
+                         pivot_cols=tuple(pivots))
+
+
 def to_echelon(field: NumberField, rows) -> EchelonMatrix:
     """Unique echelon form of a full-rank k x m matrix over K."""
     mat = [[field.coerce(x) for x in row] for row in rows]
-    R, pivots, rk = k_rref(mat)
-    if rk < len(mat):
-        raise ValueError(f"matrix has rank {rk} < {len(mat)}")
-    return EchelonMatrix(field=field, rows=tuple(tuple(r) for r in R[:rk]),
-                         pivot_cols=tuple(pivots))
+    D = _echelon(field, mat)
+    if D.k < len(mat):
+        raise ValueError(f"matrix has rank {D.k} < {len(mat)}")
+    return D
 
 
 def rank_factorize(field: NumberField, rows):
     """A = C * D with D echelon; unique. C is A restricted to D's pivot columns."""
     mat = [[field.coerce(x) for x in row] for row in rows]
-    R, pivots, rk = k_rref(mat)
-    if rk == 0:
+    D = _echelon(field, mat)
+    if D.k == 0:
         raise ValueError("zero matrix has no rank factorization")
-    D = EchelonMatrix(field=field, rows=tuple(tuple(r) for r in R[:rk]),
-                      pivot_cols=tuple(pivots))
-    C = [[row[p] for p in pivots] for row in mat]
+    C = [[row[p] for p in D.pivot_cols] for row in mat]
     return C, D
 
 
@@ -97,63 +104,102 @@ class PrimitiveModule:
         return self.echelon.key()
 
 
-def _w_blocks(field: NumberField, m: int):
-    """Block-diagonal integral-basis matrix of O_K^m in power coordinates, and inverse."""
+@functools.lru_cache(maxsize=16)
+def _field_maps(field: NumberField):
+    """Integer data of K used by every module, computed once per field.
+
+    Returns (mults, bnum, bden, t2num, t2den): mults[b][j] holds the
+    integral coordinates of u_b * theta^j, so a row x of power coordinates
+    maps to the integral coordinates x * mults[b] of u_b * x; the integral
+    basis in power coordinates is bnum / bden; and the T2 Gram of the
+    integral basis, Tr(u_a * conj(u_b)), is t2num / t2den.
+    """
     d = field.degree
-    W = [[Fraction(0)] * (m * d) for _ in range(m * d)]
-    Winv = [[Fraction(0)] * (m * d) for _ in range(m * d)]
-    for c in range(m):
-        for i in range(d):
-            for j in range(d):
-                W[c * d + i][c * d + j] = field.integral_basis[i][j]
-                Winv[c * d + i][c * d + j] = field._basis_inv[i][j]
-    return W, Winv
+    units = [field.element([int(i == j) for i in range(d)]) for j in range(d)]
+    mults = tuple(tuple(tuple(field.integral_coords(u * t)) for t in units)
+                  for u in field.basis_elements())
+    bden, bnum = _integral(field.integral_basis)
+    t2den, t2num = _integral([[field.t2(u, w) for w in field.basis_elements()]
+                              for u in field.basis_elements()])
+    return mults, tuple(map(tuple, bnum)), bden, tuple(map(tuple, t2num)), t2den
 
 
-def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModule:
-    """Lambda_D = (row space of D over K) intersect O_K^m, with height and denominator."""
+def _blockwise(rows, blk, d: int):
+    """rows * diag(blk, ..., blk) over the integers, blk a d x d block."""
+    out = []
+    for row in rows:
+        out_row = []
+        for c in range(0, len(row), d):
+            part = row[c:c + d]
+            out_row.extend(sum(part[a] * blk[a][j] for a in range(d)) for j in range(d))
+        out.append(out_row)
+    return out
+
+
+def _span_matrix(D: EchelonMatrix):
+    """(q, q * A): row i d + b of A holds the integral coordinates of u_b * D_i.
+
+    These rows span the O_K-module of D's row space over Z; q is the lcm of
+    the denominators of A, so q * A is the smallest integral multiple.
+    """
     field = D.field
-    m = D.m
-    ambient = ambient or Ambient.for_field(field, m)
-    span_rows = [flatten_kvector(field, r) for r in field.ok_z_basis(D.rows)]
-    _, Winv = _w_blocks(field, m)
-    A = intmat.mat_mul(span_rows, Winv)
-    q = intmat.lcm_denominator(A)
-    A_int = [[int(x * q) for x in row] for row in A]
-    sat = intmat.saturation_basis(A_int)
-    W, _ = _w_blocks(field, m)
-    basis = intmat.mat_mul(sat, W)
-    lat = ZLattice(basis, ambient, ok_module=True)
-    hsq = lat.height_sq()
-    return PrimitiveModule(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
-                           height_sq=hsq, denominator=denominator(D))
+    d = field.degree
+    mults = _field_maps(field)[0]
+    q = 1
+    scaled = []
+    for row in D.rows:
+        coords = [c for x in row for c in x.coords]
+        e = 1
+        for c in coords:
+            e = e * c.denominator // math.gcd(e, c.denominator)
+        num = [c.numerator * (e // c.denominator) for c in coords]
+        for mult in mults:
+            out = _blockwise([num], mult, d)[0]
+            g = math.gcd(e, *out)  # the entries are out / e with lcm denominator e / g
+            q = q * (e // g) // math.gcd(q, e // g)
+            scaled.append((out, e // g, g))
+    return q, [[(v // g) * (q // den) for v in out] for out, den, g in scaled]
 
 
-def denominator(D: EchelonMatrix) -> int:
-    """Index [O_K^k : {v in O_K^k : v D is integral}], computed over Z-coordinates."""
-    field = D.field
-    k, m, d = D.k, D.m, field.degree
-    theta_pows = [field.one()]
-    theta = field.gen()
-    for _ in range(d - 1):
-        theta_pows.append(theta_pows[-1] * theta)
-    t_rows = []
-    for i in range(k):
-        for a in range(d):
-            image = tuple(theta_pows[a] * x for x in D.rows[i])
-            t_rows.append(flatten_kvector(field, image))
-    Wk, _ = _w_blocks(field, k)
-    _, Wm_inv = _w_blocks(field, m)
-    B = intmat.mat_mul(intmat.mat_mul(Wk, t_rows), Wm_inv)
-    q = intmat.lcm_denominator(B)
-    C = [[int(x * q) for x in row] for row in B]
-    divisors, _, _ = intmat.smith_normal_form(C)
+def _denominator_of(q: int, divisors) -> int:
+    """Den(D) from the Smith divisors of q * A (see _span_matrix)."""
     idx = 1
     for dv in divisors:
         if dv == 0:
             raise ValueError("echelon matrix is not of full rank")
         idx *= q // math.gcd(dv, q)
     return idx
+
+
+def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModule:
+    """Lambda_D = (row space of D over K) intersect O_K^m, with height and denominator.
+
+    One Smith form of q * A gives both: its V^-1 spans the saturation of the
+    O_K-span of D's rows in O_K^m, and its divisors give Den(D).  The Gram
+    is computed from that basis in integers, so the lattice needs no check.
+    """
+    field = D.field
+    d = field.degree
+    ambient = ambient or Ambient.for_field(field, D.m)
+    q, A = _span_matrix(D)
+    divisors, _, _, Vinv = intmat.smith_normal_form(A, with_inverse=True)
+    den = _denominator_of(q, divisors)
+    sat = Vinv[:len(divisors)]   # D has full rank, so every divisor is nonzero
+    _, bnum, bden, t2num, t2den = _field_maps(field)
+    basis = [[Fraction(v, bden) for v in row] for row in _blockwise(sat, bnum, d)]
+    sg = _blockwise(sat, t2num, d)
+    gram = [[Fraction(sum(a * b for a, b in zip(u, w)), t2den) for w in sat] for u in sg]
+    lat = ZLattice(basis, ambient, gram=gram, ok_module=True, check=False)
+    hsq = lat.height_sq()
+    return PrimitiveModule(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
+                           height_sq=hsq, denominator=den)
+
+
+def denominator(D: EchelonMatrix) -> int:
+    """Index [O_K^k : {v in O_K^k : v D is integral}], computed over Z-coordinates."""
+    q, A = _span_matrix(D)
+    divisors, _, _ = intmat.smith_normal_form(A)
+    return _denominator_of(q, divisors)
 
 
 def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:
@@ -171,24 +217,7 @@ def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:
         amb_lat = okn_lattice(field, lat.ambient_dim // d)
         if not is_primitive_in(lat, amb_lat):
             raise ValueError("module is not primitive in O_K^m")
-    kvecs = [unflatten_kvector(field, list(row)) for row in lat.basis]
-    R, pivots, rk = k_rref([list(v) for v in kvecs])
-    return EchelonMatrix(field=field, rows=tuple(tuple(r) for r in R[:rk]),
-                         pivot_cols=tuple(pivots))
-
-
-def _echelon_of_kspan(field: NumberField, kvecs) -> EchelonMatrix | None:
-    R, pivots, rk = k_rref([list(v) for v in kvecs])
-    if rk < len(kvecs):
-        return None
-    return EchelonMatrix(field=field, rows=tuple(tuple(r) for r in R[:rk]),
-                         pivot_cols=tuple(pivots))
-
-
-def _identity_echelon(field: NumberField, k: int) -> EchelonMatrix:
-    rows = tuple(tuple(field.one() if i == j else field.zero() for j in range(k))
-                 for i in range(k))
-    return EchelonMatrix(field=field, rows=rows, pivot_cols=tuple(range(k)))
+    return _echelon(field, [list(unflatten_kvector(field, list(row))) for row in lat.basis])
 
 
 def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound,
@@ -207,7 +236,9 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound
         raise ValueError("height_bound must be >= 1")
     ambient = Ambient.for_field(field, m)
     if k == m:
-        return [lambda_of(_identity_echelon(field, k), ambient)]
+        identity = [[field.one() if i == j else field.zero() for j in range(k)]
+                    for i in range(k)]
+        return [lambda_of(_echelon(field, identity), ambient)]
 
     d = field.degree
     okm = okn_lattice(field, m)
@@ -217,28 +248,13 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound
     # minimum is at least the shortest vector of O_K^m, so each ||l_i|| obeys:
     c6 = 2.0 ** (kd * (kd - 1) / 4.0)
     per_vec = (c6 * float(bound) / nu ** (d * (k - 1))) ** (1.0 / d)
-    vecs = map(tuple, short_vectors(okm, per_vec * (1 + 1e-9), cap=cap).tolist())
-
-    # nonzero vectors up to sign, as K-rows
-    seen_sign = set()
-    candidates = []
-    for v in vecs:
-        if all(c == 0 for c in v):
-            continue
-        neg = tuple(-c for c in v)
-        if neg in seen_sign:
-            continue
-        seen_sign.add(v)
-        kvec = okm.kvector_of_coords(v)
-        sq = okm.sqnorm_exact_of_coords(v)
-        candidates.append((float(sq), v, kvec))
-    candidates.sort(key=lambda t: (t[0], t[1]))
+    candidates = _candidates(okm, short_vectors(okm, per_vec * (1 + 1e-9), cap=cap))
 
     bound_sq = PowerProduct.coerce(bound ** 2)
     found: dict = {}
     if k == 1:
         for _, _, kvec in candidates:
-            D = _echelon_of_kspan(field, [kvec])
+            D = _echelon(field, [kvec])
             if D.key() in found:
                 continue
             P = lambda_of(D, ambient)
@@ -250,16 +266,49 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound
             norms = [t[0] for t in combo]
             if math.prod(n ** (d / 2.0) for n in norms) > prod_bound * (1 + 1e-6):
                 continue
-            kvecs = [t[2] for t in combo]
-            if rank_over_K([list(v) for v in kvecs]) < k:
-                continue
-            D = _echelon_of_kspan(field, kvecs)
-            if D is None or D.key() in found:
+            D = _echelon(field, [t[2] for t in combo])
+            if D.k < k or D.key() in found:
                 continue
             P = lambda_of(D, ambient)
             if P.height_sq <= bound_sq:
                 found[D.key()] = P
     out = sorted(found.values(), key=lambda P: (P.height, P.key()))
+    return out
+
+
+def _candidates(okm: ZLattice, vecs: np.ndarray) -> list:
+    """(float squared norm, coordinates, K-row) of the rows of vecs up to sign, sorted.
+
+    vecs holds the lexicographically sorted points of a ball in O_K^m, so of
+    v and -v the first is the one whose first nonzero entry is negative, and
+    only that one is kept.  One integer quadratic form gives the squared
+    norms and one integer product the power coordinates; a norm's float is
+    that of the exact PowerProduct, as int / int division rounds correctly.
+    """
+    field = okm.ambient.field
+    if len(vecs):
+        first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+        vecs = vecs[first < 0]
+    gden, g_int = _integral(okm.gram)
+    bden, b_int = _integral(okm.basis)
+    r = okm.rank
+    max_v = int(np.max(np.abs(vecs))) if vecs.size else 0
+    max_gb = max(abs(x) for row in g_int + b_int for x in row)
+    dtype = np.int64 if r * r * max_gb * (max_v + 1) ** 2 < 2 ** 62 else object
+    V = vecs.astype(dtype)
+    sq_int = ((V @ np.array(g_int, dtype=dtype)) * V).sum(axis=1).tolist()
+    flat = (V @ np.array(b_int, dtype=dtype)).tolist()
+    scale = okm.scale_sq
+    num, den = scale.coeff.numerator, scale.coeff.denominator * gden
+    out = []
+    for q, v, row in zip(sq_int, vecs.tolist(), flat):
+        key = (q * num) / den
+        for p, e in scale.exps:
+            key *= math.pow(p, float(e))
+        if bden != 1:
+            row = [Fraction(x, bden) for x in row]
+        out.append((key, tuple(v), unflatten_kvector(field, row)))
+    out.sort(key=lambda t: (t[0], t[1]))
     return out
 
 

@@ -445,17 +445,19 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None,
     if float(radius_sq) <= 0:
         raise ValueError("radius must be positive")
     U = lll_transform_of(lat)
-    gram_red = intmat.mat_mul(intmat.mat_mul(U, [list(r) for r in lat.gram]),
-                              intmat.transpose(U))
-    # gram_red is the Gram of the LLL-reduced basis, the same one
+    # the reduced Gram U G U^T is g_int / den with g_int = U (den G) U^T, and
+    # this is its lcm scaling too: den is coprime to the gcd of the entries of
+    # den G, and the unimodular U leaves that gcd unchanged
+    den, g_int = _integral(lat.gram)
+    g_int = intmat.mat_mul(intmat.mat_mul(U, g_int), intmat.transpose(U))
+    # the diagonal is the Gram of the LLL-reduced basis, the same one
     # covering_radius_bound reduces to, so this is ball_count_estimate exactly
     est = _ball_count(lat, math.sqrt(float(radius_sq)),
-                      _half_norm_sum(lat, [gram_red[i][i] for i in range(lat.rank)]))
+                      _half_norm_sum(lat, [g_int[i][i] / den for i in range(lat.rank)]))
     if est > cap:
         raise EnumerationCapError(est, cap, math.sqrt(float(radius_sq)))
 
     bound_pow = radius_sq / lat.scale_sq  # threshold for x G x^T
-    den, g_int = _integral(gram_red)
     bound_int = bound_pow * den
 
     g_f = np.array([[float(v) for v in row] for row in g_int], dtype=float)

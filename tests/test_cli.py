@@ -196,6 +196,25 @@ def test_cap_abort_exit_3(tmp_path, capsys):
     assert manifest["status"] == "cap_abort"
 
 
+def test_cap_abort_manifest_names_the_field(tmp_path, capsys):
+    # an aborted run over Q(i) reports Q(i) and the options of a complete run
+    from latrank import make_field
+
+    spec = tmp_path / "field.txt"
+    spec.write_text("min_poly = 1 0 1\n")
+    out = tmp_path / "run"
+    code = main(["count-rank", "--field", str(spec), "--n", "3", "--m", "2", "--k", "2",
+                 "--T", "10000", "--output-dir", str(out)])
+    assert code == 3
+    manifest, records = read_records(out)
+    assert manifest["status"] == "cap_abort"
+    assert records == []
+    assert manifest["field_fingerprint"] == make_field([1, 0, 1]).fingerprint()
+    cfg = manifest["config"]
+    assert (cfg["n"], cfg["m"], cfg["k"], cfg["T"]) == (3, 2, 2, "10000")
+    assert cfg["field"] == str(spec)
+
+
 def test_entry_point_installed():
     res = subprocess.run([sys.executable, "-m", "latrank.cli", "--help"],
                          capture_output=True, text=True)

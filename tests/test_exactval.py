@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latrank.exactval import PowerProduct
+from tests_support import pp_le_loop, pp_pow_loop
 
 
 def test_rational_roundtrip():
@@ -74,3 +76,40 @@ def test_immutability_and_hash():
         a.coeff = 3
     assert hash(a) == hash(PowerProduct.of(2, Fraction(1, 2)))
     assert math.isclose(float(a), math.sqrt(2))
+
+
+# -- integer powers against the trial-division reference ------------------------
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+@st.composite
+def _smooth_40_digits(draw):
+    """A 40-digit integer with prime factors below 72, so the reference can factor it."""
+    n = 1
+    while n < 10 ** 39:
+        n *= draw(st.sampled_from(_SMALL_PRIMES))
+    return n
+
+
+@st.composite
+def _power_products(draw):
+    coeff = Fraction(draw(_smooth_40_digits()), draw(_smooth_40_digits()))
+    exps = draw(st.lists(st.tuples(st.sampled_from([2, 3, 5, 6, 12]),
+                                   st.fractions(min_value=-2, max_value=2, max_denominator=6)),
+                         max_size=3))
+    return PowerProduct(coeff, exps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_power_products(), y=_power_products(),
+       e=st.one_of(st.integers(-4, 4), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])))
+def test_pow_mul_div_compare_match_reference(x, y, e):
+    assert x ** e == pp_pow_loop(x, e)
+    assert (x * y) ** e == pp_pow_loop(x * y, e)
+    assert x / y == x * pp_pow_loop(y, -1)
+    for a, b in ((x, y), (y, x), (x, x), (x * y, y * x), (x ** 2, x * x)):
+        le = pp_le_loop(a, b)
+        assert (a <= b) == le and (a > b) == (not le)
+        lt = le and not pp_le_loop(b, a)
+        assert (a < b) == lt and (a >= b) == (not lt)

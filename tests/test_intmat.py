@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from latrank import intmat
 
 
@@ -120,3 +122,35 @@ def test_saturation_basis():
     # saturation of a saturated lattice spans the same rank
     sat2 = intmat.saturation_basis(sat)
     assert intmat.rank(sat2) == 1
+
+
+@st.composite
+def _int_matrices(draw):
+    """Integer matrices up to 4 x 4, a third of them B C of lower inner rank."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ints = st.integers(-20, 20)
+    inner = draw(st.integers(0, min(rows, cols)))
+    if inner == min(rows, cols):
+        return [[draw(ints) for _ in range(cols)] for _ in range(rows)]
+    if inner == 0:
+        return [[0] * cols for _ in range(rows)]
+    small = st.integers(-4, 4)
+    B = [[draw(small) for _ in range(inner)] for _ in range(rows)]
+    C = [[draw(small) for _ in range(cols)] for _ in range(inner)]
+    return intmat.mat_mul(B, C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=_int_matrices())
+def test_snf_inverse_transform(A):
+    d, U, V, Vinv = intmat.smith_normal_form(A, with_inverse=True)
+    assert (d, U, V) == intmat.smith_normal_form(A)
+    n = len(V)
+    assert intmat.mat_mul(V, Vinv) == intmat.identity(n)
+    assert intmat.mat_mul(Vinv, V) == intmat.identity(n)
+    S = intmat.mat_mul(intmat.mat_mul(U, A), V)
+    assert all(x == (d[i] if i == j else 0) for i, row in enumerate(S) for j, x in enumerate(row))
+    # the saturation basis is read off V^-1; the Fraction inverse agrees
+    r = sum(1 for x in d if x)
+    assert intmat.saturation_basis(A) == [[int(x) for x in row] for row in intmat.inverse(V)[:r]]
+    assert intmat.rank(A) == r

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latrank import (
     PowerProduct,
@@ -22,6 +23,7 @@ from latrank.modules import (
     rank_factorize,
 )
 from latrank.zlattice import direct_sum, is_primitive_in
+from tests_support import denominator_loop, lambda_of_loop
 
 
 class TestToEchelon:
@@ -305,3 +307,87 @@ class TestRankFactorize:
         P = lambda_of(D)
         for row in A:
             assert P.lattice.contains([Fraction(x) for x in row])
+
+
+# -- module data against the FieldElement / Fraction reference --------------------
+
+
+@st.composite
+def _echelon_matrices(draw, field, max_num, max_den):
+    """k x m echelon D (m = 2..3, k = 1..m) whose free entries have integral-basis
+    coordinates num / den with |num| <= max_num and den <= max_den."""
+    m = draw(st.integers(2, 3))
+    k = draw(st.integers(1, m))
+    pivots = sorted(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)))
+    rows = []
+    for i, p in enumerate(pivots):
+        row = []
+        for j in range(m):
+            if j in pivots or j < p:
+                row.append(field.one() if j == p else field.zero())
+            else:
+                den = draw(st.integers(1, max_den))
+                nums = draw(st.lists(st.integers(-max_num, max_num),
+                                     min_size=field.degree, max_size=field.degree))
+                row.append(field.from_integral_coords([Fraction(a, den) for a in nums]))
+        rows.append(row)
+    return to_echelon(field, rows)
+
+
+def _assert_same_module_data(D):
+    P, R = lambda_of(D), lambda_of_loop(D)
+    assert P.lattice.basis == R.lattice.basis
+    assert P.lattice.gram == R.lattice.gram
+    assert P.height_sq == R.height_sq and P.height == R.height
+    assert P.denominator == R.denominator == denominator(D) == denominator_loop(D)
+    assert P.lattice.ok_module and P.lattice.ambient.field is D.field
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_module_data_matches_reference_over_Q(data, QQ):
+    _assert_same_module_data(data.draw(_echelon_matrices(QQ, 10 ** 6, 10 ** 6)))
+
+
+@pytest.mark.parametrize("name", ["Qi", "Qs5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_module_data_matches_reference_quadratic(name, data, Qi, Qs5):
+    # entries stay small: at m = 3 larger ones drive intmat.smith_normal_form,
+    # on both sides, into coefficient explosion (a 4 x 6 matrix with entries
+    # below 500 already runs for minutes)
+    field = {"Qi": Qi, "Qs5": Qs5}[name]
+    _assert_same_module_data(data.draw(_echelon_matrices(field, 6, 6)))
+
+
+@pytest.mark.parametrize("name", ["Qi", "Qs5"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_module_data_matches_reference_quadratic_large_denominators(name, data, Qi, Qs5):
+    field = {"Qi": Qi, "Qs5": Qs5}[name]
+    num = st.integers(-10 ** 6, 10 ** 6)
+    den = st.integers(1, 10 ** 6)
+    entry = field.from_integral_coords([Fraction(data.draw(num), data.draw(den)),
+                                        Fraction(data.draw(num), data.draw(den))])
+    _assert_same_module_data(to_echelon(field, [[field.one(), entry]]))
+
+
+@pytest.mark.parametrize("name,m,radius", [("QQ", 3, 4), ("Qi", 2, 3), ("Qs5", 2, 3)])
+def test_candidates_match_per_vector_path(name, m, radius, request):
+    # sign representatives, float norms and K-rows against the exact per-vector
+    # path, on int64 rows and on rows scaled past the int64 guard
+    from latrank.modules import _candidates
+    from latrank.zlattice import short_vectors
+
+    field = request.getfixturevalue(name)
+    okm = okn_lattice(field, m)
+    vecs = short_vectors(okm, radius)
+    for rows in (vecs, vecs.astype(object) * 2 ** 40):
+        kept = set()
+        for v in map(tuple, rows.tolist()):
+            if any(v) and tuple(-c for c in v) not in kept:
+                kept.add(v)
+        want = sorted(((float(okm.sqnorm_exact_of_coords(v)), v, okm.kvector_of_coords(v))
+                       for v in kept), key=lambda t: (t[0], t[1]))
+        assert _candidates(okm, rows) == want
+    assert _candidates(okm, vecs[:0]) == []

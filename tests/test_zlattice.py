@@ -246,6 +246,27 @@ class TestShortVectors:
             assert _rows(got) == expect
             checked += 1
 
+    def test_brute_force_equivalence_rational_gram(self):
+        # Grams with denominators: the exact filter runs on the lcm-scaled Gram
+        rng = random.Random(29)
+        checked = 0
+        while checked < 20:
+            r = rng.randint(1, 3)
+            rows = [[Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 6]))
+                     for _ in range(r)] for _ in range(r)]
+            from latrank import intmat
+
+            if intmat.rank(rows) < r:
+                continue
+            L = ZLattice(rows, Ambient.standard(r))
+            if intmat.lcm_denominator(L.gram) == 1:
+                continue
+            radius = Fraction(rng.randint(1, 3), 2)
+            got = short_vectors(L, radius)
+            expect = brute_force_short(L, Fraction(radius) ** 2)
+            assert _rows(got) == expect
+            checked += 1
+
     def test_brute_force_equivalence_twisted(self, Qi, Qs5):
         for K in (Qi, Qs5):
             L = okn_lattice(K, 2)
@@ -308,6 +329,21 @@ class TestShortVectors:
             if intmat.rank(rows) < r:
                 continue
             L = ZLattice(rows, Ambient.standard(r + 1))
+            radius = rng.randint(1, 9)
+            with pytest.raises(EnumerationCapError) as exc:
+                short_vectors(L, radius, cap=1)
+            assert exc.value.estimate == ball_count_estimate(L, float(radius))
+            checked += 1
+        # and on Grams with denominators, whose reduced Gram is scaled to integers
+        rng = random.Random(31)
+        checked = 0
+        while checked < 10:
+            r = rng.randint(1, 3)
+            rows = [[Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 6]))
+                     for _ in range(r)] for _ in range(r)]
+            if intmat.rank(rows) < r:
+                continue
+            L = ZLattice(rows, Ambient.standard(r))
             radius = rng.randint(1, 9)
             with pytest.raises(EnumerationCapError) as exc:
                 short_vectors(L, radius, cap=1)

@@ -219,3 +219,94 @@ def lll_transform_loop(gram, delta: Fraction):
             mu, bstar = gso()
             k = max(k - 1, 1)
     return U
+
+
+# -- reference loops for the module data in latrank.modules and latrank.exactval --
+
+
+def _w_blocks(field, m: int):
+    """Block-diagonal integral-basis matrix of O_K^m in power coordinates, and inverse."""
+    d = field.degree
+    W = [[Fraction(0)] * (m * d) for _ in range(m * d)]
+    Winv = [[Fraction(0)] * (m * d) for _ in range(m * d)]
+    for c in range(m):
+        for i in range(d):
+            for j in range(d):
+                W[c * d + i][c * d + j] = field.integral_basis[i][j]
+                Winv[c * d + i][c * d + j] = field._basis_inv[i][j]
+    return W, Winv
+
+
+def lambda_of_loop(D, ambient=None):
+    """Lambda_D through FieldElement products, Fraction matrix products, the
+    Fraction inverse of the Smith transform V and a validated ZLattice."""
+    from latrank.modules import PrimitiveModule
+    from latrank.numfield import flatten_kvector
+    from latrank.zlattice import Ambient, ZLattice
+
+    field = D.field
+    m = D.m
+    ambient = ambient or Ambient.for_field(field, m)
+    span_rows = [flatten_kvector(field, r) for r in field.ok_z_basis(D.rows)]
+    W, Winv = _w_blocks(field, m)
+    A = intmat.mat_mul(span_rows, Winv)
+    q = intmat.lcm_denominator(A)
+    A_int = [[int(x * q) for x in row] for row in A]
+    divisors, _, V = intmat.smith_normal_form(A_int)
+    r = sum(1 for dv in divisors if dv != 0)
+    Vinv = intmat.inverse(V)
+    assert all(x.denominator == 1 for row in Vinv for x in row)
+    sat = [[int(x) for x in Vinv[i]] for i in range(r)]
+    basis = intmat.mat_mul(sat, W)
+    lat = ZLattice(basis, ambient, ok_module=True)
+    hsq = lat.height_sq()
+    return PrimitiveModule(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
+                           height_sq=hsq, denominator=denominator_loop(D))
+
+
+def denominator_loop(D) -> int:
+    """Den(D) from a second Smith form, of the rows theta^a * D_i mapped through
+    the integral-basis blocks: B = Wk * t_rows * Wm^-1."""
+    from latrank.numfield import flatten_kvector
+
+    field = D.field
+    k, m, d = D.k, D.m, field.degree
+    theta_pows = [field.one()]
+    theta = field.gen()
+    for _ in range(d - 1):
+        theta_pows.append(theta_pows[-1] * theta)
+    t_rows = []
+    for i in range(k):
+        for a in range(d):
+            image = tuple(theta_pows[a] * x for x in D.rows[i])
+            t_rows.append(flatten_kvector(field, image))
+    Wk, _ = _w_blocks(field, k)
+    _, Wm_inv = _w_blocks(field, m)
+    B = intmat.mat_mul(intmat.mat_mul(Wk, t_rows), Wm_inv)
+    q = intmat.lcm_denominator(B)
+    C = [[int(x * q) for x in row] for row in B]
+    divisors, _, _ = intmat.smith_normal_form(C)
+    idx = 1
+    for dv in divisors:
+        if dv == 0:
+            raise ValueError("echelon matrix is not of full rank")
+        idx *= q // math.gcd(dv, q)
+    return idx
+
+
+def pp_pow_loop(x: PowerProduct, e) -> PowerProduct:
+    """x ** e with the numerator and denominator of the coefficient passed as
+    bases, so both are factored by trial division."""
+    e = Fraction(e)
+    cnum, cden = x.coeff.numerator, x.coeff.denominator
+    return PowerProduct(1, ((cnum, e), (cden, -e)) + tuple((p, pe * e) for p, pe in x.exps))
+
+
+def pp_le_loop(x: PowerProduct, y: PowerProduct) -> bool:
+    """x <= y by raising the ratio to the lcm of its exponent denominators, with
+    every power taken by pp_pow_loop."""
+    ratio = x * pp_pow_loop(y, -1)
+    lcm = 1
+    for _, e in ratio.exps:
+        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+    return pp_pow_loop(ratio, lcm).as_fraction() <= 1
