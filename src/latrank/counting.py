@@ -9,6 +9,7 @@ rank-one zeta identities that tie the series to classical zeta values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -279,13 +280,117 @@ def _lhs_stratified(field, n, m, k, T, f, cap=None):
 # -- right side: per-module subspace integrals ----------------------------------------
 
 
+def _gamma(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u), exact, for u = 2^-53 the float64 unit roundoff."""
+    ku = Fraction(k, 2 ** 53)
+    return ku / (1 - ku)
+
+
+@functools.lru_cache(maxsize=None)
+def _margin_constant(n: int, kd: int, d: int) -> float:
+    """Float c >= gamma_M n / (1 - gamma_t); see `_decision_window`."""
+    p = kd * (kd + 1) // 2
+    exact = _gamma(2 * kd + n * d + n + d + p) * n / (1 - _gamma(2 * kd + d + 1))
+    c = float(exact)
+    return c if Fraction(c) >= exact else math.nextafter(c, math.inf)
+
+
+def _decision_window(pts: np.ndarray, q: np.ndarray, radii_sq: np.ndarray, d: int):
+    """Floats (lo_j, hi_j) around radii_sq[j] outside which the proposal decides.
+
+    Let S_j = sum_i ||Q_j x_i||^2 be the exact column-j value of an n x kd
+    sample x (rows x_i) against the d x kd block Q_j of the frame q, and
+    A_j = sum_i sum_c (sum_l |x_il| |q_cl|)^2.  Without underflow (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3, gamma_k; every
+    summand is a product of these entries, so any summation order and fused
+    multiply-adds obey the bound):
+
+    - the reference (kd-term inner products, squared, summed over n d
+      entries) is within gamma_(2kd + nd) A_j of S_j;
+    - the proposal (n-term row products P_ab, the d-term entries of
+      G_j = Q_j^T Q_j, and a sum over the p = kd(kd+1)/2 pairs a <= b) is
+      within gamma_(n + d + p) A_j of S_j.
+
+    With |x_il| <= xmax, A_j <= n xmax^2 B_j, B_j = sum_c (sum_l |q_cl|)^2,
+    so both differ by at most gamma_M n xmax^2 B_j, M the sum of the two
+    indices (gamma_a + gamma_b <= gamma_(a+b)).  Evaluating xmax^2 B_j in
+    floats takes t = 2kd + d + 1 roundings of non-negative values, which
+    lose at most a factor 1 - gamma_t; `_margin_constant` absorbs it.  The
+    window is rounded outward, so a proposal below lo_j means
+    reference < radii_sq[j] and one above hi_j means reference > radii_sq[j].
+    """
+    _, n, kd = pts.shape
+    xmax = max(float(pts.max()), -float(pts.min()))
+    b = (np.abs(q).sum(axis=1) ** 2).reshape(-1, d).sum(axis=1)
+    margin = (_margin_constant(n, kd, d) * (xmax * xmax) * b).tolist()
+    radii = radii_sq.tolist()
+    return ([math.nextafter(t - e, -math.inf) for t, e in zip(radii, margin)],
+            [math.nextafter(t + e, math.inf) for t, e in zip(radii, margin)])
+
+
+def _column_sq_norms(pts: np.ndarray, q: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Reference (N, m) squared column norms of the embedded samples pts @ q.T."""
+    emb = pts @ q.T                          # (N, n, m d) rows in ambient frame
+    colsq = np.zeros((pts.shape[0], m))
+    for j in range(m):
+        block = emb[:, :, j * d:(j + 1) * d]
+        colsq[:, j] = np.einsum("nij,nij->n", block, block)
+    return colsq
+
+
+def _inside_product_of_balls(pts: np.ndarray, q: np.ndarray, radii_sq: np.ndarray,
+                             d: int) -> np.ndarray:
+    """Boolean mask: colsq <= radii_sq in every column, colsq as `_column_sq_norms`.
+
+    Floats propose: the column-j value is the quadratic form
+    sum_(a <= b) w_ab G_j[a, b] P_ab (w = 1 on the diagonal, 2 off it) with
+    G_j = Q_j^T Q_j and P_ab = sum_i x_ia x_ib, evaluated with length-N vector
+    operations.  A sample whose proposal lies outside `_decision_window` in
+    some column, or below it in every column, is decided by the proposal; the
+    rest are recomputed with the reference expression, which decides.  The
+    mask equals the reference's bit for bit.
+    """
+    N, n, kd = pts.shape
+    m = radii_sq.shape[0]
+    x = pts.reshape(N, n * kd)
+    pairs = list(zip(*np.triu_indices(kd)))
+    prods = []
+    for a, b in pairs:
+        acc = x[:, a] * x[:, b]
+        for i in range(1, n):
+            acc += x[:, i * kd + a] * x[:, i * kd + b]
+        prods.append(acc)
+    blocks = q.reshape(m, d, kd)
+    gram = np.einsum("jca,jcb->jab", blocks, blocks)
+    lo, hi = _decision_window(pts, q, radii_sq, d)
+    for j in range(m):
+        w = [gram[j, a, b] * (1.0 if a == b else 2.0) for a, b in pairs]
+        prop = w[0] * prods[0]
+        for wp, pp in zip(w[1:], prods[1:]):
+            prop += wp * pp
+        if j == 0:
+            inside, maybe = prop < lo[0], prop <= hi[0]
+        else:
+            inside &= prop < lo[j]
+            maybe &= prop <= hi[j]
+    undecided = np.flatnonzero(inside != maybe)
+    if undecided.size:
+        colsq = _column_sq_norms(pts[undecided], q, d, m)
+        inside[undecided] = np.all(colsq <= radii_sq[None, :], axis=1)
+    return inside
+
+
 def term_value_detail(P: PrimitiveModule, n: int, f: TestFunction,
                       mc_samples: int = 0, seed=None) -> TermValue:
     """D(D)^(-n) * integral of f(x D) over M_{n x k}(K_R).
 
     Ball test functions have the closed form H^(-n) V(knd) R^(knd); product
     and custom kinds are integrated by Monte Carlo over the subspace measure
-    with a reported standard error.
+    with a reported standard error.  For a product of balls, floats propose
+    each sample's in/out decision from one quadratic form per column, and the
+    reference expression decides every sample within the derived rounding
+    margin of a column radius (`_inside_product_of_balls`), so the estimate is
+    the same bit for bit as evaluating the reference on every sample.
     """
     lat = P.lattice
     kd = lat.rank
@@ -305,15 +410,11 @@ def term_value_detail(P: PrimitiveModule, n: int, f: TestFunction,
     fro = f.support_radius
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-fro, fro, size=(mc_samples, n, kd))
-    emb = pts @ q.T                          # (N, n, m d) rows in ambient frame
     if f.kind == "product_of_balls":
         radii = np.array([float(r) for r in f.column_radii(m)])
-        colsq = np.zeros((mc_samples, m))
-        for j in range(m):
-            block = emb[:, :, j * d:(j + 1) * d]
-            colsq[:, j] = np.einsum("nij,nij->n", block, block)
-        vals = np.all(colsq <= radii[None, :] ** 2, axis=1).astype(float)
+        vals = _inside_product_of_balls(pts, q, radii ** 2, d).astype(float)
     else:
+        emb = pts @ q.T                      # (N, n, m d) rows in ambient frame
         vals = np.array([float(f.evaluator(emb[i])) for i in range(mc_samples)])
     volume = (2.0 * fro) ** (n * kd)
     mean = float(vals.mean())

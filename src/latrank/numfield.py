@@ -171,6 +171,8 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
+        if self.field.degree == 1:
+            return FieldElement(self.field, (1 / self.coords[0],))
         M = self.field.mult_matrix(self)
         one = [Fraction(1)] + [Fraction(0)] * (self.field.degree - 1)
         # solve y * M = e_0, i.e. M^T y = e_0

@@ -220,3 +220,29 @@ def test_entry_point_installed():
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert "count-rank" in res.stdout
+
+
+GOLDEN_RECORDS = (
+    '{"p": 5, "s": 2, "n": 3, "m": 2, "mode": "exact", "lhs": "60.6129032258064", '
+    '"stratified": "60.6129032258064", "rhs_limit": "91.9147905092004", '
+    '"abs_error": "31.301887283394", "lhs_exact": "1879/31", "seed": 7}\n'
+    '{"p": 7, "s": 2, "n": 3, "m": 2, "mode": "exact", "lhs": "88.4385964912281", '
+    '"stratified": "88.4385964912281", "rhs_limit": "91.9147905092004", '
+    '"abs_error": "3.47619401797238", "lhs_exact": "5041/57", "seed": 7}\n'
+)
+GOLDEN_SUMMARY = (
+    "p,lhs,stratified,rhs_limit,abs_error\r\n"
+    "5,60.6129032258064,60.6129032258064,91.9147905092004,31.301887283394\r\n"
+    "7,88.4385964912281,88.4385964912281,91.9147905092004,3.47619401797238\r\n"
+)
+
+
+def test_hecke_moment_golden_records(tmp_path):
+    # records of a seeded run with a Monte Carlo limit, byte for byte
+    out = tmp_path / "run"
+    code = main(["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5,7",
+                 "--ball", "1.2", "--cutoff", "8", "--mc-samples", "2000", "--seed", "7",
+                 "--output-dir", str(out)])
+    assert code == 0
+    assert (out / "records.jsonl").read_bytes() == GOLDEN_RECORDS.encode()
+    assert (out / "summary.csv").read_bytes() == GOLDEN_SUMMARY.encode()

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from latrank import kernels
+from latrank import counting, kernels
 from latrank import (
     ball,
     c1_estimate,
@@ -26,6 +26,7 @@ from latrank.counting import (
 )
 from latrank.numfield import kmat_mul, rank_over_K
 from latrank.zlattice import okn_lattice, unit_ball_volume
+from tests_support import term_value_detail_loop
 
 
 class TestLhsCount:
@@ -310,3 +311,78 @@ def test_ranks_over_K_chunks(Qs5, monkeypatch):
     assert list(got) == [rank_over_K(A) for A in batch]
     assert set(got) == {0, 1, 2}
     assert ranks_over_K(Qs5, coords[:0], basis).shape == (0,)
+
+
+# -- Monte Carlo product-of-balls decisions against the reference loop ----------------
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mc_product_of_balls_matches_reference_loop(name, data, QQ, Qi, Qs5):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    m = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, m))
+    n = data.draw(st.integers(2, 4))
+    ints = st.lists(st.integers(-2, 2), min_size=field.degree, max_size=field.degree)
+    rows = [[_element(field, data.draw(ints)) for _ in range(m)] for _ in range(k)]
+    assume(rank_over_K(rows) == k)
+    P = lambda_of(to_echelon(field, rows))
+    radii = data.draw(st.lists(st.integers(1, 40), min_size=m, max_size=m, unique=True))
+    f = product_of_balls([Fraction(r, 20) for r in radii])
+    samples = data.draw(st.integers(1, 5000))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    tv = term_value_detail(P, n, f, mc_samples=samples, seed=seed)
+    assert (tv.value, tv.stderr) == term_value_detail_loop(P, n, f, samples, seed=seed)
+
+
+@pytest.mark.parametrize("n,m,d,k", [(3, 2, 1, 1), (3, 2, 1, 2), (2, 2, 2, 1),
+                                     (4, 3, 2, 2), (3, 3, 1, 3)])
+def test_inside_product_of_balls_at_the_boundary(n, m, d, k):
+    # each sample alone, with one column radius exactly at the sample's
+    # reference value and one ulp to either side; the other columns sit
+    # exactly on their boundary too, which counts as inside
+    rng = np.random.default_rng(n * 100 + m * 10 + d + k)
+    q, _ = np.linalg.qr(rng.standard_normal((m * d, k * d)))
+    pts = rng.uniform(-1.5, 1.5, size=(60, n, k * d))
+    colsq = counting._column_sq_norms(pts, q, d, m)
+    for s in range(len(pts)):
+        for j in range(m):
+            for t in (colsq[s, j], np.nextafter(colsq[s, j], -np.inf),
+                      np.nextafter(colsq[s, j], np.inf)):
+                radii_sq = colsq[s].copy()
+                radii_sq[j] = t
+                got = counting._inside_product_of_balls(pts[s:s + 1], q, radii_sq, d)
+                assert got.tolist() == [bool(colsq[s, j] <= t)]
+        # the whole batch with this sample exactly on every boundary
+        got = counting._inside_product_of_balls(pts, q, colsq[s], d)
+        assert got.tolist() == np.all(colsq <= colsq[s], axis=1).tolist()
+
+
+def test_inside_product_of_balls_exact_points():
+    # a coordinate frame and dyadic points: column sums are exact, so the
+    # boundary is exactly at 1/2 and 5/16
+    q = np.eye(2)
+    pts = np.array([[[0.5, 0.25], [0.5, 0.5]],
+                    [[0.5, 0.25], [-0.5, -0.5]],
+                    [[-0.5, 0.0], [0.5, 0.5]]])
+    for t0, inside0 in ((0.5, True), (np.nextafter(0.5, 0), False),
+                        (np.nextafter(0.5, 1), True)):
+        for t1, inside1 in ((0.3125, True), (np.nextafter(0.3125, 0), False),
+                            (np.nextafter(0.3125, 1), True)):
+            got = counting._inside_product_of_balls(pts, q, np.array([t0, t1]), 1)
+            # the third sample has column sums (1/2, 1/4)
+            assert got.tolist() == [inside0 and inside1] * 2 + [inside0]
+
+
+def test_mc_reference_path_alone_gives_the_same_estimate(QQ, Qi, monkeypatch):
+    # an infinite margin sends every sample through the reference expression
+    cases = [(lambda_of(to_echelon(QQ, [[1, Fraction(3, 2), Fraction(-1, 3)]])), 4),
+             (lambda_of(to_echelon(Qi, [[Qi.one(), Qi.element([1, 1])]])), 3)]
+    monkeypatch.setattr(counting, "_decision_window", lambda pts, q, radii_sq, d: (
+        [-math.inf] * len(radii_sq), [math.inf] * len(radii_sq)))
+    for P, n in cases:
+        f = product_of_balls([Fraction(6, 5), Fraction(1), Fraction(7, 5)][:P.echelon.m])
+        for seed in (3, 29):
+            tv = term_value_detail(P, n, f, mc_samples=3000, seed=seed)
+            assert (tv.value, tv.stderr) == term_value_detail_loop(P, n, f, 3000, seed=seed)

@@ -10,6 +10,7 @@ from latrank import (
     NotIntegralError,
     ReduciblePolynomialError,
     field_arith,
+    intmat,
     make_field,
     trace_and_twisted_norm,
 )
@@ -102,6 +103,22 @@ class TestArithmetic:
                 assert (x + y) - y == x
                 if not y.is_zero():
                     assert (x * y) / y == x
+
+    def test_inverse_equals_solve_route(self, QQ, Qi, Qs5):
+        # degree 1 takes the reciprocal of the one coordinate; higher degrees
+        # solve y M(x) = 1 -- both must agree with the solve exactly
+        rng = random.Random(17)
+        for K in (QQ, Qi, Qs5):
+            for _ in range(60):
+                x = K.element([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                               for _ in range(K.degree)])
+                if x.is_zero():
+                    continue
+                one = [Fraction(1)] + [Fraction(0)] * (K.degree - 1)
+                solved = intmat.solve(intmat.transpose(K.mult_matrix(x)), one)
+                inv = x.inverse()
+                assert inv.coords == tuple(solved)
+                assert all(type(c) is Fraction for c in inv.coords)
 
 
 class TestTwistedNorm:

@@ -310,3 +310,33 @@ def pp_le_loop(x: PowerProduct, y: PowerProduct) -> bool:
     for _, e in ratio.exps:
         lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
     return pp_pow_loop(ratio, lcm).as_fraction() <= 1
+
+
+def term_value_detail_loop(P, n, f, mc_samples, seed=None):
+    """Reference Monte Carlo term: the embedded samples pts @ q.T in full.
+
+    Draws the same samples from the same stream as
+    `counting.term_value_detail` and decides every product-of-balls sample
+    with the reference expression.  Returns (value, stderr).
+    """
+    lat = P.lattice
+    kd = lat.rank
+    hn = float(P.height_sq) ** (-n / 2.0)
+    m = P.echelon.m
+    d = P.echelon.field.degree
+    basis_emb = np.array([lat.ambient.embed(row) for row in lat.basis])
+    q, _ = np.linalg.qr(basis_emb.T)
+    fro = f.support_radius
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-fro, fro, size=(mc_samples, n, kd))
+    emb = pts @ q.T
+    radii = np.array([float(r) for r in f.column_radii(m)])
+    colsq = np.zeros((mc_samples, m))
+    for j in range(m):
+        block = emb[:, :, j * d:(j + 1) * d]
+        colsq[:, j] = np.einsum("nij,nij->n", block, block)
+    vals = np.all(colsq <= radii[None, :] ** 2, axis=1).astype(float)
+    volume = (2.0 * fro) ** (n * kd)
+    std = float(vals.std(ddof=1)) if mc_samples > 1 else 0.0
+    return (hn * volume * float(vals.mean()),
+            hn * volume * std / math.sqrt(mc_samples))
