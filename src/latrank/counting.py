@@ -34,45 +34,189 @@ from .zlattice import (
 # -- test functions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TestFunction:
-    """Bounded compactly supported test function on n x m matrix space.
+    """Bounded compactly supported test function f on n x m matrix space.
 
-    kind "ball": indicator of the Frobenius ball of the given radius.
-    kind "product_of_balls": product over columns of per-column ball indicators.
-    kind "custom": arbitrary evaluator on the embedded real matrix, with a
-    caller-supplied support radius.
+    A job a subclass does not override is unsupported and raises ValueError here.
     """
 
-    kind: str
-    radius: Fraction | None = None
-    radii: tuple | None = None
-    evaluator: Callable | None = None
-    _support: float | None = None
+    def column_radii(self, m: int):
+        raise ValueError("only a product of balls has per-column radii")
+
+    def support_cover(self, T, m: int):
+        """Exact R >= T * (support radius on m columns); T rational or a PowerProduct."""
+        return Fraction(self.support_radius).limit_denominator(10 ** 12) * T * Fraction(1001, 1000)
+
+    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T) -> float:
+        """raw plus the sum of f(A/T) over the enumerated matrices A flagged in hit."""
+        d = field.degree
+        for c in coords[hit].tolist():
+            amb = lat.to_ambient(c)
+            rows = [unflatten_kvector(field, list(amb[t * m * d:(t + 1) * m * d]))
+                    for t in range(n)]
+            raw += self._value_at(field, rows, T, m)
+        return raw
+
+    def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
+        """D(D)^(-n) * integral of f(x D), by Monte Carlo over the subspace measure."""
+        lat = P.lattice
+        kd = lat.rank
+        hn = float(P.height_sq) ** (-n / 2.0)
+        if mc_samples <= 0:
+            raise ValueError("mc_samples must be positive for non-ball test functions")
+        m = P.echelon.m
+        d = P.echelon.field.degree
+        # orthonormal frame of the embedded row space
+        basis_emb = np.array([lat.ambient.embed(row) for row in lat.basis])
+        q, _ = np.linalg.qr(basis_emb.T)        # (m d, kd), orthonormal columns
+        fro = self._support_radius(m)     # Frobenius support radius on m columns
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-fro, fro, size=(mc_samples, n, kd))
+        vals = self._sample_values(pts, q, m, d)
+        volume = (2.0 * fro) ** (n * kd)
+        mean = float(vals.mean())
+        std = float(vals.std(ddof=1)) if mc_samples > 1 else 0.0
+        value = hn * volume * mean
+        stderr = hn * volume * std / math.sqrt(mc_samples)
+        return TermValue(value=value, stderr=stderr, method="monte_carlo")
+
+    def column_product(self, m: int, d: int) -> "TestFunction":
+        """x -> prod_j f(column j of x) as a test function on n x m matrices."""
+        raise ValueError("moment limits take ball or custom g")
+
+    def at_zero(self, n: int, d: int) -> float:
+        """f at the zero vector of K_R^n; every ball contains it."""
+        return 1.0
+
+    def lattice_sum(self, hl, include_zero: bool, cap: int | None):
+        raise ValueError("lattice sums support ball and custom test functions")
+
+    def points_inside(self, lat: ZLattice, T, cap: int | None) -> np.ndarray:
+        """Coordinates of the vectors v of lat with f(v/T) = 1, f = 0 elsewhere."""
+        raise ValueError("the exact identity is implemented for ball test functions")
+
+
+@dataclass(frozen=True)
+class Ball(TestFunction):
+    """Indicator of the Frobenius ball of the given radius."""
+
+    radius: Fraction
+
+    def support_cover(self, T, m: int):
+        return self.radius * T
+
+    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T) -> float:
+        # the points were enumerated in f's own ball, so f(A/T) = 1 on each
+        return raw + float(np.count_nonzero(hit))
+
+    def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
+        hn = float(P.height_sq) ** (-n / 2.0)
+        s = P.lattice.rank * n
+        val = hn * unit_ball_volume(s) * float(self.radius) ** s
+        return TermValue(value=val, stderr=0.0, method="closed_form")
+
+    def column_product(self, m: int, d: int) -> TestFunction:
+        return product_of_balls(self.radius, m)
+
+    def lattice_sum(self, hl, include_zero: bool, cap: int | None) -> int:
+        count = len(self.points_inside(hl.lattice, hl.t_scale_sq.sqrt(), cap))
+        return count if include_zero else count - 1
+
+    def points_inside(self, lat: ZLattice, T, cap: int | None) -> np.ndarray:
+        return short_vectors(lat, self.support_cover(T, 1), cap=cap)
+
+
+@dataclass(frozen=True)
+class ProductOfBalls(TestFunction):
+    """Product of per-column Frobenius ball indicators; one radius is broadcast."""
+
+    radii: tuple
 
     @property
     def support_radius(self) -> float:
-        if self.kind == "ball":
-            return float(self.radius)
-        if self.kind == "product_of_balls":
-            return math.sqrt(sum(float(r) ** 2 for r in self.radii))
-        return float(self._support)
+        return self._support_radius(len(self.radii))
+
+    def _support_radius(self, m: int) -> float:
+        return math.sqrt(sum(float(r) ** 2 for r in self.column_radii(m)))
 
     def column_radii(self, m: int):
-        if self.kind == "ball":
-            raise ValueError("ball kind has no per-column radii")
         if len(self.radii) == m:
             return self.radii
         if len(self.radii) == 1:
             return self.radii * m
         raise ValueError(f"need {m} column radii, got {len(self.radii)}")
 
-    def is_indicator(self) -> bool:
-        return self.kind in ("ball", "product_of_balls")
+    def support_cover(self, T, m: int):
+        sq = sum(r ** 2 for r in self.column_radii(m))
+        root = Fraction(math.isqrt(sq.numerator * sq.denominator), sq.denominator)
+        while root * root < sq:   # exact rational cover of sqrt(sq)
+            root += Fraction(1, 1000)
+        return root * T
+
+    def _value_at(self, field, rows, T, m: int) -> float:
+        radii = self.column_radii(m)
+        for j in range(m):
+            sq = sum(field.t2(row[j], row[j]) for row in rows)
+            if sq == 0:
+                continue
+            if not PowerProduct.coerce(sq) * field.scale_sq <= \
+                    PowerProduct.coerce(radii[j] ** 2 * T ** 2):
+                return 0.0
+        return 1.0
+
+    def _sample_values(self, pts, q, m: int, d: int) -> np.ndarray:
+        radii = np.array([float(r) for r in self.column_radii(m)])
+        return _inside_product_of_balls(pts, q, radii ** 2, d).astype(float)
+
+
+@dataclass(frozen=True)
+class Custom(TestFunction):
+    """Evaluator on the embedded real matrix, zero outside its Frobenius support radius."""
+
+    evaluator: Callable
+    support_radius: float
+
+    def _support_radius(self, m: int) -> float:
+        return self.support_radius
+
+    def _value_at(self, field, rows, T, m: int) -> float:
+        emb = np.array([np.concatenate([field.embed_element(x) for x in row]) for row in rows])
+        return float(self.evaluator(emb / float(T)))
+
+    def _sample_values(self, pts, q, m: int, d: int) -> np.ndarray:
+        emb = pts @ q.T                      # (N, n, m d) rows in ambient frame
+        return np.array([float(self.evaluator(emb[i])) for i in range(len(pts))])
+
+    def column_product(self, m: int, d: int) -> TestFunction:
+        def evaluator(emb):
+            # emb has shape (n, m*d); column j of the K-matrix is the j-th d-block
+            val = 1.0
+            for j in range(m):
+                col = emb[:, j * d:(j + 1) * d].ravel()
+                val *= float(self.evaluator(col))
+                if val == 0.0:
+                    return 0.0
+            return val
+
+        return custom(evaluator, math.sqrt(m) * self.support_radius)
+
+    def at_zero(self, n: int, d: int) -> float:
+        return float(self.evaluator(np.zeros(n * d)))
+
+    def lattice_sum(self, hl, include_zero: bool, cap: int | None) -> float:
+        lat = hl.lattice
+        total = 0.0
+        inv_t = 1.0 / hl.t_scale
+        for c in short_vectors(lat, self.support_cover(hl.t_scale_sq.sqrt(), 1), cap=cap).tolist():
+            if not include_zero and not any(c):
+                continue
+            emb = lat.ambient.embed(lat.to_ambient(c))
+            total += float(self.evaluator(emb * inv_t))
+        return total
 
 
 def ball(radius) -> TestFunction:
-    return TestFunction(kind="ball", radius=Fraction(radius))
+    return Ball(Fraction(radius))
 
 
 def product_of_balls(radius, m: int | None = None) -> TestFunction:
@@ -80,11 +224,11 @@ def product_of_balls(radius, m: int | None = None) -> TestFunction:
         radii = tuple(Fraction(r) for r in radius)
     else:
         radii = (Fraction(radius),) * (m or 1)
-    return TestFunction(kind="product_of_balls", radii=radii)
+    return ProductOfBalls(radii)
 
 
 def custom(evaluator: Callable, support_radius: float) -> TestFunction:
-    return TestFunction(kind="custom", evaluator=evaluator, _support=support_radius)
+    return Custom(evaluator, support_radius)
 
 
 # -- reports ----------------------------------------------------------------------
@@ -152,23 +296,6 @@ def ranks_over_K(field: NumberField, coords, row_basis) -> np.ndarray:
 # -- left side: direct and stratified counting ---------------------------------------
 
 
-def _coords_to_matrices(field: NumberField, lat: ZLattice, coords_list, n: int, m: int):
-    d = field.degree
-    for coords in coords_list:
-        amb = lat.to_ambient(coords)
-        rows = [unflatten_kvector(field, list(amb[t * m * d:(t + 1) * m * d]))
-                for t in range(n)]
-        yield rows
-
-
-def _column_sqnorms_exact(field: NumberField, rows):
-    cols = len(rows[0])
-    out = []
-    for j in range(cols):
-        out.append(sum(field.t2(rows[i][j], rows[i][j]) for i in range(len(rows))))
-    return out
-
-
 def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
               method: str = "auto", cap: int | None = None,
               threads: int | None = None) -> RankCountReport:
@@ -194,58 +321,22 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _support_times_T(f: TestFunction, T: Fraction) -> Fraction:
-    if f.kind == "ball":
-        return Fraction(f.radius) * T
-    if f.kind == "product_of_balls":
-        sq = sum(Fraction(r) ** 2 for r in f.radii)
-        root = Fraction(math.isqrt(sq.numerator * sq.denominator), sq.denominator)
-        while root * root < sq:   # exact rational cover of sqrt(sq)
-            root += Fraction(1, 1000)
-        return root * T
-    return Fraction(f.support_radius).limit_denominator(10 ** 12) * T * Fraction(1001, 1000)
-
-
 def _lhs_direct(field, n, m, k, T, f, cap=None):
     d = field.degree
     lat = okn_lattice(field, n * m)
-    coords = short_vectors(lat, _support_times_T(f, T), cap=cap)
+    coords = short_vectors(lat, f.support_cover(T, m), cap=cap)
     seen = len(coords)
     # O_K^(nm) is n copies of O_K^m, one per matrix row; its first block is O_K^m
     row_basis = [row[:m * d] for row in lat.basis[:m * d]]
     ranks = ranks_over_K(field, coords.reshape(seen, n, m * d), row_basis)
-    raw = _add_rank_k(0.0, field, f, lat, coords, ranks == k, n, m, T)
+    raw = f.rank_k_sum(0.0, field, lat, coords, ranks == k, n, m, T)
     return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),
                            matrices_seen=seen, method="direct")
 
 
-def _add_rank_k(raw, field, f, lat, coords, hit, n, m, T) -> float:
-    """raw plus the sum of f(A/T) over the enumerated matrices A flagged in hit."""
-    if f.kind == "ball":
-        # the points were enumerated in f's own ball, so f(A/T) = 1 on each
-        return raw + float(np.count_nonzero(hit))
-    for rows in _coords_to_matrices(field, lat, coords[hit].tolist(), n, m):
-        raw += _evaluate_exactish(field, f, rows, T, m)
-    return raw
-
-
-def _evaluate_exactish(field, f, rows, T, m) -> float:
-    if f.kind == "product_of_balls":
-        radii = f.column_radii(m)
-        for j, sq in enumerate(_column_sqnorms_exact(field, rows)):
-            if sq == 0:
-                continue
-            if not PowerProduct.coerce(sq) * field.scale_sq <= \
-                    PowerProduct.coerce(Fraction(radii[j]) ** 2 * T ** 2):
-                return 0.0
-        return 1.0
-    emb = np.array([np.concatenate([field.embed_element(x) for x in row]) for row in rows])
-    return float(f.evaluator(emb / float(T)))
-
-
 def _lhs_stratified(field, n, m, k, T, f, cap=None):
     d = field.degree
-    RT = _support_times_T(f, T)
+    RT = f.support_cover(T, m)
     # any module carrying a rank-k matrix of norm <= RT satisfies
     # H <= prod ||u_j v_i|| <= (c_emb * RT)^(kd)
     c_emb = max(
@@ -272,7 +363,7 @@ def _lhs_stratified(field, n, m, k, T, f, cap=None):
         pivots = [p * d + b for p in P.echelon.pivot_cols for b in range(d)]
         piv_basis = [[row[j] for j in pivots] for row in lam.basis]
         ranks = ranks_over_K(field, coords.reshape(len(coords), n, lam.rank), piv_basis)
-        raw = _add_rank_k(raw, field, f, stacked, coords, ranks == k, n, m, T)
+        raw = f.rank_k_sum(raw, field, stacked, coords, ranks == k, n, m, T)
     return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),
                            matrices_seen=seen, method="stratified")
 
@@ -385,43 +476,14 @@ def term_value_detail(P: PrimitiveModule, n: int, f: TestFunction,
     """D(D)^(-n) * integral of f(x D) over M_{n x k}(K_R).
 
     Ball test functions have the closed form H^(-n) V(knd) R^(knd); product
-    and custom kinds are integrated by Monte Carlo over the subspace measure
+    and custom ones are integrated by Monte Carlo over the subspace measure
     with a reported standard error.  For a product of balls, floats propose
     each sample's in/out decision from one quadratic form per column, and the
     reference expression decides every sample within the derived rounding
     margin of a column radius (`_inside_product_of_balls`), so the estimate is
     the same bit for bit as evaluating the reference on every sample.
     """
-    lat = P.lattice
-    kd = lat.rank
-    hn = float(P.height_sq) ** (-n / 2.0)
-    if f.kind == "ball":
-        s = kd * n
-        val = hn * unit_ball_volume(s) * float(f.radius) ** s
-        return TermValue(value=val, stderr=0.0, method="closed_form")
-    if mc_samples <= 0:
-        raise ValueError("mc_samples must be positive for non-ball test functions")
-    m = P.echelon.m
-    field = P.echelon.field
-    d = field.degree
-    # orthonormal frame of the embedded row space
-    basis_emb = np.array([lat.ambient.embed(row) for row in lat.basis])
-    q, _ = np.linalg.qr(basis_emb.T)        # (m d, kd), orthonormal columns
-    fro = f.support_radius
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-fro, fro, size=(mc_samples, n, kd))
-    if f.kind == "product_of_balls":
-        radii = np.array([float(r) for r in f.column_radii(m)])
-        vals = _inside_product_of_balls(pts, q, radii ** 2, d).astype(float)
-    else:
-        emb = pts @ q.T                      # (N, n, m d) rows in ambient frame
-        vals = np.array([float(f.evaluator(emb[i])) for i in range(mc_samples)])
-    volume = (2.0 * fro) ** (n * kd)
-    mean = float(vals.mean())
-    std = float(vals.std(ddof=1)) if mc_samples > 1 else 0.0
-    value = hn * volume * mean
-    stderr = hn * volume * std / math.sqrt(mc_samples)
-    return TermValue(value=value, stderr=stderr, method="monte_carlo")
+    return f.module_term(P, n, mc_samples, seed)
 
 
 def term_value(P: PrimitiveModule, n: int, f: TestFunction,

@@ -20,9 +20,10 @@ from . import intmat
 from .counting import TestFunction, term_value_detail
 from .errors import ValidationError
 from .exactval import PowerProduct
+from .kernels import ranks_mod_p
 from .modules import enumerate_primitive_modules
 from .numfield import NumberField, PrimeIdealData, rank_over_K
-from .zlattice import ZLattice, okn_lattice, short_vectors
+from .zlattice import ZLattice, okn_lattice
 
 
 # -- finite Grassmannians ---------------------------------------------------------
@@ -51,10 +52,6 @@ class FiniteSubspace:
                 if i2 != i and self.rows[i2][piv] != 0:
                     raise ValueError("pivot columns must be cleared")
             pivots.append(piv)
-
-    @property
-    def pivot_cols(self):
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.rows)
 
 
 def gaussian_binomial(u: int, t: int, q: int) -> int:
@@ -153,9 +150,6 @@ class HeckeLattice:
     t_scale: float               # T_P
     t_scale_sq: PowerProduct     # exact T_P^2
 
-    def key(self):
-        return self.subspace.rows
-
     def covolume_sq(self) -> PowerProduct:
         n = self.subspace.n
         d = self.lattice.ambient_dim // n
@@ -214,25 +208,7 @@ def lattice_sum(hl: HeckeLattice, g: TestFunction, include_zero: bool = True,
     Ball indicators give an exact integer count; custom g is evaluated in
     floating point on the embedded rescaled vectors.
     """
-    if g.kind == "ball":
-        radius = (PowerProduct.coerce(Fraction(g.radius) ** 2) * hl.t_scale_sq).sqrt()
-        vecs = short_vectors(hl.lattice, radius, cap=cap)
-        count = len(vecs)
-        if not include_zero:
-            count -= 1
-        return count
-    if g.kind != "custom":
-        raise ValueError("lattice sums support ball and custom test functions")
-    sup = Fraction(g.support_radius).limit_denominator(10 ** 9) * Fraction(1001, 1000)
-    radius = (PowerProduct.coerce(sup ** 2) * hl.t_scale_sq).sqrt()
-    total = 0.0
-    inv_t = 1.0 / hl.t_scale
-    for c in short_vectors(hl.lattice, radius, cap=cap).tolist():
-        if not include_zero and not any(c):
-            continue
-        emb = hl.lattice.ambient.embed(hl.lattice.to_ambient(c))
-        total += float(g.evaluator(emb * inv_t))
-    return total
+    return g.lattice_sum(hl, include_zero, cap)
 
 
 # -- moments ----------------------------------------------------------------------------
@@ -269,7 +245,7 @@ def moment_lhs(field: NumberField, P: PrimeIdealData, n: int, s: int, m: int,
         for S in subs:
             hl = hecke_neighbor(field, P, S, base=okn)
             total += lattice_sum(hl, g, include_zero=include_zero, cap=cap) ** m
-        if g.kind == "ball":
+        if isinstance(total, int):   # indicator counts average exactly
             return Fraction(total, len(subs))
         return total / len(subs)
     if mode == "sampled":
@@ -295,14 +271,11 @@ def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: 
     the span of x mod P.  The probability is driven by the rank of x mod P,
     not the rank over K.
     """
-    if g.kind != "ball":
-        raise ValueError("the exact identity is implemented for ball test functions")
     p = P.p
     d = field.degree
     okn = okn_lattice(field, n)
     t_sq = PowerProduct.of(p, Fraction(2 * (n - s), n * d))
-    radius = (PowerProduct.coerce(Fraction(g.radius) ** 2) * t_sq).sqrt()
-    cols = short_vectors(okn, radius, cap=cap).tolist()
+    cols = g.points_inside(okn, t_sq.sqrt(), cap).tolist()
     # reduction of each candidate column to F_p^n
     red_arr = np.array([[field.reduce_mod_prime(x, P) for x in okn.kvector_of_coords(c)]
                         for c in cols], dtype=np.int64)          # (|C|, n)
@@ -310,38 +283,8 @@ def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: 
     # every m-tuple of columns, in itertools.product order: (|C|^m, m) indices
     combos = np.indices((len(cols),) * m).reshape(m, -1).T
     batch = red_arr[combos].transpose(0, 2, 1)                  # (N, n, m)
-    from .kernels import ranks_mod_p
-
     counts = np.bincount(ranks_mod_p(batch, p), minlength=len(probs))
     return sum((int(c) * probs[k] for k, c in enumerate(counts)), Fraction(0))
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    from .kernels import ranks_mod_p
-
-    return int(ranks_mod_p(mat[None, :, :], p)[0])
-
-
-def _column_product(field: NumberField, g: TestFunction, n: int, m: int) -> TestFunction:
-    """f(x) = prod_j g(column j of x) as a test function on n x m matrices."""
-    from .counting import custom as custom_tf
-    from .counting import product_of_balls
-
-    if g.kind == "ball":
-        return product_of_balls(g.radius, m)
-    d = field.degree
-
-    def evaluator(emb):
-        # emb has shape (n, m*d); column j of the K-matrix is the j-th d-block
-        val = 1.0
-        for j in range(m):
-            col = emb[:, j * d:(j + 1) * d].ravel()
-            val *= float(g.evaluator(col))
-            if val == 0.0:
-                return 0.0
-        return val
-
-    return custom_tf(evaluator, math.sqrt(m) * g.support_radius)
 
 
 def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,
@@ -354,14 +297,8 @@ def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,
     """
     if not (n >= 2 and 1 <= m <= n - 1):
         raise ValidationError(f"need n >= 2 and 1 <= m <= n-1, got n={n}, m={m}")
-    if g.kind == "ball":
-        g0 = 1.0
-    elif g.kind == "custom":
-        g0 = float(g.evaluator(np.zeros(n * field.degree)))
-    else:
-        raise ValueError("moment limits take ball or custom g")
-    f = _column_product(field, g, n, m)
-    per_k = [g0 ** m]
+    f = g.column_product(m, field.degree)
+    per_k = [g.at_zero(n, field.degree) ** m]
     stderr_sq = 0.0
     base_seed = 0 if seed is None else int(seed)
     for k in range(1, m + 1):
@@ -386,7 +323,7 @@ def rank_drop_check(field: NumberField, rows, P: PrimeIdealData):
     rank_K = rank_over_K(kmat)
     mat = np.array([[field.reduce_mod_prime(x, P) for x in row] for row in kmat],
                    dtype=np.int64)
-    rank_modp = _rank_mod_p(mat, P.p)
+    rank_modp = int(ranks_mod_p(mat[None, :, :], P.p)[0])
     d = field.degree
     k = rank_K
     if rank_modp >= rank_K or rank_K == 0:

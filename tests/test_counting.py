@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from latrank import counting, kernels
 from latrank import (
     ball,
     c1_estimate,
+    enumerate_primitive_modules,
     koecher_identity_check,
     lhs_count,
     primitive_zeta_check,
@@ -245,6 +247,47 @@ class TestCustomEvaluator:
         a = lhs_count(QQ, 2, 1, 1, 3, f_ind, method="direct")
         b = lhs_count(QQ, 2, 1, 1, 3, f_c, method="direct")
         assert a.raw_sum == b.raw_sum
+
+    @pytest.mark.parametrize("name", ["QQ", "Qi"])
+    def test_custom_matches_indicator_stratified(self, name, request):
+        # over Q(i) the embedding is a float isometry, so lattice points on
+        # the sphere land within rounding of it; their squared norms are
+        # integers, so the slack admits no point outside the ball
+        field = request.getfixturevalue(name)
+        f_c = custom(lambda M: 1.0 if float((M * M).sum()) <= 1.0 + 1e-9 else 0.0,
+                     support_radius=1.0)
+        a = lhs_count(field, 3, 2, 1, 2, ball(1), method="stratified")
+        b = lhs_count(field, 3, 2, 1, 2, f_c, method="stratified")
+        assert a.raw_sum == b.raw_sum > 0
+
+
+class TestProductOfBallsBroadcast:
+    """product_of_balls(r) puts the one radius r on every column."""
+
+    def test_count_matches_explicit_radii_and_brute_force(self, QQ):
+        # 3 x 2 integer matrices of rank 1 with both column norms <= 2
+        cols = [v for v in itertools.product(range(-2, 3), repeat=3)
+                if sum(x * x for x in v) <= 4]
+        brute = sum(1 for u, v in itertools.product(cols, repeat=2)
+                    if (any(u) or any(v)) and
+                    all(u[i] * v[j] == u[j] * v[i] for i in range(3) for j in range(3)))
+        assert brute == 152
+        for method in ("direct", "stratified"):
+            a = lhs_count(QQ, 3, 2, 1, 2, product_of_balls(1), method=method)
+            b = lhs_count(QQ, 3, 2, 1, 2, product_of_balls(1, 2), method=method)
+            assert a.raw_sum == b.raw_sum == brute
+
+    def test_term_matches_explicit_radii(self, QQ):
+        P = list(enumerate_primitive_modules(QQ, 1, 2, 3))[2]
+        a = term_value_detail(P, 3, product_of_balls(1), mc_samples=20000, seed=1)
+        b = term_value_detail(P, 3, product_of_balls(1, 2), mc_samples=20000, seed=1)
+        assert (a.value, a.stderr) == (b.value, b.stderr)
+
+
+class TestUnsupportedTestFunctions:
+    def test_ball_has_no_column_radii(self):
+        with pytest.raises(ValueError, match="per-column radii"):
+            ball(1).column_radii(2)
 
 
 # -- the batched rank over K against the per-matrix rref ------------------------------

@@ -22,6 +22,7 @@ from latrank import (
     rank_drop_check,
     ValidationError,
 )
+from latrank.counting import custom, product_of_balls
 from latrank.hecke import sample_subspace, validate_moment_window
 
 
@@ -270,6 +271,26 @@ class TestCustomG:
         assert lattice_sum(hl, gc) == float(lattice_sum(hl, gb))
         assert moment_lhs(QQ, P, 2, 1, 1, gc) == pytest.approx(
             float(moment_lhs(QQ, P, 2, 1, 1, gb)))
+
+
+class TestUnsupportedG:
+    """Each moment entry point rejects the test functions it has no rule for."""
+
+    def test_stratified_takes_balls_only(self, QQ):
+        P = QQ.prime_above(3)
+        for g in (custom(lambda v: 1.0, support_radius=1.0), product_of_balls(1)):
+            with pytest.raises(ValueError, match="implemented for ball test functions"):
+                moment_stratified(QQ, P, 3, 2, 2, g)
+
+    def test_lattice_sum_rejects_product_of_balls(self, QQ):
+        S = FiniteSubspace(q=2, n=2, s=1, rows=((1, 0),))
+        hl = hecke_neighbor(QQ, QQ.prime_above(2), S)
+        with pytest.raises(ValueError, match="lattice sums support ball and custom"):
+            lattice_sum(hl, product_of_balls(1))
+
+    def test_rhs_limit_rejects_product_of_balls(self, QQ):
+        with pytest.raises(ValueError, match="moment limits take ball or custom g"):
+            moment_rhs_limit(QQ, 3, 2, product_of_balls(1), 5)
 
 
 class TestRankDrop:
