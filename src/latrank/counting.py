@@ -19,14 +19,13 @@ import numpy as np
 
 from . import intmat, kernels
 from .exactval import PowerProduct
-from .modules import PrimitiveModule, enumerate_primitive_modules
+from .modules import PrimitiveModule, enumerate_primitive_modules, span_modules
 from .numfield import NumberField, unflatten_kvector
 from .zlattice import (
     ZLattice,
     direct_sum,
     okn_lattice,
     short_vectors,
-    shortest_nonzero_sqnorm,
     unit_ball_volume,
 )
 
@@ -337,24 +336,12 @@ def _lhs_direct(field, n, m, k, T, f, cap=None):
 def _lhs_stratified(field, n, m, k, T, f, cap=None):
     d = field.degree
     RT = f.support_cover(T, m)
-    # any module carrying a rank-k matrix of norm <= RT satisfies
-    # H <= prod ||u_j v_i|| <= (c_emb * RT)^(kd)
-    c_emb = max(
-        abs(sum(complex(float(c)) * complex(root) ** j for j, c in enumerate(u.coords)))
-        for u in field.basis_elements() for _, root in field.places
-    )
-    c_emb = Fraction(max(1.0, c_emb * (1 + 1e-9))).limit_denominator(10 ** 6)
-    hbound = max(Fraction(1), (c_emb * RT) ** (k * d))
-    modules = enumerate_primitive_modules(field, k, m, hbound, cap=cap)
     raw = 0.0
     seen = 0
-    bound_sq = PowerProduct.coerce(RT ** 2)
-
-    for P in modules:
+    # a counted matrix has k K-independent rows in its Lambda_D, each of norm
+    # <= RT, so Lambda_D is spanned by k independent such vectors of O_K^m
+    for P in span_modules(okn_lattice(field, m), k, RT, cap=cap):
         lam = P.lattice
-        # cheapest reject: the module must fit k independent rows under RT
-        if shortest_nonzero_sqnorm(lam) > bound_sq:
-            continue
         stacked = direct_sum(lam, n)
         coords = short_vectors(stacked, RT, cap=cap)
         seen += len(coords)

@@ -3,8 +3,11 @@
 An echelon matrix D (row-reduced, maximal rank) canonically represents a
 point of Gr(k, K^m); its module Lambda_D is the set of integral vectors in
 the row space.  This file implements the three-way dictionary between those
-objects, the height/denominator data attached to them, and the complete
-enumeration of primitive rank-k modules below a height bound.
+objects and the height/denominator data attached to them.  One search finds
+modules: `span_modules` takes Lambda_D for the K-spans of k independent short
+vectors of O_K^m.  The complete enumeration of primitive rank-k modules below
+a height bound runs it on the vectors that the successive minima allow, and
+the stratified count on the vectors that can be rows of a counted matrix.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ from .zlattice import (
     ZLattice,
     _integral,
     direct_sum,
+    from_ok_rows,
     is_primitive_in,
     okn_lattice,
     short_vectors,
     shortest_nonzero_sqnorm,
+    sublattice_coords,
 )
 
 
@@ -225,20 +230,19 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound
     """All primitive rank-k O_K-modules in O_K^m with H <= height_bound.
 
     Search: every qualifying module has successive K-minima whose norms are
-    bounded via the Minkowski-type product inequality, so k-tuples of short
-    vectors exhaust the candidates.  The bound constant over-enumerates on
-    purpose; completeness is what is tested.
+    bounded via the Minkowski-type product inequality, so the spans of
+    k-tuples of short vectors (`span_modules`) exhaust the candidates.  The
+    bound constant over-enumerates on purpose; completeness is what is tested.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     bound = Fraction(height_bound)
     if bound < 1:
         raise ValueError("height_bound must be >= 1")
-    ambient = Ambient.for_field(field, m)
     if k == m:
         identity = [[field.one() if i == j else field.zero() for j in range(k)]
                     for i in range(k)]
-        return [lambda_of(_echelon(field, identity), ambient)]
+        return [lambda_of(_echelon(field, identity))]
 
     d = field.degree
     okm = okn_lattice(field, m)
@@ -248,32 +252,34 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound
     # minimum is at least the shortest vector of O_K^m, so each ||l_i|| obeys:
     c6 = 2.0 ** (kd * (kd - 1) / 4.0)
     per_vec = (c6 * float(bound) / nu ** (d * (k - 1))) ** (1.0 / d)
-    candidates = _candidates(okm, short_vectors(okm, per_vec * (1 + 1e-9), cap=cap))
-
     bound_sq = PowerProduct.coerce(bound ** 2)
+    spans = span_modules(okm, k, per_vec * (1 + 1e-9), cap=cap,
+                         prod_bound=c6 * float(bound) * (1 + 1e-6))
+    return [P for P in spans if P.height_sq <= bound_sq]
+
+
+def span_modules(okm: ZLattice, k: int, radius, cap: int | None = None,
+                 prod_bound: float = math.inf) -> list[PrimitiveModule]:
+    """Lambda_D for every K-span of k independent vectors of okm = O_K^m with norm <= radius.
+
+    Each distinct echelon key gets one lambda_of; the result is sorted by
+    (H, key).  A k-tuple whose product of norms^d exceeds prod_bound (in
+    floats) is skipped before its span is formed.
+    """
+    field = okm.ambient.field
+    d = field.degree
+    candidates = _candidates(okm, short_vectors(okm, radius, cap=cap))
     found: dict = {}
-    if k == 1:
-        for _, _, kvec in candidates:
-            D = _echelon(field, [kvec])
-            if D.key() in found:
-                continue
-            P = lambda_of(D, ambient)
-            if P.height_sq <= bound_sq:
-                found[D.key()] = P
-    else:
-        prod_bound = c6 * float(bound)
-        for combo in itertools.combinations(candidates, k):
-            norms = [t[0] for t in combo]
-            if math.prod(n ** (d / 2.0) for n in norms) > prod_bound * (1 + 1e-6):
-                continue
-            D = _echelon(field, [t[2] for t in combo])
-            if D.k < k or D.key() in found:
-                continue
-            P = lambda_of(D, ambient)
-            if P.height_sq <= bound_sq:
-                found[D.key()] = P
-    out = sorted(found.values(), key=lambda P: (P.height, P.key()))
-    return out
+    for combo in itertools.combinations(candidates, k):
+        if math.prod(t[0] ** (d / 2.0) for t in combo) > prod_bound:
+            continue
+        D = _echelon(field, [t[2] for t in combo])
+        if D.k < k or D.key() in found:
+            continue
+        found[D.key()] = lambda_of(D, okm.ambient)
+        if k * d == okm.rank:
+            break   # k independent vectors span all of K^m
+    return sorted(found.values(), key=lambda P: (P.height, P.key()))
 
 
 def _candidates(okm: ZLattice, vecs: np.ndarray) -> list:
@@ -351,40 +357,13 @@ def matrices_with_rows(n: int, P: PrimitiveModule, radius, cap: int | None = Non
 
 
 def matrix_module_index(D: EchelonMatrix, n: int) -> int:
-    """[M_{n x k}(O_K) D : M_n(Lambda_D)], exact, via Smith normal form."""
-    field = D.field
-    big_rows = [flatten_kvector(field, r) for r in field.ok_z_basis(D.rows)]
-    P = lambda_of(D)
-    sub_rows = [list(r) for r in P.lattice.basis]
-    # coordinates of the sublattice in the big lattice's basis
-    X = []
-    for row in sub_rows:
-        M = [[big_rows[i][j] for i in range(len(big_rows))] for j in range(len(row))]
-        aug = [mrow + [Fraction(v)] for mrow, v in zip(M, row)]
-        R, pivots, rk = intmat.rref(aug)
-        sol = [Fraction(0)] * len(big_rows)
-        for t, p in enumerate(pivots):
-            if p == len(big_rows):
-                raise ValueError("module is not contained in M(O_K) D")
-            sol[p] = R[t][len(big_rows)]
-        for j in range(len(row)):
-            if sum(sol[i] * big_rows[i][j] for i in range(len(big_rows))) != row[j]:
-                raise ValueError("inconsistent containment")
-        if any(s.denominator != 1 for s in sol):
-            raise ValueError("module is not contained in M(O_K) D")
-        X.append([int(s) for s in sol])
-    # n-fold block structure
-    kd = len(big_rows)
-    Xn = [[0] * (kd * n) for _ in range(kd * n)]
-    for t in range(n):
-        for i in range(kd):
-            for j in range(kd):
-                Xn[t * kd + i][t * kd + j] = X[i][j]
-    divisors, _, _ = intmat.smith_normal_form(Xn)
-    idx = 1
-    for dv in divisors:
-        idx *= abs(dv)
-    return idx
+    """[M_{n x k}(O_K) D : M_n(Lambda_D)] = |det X|^n, exact.
+
+    X holds the coordinates of Lambda_D in the Z-basis of the O_K-span of
+    D's rows; it is square and nonsingular, as both have Z-rank kd.
+    """
+    X = sublattice_coords(lambda_of(D).lattice, from_ok_rows(D.field, D.rows))
+    return int(abs(intmat.det(X))) ** n
 
 
 def jacobian_sq(D: EchelonMatrix) -> Fraction:

@@ -19,10 +19,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import config, intmat, kernels
+from . import intmat, kernels
 from .errors import EnumerationCapError, MembershipError
 from .exactval import ONE, PowerProduct
 from .numfield import NumberField, flatten_kvector, unflatten_kvector
+
+
+# short_vectors refuses an enumeration it estimates at more points than this
+DEFAULT_ENUM_CAP = 50_000_000
 
 
 def unit_ball_volume(s: int) -> float:
@@ -33,15 +37,13 @@ def unit_ball_volume(s: int) -> float:
 class Ambient:
     """Exact quadratic space Q^N, optionally the coordinate space of K^m."""
 
-    __slots__ = ("form", "scale_sq", "field", "ncomp", "dim")
+    __slots__ = ("form", "scale_sq", "field", "dim")
 
-    def __init__(self, form, scale_sq: PowerProduct, field: NumberField | None = None,
-                 ncomp: int | None = None):
+    def __init__(self, form, scale_sq: PowerProduct, field: NumberField | None = None):
         self.form = tuple(tuple(Fraction(x) for x in row) for row in form)
         self.dim = len(self.form)
         self.scale_sq = scale_sq
         self.field = field
-        self.ncomp = ncomp
 
     @classmethod
     def standard(cls, n: int) -> "Ambient":
@@ -59,7 +61,7 @@ class Ambient:
             for i in range(d):
                 for j in range(d):
                     form[c * d + i][c * d + j] = blk[i][j]
-        return cls(form, fld.scale_sq, field=fld, ncomp=m)
+        return cls(form, fld.scale_sq, field=fld)
 
     def qform(self, u, v=None) -> Fraction:
         if v is None:
@@ -110,7 +112,7 @@ class ZLattice:
         self.rank = len(self.basis)
         self.scale_sq = ambient.scale_sq
         self.ok_module = ok_module
-        self._lll = None  # LLL transform at the default delta, filled on first use
+        self._lll = None  # LLL transform, filled on first use
         computed = None
         if gram is None:
             computed = self._compute_gram()
@@ -270,8 +272,7 @@ def direct_sum(lat: ZLattice, n: int) -> ZLattice:
         for i in range(N):
             for j in range(N):
                 form[t * N + i][t * N + j] = lat.ambient.form[i][j]
-    amb = Ambient(form, lat.scale_sq, field=lat.ambient.field,
-                  ncomp=None if lat.ambient.ncomp is None else lat.ambient.ncomp * n)
+    amb = Ambient(form, lat.scale_sq, field=lat.ambient.field)
     basis = []
     gram = [[Fraction(0)] * (r * n) for _ in range(r * n)]
     for t in range(n):
@@ -358,34 +359,28 @@ def _lll_transform(gram, delta: Fraction):
     return U
 
 
-_LLL_DELTA = 0.99
+_LLL_DELTA = Fraction(99, 100)
 
 
-def _transform(lat: ZLattice, delta: float = _LLL_DELTA):
-    """LLL transform of lat as a tuple of rows; at the default delta, once per lattice."""
-    if not 0.25 < delta < 1:
-        raise ValueError("delta must be in (0.25, 1)")
-    if delta == _LLL_DELTA and lat._lll is not None:
-        return lat._lll
-    U = _lll_transform(lat.gram, Fraction(delta).limit_denominator(10 ** 6))
-    U = tuple(tuple(row) for row in U)
-    if delta == _LLL_DELTA:
-        lat._lll = U
-    return U
+def _transform(lat: ZLattice):
+    """LLL transform of lat as a tuple of rows, computed once per lattice."""
+    if lat._lll is None:
+        lat._lll = tuple(tuple(row) for row in _lll_transform(lat.gram, _LLL_DELTA))
+    return lat._lll
 
 
-def lll_reduce(lat: ZLattice, delta: float = _LLL_DELTA) -> ZLattice:
+def lll_reduce(lat: ZLattice) -> ZLattice:
     """Same lattice on a Lovasz-reduced basis (exact arithmetic on the Gram)."""
-    U = _transform(lat, delta)
+    U = _transform(lat)
     if lat.rank <= 1:
         return lat
     basis = intmat.mat_mul(U, [list(r) for r in lat.basis])
     return ZLattice(basis, lat.ambient, ok_module=lat.ok_module)
 
 
-def lll_transform_of(lat: ZLattice, delta: float = _LLL_DELTA):
+def lll_transform_of(lat: ZLattice):
     """Unimodular U, as a tuple of rows, with U G U^T Lovasz-reduced."""
-    return _transform(lat, delta)
+    return _transform(lat)
 
 
 def _reduced_sqnorms(lat: ZLattice, U) -> list:
@@ -428,8 +423,7 @@ def _ball_count(lat: ZLattice, radius: float, rho: float) -> float:
     return 2.0 * unit_ball_volume(r) * (radius + rho) ** r / lat.height()
 
 
-def short_vectors(lat: ZLattice, radius, cap: int | None = None,
-                  threads: int | None = None) -> np.ndarray:
+def short_vectors(lat: ZLattice, radius, cap: int | None = None) -> np.ndarray:
     """Exactly the coordinate vectors x with ||x * basis|| <= radius.
 
     Returns an (N, rank) int64 array whose rows are sorted lexicographically
@@ -438,9 +432,9 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None,
     (float enumeration is padded, then filtered with exact integer
     arithmetic) and deterministic.  The radius may be a float, Fraction, or
     PowerProduct; floats are treated as the exact binary rational they
-    denote.  `threads` is accepted for compatibility and has no effect.
+    denote.
     """
-    cap = cap or config.DEFAULT_ENUM_CAP
+    cap = cap or DEFAULT_ENUM_CAP
     radius_sq = _coerce_radius_sq(radius)
     if float(radius_sq) <= 0:
         raise ValueError("radius must be positive")

@@ -19,3 +19,14 @@ def Qi():
 def Qs5():
     return make_field([-5, 0, 1],
                       integral_basis=[[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
+
+
+@pytest.fixture(scope="session")
+def Qzeta9p():
+    # the maximal real subfield of Q(zeta_9); Z[theta] is its ring of integers
+    return make_field([1, -3, 0, 1])
+
+
+@pytest.fixture(scope="session")
+def Qzeta8():
+    return make_field([1, 0, 0, 0, 1])

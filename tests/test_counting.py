@@ -62,15 +62,44 @@ class TestLhsCount:
         ("Qi", product_of_balls([1, Fraction(3, 2)]), 1, 180),
         ("Qs5", ball(Fraction(6, 5)), 1, 36),
         ("Qs5", product_of_balls([1, Fraction(1, 2)]), 1, 6),
+        ("Qzeta9p", ball(1), 1, 12),
+        ("Qzeta8", ball(1), 1, 48),
+        ("Qzeta9p", ball(1), 2, 3412),
+        ("Qzeta8", ball(1), Fraction(3, 2), 768),
     ])
     def test_methods_agree_quadratic_fields(self, name, f, T, count, request):
-        # counts as the per-matrix rref over K gave them
+        # counts as the per-matrix rref over K gave them; in degrees 3 and 4, as
+        # both methods give them
         field = request.getfixturevalue(name)
-        # the rank-12 lattice of the direct method trips the volume estimate at
-        # the default cap (a known overestimate), not the enumeration itself
-        a = lhs_count(field, 3, 2, 1, T, f, method="direct", cap=10 ** 13)
-        b = lhs_count(field, 3, 2, 1, T, f, method="stratified")
+        # the direct method's rank-12 lattice trips the volume estimate at the
+        # default cap (a known overestimate), not the enumeration itself; in
+        # degrees 3 and 4 so can the stratified method's stacked module lattices
+        if field.degree == 2:
+            direct_cap, stratified_cap = 10 ** 13, None
+        else:
+            direct_cap = stratified_cap = 10 ** 30
+        a = lhs_count(field, 3, 2, 1, T, f, method="direct", cap=direct_cap)
+        b = lhs_count(field, 3, 2, 1, T, f, method="stratified", cap=stratified_cap)
         assert a.raw_sum == b.raw_sum == count
+
+    def test_methods_agree_k2_of_3(self, QQ):
+        # k = 2 of m = 3: the modules are the spans of pairs of rows of norm
+        # <= 3.  The direct cap is raised past the volume estimate of Z^12
+        a = lhs_count(QQ, 4, 3, 2, 3, ball(1), method="direct", cap=10 ** 13)
+        b = lhs_count(QQ, 4, 3, 2, 3, ball(1), method="stratified")
+        assert a.raw_sum == b.raw_sum == 178128
+
+    @pytest.mark.parametrize("name,n,m,k,T,seen", [
+        ("QQ", 3, 2, 1, 4, 864),
+        ("QQ", 3, 2, 2, 4, 23793),
+        ("Qi", 3, 2, 1, Fraction(5, 2), 4510),
+        ("QQ", 4, 3, 2, 2, 8857),
+    ])
+    def test_stratified_matrices_seen(self, name, n, m, k, T, seen, request):
+        # one ball per module spanned by k independent rows of norm <= T
+        rep = lhs_count(request.getfixturevalue(name), n, m, k, T, ball(1),
+                        method="stratified")
+        assert rep.matrices_seen == seen
 
     def test_monotone_in_T(self, QQ):
         vals = [lhs_count(QQ, 3, 2, 1, T, ball(1)).raw_sum for T in (1, 2, 3, 4)]

@@ -17,12 +17,14 @@ from latrank import (
     schmidt_count,
     to_echelon,
 )
+from latrank import intmat
 from latrank.modules import (
     jacobian,
     matrix_module_index,
     rank_factorize,
+    span_modules,
 )
-from latrank.zlattice import direct_sum, is_primitive_in
+from latrank.zlattice import direct_sum, is_primitive_in, short_vectors
 from tests_support import denominator_loop, lambda_of_loop
 
 
@@ -198,6 +200,22 @@ class TestEnumeration:
             assert key not in seen
             seen.add(key)
         assert len(mods) >= 6   # at least all pivot-pair modules with H = 1
+
+    @pytest.mark.parametrize("k,m,radius", [(1, 2, 3), (2, 3, 2), (2, 3, Fraction(5, 2)),
+                                            (2, 4, Fraction(3, 2)), (2, 2, 1),
+                                            (2, 2, Fraction(1, 2))])
+    def test_span_modules_against_height_enumeration(self, QQ, k, m, radius):
+        # k independent vectors v_i of Lambda give H(Lambda) <= prod ||v_i||, so
+        # the modules spanned by vectors of norm <= radius are those of the
+        # complete enumeration below radius^k whose short vectors have rank k
+        got = span_modules(okn_lattice(QQ, m), k, radius)
+        want = []
+        for P in enumerate_primitive_modules(QQ, k, m, max(1, Fraction(radius) ** k)):
+            rows = [P.lattice.to_ambient(c) for c in short_vectors(P.lattice, radius).tolist()]
+            if intmat.rank(rows) == k:
+                want.append(P)
+        assert [(P.key(), P.height_sq, P.denominator) for P in got] == \
+            [(P.key(), P.height_sq, P.denominator) for P in want]
 
 
 class TestMatricesWithRows:
