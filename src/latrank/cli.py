@@ -5,8 +5,9 @@ output directory.  Identical configuration and seed reproduce the files
 byte-for-byte; floats are serialized at 15 significant digits and exact
 rationals as "num/den" strings.
 
-Exit codes: 0 success, 2 validation failure, 3 enumeration cap abort
-(partial results flushed), 4 I/O failure.
+Exit codes: 0 success, 2 validation failure, 3 enumeration cap abort (the
+manifest has status "cap_abort" and the records file is empty), 4 I/O
+failure.
 """
 
 from __future__ import annotations

@@ -35,18 +35,19 @@ class MembershipError(LatrankError):
 
 
 class EnumerationCapError(LatrankError):
-    """Raised when a short-vector enumeration would exceed the configured cap.
+    """Raised when a short-vector enumeration passes the configured cap.
 
-    Carries the volume-based point count estimate that triggered the abort.
+    `estimate` is the number of rows the enumeration had reached when it
+    stopped, counted over every level of the search; it exceeds `cap`.
     """
 
     def __init__(self, estimate, cap, radius):
         self.estimate = estimate
         self.cap = cap
         self.radius = radius
+        within = "" if radius is None else f" within radius {radius:.6g}"
         super().__init__(
-            f"enumeration aborted: estimated ~{estimate:.3g} lattice points "
-            f"within radius {radius:.6g} exceeds cap {cap}"
+            f"enumeration aborted: it reached {estimate} rows{within}, past the cap of {cap}"
         )
 
 

@@ -17,34 +17,41 @@ import math
 
 import numpy as np
 
+from .errors import EnumerationCapError
+
 # Largest number of children one breadth-first expansion step materializes,
 # and the number of matrices one elimination pass holds; bigger frontiers and
-# batches are processed in consecutive pieces so memory stays bounded.
+# batches are processed in consecutive pieces so one step's memory stays
+# bounded (the enumeration's cap bounds the rows it keeps).
 _BLOCK = 1 << 16
 
 
-def fp_enumerate(lmat: np.ndarray, dvec: np.ndarray, bound: float,
-                 last_lo: int, last_hi: int) -> np.ndarray:
+def fp_enumerate(lmat: np.ndarray, dvec: np.ndarray, bound: float, cap: int) -> np.ndarray:
     """All integer coordinate vectors x with Q(x) <= bound, as an (N, r) int64 array.
 
     Q(x) = sum_i dvec[i] * (x[i] + c_i)^2 with c_i = sum_{j>i} x[j]*lmat[j,i]
     (lmat unit lower triangular from an LDL^T split of the Gram matrix).
-    The outermost coordinate x[r-1] is restricted to [last_lo, last_hi].
 
     Breadth-first Fincke-Pohst: one step fixes the next coordinate, x[r-1]
     down to x[0], for every node of a block at once, with the same float
     operations per node as the depth-first loop, so the candidate set is the
     same.  A frontier whose children would exceed _BLOCK is cut into
-    consecutive blocks (at the top level: windows of x[r-1]) and finished
-    block by block.  Rows come out ordered lexicographically on
-    (x[r-1], ..., x[0]).
+    consecutive blocks and finished block by block.  Rows come out ordered
+    lexicographically on (x[r-1], ..., x[0]).
+
+    The rows created at every level, leaves included, are counted from each
+    frontier's exact child count before any child is built; once the count
+    would pass `cap`, EnumerationCapError reports it, so no more than `cap`
+    rows are ever created.
     """
     r = dvec.shape[0]
     if bound < 0.0:
         return np.zeros((0, r), dtype=np.int64)
     halfw = math.sqrt(bound / dvec[r - 1])
-    lo = max(int(math.ceil(-halfw)), last_lo)
-    hi = min(int(math.floor(halfw)), last_hi)
+    lo, hi = int(math.ceil(-halfw)), int(math.floor(halfw))
+    created = hi - lo + 1
+    if created > cap:
+        raise EnumerationCapError(created, cap, None)
     top = np.arange(lo, hi + 1, dtype=np.int64)
     t = top.astype(np.float64)
     partial = dvec[r - 1] * t * t
@@ -65,13 +72,19 @@ def fp_enumerate(lmat: np.ndarray, dvec: np.ndarray, bound: float,
         lo = np.ceil(-center - halfw).astype(np.int64)
         counts = np.maximum(np.floor(-center + halfw).astype(np.int64) - lo + 1, 0)
         ends = np.cumsum(counts)
-        if ends.shape[0] > 1 and ends[-1] > _BLOCK:
+        total = int(ends[-1]) if ends.shape[0] else 0
+        if created + total > cap:
+            raise EnumerationCapError(created + total, cap, None)
+        if ends.shape[0] > 1 and total > _BLOCK:
+            # the rest goes back on the stack and is counted when it is popped
             cut = max(int(np.searchsorted(ends, _BLOCK, side="right")), 1)
             stack.append((level, xs[cut:], part[cut:]))
             xs, part = xs[:cut], part[:cut]
             center, lo, counts, ends = center[:cut], lo[:cut], counts[:cut], ends[:cut]
+            total = int(ends[-1])
+        created += total
         parent = np.repeat(np.arange(xs.shape[0]), counts)
-        xi = np.arange(ends[-1] if ends.shape[0] else 0) - np.repeat(ends - counts - lo, counts)
+        xi = np.arange(total) - np.repeat(ends - counts - lo, counts)
         t = xi + center[parent]
         child = part[parent] + dvec[i] * t * t
         keep = child <= bound

@@ -25,8 +25,10 @@ from .exactval import ONE, PowerProduct
 from .numfield import NumberField, flatten_kvector, unflatten_kvector
 
 
-# short_vectors refuses an enumeration it estimates at more points than this
-DEFAULT_ENUM_CAP = 50_000_000
+# short_vectors aborts once its enumeration has created more rows than this, at
+# every level of the search, not only full vectors; the int64 rows it holds
+# then take at most cap * rank * 8 bytes, 0.96 GB at rank 12
+DEFAULT_ENUM_CAP = 10_000_000
 
 
 def unit_ball_volume(s: int) -> float:
@@ -393,13 +395,9 @@ def _reduced_sqnorms(lat: ZLattice, U) -> list:
 
 def covering_radius_bound(lat: ZLattice) -> float:
     """Certified upper bound: half the sum of the norms of an LLL-reduced basis."""
-    return _half_norm_sum(lat, _reduced_sqnorms(lat, _transform(lat)))
-
-
-def _half_norm_sum(lat: ZLattice, reduced_sqnorms) -> float:
-    """Half the sum of the basis norms, from the Gram norms of an LLL-reduced basis."""
     scale = float(lat.scale_sq)
-    return 0.5 * sum(math.sqrt(scale * float(q)) for q in reduced_sqnorms)
+    return 0.5 * sum(math.sqrt(scale * float(q))
+                     for q in _reduced_sqnorms(lat, _transform(lat)))
 
 
 # -- short vectors ------------------------------------------------------------------
@@ -413,16 +411,6 @@ def _coerce_radius_sq(radius) -> PowerProduct:
     return PowerProduct.coerce(Fraction(float(radius)) ** 2)
 
 
-def ball_count_estimate(lat: ZLattice, radius: float) -> float:
-    """Volume-heuristic bound on card{v : ||v|| <= radius}: 2 V(r) (T+rho)^r / H."""
-    return _ball_count(lat, radius, covering_radius_bound(lat))
-
-
-def _ball_count(lat: ZLattice, radius: float, rho: float) -> float:
-    r = lat.rank
-    return 2.0 * unit_ball_volume(r) * (radius + rho) ** r / lat.height()
-
-
 def short_vectors(lat: ZLattice, radius, cap: int | None = None) -> np.ndarray:
     """Exactly the coordinate vectors x with ||x * basis|| <= radius.
 
@@ -432,9 +420,10 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None) -> np.ndarray:
     (float enumeration is padded, then filtered with exact integer
     arithmetic) and deterministic.  The radius may be a float, Fraction, or
     PowerProduct; floats are treated as the exact binary rational they
-    denote.
+    denote.  An enumeration that creates more than `cap` rows (default
+    DEFAULT_ENUM_CAP), counted at every level of the search, stops with
+    EnumerationCapError, which reports the count it reached and the radius.
     """
-    cap = cap or DEFAULT_ENUM_CAP
     radius_sq = _coerce_radius_sq(radius)
     if float(radius_sq) <= 0:
         raise ValueError("radius must be positive")
@@ -444,13 +433,6 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None) -> np.ndarray:
     # den G, and the unimodular U leaves that gcd unchanged
     den, g_int = _integral(lat.gram)
     g_int = intmat.mat_mul(intmat.mat_mul(U, g_int), intmat.transpose(U))
-    # the diagonal is the Gram of the LLL-reduced basis, the same one
-    # covering_radius_bound reduces to, so this is ball_count_estimate exactly
-    est = _ball_count(lat, math.sqrt(float(radius_sq)),
-                      _half_norm_sum(lat, [g_int[i][i] / den for i in range(lat.rank)]))
-    if est > cap:
-        raise EnumerationCapError(est, cap, math.sqrt(float(radius_sq)))
-
     bound_pow = radius_sq / lat.scale_sq  # threshold for x G x^T
     bound_int = bound_pow * den
 
@@ -460,22 +442,22 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None) -> np.ndarray:
     lmat = chol / np.diag(chol)[None, :]
 
     bound_f = float(bound_int) * (1.0 + 1e-9) + 1e-9
-    r = lat.rank
-    top = int(math.floor(math.sqrt(bound_f / dvec[r - 1]))) + 1
-    ys = kernels.fp_enumerate(lmat, dvec, bound_f, -top, top)
-    if ys.shape[0] > cap:
-        raise EnumerationCapError(float(ys.shape[0]), cap, math.sqrt(float(radius_sq)))
+    try:
+        ys = kernels.fp_enumerate(lmat, dvec, bound_f, cap or DEFAULT_ENUM_CAP)
+    except EnumerationCapError as exc:
+        raise EnumerationCapError(exc.estimate, exc.cap,
+                                  math.sqrt(float(radius_sq))) from None
 
     # exact filter on Q_int = y G_int y^T against bound_int
     accepted = _filter_exact(ys, g_int, bound_int)
     del ys
     max_u = max((abs(x) for row in U for x in row), default=0)
     max_y = int(np.max(np.abs(accepted))) if accepted.size else 0
-    if max_u * max_y * r < 2 ** 62:
+    if max_u * max_y * lat.rank < 2 ** 62:
         out = accepted @ np.array(U, dtype=np.int64)
         return out[np.lexsort(out.T[::-1])]
     out = sorted(tuple(intmat.vec_mat([int(v) for v in y], U)) for y in accepted)
-    return np.array(out, dtype=object).reshape(len(out), r)
+    return np.array(out, dtype=object).reshape(len(out), lat.rank)
 
 
 def _filter_exact(ys: np.ndarray, g_int, bound_int: PowerProduct) -> np.ndarray:

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 from latrank.cli import main
+from latrank.zlattice import DEFAULT_ENUM_CAP
 
 
 def read_records(out_dir: Path):
@@ -194,6 +195,9 @@ def test_cap_abort_exit_3(tmp_path, capsys):
     assert code == 3
     manifest, records = read_records(out)
     assert manifest["status"] == "cap_abort"
+    err = capsys.readouterr().err
+    assert "enumeration aborted: it reached" in err
+    assert f"past the cap of {DEFAULT_ENUM_CAP}" in err
 
 
 def test_cap_abort_manifest_names_the_field(tmp_path, capsys):

@@ -66,28 +66,32 @@ class TestLhsCount:
         ("Qzeta8", ball(1), 1, 48),
         ("Qzeta9p", ball(1), 2, 3412),
         ("Qzeta8", ball(1), Fraction(3, 2), 768),
+        ("Qi", ball(1), Fraction(3, 2), 192),
     ])
     def test_methods_agree_quadratic_fields(self, name, f, T, count, request):
         # counts as the per-matrix rref over K gave them; in degrees 3 and 4, as
         # both methods give them
         field = request.getfixturevalue(name)
-        # the direct method's rank-12 lattice trips the volume estimate at the
-        # default cap (a known overestimate), not the enumeration itself; in
-        # degrees 3 and 4 so can the stratified method's stacked module lattices
-        if field.degree == 2:
-            direct_cap, stratified_cap = 10 ** 13, None
-        else:
-            direct_cap = stratified_cap = 10 ** 30
-        a = lhs_count(field, 3, 2, 1, T, f, method="direct", cap=direct_cap)
-        b = lhs_count(field, 3, 2, 1, T, f, method="stratified", cap=stratified_cap)
+        a = lhs_count(field, 3, 2, 1, T, f, method="direct")
+        b = lhs_count(field, 3, 2, 1, T, f, method="stratified")
         assert a.raw_sum == b.raw_sum == count
 
     def test_methods_agree_k2_of_3(self, QQ):
-        # k = 2 of m = 3: the modules are the spans of pairs of rows of norm
-        # <= 3.  The direct cap is raised past the volume estimate of Z^12
-        a = lhs_count(QQ, 4, 3, 2, 3, ball(1), method="direct", cap=10 ** 13)
+        # k = 2 of m = 3: the modules are the spans of pairs of rows of norm <= 3
+        a = lhs_count(QQ, 4, 3, 2, 3, ball(1), method="direct")
         b = lhs_count(QQ, 4, 3, 2, 3, ball(1), method="stratified")
         assert a.raw_sum == b.raw_sum == 178128
+
+    @pytest.mark.parametrize("n,m,T,count,seen", [
+        (3, 2, 1, 0, 25),
+        (4, 3, Fraction(3, 2), 576, 4063),
+    ])
+    def test_methods_agree_k2_gaussian(self, Qi, n, m, T, count, seen):
+        # rank-2 matrices over Q(i), whose direct lattices have rank 12 and 16
+        a = lhs_count(Qi, n, m, 2, T, ball(1), method="direct")
+        b = lhs_count(Qi, n, m, 2, T, ball(1), method="stratified")
+        assert a.raw_sum == b.raw_sum == count
+        assert b.matrices_seen == seen
 
     @pytest.mark.parametrize("name,n,m,k,T,seen", [
         ("QQ", 3, 2, 1, 4, 864),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from latrank import intmat, kernels
+from latrank.errors import EnumerationCapError
+from latrank.zlattice import DEFAULT_ENUM_CAP as CAP
 from tests_support import fp_enumerate_loop, ranks_int_loop, ranks_mod_p_loop
 
 # largest prime with p*p < 2**31, the mod-p kernel's limit
@@ -18,9 +20,9 @@ def _cholesky_data(gram):
     return lmat, dvec
 
 
-def _loop_enumerate(lmat, dvec, bound, lo=-10 ** 9, hi=10 ** 9):
+def _loop_enumerate(lmat, dvec, bound):
     out = np.zeros((1 << 16, len(dvec)), dtype=np.int64)
-    n = fp_enumerate_loop(lmat, dvec, bound, lo, hi, out)
+    n = fp_enumerate_loop(lmat, dvec, bound, -10 ** 9, 10 ** 9, out)
     assert n >= 0
     return out[:n]
 
@@ -40,40 +42,66 @@ def test_fp_enumerate_paths_agree():
         for _ in range(3):
             lmat, dvec = _cholesky_data(_random_gram(rng, r))
             bound = float(rng.integers(4, 60))
-            got = kernels.fp_enumerate(lmat, dvec, bound, -10 ** 9, 10 ** 9)
+            got = kernels.fp_enumerate(lmat, dvec, bound, CAP)
             assert got.dtype == np.int64
             assert np.array_equal(got, _loop_enumerate(lmat, dvec, bound))
 
 
 def test_fp_enumerate_z2_counts():
     lmat, dvec = _cholesky_data([[1, 0], [0, 1]])
-    assert len(kernels.fp_enumerate(lmat, dvec, 4.0 + 1e-9, -10, 10)) == 13
-    assert len(kernels.fp_enumerate(lmat, dvec, -1.0, -10, 10)) == 0
-
-
-def test_fp_window_partition():
-    lmat, dvec = _cholesky_data([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
-    full = kernels.fp_enumerate(lmat, dvec, 25.0, -100, 100)
-    windows = [(-100, -2), (-1, -1), (0, 0), (1, 2), (3, 100)]
-    parts = [kernels.fp_enumerate(lmat, dvec, 25.0, lo, hi) for lo, hi in windows]
-    assert np.array_equal(np.concatenate(parts), full)
-    for (lo, hi), part in zip(windows, parts):
-        assert np.array_equal(part, _loop_enumerate(lmat, dvec, 25.0, lo, hi))
-    assert kernels.fp_enumerate(lmat, dvec, 25.0, 5, 4).shape == (0, 3)
+    assert len(kernels.fp_enumerate(lmat, dvec, 4.0 + 1e-9, CAP)) == 13
+    assert len(kernels.fp_enumerate(lmat, dvec, -1.0, CAP)) == 0
 
 
 def test_fp_chunked_expansion(monkeypatch):
     # frontiers cut into blocks of a few children give the same rows and order
     rng = np.random.default_rng(3)
     cases = [(np.eye(2), 100.0)] + [(_random_gram(rng, r), 30.0) for r in (3, 4, 5)]
-    expect = [kernels.fp_enumerate(*_cholesky_data(g), b, -10 ** 9, 10 ** 9) for g, b in cases]
+    expect = [kernels.fp_enumerate(*_cholesky_data(g), b, CAP) for g, b in cases]
     monkeypatch.setattr(kernels, "_BLOCK", 7)
     for (g, b), want in zip(cases, expect):
-        got = kernels.fp_enumerate(*_cholesky_data(g), b, -10 ** 9, 10 ** 9)
+        got = kernels.fp_enumerate(*_cholesky_data(g), b, CAP)
         assert np.array_equal(got, want)
     lmat, dvec = _cholesky_data(np.eye(2))
-    assert len(kernels.fp_enumerate(lmat, dvec, 100.0, -100, 100)) == sum(
+    assert len(kernels.fp_enumerate(lmat, dvec, 100.0, CAP)) == sum(
         1 for a in range(-10, 11) for b in range(-10, 11) if a * a + b * b <= 100)
+
+
+def _rows_created(lmat, dvec, bound):
+    """The smallest cap the kernel finishes under: the rows it creates in all."""
+    lo, hi = 0, CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            kernels.fp_enumerate(lmat, dvec, bound, mid)
+            hi = mid
+        except EnumerationCapError:
+            lo = mid + 1
+    return lo
+
+
+def test_fp_cap_on_the_running_count(monkeypatch):
+    # the cap counts the rows created at every level, whatever the block size:
+    # under it the rows are unchanged, and any smaller cap, in particular one
+    # below the number of rows returned, raises with a count past the cap
+    rng = np.random.default_rng(4)
+    cases = [(np.eye(2), 100.0)] + [(_random_gram(rng, r), 30.0) for r in (3, 4, 5)]
+    created = {}
+    for block in (kernels._BLOCK, 7):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        for case, (g, b) in enumerate(cases):
+            lmat, dvec = _cholesky_data(g)
+            want = _loop_enumerate(lmat, dvec, b)
+            need = _rows_created(lmat, dvec, b)
+            assert need > len(want)
+            assert created.setdefault(case, need) == need
+            assert np.array_equal(kernels.fp_enumerate(lmat, dvec, b, need), want)
+            for cap in {0, 1, len(want) // 2, len(want) - 1, need - 1}:
+                with pytest.raises(EnumerationCapError) as exc:
+                    kernels.fp_enumerate(lmat, dvec, b, cap)
+                assert exc.value.estimate > cap == exc.value.cap
+    # Z^2, radius 10: 21 values of x[1], then the 317 points
+    assert created[0] == 21 + 317
 
 
 def _rank_batches(rng):
