@@ -89,6 +89,12 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in str(text).replace(",", " ").split()]
 
 
+def _parse_scales(text: str) -> list:
+    """Rational scales such as "2,5/2"; integral ones stay int, so they print as before."""
+    scales = [Fraction(t) for t in str(text).replace(",", " ").split()]
+    return [int(T) if T.denominator == 1 else T for T in scales]
+
+
 def _config_echo(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
@@ -111,7 +117,7 @@ def cmd_count_rank(args):
     fld = _load_field(args)
     f = ball(Fraction(args.ball))
     records = []
-    for T in _parse_int_list(args.T):
+    for T in _parse_scales(args.T):
         rep = lhs_count(fld, args.n, args.m, args.k, T, f, method=args.method)
         records.append({
             "n": args.n, "m": args.m, "k": args.k, "T": T,
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--T", required=True, help="comma-separated list of scales")
+    p.add_argument("--T", required=True, help="comma-separated list of rational scales")
     p.add_argument("--ball", default="1", help="radius of the ball test function")
     p.add_argument("--method", choices=["auto", "direct", "stratified"], default="auto")
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import intmat, kernels
 from .exactval import PowerProduct
 from .modules import PrimitiveModule, enumerate_primitive_modules, span_modules
-from .numfield import NumberField, unflatten_kvector
+from .numfield import NumberField, _regular_rows, unflatten_kvector
 from .zlattice import (
     ZLattice,
     direct_sum,
@@ -265,19 +265,6 @@ class C1Estimate:
 # -- rank filter ------------------------------------------------------------------
 
 
-def _theta_powers(field: NumberField) -> np.ndarray:
-    """M(theta)^0, ..., M(theta)^(d-1) stacked as a (d, d, d) int64 array.
-
-    M(theta) is integral because the minimal polynomial is monic and integral.
-    """
-    d = field.degree
-    mult = [[int(x) for x in row] for row in field.mult_matrix(field.gen())]
-    pows = [intmat.identity(d)]
-    for _ in range(d - 1):
-        pows.append(intmat.mat_mul(pows[-1], mult))
-    return np.array(pows, dtype=np.int64)
-
-
 def ranks_over_K(field: NumberField, coords, row_basis) -> np.ndarray:
     """Ranks over K of a batch of matrices given by the lattice coordinates of their rows.
 
@@ -288,8 +275,9 @@ def ranks_over_K(field: NumberField, coords, row_basis) -> np.ndarray:
     rank; the integer kernel then ranks the regular representation.
     """
     den = intmat.lcm_denominator(row_basis)
-    basis = np.array([[int(x * den) for x in row] for row in row_basis], dtype=object)
-    return kernels.ranks_regular(coords, basis, _theta_powers(field))
+    basis = [[int(x * den) for x in row] for row in row_basis]
+    to_blocks = _regular_rows(field, basis).reshape(len(basis), -1)
+    return kernels.ranks_regular(coords, to_blocks, field.degree)
 
 
 # -- left side: direct and stratified counting ---------------------------------------

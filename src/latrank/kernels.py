@@ -172,26 +172,19 @@ def ranks_over_z(batch: np.ndarray) -> np.ndarray:
                      for mat in batch], dtype=np.int64)
 
 
-def ranks_regular(coords: np.ndarray, basis: np.ndarray, pows: np.ndarray) -> np.ndarray:
+def ranks_regular(coords: np.ndarray, to_blocks: np.ndarray, d: int) -> np.ndarray:
     """Ranks over a degree-d number field K of integer-coordinate matrices.
 
-    Row t of matrix i holds c entries of K whose power-basis coordinates,
-    all scaled by one integer, are coords[i, t] @ basis (coords (N, n, r),
-    basis (r, c*d)).  pows stacks M(theta)^0 .. M(theta)^(d-1), the powers of
-    the multiplication matrix of the generator, shape (d, d, d).  An entry
-    a = sum_j a_j theta^j becomes its multiplication matrix
-    M(a) = sum_j a_j M(theta)^j; the (n d) x (c d) block matrix has rank
-    d * rank_K over Q, which ranks_over_z computes.  Both steps are linear,
-    so one integer matrix maps a row's coordinates to its d block rows.  The
-    batch is transformed and ranked in _BLOCK pieces, in int64 when every
-    product fits and in Python ints otherwise.
+    Row t of matrix i holds c entries of K.  Its regular representation, the
+    d rows of c*d rationals that replace each entry x by its multiplication
+    matrix, all scaled by one integer, is coords[i, t] @ to_blocks, reshaped
+    to (d, c*d) (coords (N, n, r), to_blocks (r, d*c*d) integers).  The
+    (n d) x (c d) block matrix has rank d * rank_K over Q, which ranks_over_z
+    computes.  The batch is transformed and ranked in _BLOCK pieces, in
+    int64 when every product fits and in Python ints otherwise.
     """
     nmat, nrow, width = coords.shape
-    d = pows.shape[0]
-    ncol = basis.shape[1] // d
-    # row coordinates -> block rows (a, j, b): sum_c basis[., j d + c] pows[c, a, b]
-    to_blocks = np.einsum("rjc,cab->rajb", basis.reshape(width, ncol, d).astype(object),
-                          pows.astype(object)).reshape(width, d * ncol * d)
+    ncol = to_blocks.shape[1] // d
     scale = width * int(np.max(np.abs(to_blocks)))
     ranks = np.zeros(nmat, dtype=np.int64)
     for start in range(0, nmat, _BLOCK):
@@ -200,7 +193,7 @@ def ranks_regular(coords: np.ndarray, basis: np.ndarray, pows: np.ndarray) -> np
         dtype = np.int64 if max_c * scale < 2 ** 62 else object
         blocks = chunk.astype(dtype, copy=False) @ to_blocks.astype(dtype)
         ranks[start:start + chunk.shape[0]] = \
-            ranks_over_z(blocks.reshape(-1, nrow * d, ncol * d)) // d
+            ranks_over_z(blocks.reshape(-1, nrow * d, ncol)) // d
     return ranks
 
 

@@ -24,8 +24,8 @@ from . import intmat
 from .exactval import PowerProduct
 from .numfield import (
     NumberField,
+    _regular_rows,
     flatten_kvector,
-    k_rref,
     unflatten_kvector,
 )
 from .zlattice import (
@@ -47,7 +47,7 @@ class EchelonMatrix:
     """Row-reduced echelon matrix of maximal rank k over K; canonical by value."""
 
     field: NumberField
-    rows: tuple          # k rows, each a tuple of FieldElement, length m
+    rows: tuple          # k rows of m FieldElements; column pivot_cols[i] is e_i
     pivot_cols: tuple
 
     @property
@@ -69,26 +69,40 @@ class EchelonMatrix:
         return f"EchelonMatrix(k={self.k}, m={self.m}, pivots={self.pivot_cols})"
 
 
-def _echelon(field: NumberField, mat) -> EchelonMatrix:
-    """Echelon form of the row space of a K-matrix; its k is the rank (0 for zero)."""
-    R, pivots, rk = k_rref(mat)
-    return EchelonMatrix(field=field, rows=tuple(tuple(r) for r in R[:rk]),
-                         pivot_cols=tuple(pivots))
+def _echelon(field: NumberField, phi_rows) -> EchelonMatrix:
+    """Echelon form of a K-stable row space; its k is the K-rank (0 for zero).
+
+    phi_rows are rational rows, in power coordinates, that span a K-stable
+    subspace of K^m over Q: the rows of Phi(A) (numfield._regular_rows), or
+    a Z-basis of an O_K-module, each row scaled by any nonzero rational.  The
+    rational RREF of the space is Phi of its RREF over K, so rows 0, d, 2d,
+    ... of it are the K-rows and every d-th pivot, over d, is a K-pivot.
+    """
+    d = field.degree
+    R, pivots, rk = intmat.rref(phi_rows)
+    return EchelonMatrix(field=field,
+                         rows=tuple(unflatten_kvector(field, R[i]) for i in range(0, rk, d)),
+                         pivot_cols=tuple(p // d for p in pivots[::d]))
+
+
+def _echelon_of_rows(field: NumberField, mat) -> EchelonMatrix:
+    """Echelon form of the row space of a K-matrix."""
+    return _echelon(field, _regular_rows(field, [flatten_kvector(field, row) for row in mat])
+                    .tolist())
 
 
 def to_echelon(field: NumberField, rows) -> EchelonMatrix:
     """Unique echelon form of a full-rank k x m matrix over K."""
-    mat = [[field.coerce(x) for x in row] for row in rows]
-    D = _echelon(field, mat)
-    if D.k < len(mat):
-        raise ValueError(f"matrix has rank {D.k} < {len(mat)}")
+    D = _echelon_of_rows(field, rows)
+    if D.k < len(rows):
+        raise ValueError(f"matrix has rank {D.k} < {len(rows)}")
     return D
 
 
 def rank_factorize(field: NumberField, rows):
     """A = C * D with D echelon; unique. C is A restricted to D's pivot columns."""
     mat = [[field.coerce(x) for x in row] for row in rows]
-    D = _echelon(field, mat)
+    D = _echelon_of_rows(field, mat)
     if D.k == 0:
         raise ValueError("zero matrix has no rank factorization")
     C = [[row[p] for p in D.pivot_cols] for row in mat]
@@ -222,7 +236,8 @@ def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:
         amb_lat = okn_lattice(field, lat.ambient_dim // d)
         if not is_primitive_in(lat, amb_lat):
             raise ValueError("module is not primitive in O_K^m")
-    return _echelon(field, [list(unflatten_kvector(field, list(row))) for row in lat.basis])
+    # a Z-basis of an O_K-module spans its K-span over Q
+    return _echelon(field, lat.basis)
 
 
 def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound,
@@ -239,12 +254,11 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound
     bound = Fraction(height_bound)
     if bound < 1:
         raise ValueError("height_bound must be >= 1")
-    if k == m:
-        identity = [[field.one() if i == j else field.zero() for j in range(k)]
-                    for i in range(k)]
-        return [lambda_of(_echelon(field, identity))]
-
     d = field.degree
+    if k == m:
+        # Phi of the identity over K is the identity over Q
+        return [lambda_of(_echelon(field, intmat.identity(m * d)))]
+
     okm = okn_lattice(field, m)
     nu = math.sqrt(float(shortest_nonzero_sqnorm(okm)))
     kd = k * d
@@ -273,7 +287,7 @@ def span_modules(okm: ZLattice, k: int, radius, cap: int | None = None,
     for combo in itertools.combinations(candidates, k):
         if math.prod(t[0] ** (d / 2.0) for t in combo) > prod_bound:
             continue
-        D = _echelon(field, [t[2] for t in combo])
+        D = _echelon(field, [row for t in combo for row in t[2]])
         if D.k < k or D.key() in found:
             continue
         found[D.key()] = lambda_of(D, okm.ambient)
@@ -283,37 +297,38 @@ def span_modules(okm: ZLattice, k: int, radius, cap: int | None = None,
 
 
 def _candidates(okm: ZLattice, vecs: np.ndarray) -> list:
-    """(float squared norm, coordinates, K-row) of the rows of vecs up to sign, sorted.
+    """(float squared norm, coordinates, Phi rows) of the rows of vecs up to sign, sorted.
 
     vecs holds the lexicographically sorted points of a ball in O_K^m, so of
     v and -v the first is the one whose first nonzero entry is negative, and
     only that one is kept.  One integer quadratic form gives the squared
-    norms and one integer product the power coordinates; a norm's float is
-    that of the exact PowerProduct, as int / int division rounds correctly.
+    norms; a norm's float is that of the exact PowerProduct, as int / int
+    division rounds correctly.  One integer product gives the d rows of
+    Phi(v) (numfield._regular_rows) scaled by the lcm of the denominators of
+    okm's basis, which is what _echelon takes.
     """
     field = okm.ambient.field
+    d = field.degree
     if len(vecs):
         first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
         vecs = vecs[first < 0]
     gden, g_int = _integral(okm.gram)
-    bden, b_int = _integral(okm.basis)
     r = okm.rank
+    phi = _regular_rows(field, _integral(okm.basis)[1]).reshape(r, -1)
     max_v = int(np.max(np.abs(vecs))) if vecs.size else 0
-    max_gb = max(abs(x) for row in g_int + b_int for x in row)
+    max_gb = max(max(abs(x) for row in g_int for x in row), int(np.max(np.abs(phi))))
     dtype = np.int64 if r * r * max_gb * (max_v + 1) ** 2 < 2 ** 62 else object
     V = vecs.astype(dtype)
     sq_int = ((V @ np.array(g_int, dtype=dtype)) * V).sum(axis=1).tolist()
-    flat = (V @ np.array(b_int, dtype=dtype)).tolist()
+    rows = (V @ phi.astype(dtype)).reshape(len(V), d, phi.shape[1] // d).tolist()
     scale = okm.scale_sq
     num, den = scale.coeff.numerator, scale.coeff.denominator * gden
     out = []
-    for q, v, row in zip(sq_int, vecs.tolist(), flat):
+    for q, v, phi_v in zip(sq_int, vecs.tolist(), rows):
         key = (q * num) / den
         for p, e in scale.exps:
             key *= math.pow(p, float(e))
-        if bden != 1:
-            row = [Fraction(x, bden) for x in row]
-        out.append((key, tuple(v), unflatten_kvector(field, row)))
+        out.append((key, tuple(v), phi_v))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 

@@ -13,6 +13,7 @@ Other signatures are rejected for norm computations.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -498,22 +499,6 @@ class NumberField:
             out.append(int(c))
         return out
 
-    def is_integral(self, x: FieldElement) -> bool:
-        try:
-            self.integral_coords(x)
-            return True
-        except NotIntegralError:
-            return False
-
-    def from_integral_coords(self, coords) -> FieldElement:
-        d = self.degree
-        out = [Fraction(0)] * d
-        for c, row in zip(coords, self.integral_basis):
-            if c:
-                for i in range(d):
-                    out[i] += Fraction(c) * row[i]
-        return self.element(out)
-
     def prime_above(self, p: int, root: int | None = None) -> PrimeIdealData:
         """Degree-one prime data above p; validates the root and monogenicity index."""
         p = int(p)
@@ -651,48 +636,47 @@ def parse_field_file(path) -> NumberField:
 
 # -- matrices over K ----------------------------------------------------------
 
-def kmat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, inner):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
+@functools.lru_cache(maxsize=16)
+def _theta_powers(field: NumberField) -> np.ndarray:
+    """M(theta)^0, ..., M(theta)^(d-1) stacked as a (d, d, d) array of Python ints.
+
+    Row a of M(x) holds the power coordinates of theta^a * x.  M(theta) is
+    integral because the minimal polynomial is monic and integral.
+    """
+    d = field.degree
+    mult = [[int(x) for x in row] for row in field.mult_matrix(field.gen())]
+    pows = [intmat.identity(d)]
+    for _ in range(d - 1):
+        pows.append(intmat.mat_mul(pows[-1], mult))
+    out = np.array(pows, dtype=object)
+    out.flags.writeable = False
     return out
 
 
-def k_rref(A):
-    """Reduced row echelon form over K. Returns (R, pivot_cols, rank)."""
-    M = [list(row) for row in A]
-    if not M:
-        return [], [], 0
-    rows, cols = len(M), len(M[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if not M[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c].inverse()
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return M, pivots, r
+def _regular_rows(field: NumberField, flat) -> np.ndarray:
+    """Phi(A), for the N x c matrix A over K whose rows have power coordinates flat.
+
+    Phi replaces each entry x by M(x) = sum_j x_j M(theta)^j, so row i d + a
+    of the (N d) x (c d) object array holds the power coordinates of
+    theta^a * A_i.  Phi is an injective ring homomorphism and Phi(RREF_K(A))
+    is already a rational RREF of the same row space, so by uniqueness
+    intmat.rref(Phi(A)) is Phi(RREF_K(A)), and rank_Q Phi(A) = d rank_K A.
+    """
+    d = field.degree
+    n = len(flat)
+    c = len(flat[0]) // d if n else 0
+    flat = np.array(flat, dtype=object).reshape(n, c * d)
+    blocks = flat.reshape(n * c, d) @ _theta_powers(field).reshape(d, d * d)
+    return blocks.reshape(n, c, d, d).transpose(0, 2, 1, 3).reshape(n * d, c * d)
 
 
 def rank_over_K(A) -> int:
-    return k_rref(A)[2]
+    """Rank over K of a matrix of FieldElements, from the rational rank of Phi(A)."""
+    if not A or not A[0]:
+        return 0
+    field = A[0][0].field
+    phi = _regular_rows(field, [flatten_kvector(field, row) for row in A])
+    return intmat.rank(phi.tolist()) // field.degree
 
 
 def flatten_kvector(field: NumberField, vec):

@@ -77,12 +77,6 @@ class Ambient:
                         acc += a * b * row[j]
         return acc
 
-    def sqnorm_exact(self, vec) -> PowerProduct | None:
-        q = self.qform([Fraction(x) for x in vec])
-        if q == 0:
-            return None
-        return self.scale_sq * q
-
     def embed(self, vec) -> np.ndarray:
         """Float coordinates in an orthonormal frame for the twisted norm."""
         if self.field is None:

@@ -31,6 +31,19 @@ def test_count_rank_example(tmp_path):
     assert records[0]["raw_sum"] == "12"
 
 
+def test_count_rank_rational_scales(tmp_path):
+    # a rational T is counted at T itself and echoed as "num/den"
+    spec = tmp_path / "field.txt"
+    spec.write_text("min_poly = 1 0 1\n")
+    out = tmp_path / "run"
+    code = main(["count-rank", "--field", str(spec), "--n", "3", "--m", "2", "--k", "1",
+                 "--T", "2,5/2", "--output-dir", str(out)])
+    assert code == 0
+    _, records = read_records(out)
+    assert [(r["T"], r["raw_sum"]) for r in records] == [(2, "1352"), ("5/2", "4472")]
+    assert records[1]["matrices_seen"] == 4510
+
+
 def test_identity_check_example(tmp_path):
     out = tmp_path / "run"
     code = main(["identity-check", "--kind", "primitive-zeta", "--n", "4",

@@ -26,9 +26,9 @@ from latrank.counting import (
     ranks_over_K,
     term_value_detail,
 )
-from latrank.numfield import kmat_mul, rank_over_K
+from latrank.numfield import rank_over_K
 from latrank.zlattice import okn_lattice, unit_ball_volume
-from tests_support import term_value_detail_loop
+from tests_support import from_integral_coords, kmat_mul, term_value_detail_loop
 
 
 class TestLhsCount:
@@ -327,7 +327,7 @@ class TestUnsupportedTestFunctions:
 
 
 def _element(field, coords):
-    return field.from_integral_coords(coords)
+    return from_integral_coords(field, coords)
 
 
 @st.composite

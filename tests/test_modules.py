@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -19,13 +20,23 @@ from latrank import (
 )
 from latrank import intmat
 from latrank.modules import (
+    _echelon,
+    dump_module_lines,
     jacobian,
     matrix_module_index,
     rank_factorize,
     span_modules,
 )
+from latrank.numfield import _regular_rows, flatten_kvector, rank_over_K
 from latrank.zlattice import direct_sum, is_primitive_in, short_vectors
-from tests_support import denominator_loop, lambda_of_loop
+from tests_support import (
+    denominator_loop,
+    from_integral_coords,
+    is_integral,
+    k_rref,
+    kmat_mul,
+    lambda_of_loop,
+)
 
 
 class TestToEchelon:
@@ -108,7 +119,7 @@ class TestLambdaAndDenominator:
         good = 0
         for a, b in itertools.product(range(2), repeat=2):
             v = Qi.element([a, b])
-            if Qi.is_integral(v * D.rows[0][1]):
+            if is_integral(Qi, v * D.rows[0][1]):
                 good += 1
         assert P.denominator == 4 // good
 
@@ -307,8 +318,6 @@ class TestRankFactorize:
         for K in (QQ, Qi):
             for _ in range(20):
                 rows = [[K.coerce(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-                from latrank.numfield import kmat_mul, rank_over_K
-
                 if rank_over_K(rows) == 0:
                     continue
                 C, D = rank_factorize(K, rows)
@@ -347,7 +356,7 @@ def _echelon_matrices(draw, field, max_num, max_den):
                 den = draw(st.integers(1, max_den))
                 nums = draw(st.lists(st.integers(-max_num, max_num),
                                      min_size=field.degree, max_size=field.degree))
-                row.append(field.from_integral_coords([Fraction(a, den) for a in nums]))
+                row.append(from_integral_coords(field, [Fraction(a, den) for a in nums]))
         rows.append(row)
     return to_echelon(field, rows)
 
@@ -385,8 +394,8 @@ def test_module_data_matches_reference_quadratic_large_denominators(name, data, 
     field = {"Qi": Qi, "Qs5": Qs5}[name]
     num = st.integers(-10 ** 6, 10 ** 6)
     den = st.integers(1, 10 ** 6)
-    entry = field.from_integral_coords([Fraction(data.draw(num), data.draw(den)),
-                                        Fraction(data.draw(num), data.draw(den))])
+    entry = from_integral_coords(field, [Fraction(data.draw(num), data.draw(den)),
+                                         Fraction(data.draw(num), data.draw(den))])
     _assert_same_module_data(to_echelon(field, [[field.one(), entry]]))
 
 
@@ -399,13 +408,81 @@ def test_candidates_match_per_vector_path(name, m, radius, request):
 
     field = request.getfixturevalue(name)
     okm = okn_lattice(field, m)
+    bden = intmat.lcm_denominator(okm.basis)
     vecs = short_vectors(okm, radius)
+
+    def phi_rows(v):
+        # Phi of the K-row, scaled by the lcm of the basis denominators
+        flat = flatten_kvector(field, okm.kvector_of_coords(v))
+        return _regular_rows(field, [[x * bden for x in flat]]).tolist()
+
     for rows in (vecs, vecs.astype(object) * 2 ** 40):
         kept = set()
         for v in map(tuple, rows.tolist()):
             if any(v) and tuple(-c for c in v) not in kept:
                 kept.add(v)
-        want = sorted(((float(okm.sqnorm_exact_of_coords(v)), v, okm.kvector_of_coords(v))
-                       for v in kept), key=lambda t: (t[0], t[1]))
+        want = sorted(((float(okm.sqnorm_exact_of_coords(v)), v, phi_rows(v)) for v in kept),
+                      key=lambda t: (t[0], t[1]))
         assert _candidates(okm, rows) == want
     assert _candidates(okm, vecs[:0]) == []
+
+
+@st.composite
+def _k_matrices(draw, field):
+    """k x m matrices over K (k, m <= 3): random, with rows that are K-combinations
+    of the rows above them, or zero."""
+    d = field.degree
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "dependent", "zero"]))
+
+    def element():
+        den = draw(st.integers(1, 4))
+        return field.element([Fraction(draw(st.integers(-3, 3)), den) for _ in range(d)])
+
+    if kind == "zero":
+        return [[field.zero()] * m for _ in range(k)]
+    rows = [[element() for _ in range(m)] for _ in range(k)]
+    if kind == "dependent":
+        for i in range(1, k):
+            coeffs = [element() for _ in range(i)]
+            rows[i] = [sum((c * rows[j][col] for j, c in enumerate(coeffs)), field.zero())
+                       for col in range(m)]
+    return rows
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5", "Qzeta9p", "Qzeta8"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_echelon_matches_k_rref(name, data, QQ, Qi, Qs5, Qzeta9p, Qzeta8):
+    # the rational RREF of the regular representation against Gauss-Jordan over K,
+    # on Phi rows as built and on Phi rows scaled to integers one by one
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5, "Qzeta9p": Qzeta9p, "Qzeta8": Qzeta8}[name]
+    rows = data.draw(_k_matrices(field))
+    R, pivots, rank = k_rref(rows)
+    phi = _regular_rows(field, [flatten_kvector(field, row) for row in rows]).tolist()
+    scaled = [[x * intmat.lcm_denominator([row]) for x in row] for row in phi]
+    for phi_rows in (phi, scaled):
+        D = _echelon(field, phi_rows)
+        assert D.key() == tuple(tuple(x.coords for x in row) for row in R[:rank])
+        assert D.pivot_cols == tuple(pivots)
+        assert D.k == rank
+    assert rank_over_K(rows) == rank
+
+
+# sha256 of dump_module_lines(enumerate_primitive_modules(field, k, m, H)), as
+# produced by Gauss-Jordan over K before echelon forms came from Phi
+GOLDEN_DUMPS = {
+    ("QQ", 1, 2, 20): "ba51990acbe425b34c116d793dd35cf4508f37a9574022792d649b1bdc43c4c7",
+    ("QQ", 2, 3, 6): "26c1747e344bddb842bb3c946a7f965f8467bc532fa16aade238e56f3ebf7828",
+    ("Qi", 1, 2, 20): "4a8dc31502e81822dad55a4aced2c1979c9a939c791f6c09ea5cf932711c079d",
+    ("Qs5", 1, 2, 12): "fb50e73a807e03a42ce1232aa348465cf5e4a15421281ec9a0f10baae4749bd3",
+    ("Qzeta9p", 1, 2, 4): "39d02896f88ad60466605f330b17d5aba355662312d12fda4ec43a518ceb5f63",
+    ("Qzeta8", 1, 2, 4): "f337c17f6e26788383baa2d835658555f2f4caafaada1473da927e9c79438508",
+}
+
+
+@pytest.mark.parametrize("name,k,m,H", list(GOLDEN_DUMPS))
+def test_module_dump_golden(name, k, m, H, request):
+    field = request.getfixturevalue(name)
+    dump = dump_module_lines(enumerate_primitive_modules(field, k, m, H))
+    assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_DUMPS[name, k, m, H]

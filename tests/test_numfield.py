@@ -17,10 +17,10 @@ from latrank import (
 from latrank.numfield import (
     SingularBasisError,
     flatten_kvector,
-    k_rref,
     parse_field_file,
     rank_over_K,
 )
+from tests_support import from_integral_coords, k_rref
 
 
 class TestMakeField:
@@ -172,7 +172,7 @@ class TestEmbedding:
         rng = random.Random(11)
         for K in (QQ, Qi, Qs5):
             for _ in range(100):
-                x = K.from_integral_coords([rng.randint(-20, 20) for _ in range(K.degree)])
+                x = from_integral_coords(K, [rng.randint(-20, 20) for _ in range(K.degree)])
                 emb = K.minkowski_embed([x])
                 assert abs(float(emb @ emb) - K.twisted_sqnorm(x)) < 1e-10
 
@@ -203,8 +203,8 @@ class TestReduction:
         P2 = Qs5.prime_above(11)
         for K, P in ((Qi, P1), (Qs5, P2)):
             for _ in range(50):
-                x = K.from_integral_coords([rng.randint(-30, 30) for _ in range(K.degree)])
-                y = K.from_integral_coords([rng.randint(-30, 30) for _ in range(K.degree)])
+                x = from_integral_coords(K, [rng.randint(-30, 30) for _ in range(K.degree)])
+                y = from_integral_coords(K, [rng.randint(-30, 30) for _ in range(K.degree)])
                 rx, ry = K.reduce_mod_prime(x, P), K.reduce_mod_prime(y, P)
                 assert K.reduce_mod_prime(x * y, P) == rx * ry % P.p
                 assert K.reduce_mod_prime(x + y, P) == (rx + ry) % P.p

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from latrank import intmat
+from latrank.errors import NotIntegralError
 from latrank.exactval import PowerProduct
 
 
@@ -340,3 +341,70 @@ def term_value_detail_loop(P, n, f, mc_samples, seed=None):
     std = float(vals.std(ddof=1)) if mc_samples > 1 else 0.0
     return (hn * volume * float(vals.mean()),
             hn * volume * std / math.sqrt(mc_samples))
+
+
+# -- matrices over K: the FieldElement reference for latrank.modules._echelon ------
+
+
+def k_rref(A):
+    """Reduced row echelon form over K by Gauss-Jordan on FieldElement entries.
+
+    Returns (R, pivot_cols, rank).
+    """
+    M = [list(row) for row in A]
+    if not M:
+        return [], [], 0
+    rows, cols = len(M), len(M[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if not M[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = M[r][c].inverse()
+        M[r] = [x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and not M[i][c].is_zero():
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M, pivots, r
+
+
+def kmat_mul(A, B):
+    """Product of two matrices of FieldElements."""
+    rows, inner, cols = len(A), len(B), len(B[0])
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = A[i][0] * B[0][j]
+            for t in range(1, inner):
+                acc = acc + A[i][t] * B[t][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def from_integral_coords(field, coords):
+    """The element sum_j coords[j] u_j of K, u the integral basis."""
+    d = field.degree
+    out = [Fraction(0)] * d
+    for c, row in zip(coords, field.integral_basis):
+        if c:
+            for i in range(d):
+                out[i] += Fraction(c) * row[i]
+    return field.element(out)
+
+
+def is_integral(field, x) -> bool:
+    """Whether x lies in O_K."""
+    try:
+        field.integral_coords(x)
+        return True
+    except NotIntegralError:
+        return False
