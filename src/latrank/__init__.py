@@ -22,6 +22,7 @@ from .errors import (
     EnumerationCapError,
     ExactNormUnavailableError,
     FieldMismatchError,
+    InvariantError,
     LatrankError,
     NotIntegralError,
     PrecisionError,

@@ -7,7 +7,8 @@ rationals as "num/den" strings.
 
 Exit codes: 0 success, 2 validation failure, 3 enumeration cap abort (the
 manifest has status "cap_abort" and the records file is empty), 4 I/O
-failure.
+failure, 5 an internal invariant failed (a defect; stderr names the
+invariant), 6 out of memory.  Runs that exit 2, 5 or 6 write no report.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .counting import ball, c1_estimate, koecher_identity_check, lhs_count, \
     primitive_zeta_check
-from .errors import EnumerationCapError, LatrankError, ValidationError
+from .errors import EnumerationCapError, InvariantError, LatrankError, ValidationError
 from .hecke import convergence_table, validate_moment_window
 from .modules import rank_factorize as modules_rank_factorize
 from .numfield import parse_field_file, rationals
@@ -378,6 +379,12 @@ def main(argv=None) -> int:
         fld, records = _load_field(args), []
         status = "cap_abort"
         code = 3
+    except InvariantError as exc:
+        print(f"latrank: internal invariant failed: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError:
+        print("latrank: out of memory", file=sys.stderr)
+        return 6
     except (ValueError, LatrankError) as exc:
         print(f"latrank: invalid configuration: {exc}", file=sys.stderr)
         return 2

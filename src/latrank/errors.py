@@ -53,3 +53,11 @@ class EnumerationCapError(LatrankError):
 
 class ValidationError(LatrankError):
     """Raised on invalid run configurations. Message names the violated constraint."""
+
+
+class InvariantError(LatrankError, ValueError):
+    """Raised when an internal invariant fails: a defect, not bad input.
+
+    The message starts with the name of the invariant.  Subclassing
+    ValueError keeps callers that catch ValueError working.
+    """

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import intmat
 from .counting import TestFunction, term_value_detail
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .exactval import PowerProduct
 from .kernels import ranks_mod_p
 from .modules import enumerate_primitive_modules
@@ -185,19 +185,19 @@ def hecke_neighbor(field: NumberField, P: PrimeIdealData, S: FiniteSubspace,
     H, _ = intmat.hermite_normal_form(gens)
     basis_w = [row for row in H if any(row)]
     if len(basis_w) != n * d:
-        raise ValueError("neighbor construction produced a degenerate lattice")
+        raise InvariantError("neighbor rank: the construction produced a degenerate lattice")
     det = 1
     for i in range(n * d):
         det *= basis_w[i][i]
     if abs(det) != p ** (n - s):
-        raise ValueError(f"neighbor index {abs(det)} != p^(n-s)")
+        raise InvariantError(f"neighbor index: {abs(det)} != p^(n-s) = {p ** (n - s)}")
     basis = intmat.mat_mul(basis_w, [list(r) for r in okn.basis])
     lat = ZLattice(basis, okn.ambient, ok_module=True)
     t_sq = PowerProduct.of(p, Fraction(2 * (n - s), n * d))
     hl = HeckeLattice(lattice=lat, prime=P, subspace=S,
                       t_scale=math.sqrt(float(t_sq)), t_scale_sq=t_sq)
     if not hl.covolume_sq() == PowerProduct.coerce(1):
-        raise ValueError("neighbor covolume is not preserved")
+        raise InvariantError("neighbor covolume: the rescaled lattice does not have covolume 1")
     return hl
 
 

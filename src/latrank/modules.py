@@ -190,12 +190,19 @@ def _denominator_of(q: int, divisors) -> int:
     return idx
 
 
+@functools.lru_cache(maxsize=64)
+def _scale_power(scale_sq: PowerProduct, r: int) -> PowerProduct:
+    """scale_sq ** r, the factor of H^2 of every rank-r module over one field."""
+    return scale_sq ** r
+
+
 def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModule:
     """Lambda_D = (row space of D over K) intersect O_K^m, with height and denominator.
 
     One Smith form of q * A gives both: its V^-1 spans the saturation of the
     O_K-span of D's rows in O_K^m, and its divisors give Den(D).  The Gram
-    is computed from that basis in integers, so the lattice needs no check.
+    is computed from that basis in integers, so the lattice needs no check,
+    and H^2 is the determinant of that integer Gram over t2den^r.
     """
     field = D.field
     d = field.degree
@@ -207,9 +214,11 @@ def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModu
     _, bnum, bden, t2num, t2den = _field_maps(field)
     basis = [[Fraction(v, bden) for v in row] for row in _blockwise(sat, bnum, d)]
     sg = _blockwise(sat, t2num, d)
-    gram = [[Fraction(sum(a * b for a, b in zip(u, w)), t2den) for w in sat] for u in sg]
-    lat = ZLattice(basis, ambient, gram=gram, ok_module=True, check=False)
-    hsq = lat.height_sq()
+    g_int = [[sum(a * b for a, b in zip(u, w)) for w in sat] for u in sg]
+    lat = ZLattice(basis, ambient, gram=[[Fraction(x, t2den) for x in row] for row in g_int],
+                   ok_module=True, check=False)
+    minors, _ = intmat.leading_minors(g_int)
+    hsq = _scale_power(ambient.scale_sq, len(sat)) * Fraction(minors[-1], t2den ** len(sat))
     return PrimitiveModule(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
                            height_sq=hsq, denominator=den)
 
@@ -278,26 +287,81 @@ def span_modules(okm: ZLattice, k: int, radius, cap: int | None = None,
 
     Each distinct echelon key gets one lambda_of; the result is sorted by
     (H, key).  A k-tuple whose product of norms^d exceeds prod_bound (in
-    floats) is skipped before its span is formed.
+    floats) is skipped before its span is formed.  At k = 1 the echelon rows
+    come from one integer pass over all candidates (_line_echelons); at
+    k >= 2 every k-tuple is reduced by a rational RREF.
     """
     field = okm.ambient.field
     d = field.degree
-    candidates = _candidates(okm, short_vectors(okm, radius, cap=cap))
-    found: dict = {}
-    for combo in itertools.combinations(candidates, k):
-        if math.prod(t[0] ** (d / 2.0) for t in combo) > prod_bound:
-            continue
-        D = _echelon(field, [row for t in combo for row in t[2]])
-        if D.k < k or D.key() in found:
-            continue
-        found[D.key()] = lambda_of(D, okm.ambient)
-        if k * d == okm.rank:
-            break   # k independent vectors span all of K^m
-    return sorted(found.values(), key=lambda P: (P.height, P.key()))
+    norms, phi = _candidates(okm, short_vectors(okm, radius, cap=cap))
+    if k == 1:
+        echelons = _line_echelons(field, phi[norms ** (d / 2.0) <= prod_bound])
+    else:
+        norms, rows = norms.tolist(), phi.tolist()
+        found: dict = {}
+        for combo in itertools.combinations(range(len(rows)), k):
+            if math.prod(norms[i] ** (d / 2.0) for i in combo) > prod_bound:
+                continue
+            D = _echelon(field, [row for i in combo for row in rows[i]])
+            if D.k == k:
+                found.setdefault(D.key(), D)
+                if k * d == okm.rank:
+                    break   # k independent vectors span all of K^m
+        echelons = found.values()
+    modules = [lambda_of(D, okm.ambient) for D in echelons]
+    return sorted(modules, key=lambda P: (P.height, P.key()))
 
 
-def _candidates(okm: ZLattice, vecs: np.ndarray) -> list:
-    """(float squared norm, coordinates, Phi rows) of the rows of vecs up to sign, sorted.
+def _line_echelons(field: NumberField, phi: np.ndarray) -> list[EchelonMatrix]:
+    """The distinct echelon forms of the K-lines spanned by candidate vectors.
+
+    phi[i] holds the d rows of L Phi(v) for a nonzero v in O_K^m (as
+    _candidates returns them).  With p the first nonzero K-entry of v, the
+    echelon row is v / v_p, and its power coordinates are e_0 B^-1 phi[i]
+    for the d x d block B = L M(v_p) of phi[i] at column block p.  One
+    fraction-free Gauss-Jordan pass on [B^T | e_0] (Bareiss, with row swaps)
+    gives det(B) and row 0 of adj(B), up to a common sign, for every
+    candidate at once; every division in it is exact.  The integer rows are
+    reduced by their gcd and deduplicated before any Fraction is formed.
+    """
+    n, d = len(phi), field.degree
+    if not n:
+        return []
+    m = phi.shape[2] // d
+    pivots = np.argmax((phi[:, 0].reshape(n, m, d) != 0).any(axis=2), axis=1)
+    # the elimination's values are differences of two products of minors of
+    # order <= d of [B^T | e_0], each minor at most (sqrt(d) b)^d (Hadamard);
+    # the numerators, d products of such a minor and an entry, stay below too
+    b = max(int(np.max(np.abs(phi))), 1)
+    dtype = np.int64 if 2 * d ** d * b ** (2 * d) < 2 ** 62 else object
+    phi = phi.astype(dtype)
+    blocks = phi.reshape(n, d, m, d)[np.arange(n), :, pivots, :]
+    M = np.concatenate([blocks.transpose(0, 2, 1), np.zeros((n, d, 1), dtype=dtype)], axis=2)
+    M[:, 0, d] = 1
+    rows = np.arange(n)
+    prev = np.ones(n, dtype=dtype)
+    for t in range(d):
+        swap = t + np.argmax(M[:, t:, t] != 0, axis=1)
+        M[rows, t], M[rows, swap] = M[rows, swap], M[rows, t]
+        piv = M[:, t, t]
+        step = (piv[:, None, None] * M - M[:, :, t:t + 1] * M[:, t:t + 1, :]) \
+            // prev[:, None, None]
+        step[:, t] = M[:, t]
+        M, prev = step, piv
+    den = prev
+    num = (M[:, :, d, None] * phi).sum(axis=1)
+    g = np.gcd(np.gcd.reduce(num, axis=1), den)
+    sign = np.where(den < 0, -1, 1)
+    den = den // g * sign
+    num = num // (g * sign)[:, None]
+    keys = np.column_stack([pivots, den, num]).tolist()
+    return [EchelonMatrix(field=field, pivot_cols=(p,),
+                          rows=(unflatten_kvector(field, [Fraction(x, q) for x in row]),))
+            for p, q, *row in dict.fromkeys(map(tuple, keys))]
+
+
+def _candidates(okm: ZLattice, vecs: np.ndarray):
+    """(float squared norms, Phi rows) of the rows of vecs up to sign, sorted.
 
     vecs holds the lexicographically sorted points of a ball in O_K^m, so of
     v and -v the first is the one whose first nonzero entry is negative, and
@@ -305,7 +369,8 @@ def _candidates(okm: ZLattice, vecs: np.ndarray) -> list:
     norms; a norm's float is that of the exact PowerProduct, as int / int
     division rounds correctly.  One integer product gives the d rows of
     Phi(v) (numfield._regular_rows) scaled by the lcm of the denominators of
-    okm's basis, which is what _echelon takes.
+    okm's basis, which is what _echelon takes.  Both arrays are sorted by
+    (norm, coordinates).
     """
     field = okm.ambient.field
     d = field.degree
@@ -320,17 +385,18 @@ def _candidates(okm: ZLattice, vecs: np.ndarray) -> list:
     dtype = np.int64 if r * r * max_gb * (max_v + 1) ** 2 < 2 ** 62 else object
     V = vecs.astype(dtype)
     sq_int = ((V @ np.array(g_int, dtype=dtype)) * V).sum(axis=1).tolist()
-    rows = (V @ phi.astype(dtype)).reshape(len(V), d, phi.shape[1] // d).tolist()
+    rows = (V @ phi.astype(dtype)).reshape(len(V), d, phi.shape[1] // d)
     scale = okm.scale_sq
     num, den = scale.coeff.numerator, scale.coeff.denominator * gden
-    out = []
-    for q, v, phi_v in zip(sq_int, vecs.tolist(), rows):
+    norms = []
+    for q in sq_int:
         key = (q * num) / den
         for p, e in scale.exps:
             key *= math.pow(p, float(e))
-        out.append((key, tuple(v), phi_v))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+        norms.append(key)
+    coords = vecs.tolist()
+    order = sorted(range(len(norms)), key=lambda i: (norms[i], coords[i]))
+    return np.array(norms, dtype=float)[order], rows[order]
 
 
 def schmidt_count(field: NumberField, k: int, m: int, T, cap: int | None = None) -> int:

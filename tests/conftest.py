@@ -1,8 +1,16 @@
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from latrank import make_field, rationals
+
+# Under CI, property tests draw their examples from a fixed seed and print the
+# blob that replays a failing example, so a red CI run reproduces locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,42 @@ def test_io_failure_exit_4(tmp_path):
     assert code == 4
 
 
+def test_invariant_failure_exit_5(tmp_path, capsys, monkeypatch):
+    # a Hermite form with the right diagonal but twice the determinant: the
+    # neighbor passes its index check and fails the covolume check
+    from latrank import intmat
+
+    hnf = intmat.hermite_normal_form
+
+    def wrong_hnf(A, *args, **kwargs):
+        H, U = hnf(A, *args, **kwargs)
+        H = [list(row) for row in H]
+        H[0][1], H[1][0] = H[0][0], -H[1][1]
+        return H, U
+
+    monkeypatch.setattr(intmat, "hermite_normal_form", wrong_hnf)
+    out = tmp_path / "run"
+    code = main(["hecke-moment", "--n", "2", "--m", "1", "--s", "1", "--primes", "2",
+                 "--ball", "1.5", "--cutoff", "10", "--mc-samples", "1000",
+                 "--output-dir", str(out)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "internal invariant failed: neighbor covolume" in err
+    assert not out.exists()
+
+
+def test_memory_error_exit_6(tmp_path, capsys, monkeypatch):
+    from latrank import cli
+
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "field-info", out_of_memory)
+    code = main(["field-info", "--output-dir", str(tmp_path / "run")])
+    assert code == 6
+    assert "out of memory" in capsys.readouterr().err
+
+
 def test_cap_abort_exit_3(tmp_path, capsys):
     # tiny cap via a huge request: the count-rank enumeration aborts cleanly
     out = tmp_path / "run"

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +20,11 @@ from latrank import (
     to_echelon,
 )
 from latrank import intmat
+from latrank import modules
 from latrank.modules import (
+    _candidates,
     _echelon,
+    _line_echelons,
     dump_module_lines,
     jacobian,
     matrix_module_index,
@@ -30,12 +34,14 @@ from latrank.modules import (
 from latrank.numfield import _regular_rows, flatten_kvector, rank_over_K
 from latrank.zlattice import direct_sum, is_primitive_in, short_vectors
 from tests_support import (
+    brute_force_short,
     denominator_loop,
     from_integral_coords,
     is_integral,
     k_rref,
     kmat_mul,
     lambda_of_loop,
+    span_modules_loop,
 )
 
 
@@ -403,9 +409,6 @@ def test_module_data_matches_reference_quadratic_large_denominators(name, data, 
 def test_candidates_match_per_vector_path(name, m, radius, request):
     # sign representatives, float norms and K-rows against the exact per-vector
     # path, on int64 rows and on rows scaled past the int64 guard
-    from latrank.modules import _candidates
-    from latrank.zlattice import short_vectors
-
     field = request.getfixturevalue(name)
     okm = okn_lattice(field, m)
     bden = intmat.lcm_denominator(okm.basis)
@@ -423,8 +426,9 @@ def test_candidates_match_per_vector_path(name, m, radius, request):
                 kept.add(v)
         want = sorted(((float(okm.sqnorm_exact_of_coords(v)), v, phi_rows(v)) for v in kept),
                       key=lambda t: (t[0], t[1]))
-        assert _candidates(okm, rows) == want
-    assert _candidates(okm, vecs[:0]) == []
+        norms, phi = _candidates(okm, rows)
+        assert list(zip(norms.tolist(), phi.tolist())) == [(t[0], t[2]) for t in want]
+    assert [len(a) for a in _candidates(okm, vecs[:0])] == [0, 0]
 
 
 @st.composite
@@ -486,3 +490,84 @@ def test_module_dump_golden(name, k, m, H, request):
     field = request.getfixturevalue(name)
     dump = dump_module_lines(enumerate_primitive_modules(field, k, m, H))
     assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_DUMPS[name, k, m, H]
+
+
+# -- the k = 1 module search: batched echelon keys ------------------------------
+
+FIELD_NAMES = ["QQ", "Qi", "Qs5", "Qzeta9p", "Qzeta8"]
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_line_echelons_match_rref(name, data, QQ, Qi, Qs5, Qzeta9p, Qzeta8):
+    # the batched fraction-free keys against the rational RREF of each
+    # candidate's Phi rows, on int64 rows and on rows scaled by 2**40 past the
+    # int64 guard; integer multiples of a vector must dedupe to its one line
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5, "Qzeta9p": Qzeta9p, "Qzeta8": Qzeta8}[name]
+    m = data.draw(st.integers(1, 3))
+    r = m * field.degree
+    vecs = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r)
+                              .filter(any), min_size=1, max_size=6))
+    vecs += [[c * x for x in v] for v in vecs for c in (-2, 3)]
+    # _candidates keeps the sign whose first nonzero entry is negative
+    vecs = [v if next(x for x in v if x) < 0 else [-x for x in v] for v in vecs]
+    okm = okn_lattice(field, m)
+    arr = np.array(vecs, dtype=np.int64)
+    for rows in (arr, arr.astype(object) * 2 ** 40):
+        phi = _candidates(okm, rows)[1]
+        want = {}
+        for phi_v in phi.tolist():
+            D = _echelon(field, phi_v)
+            want.setdefault(D.key(), D.pivot_cols)
+        got = _line_echelons(field, phi)
+        assert {D.key(): D.pivot_cols for D in got} == want
+        assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("name,m", [("QQ", 2), ("QQ", 3), ("Qi", 2), ("Qs5", 2)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_span_modules_k1_matches_loop(name, m, data, QQ, Qi, Qs5):
+    # the integer key pass against one RREF per candidate, at random radii and
+    # with a finite bound on the candidate norms
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    okm = okn_lattice(field, m)
+    radius = Fraction(data.draw(st.integers(2, 16 if m == 2 else 10)), 4)
+    prod_bound = data.draw(st.one_of(st.just(math.inf),
+                                     st.floats(0.1, float(radius) ** field.degree)))
+    got = span_modules(okm, 1, radius, prod_bound=prod_bound)
+    want = span_modules_loop(okm, 1, radius, prod_bound=prod_bound)
+    assert dump_module_lines(got) == dump_module_lines(want)
+    assert [P.height_sq for P in got] == [P.height_sq for P in want]
+
+
+@pytest.mark.parametrize("name,m,radius", [("QQ", 2, 5), ("QQ", 3, 3), ("Qi", 2, 2),
+                                           ("Qi", 3, Fraction(3, 2))])
+def test_span_modules_k1_brute_force(name, m, radius, request):
+    # every nonzero vector of a box around the ball, reduced over K one at a time
+    field = request.getfixturevalue(name)
+    okm = okn_lattice(field, m)
+    found = {}
+    for c in brute_force_short(okm, Fraction(radius) ** 2):
+        if any(c):
+            D = to_echelon(field, [okm.kvector_of_coords(c)])
+            found.setdefault(D.key(), D)
+    want = sorted((lambda_of(D) for D in found.values()), key=lambda P: (P.height, P.key()))
+    assert dump_module_lines(span_modules(okm, 1, radius)) == dump_module_lines(want)
+
+
+def test_span_modules_k1_one_lambda_per_key_and_no_rref(Qi, monkeypatch):
+    calls = []
+
+    def counted(D, ambient=None):
+        calls.append(D.key())
+        return lambda_of(D, ambient)
+
+    def no_rref(A):
+        raise AssertionError("intmat.rref called at k = 1")
+
+    monkeypatch.setattr(modules, "lambda_of", counted)
+    monkeypatch.setattr(intmat, "rref", no_rref)
+    got = span_modules(okn_lattice(Qi, 2), 1, 3)
+    assert len(calls) == len(set(calls)) == len(got) > 0

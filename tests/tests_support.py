@@ -265,6 +265,29 @@ def lambda_of_loop(D, ambient=None):
                            height_sq=hsq, denominator=denominator_loop(D))
 
 
+def span_modules_loop(okm, k, radius, cap=None, prod_bound=math.inf):
+    """modules.span_modules with one rational RREF (modules._echelon) per k-tuple
+    of candidates, at every k, and one lambda_of per new echelon key."""
+    from latrank.modules import _candidates, _echelon, lambda_of
+    from latrank.zlattice import short_vectors
+
+    field = okm.ambient.field
+    d = field.degree
+    norms, phi = _candidates(okm, short_vectors(okm, radius, cap=cap))
+    norms, rows = norms.tolist(), phi.tolist()
+    found = {}
+    for combo in itertools.combinations(range(len(rows)), k):
+        if math.prod(norms[i] ** (d / 2.0) for i in combo) > prod_bound:
+            continue
+        D = _echelon(field, [row for i in combo for row in rows[i]])
+        if D.k < k or D.key() in found:
+            continue
+        found[D.key()] = lambda_of(D, okm.ambient)
+        if k * d == okm.rank:
+            break
+    return sorted(found.values(), key=lambda P: (P.height, P.key()))
+
+
 def denominator_loop(D) -> int:
     """Den(D) from a second Smith form, of the rows theta^a * D_i mapped through
     the integral-basis blocks: B = Wk * t_rows * Wm^-1."""
