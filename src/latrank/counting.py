@@ -87,10 +87,10 @@ class TestFunction:
         """f at the zero vector of K_R^n; every ball contains it."""
         return 1.0
 
-    def lattice_sum(self, hl, include_zero: bool, cap: int | None):
+    def lattice_sum(self, hl, include_zero: bool):
         raise ValueError("lattice sums support ball and custom test functions")
 
-    def points_inside(self, lat: ZLattice, T, cap: int | None) -> np.ndarray:
+    def points_inside(self, lat: ZLattice, T) -> np.ndarray:
         """Coordinates of the vectors v of lat with f(v/T) = 1, f = 0 elsewhere."""
         raise ValueError("the exact identity is implemented for ball test functions")
 
@@ -117,12 +117,12 @@ class Ball(TestFunction):
     def column_product(self, m: int, d: int) -> TestFunction:
         return product_of_balls(self.radius, m)
 
-    def lattice_sum(self, hl, include_zero: bool, cap: int | None) -> int:
-        count = len(self.points_inside(hl.lattice, hl.t_scale_sq.sqrt(), cap))
+    def lattice_sum(self, hl, include_zero: bool) -> int:
+        count = len(self.points_inside(hl.lattice, hl.t_scale_sq.sqrt()))
         return count if include_zero else count - 1
 
-    def points_inside(self, lat: ZLattice, T, cap: int | None) -> np.ndarray:
-        return short_vectors(lat, self.support_cover(T, 1), cap=cap)
+    def points_inside(self, lat: ZLattice, T) -> np.ndarray:
+        return short_vectors(lat, self.support_cover(T, 1))
 
 
 @dataclass(frozen=True)
@@ -202,11 +202,11 @@ class Custom(TestFunction):
     def at_zero(self, n: int, d: int) -> float:
         return float(self.evaluator(np.zeros(n * d)))
 
-    def lattice_sum(self, hl, include_zero: bool, cap: int | None) -> float:
+    def lattice_sum(self, hl, include_zero: bool) -> float:
         lat = hl.lattice
         total = 0.0
         inv_t = 1.0 / hl.t_scale
-        for c in short_vectors(lat, self.support_cover(hl.t_scale_sq.sqrt(), 1), cap=cap).tolist():
+        for c in short_vectors(lat, self.support_cover(hl.t_scale_sq.sqrt(), 1)).tolist():
             if not include_zero and not any(c):
                 continue
             emb = lat.ambient.embed(lat.to_ambient(c))
@@ -284,8 +284,7 @@ def ranks_over_K(field: NumberField, coords, row_basis) -> np.ndarray:
 
 
 def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
-              method: str = "auto", cap: int | None = None,
-              threads: int | None = None) -> RankCountReport:
+              method: str = "auto", threads: int | None = None) -> RankCountReport:
     """Sum of f(A/T) over integral n x m matrices of rank exactly k.
 
     method "direct" enumerates the full matrix ball and filters by rank;
@@ -302,16 +301,16 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
     if method == "auto":
         method = "direct" if k == m else "stratified"
     if method == "direct":
-        return _lhs_direct(field, n, m, k, T, f, cap=cap)
+        return _lhs_direct(field, n, m, k, T, f)
     if method == "stratified":
-        return _lhs_stratified(field, n, m, k, T, f, cap=cap)
+        return _lhs_stratified(field, n, m, k, T, f)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _lhs_direct(field, n, m, k, T, f, cap=None):
+def _lhs_direct(field, n, m, k, T, f):
     d = field.degree
     lat = okn_lattice(field, n * m)
-    coords = short_vectors(lat, f.support_cover(T, m), cap=cap)
+    coords = short_vectors(lat, f.support_cover(T, m))
     seen = len(coords)
     # O_K^(nm) is n copies of O_K^m, one per matrix row; its first block is O_K^m
     row_basis = [row[:m * d] for row in lat.basis[:m * d]]
@@ -321,17 +320,17 @@ def _lhs_direct(field, n, m, k, T, f, cap=None):
                            matrices_seen=seen, method="direct")
 
 
-def _lhs_stratified(field, n, m, k, T, f, cap=None):
+def _lhs_stratified(field, n, m, k, T, f):
     d = field.degree
     RT = f.support_cover(T, m)
     raw = 0.0
     seen = 0
     # a counted matrix has k K-independent rows in its Lambda_D, each of norm
     # <= RT, so Lambda_D is spanned by k independent such vectors of O_K^m
-    for P in span_modules(okn_lattice(field, m), k, RT, cap=cap):
+    for P in span_modules(okn_lattice(field, m), k, RT):
         lam = P.lattice
         stacked = direct_sum(lam, n)
-        coords = short_vectors(stacked, RT, cap=cap)
+        coords = short_vectors(stacked, RT)
         seen += len(coords)
         # A = X D with X = A[:, pivots], as D is the identity on its pivot
         # columns, so rank_K A = rank_K X: rank the pivot columns only
@@ -488,12 +487,11 @@ def pivot_product_integral(P: PrimitiveModule, n: int, f: TestFunction) -> float
 
 
 def c1_estimate(field: NumberField, n: int, m: int, k: int, f: TestFunction,
-                height_cutoff, mc_samples: int = 0, seed=None,
-                cap: int | None = None) -> C1Estimate:
+                height_cutoff, mc_samples: int = 0, seed=None) -> C1Estimate:
     """Truncated series for the leading constant, plus a heuristic tail estimate."""
     if not (n > m >= k >= 1):
         raise ValueError("need n > m >= k >= 1")
-    modules = enumerate_primitive_modules(field, k, m, height_cutoff, cap=cap)
+    modules = enumerate_primitive_modules(field, k, m, height_cutoff)
     total = 0.0
     var = 0.0
     terms = []
@@ -570,8 +568,7 @@ def primitive_zeta_check(n: int, m: int, cutoff):
     return lhs, rhs, abs(lhs - rhs) / rhs
 
 
-def koecher_identity_check(field: NumberField, n: int, m: int, cutoff,
-                           cap: int | None = None):
+def koecher_identity_check(field: NumberField, n: int, m: int, cutoff):
     """Rank-one series against the zeta-normalized lattice sum, shared truncation.
 
     series = sum over modules of D(D)^(-n) Integral(ball indicator), H <= cutoff;
@@ -580,7 +577,7 @@ def koecher_identity_check(field: NumberField, n: int, m: int, cutoff,
     """
     if field.degree != 1:
         raise ValueError("the zeta comparison is stated over the rationals")
-    modules = enumerate_primitive_modules(field, 1, m, cutoff, cap=cap)
+    modules = enumerate_primitive_modules(field, 1, m, cutoff)
     f = ball(1)
     series = sum(term_value(P, n, f) for P in modules)
     _, nsq = _grid_norm_sq(m, float(cutoff))

@@ -25,6 +25,11 @@ from .modules import enumerate_primitive_modules
 from .numfield import NumberField, PrimeIdealData, rank_over_K
 from .zlattice import ZLattice, okn_lattice
 
+# Largest Grassmannian enumerate_subspaces lists, and the largest on which
+# convergence_table's "auto" mode averages exactly instead of sampling.
+SUBSPACE_CAP = 2_000_000
+EXACT_SUBSPACE_CAP = 5000
+
 
 # -- finite Grassmannians ---------------------------------------------------------
 
@@ -77,14 +82,14 @@ def _free_positions(pivots, n):
     return free
 
 
-def enumerate_subspaces(s: int, n: int, q: int, cap: int = 2_000_000):
+def enumerate_subspaces(s: int, n: int, q: int):
     """All canonical echelon bases of s-dimensional subspaces of F_q^n."""
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
     count = gaussian_binomial(s, n, q)
-    if count > cap:
+    if count > SUBSPACE_CAP:
         raise ValidationError(
-            f"Grassmannian has {count} subspaces > cap {cap}; use sampling"
+            f"Grassmannian has {count} subspaces > cap {SUBSPACE_CAP}; use sampling"
         )
     if s == 0:
         return [FiniteSubspace(q=q, n=n, s=0, rows=())]
@@ -201,14 +206,13 @@ def hecke_neighbor(field: NumberField, P: PrimeIdealData, S: FiniteSubspace,
     return hl
 
 
-def lattice_sum(hl: HeckeLattice, g: TestFunction, include_zero: bool = True,
-                cap: int | None = None):
+def lattice_sum(hl: HeckeLattice, g: TestFunction, include_zero: bool = True):
     """Sum of g over the rescaled lattice.
 
     Ball indicators give an exact integer count; custom g is evaluated in
     floating point on the embedded rescaled vectors.
     """
-    return g.lattice_sum(hl, include_zero, cap)
+    return g.lattice_sum(hl, include_zero)
 
 
 # -- moments ----------------------------------------------------------------------------
@@ -232,7 +236,7 @@ class MomentReport:
 
 def moment_lhs(field: NumberField, P: PrimeIdealData, n: int, s: int, m: int,
                g: TestFunction, mode: str = "exact", sample_count: int = 0,
-               seed=None, include_zero: bool = True, cap: int | None = None):
+               seed=None, include_zero: bool = True):
     """Average of (sum of g over the neighbor)^m over the neighbors of O_K^n.
 
     Exact mode returns a Fraction for indicator g; sampled mode returns
@@ -244,7 +248,7 @@ def moment_lhs(field: NumberField, P: PrimeIdealData, n: int, s: int, m: int,
         total = 0
         for S in subs:
             hl = hecke_neighbor(field, P, S, base=okn)
-            total += lattice_sum(hl, g, include_zero=include_zero, cap=cap) ** m
+            total += lattice_sum(hl, g, include_zero=include_zero) ** m
         if isinstance(total, int):   # indicator counts average exactly
             return Fraction(total, len(subs))
         return total / len(subs)
@@ -256,14 +260,14 @@ def moment_lhs(field: NumberField, P: PrimeIdealData, n: int, s: int, m: int,
         for i in range(sample_count):
             S = sample_subspace(s, n, P.p, rng)
             hl = hecke_neighbor(field, P, S, base=okn)
-            vals[i] = lattice_sum(hl, g, include_zero=include_zero, cap=cap) ** m
+            vals[i] = lattice_sum(hl, g, include_zero=include_zero) ** m
         stderr = float(vals.std(ddof=1) / math.sqrt(sample_count)) if sample_count > 1 else 0.0
         return float(vals.mean()), stderr
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: int,
-                      g: TestFunction, cap: int | None = None) -> Fraction:
+                      g: TestFunction) -> Fraction:
     """Rank-stratified rewriting of the moment: exact at every finite prime.
 
     Sums, over integral n x m matrices x with every column inside the support
@@ -275,7 +279,7 @@ def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: 
     d = field.degree
     okn = okn_lattice(field, n)
     t_sq = PowerProduct.of(p, Fraction(2 * (n - s), n * d))
-    cols = g.points_inside(okn, t_sq.sqrt(), cap).tolist()
+    cols = g.points_inside(okn, t_sq.sqrt()).tolist()
     # reduction of each candidate column to F_p^n
     red_arr = np.array([[field.reduce_mod_prime(x, P) for x in okn.kvector_of_coords(c)]
                         for c in cols], dtype=np.int64)          # (|C|, n)
@@ -288,8 +292,7 @@ def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: 
 
 
 def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,
-                     height_cutoff, mc_samples: int = 4000, seed=None,
-                     cap: int | None = None):
+                     height_cutoff, mc_samples: int = 4000, seed=None):
     """Limit value of the moments: sum over ranks k of the echelon series.
 
     The k = 0 term is g(0)^m; each k >= 1 term integrates the column-product
@@ -302,7 +305,7 @@ def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,
     stderr_sq = 0.0
     base_seed = 0 if seed is None else int(seed)
     for k in range(1, m + 1):
-        modules = enumerate_primitive_modules(field, k, m, height_cutoff, cap=cap)
+        modules = enumerate_primitive_modules(field, k, m, height_cutoff)
         acc = 0.0
         for idx, P in enumerate(modules):
             tv = term_value_detail(P, n, f, mc_samples=mc_samples,
@@ -349,12 +352,11 @@ def validate_moment_window(n: int, m: int, s: int) -> None:
 
 def convergence_table(field: NumberField, n: int, m: int, s: int, g: TestFunction,
                       primes, mode: str = "exact", height_cutoff=30,
-                      mc_samples: int = 4000, seed=None, exact_cap: int = 5000,
-                      cap: int | None = None) -> list[MomentReport]:
+                      mc_samples: int = 4000, seed=None) -> list[MomentReport]:
     """Per-prime moments against the limit value; the error should trend down."""
     validate_moment_window(n, m, s)
     rhs, _, rhs_err = moment_rhs_limit(field, n, m, g, height_cutoff,
-                                       mc_samples=mc_samples, seed=seed, cap=cap)
+                                       mc_samples=mc_samples, seed=seed)
     reports = []
     sample_count = 0
     if mode.startswith("sampled"):
@@ -362,9 +364,9 @@ def convergence_table(field: NumberField, n: int, m: int, s: int, g: TestFunctio
     for p in primes:
         P = field.prime_above(p)
         n_subs = gaussian_binomial(s, n, p)
-        stratified = moment_stratified(field, P, n, s, m, g, cap=cap)
-        if mode == "exact" or (mode == "auto" and n_subs <= exact_cap):
-            lhs_val = moment_lhs(field, P, n, s, m, g, mode="exact", cap=cap)
+        stratified = moment_stratified(field, P, n, s, m, g)
+        if mode == "exact" or (mode == "auto" and n_subs <= EXACT_SUBSPACE_CAP):
+            lhs_val = moment_lhs(field, P, n, s, m, g, mode="exact")
             reports.append(MomentReport(
                 p=p, s=s, n=n, m=m, mode="exact",
                 lhs=float(lhs_val), stratified=float(stratified), rhs_limit=rhs,
@@ -372,7 +374,7 @@ def convergence_table(field: NumberField, n: int, m: int, s: int, g: TestFunctio
                 lhs_exact=lhs_val, stratified_exact=stratified))
         else:
             mean, stderr = moment_lhs(field, P, n, s, m, g, mode="sampled",
-                                      sample_count=sample_count, seed=seed, cap=cap)
+                                      sample_count=sample_count, seed=seed)
             reports.append(MomentReport(
                 p=p, s=s, n=n, m=m, mode=f"sampled:{sample_count}",
                 lhs=mean, stratified=float(stratified), rhs_limit=rhs,

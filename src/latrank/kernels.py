@@ -9,6 +9,11 @@ The enumeration kernel works in float64 on an LLL-reduced Gram and is always
 followed by an exact integer-arithmetic filter in zlattice.py, so float error
 here can only cost a few spurious candidates, never a missed vector (the
 caller pads the bound).
+
+The exact kernels here and in zlattice.py and modules.py make one overflow
+decision: each computes a bound on every intermediate value and passes it to
+int_dtype, which picks int64 or NumPy object arrays of Python ints.  The same
+expressions then run on either dtype.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ def fp_enumerate(lmat: np.ndarray, dvec: np.ndarray, bound: float, cap: int) -> 
 
 
 def _ranks_by_elimination(batch: np.ndarray, combine) -> np.ndarray:
-    """Ranks of an (N, n, m) int64 batch by row elimination on all matrices at once.
+    """Ranks of an (N, n, m) int64 or object batch by row elimination on all matrices at once.
 
     Column by column, each matrix takes as pivot its first row at or below
     its current rank with a nonzero entry in the column (a masked argmax),
@@ -141,35 +146,37 @@ def _bareiss_step(rows, pivot_row, pval, entries, prev):
     return (pval * rows - entries * pivot_row) // prev
 
 
+def int_dtype(bound: int):
+    """np.int64 when `bound` caps every intermediate value, else object (Python ints).
+
+    Below 2**62 the sum or difference of two such values still fits in int64.
+    """
+    return np.int64 if bound < 2 ** 62 else object
+
+
 def ranks_int64(batch: np.ndarray) -> np.ndarray:
-    """Exact ranks over Z for a (N, n, m) int64 batch. Caller checks overflow safety.
+    """Exact ranks over Z of a (N, n, m) int64 or object batch; the caller picks the dtype.
 
     Fraction-free Bareiss elimination, vectorized over the batch axis.
     """
     return _ranks_by_elimination(batch, _bareiss_step)
 
 
-def ranks_int_safe_bound(max_abs: int, nrow: int, ncol: int) -> bool:
-    """Whether Bareiss on int64 is overflow-safe for entries bounded by max_abs."""
+def bareiss_bound(max_abs: int, nrow: int, ncol: int) -> int:
+    """A bound on the values Bareiss elimination forms from entries bounded by max_abs."""
     k = min(nrow, ncol)
-    # Hadamard bound on any minor, squared growth during cross-multiplication
-    b = 1.0
-    for _ in range(k):
-        b *= math.sqrt(ncol) * max(max_abs, 1)
-    return b * b * max(max_abs, 1) < 2 ** 62
+    b = max(max_abs, 1)
+    # Hadamard bound (sqrt(ncol) b)^k on any minor, squared by the cross-multiplication
+    return ncol ** k * b ** (2 * k + 1)
 
 
 def ranks_over_z(batch: np.ndarray) -> np.ndarray:
-    """Exact ranks with automatic fallback to Python big ints when int64 is unsafe."""
+    """Exact ranks over Z of a (N, n, m) integer batch, in int64 or in Python ints."""
     if batch.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     max_abs = max(int(batch.max()), -int(batch.min())) if batch.size else 0
-    if ranks_int_safe_bound(max_abs, batch.shape[1], batch.shape[2]):
-        return ranks_int64(batch.astype(np.int64, copy=False))
-    from . import intmat
-
-    return np.array([intmat.rank([[int(v) for v in row] for row in mat])
-                     for mat in batch], dtype=np.int64)
+    dtype = int_dtype(bareiss_bound(max_abs, batch.shape[1], batch.shape[2]))
+    return ranks_int64(batch.astype(dtype, copy=False))
 
 
 def ranks_regular(coords: np.ndarray, to_blocks: np.ndarray, d: int) -> np.ndarray:
@@ -180,8 +187,8 @@ def ranks_regular(coords: np.ndarray, to_blocks: np.ndarray, d: int) -> np.ndarr
     matrix, all scaled by one integer, is coords[i, t] @ to_blocks, reshaped
     to (d, c*d) (coords (N, n, r), to_blocks (r, d*c*d) integers).  The
     (n d) x (c d) block matrix has rank d * rank_K over Q, which ranks_over_z
-    computes.  The batch is transformed and ranked in _BLOCK pieces, in
-    int64 when every product fits and in Python ints otherwise.
+    computes.  The batch is transformed and ranked in _BLOCK pieces, each in
+    the dtype int_dtype picks for its products.
     """
     nmat, nrow, width = coords.shape
     ncol = to_blocks.shape[1] // d
@@ -190,7 +197,7 @@ def ranks_regular(coords: np.ndarray, to_blocks: np.ndarray, d: int) -> np.ndarr
     for start in range(0, nmat, _BLOCK):
         chunk = coords[start:start + _BLOCK]
         max_c = int(np.max(np.abs(chunk))) if chunk.size else 0
-        dtype = np.int64 if max_c * scale < 2 ** 62 else object
+        dtype = int_dtype(max_c * scale)
         blocks = chunk.astype(dtype, copy=False) @ to_blocks.astype(dtype)
         ranks[start:start + chunk.shape[0]] = \
             ranks_over_z(blocks.reshape(-1, nrow * d, ncol)) // d
@@ -202,15 +209,13 @@ def ranks_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
 
     Rows below the pivot become pval * row - entry * pivot_row (mod p), a
     row scaled by the unit pval plus a multiple of the pivot row, so no
-    pivot inverse is needed; with p*p < 2**31 every product fits in int64.
+    pivot inverse is needed; every value stays below 2 p^2 in absolute value.
     """
     if batch.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    if p * p >= 2 ** 31:
-        raise ValueError("p too large for the mod-p rank kernel")
-    p = np.int64(p)
+    dtype = int_dtype(2 * int(p) ** 2)
 
     def step(rows, pivot_row, pval, entries, prev):
         return (pval * rows - entries * pivot_row) % p
 
-    return _ranks_by_elimination(batch.astype(np.int64) % p, step)
+    return _ranks_by_elimination(batch.astype(dtype) % p, step)

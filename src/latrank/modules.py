@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import intmat
+from . import intmat, kernels
 from .exactval import PowerProduct
 from .numfield import (
     NumberField,
@@ -249,8 +249,8 @@ def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:
     return _echelon(field, lat.basis)
 
 
-def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound,
-                                cap: int | None = None) -> list[PrimitiveModule]:
+def enumerate_primitive_modules(field: NumberField, k: int, m: int,
+                                height_bound) -> list[PrimitiveModule]:
     """All primitive rank-k O_K-modules in O_K^m with H <= height_bound.
 
     Search: every qualifying module has successive K-minima whose norms are
@@ -276,12 +276,12 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int, height_bound
     c6 = 2.0 ** (kd * (kd - 1) / 4.0)
     per_vec = (c6 * float(bound) / nu ** (d * (k - 1))) ** (1.0 / d)
     bound_sq = PowerProduct.coerce(bound ** 2)
-    spans = span_modules(okm, k, per_vec * (1 + 1e-9), cap=cap,
+    spans = span_modules(okm, k, per_vec * (1 + 1e-9),
                          prod_bound=c6 * float(bound) * (1 + 1e-6))
     return [P for P in spans if P.height_sq <= bound_sq]
 
 
-def span_modules(okm: ZLattice, k: int, radius, cap: int | None = None,
+def span_modules(okm: ZLattice, k: int, radius,
                  prod_bound: float = math.inf) -> list[PrimitiveModule]:
     """Lambda_D for every K-span of k independent vectors of okm = O_K^m with norm <= radius.
 
@@ -293,7 +293,7 @@ def span_modules(okm: ZLattice, k: int, radius, cap: int | None = None,
     """
     field = okm.ambient.field
     d = field.degree
-    norms, phi = _candidates(okm, short_vectors(okm, radius, cap=cap))
+    norms, phi = _candidates(okm, short_vectors(okm, radius))
     if k == 1:
         echelons = _line_echelons(field, phi[norms ** (d / 2.0) <= prod_bound])
     else:
@@ -333,7 +333,7 @@ def _line_echelons(field: NumberField, phi: np.ndarray) -> list[EchelonMatrix]:
     # order <= d of [B^T | e_0], each minor at most (sqrt(d) b)^d (Hadamard);
     # the numerators, d products of such a minor and an entry, stay below too
     b = max(int(np.max(np.abs(phi))), 1)
-    dtype = np.int64 if 2 * d ** d * b ** (2 * d) < 2 ** 62 else object
+    dtype = kernels.int_dtype(2 * d ** d * b ** (2 * d))
     phi = phi.astype(dtype)
     blocks = phi.reshape(n, d, m, d)[np.arange(n), :, pivots, :]
     M = np.concatenate([blocks.transpose(0, 2, 1), np.zeros((n, d, 1), dtype=dtype)], axis=2)
@@ -382,7 +382,7 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
     phi = _regular_rows(field, _integral(okm.basis)[1]).reshape(r, -1)
     max_v = int(np.max(np.abs(vecs))) if vecs.size else 0
     max_gb = max(max(abs(x) for row in g_int for x in row), int(np.max(np.abs(phi))))
-    dtype = np.int64 if r * r * max_gb * (max_v + 1) ** 2 < 2 ** 62 else object
+    dtype = kernels.int_dtype(r * r * max_gb * (max_v + 1) ** 2)
     V = vecs.astype(dtype)
     sq_int = ((V @ np.array(g_int, dtype=dtype)) * V).sum(axis=1).tolist()
     rows = (V @ phi.astype(dtype)).reshape(len(V), d, phi.shape[1] // d)
@@ -399,8 +399,8 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
     return np.array(norms, dtype=float)[order], rows[order]
 
 
-def schmidt_count(field: NumberField, k: int, m: int, T, cap: int | None = None) -> int:
-    return len(enumerate_primitive_modules(field, k, m, T, cap=cap))
+def schmidt_count(field: NumberField, k: int, m: int, T) -> int:
+    return len(enumerate_primitive_modules(field, k, m, T))
 
 
 def dump_module_lines(modules) -> str:
@@ -425,10 +425,10 @@ def dump_module_lines(modules) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def matrices_with_rows(n: int, P: PrimitiveModule, radius, cap: int | None = None):
+def matrices_with_rows(n: int, P: PrimitiveModule, radius):
     """All elements of M_n(Lambda_D) with Frobenius twisted norm <= radius, as K-matrices."""
     stacked = direct_sum(P.lattice, n)
-    coords = short_vectors(stacked, radius, cap=cap).tolist()
+    coords = short_vectors(stacked, radius).tolist()
     r = P.lattice.rank
     out = []
     for c in coords:

@@ -405,17 +405,17 @@ def _coerce_radius_sq(radius) -> PowerProduct:
     return PowerProduct.coerce(Fraction(float(radius)) ** 2)
 
 
-def short_vectors(lat: ZLattice, radius, cap: int | None = None) -> np.ndarray:
+def short_vectors(lat: ZLattice, radius) -> np.ndarray:
     """Exactly the coordinate vectors x with ||x * basis|| <= radius.
 
-    Returns an (N, rank) int64 array whose rows are sorted lexicographically
-    and include 0; if a coordinate does not fit in int64 the array holds
-    Python ints (dtype object), in the same order.  Output is complete
-    (float enumeration is padded, then filtered with exact integer
-    arithmetic) and deterministic.  The radius may be a float, Fraction, or
-    PowerProduct; floats are treated as the exact binary rational they
-    denote.  An enumeration that creates more than `cap` rows (default
-    DEFAULT_ENUM_CAP), counted at every level of the search, stops with
+    Returns an (N, rank) integer array whose rows are sorted lexicographically
+    and include 0, in the dtype kernels.int_dtype picks for the coordinate
+    transform: int64, or object (Python ints) when a coordinate could pass
+    int64.  Output is complete (float enumeration is padded, then filtered
+    with exact integer arithmetic) and deterministic.  The radius may be a
+    float, Fraction, or PowerProduct; floats are treated as the exact binary
+    rational they denote.  An enumeration that creates more than
+    DEFAULT_ENUM_CAP rows, counted at every level of the search, stops with
     EnumerationCapError, which reports the count it reached and the radius.
     """
     radius_sq = _coerce_radius_sq(radius)
@@ -437,7 +437,7 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None) -> np.ndarray:
 
     bound_f = float(bound_int) * (1.0 + 1e-9) + 1e-9
     try:
-        ys = kernels.fp_enumerate(lmat, dvec, bound_f, cap or DEFAULT_ENUM_CAP)
+        ys = kernels.fp_enumerate(lmat, dvec, bound_f, DEFAULT_ENUM_CAP)
     except EnumerationCapError as exc:
         raise EnumerationCapError(exc.estimate, exc.cap,
                                   math.sqrt(float(radius_sq))) from None
@@ -447,36 +447,30 @@ def short_vectors(lat: ZLattice, radius, cap: int | None = None) -> np.ndarray:
     del ys
     max_u = max((abs(x) for row in U for x in row), default=0)
     max_y = int(np.max(np.abs(accepted))) if accepted.size else 0
-    if max_u * max_y * lat.rank < 2 ** 62:
-        out = accepted @ np.array(U, dtype=np.int64)
-        return out[np.lexsort(out.T[::-1])]
-    out = sorted(tuple(intmat.vec_mat([int(v) for v in y], U)) for y in accepted)
-    return np.array(out, dtype=object).reshape(len(out), lat.rank)
+    # 0 is always accepted, so max(max_y, 1) also keeps U itself in range
+    dtype = kernels.int_dtype(max_u * max(max_y, 1) * lat.rank)
+    out = accepted.astype(dtype, copy=False) @ np.array(U, dtype=dtype)
+    return out[np.lexsort(out.T[::-1])]
 
 
 def _filter_exact(ys: np.ndarray, g_int, bound_int: PowerProduct) -> np.ndarray:
     if ys.shape[0] == 0:
         return ys
-    g_arr = np.array(g_int, dtype=np.int64)
-    max_y = int(np.max(np.abs(ys))) if ys.size else 0
-    max_g = int(np.max(np.abs(g_arr)))
-    r = g_arr.shape[0]
-    safe = max_g * (max_y + 1) ** 2 * r * r < 2 ** 62
-    if safe:
-        q = np.einsum("ni,ij,nj->n", ys, g_arr, ys)
-    else:
-        q = np.array([_qform_bigint(y, g_int) for y in ys], dtype=object)
+    r = len(g_int)
+    max_y = int(np.max(np.abs(ys)))
+    max_g = max(abs(v) for row in g_int for v in row)
+    q_bound = max_g * (max_y + 1) ** 2 * r * r
+    dtype = kernels.int_dtype(q_bound)
+    y = ys.astype(dtype, copy=False)
+    q = ((y @ np.array(g_int, dtype=dtype)) * y).sum(axis=1)
     if bound_int.is_rational():
+        # for an integer q and den > 0, q * den <= num is q <= num // den,
+        # and the cap at q_bound keeps the right side in q's dtype
         b = bound_int.as_fraction()
-        qmax = int(np.max(np.abs(q))) if safe and q.size else 0
-        if safe and b.numerator < 2 ** 62 and qmax * b.denominator < 2 ** 62:
-            mask = q * b.denominator <= b.numerator
-        else:
-            mask = np.array([int(v) * b.denominator <= b.numerator for v in q], dtype=bool)
-        return ys[mask]
+        return ys[q <= min(b.numerator // b.denominator, q_bound)]
     # irrational bound: floats decide away from the boundary, exact compare at it
     bf = float(bound_int)
-    qf = q.astype(float) if safe else np.array([float(v) for v in q])
+    qf = q.astype(float)
     mask = qf <= bf * (1 - 1e-9)
     boundary = ~mask & (qf <= bf * (1 + 1e-9))
     for idx in np.nonzero(boundary)[0]:
@@ -484,19 +478,6 @@ def _filter_exact(ys: np.ndarray, g_int, bound_int: PowerProduct) -> np.ndarray:
         if qv == 0 or PowerProduct.coerce(qv) <= bound_int:
             mask[idx] = True
     return ys[mask]
-
-
-def _qform_bigint(y, g_int) -> int:
-    acc = 0
-    for i, a in enumerate(y):
-        a = int(a)
-        if a:
-            row = g_int[i]
-            for j, b in enumerate(y):
-                b = int(b)
-                if b:
-                    acc += a * b * row[j]
-    return acc
 
 
 def shortest_nonzero_sqnorm(lat: ZLattice) -> PowerProduct:

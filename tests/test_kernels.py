@@ -8,9 +8,6 @@ from latrank.errors import EnumerationCapError
 from latrank.zlattice import DEFAULT_ENUM_CAP as CAP
 from tests_support import fp_enumerate_loop, ranks_int_loop, ranks_mod_p_loop
 
-# largest prime with p*p < 2**31, the mod-p kernel's limit
-P_MAX = 46337
-
 
 def _cholesky_data(gram):
     g = np.array(gram, dtype=float)
@@ -125,6 +122,8 @@ def test_ranks_paths_agree(monkeypatch):
         assert list(loop) == expect
         assert list(kernels.ranks_int64(batch)) == expect
         assert list(kernels.ranks_over_z(batch)) == expect
+        # the same elimination on Python ints, scaled past int64
+        assert list(kernels.ranks_over_z(batch.astype(object) * 2 ** 40)) == expect
     # batches that cross a chunk boundary
     monkeypatch.setattr(kernels, "_BLOCK", 16)
     for batch in batches:
@@ -154,7 +153,7 @@ def _rank_mod_p_oracle(M, p):
 def test_ranks_mod_p_paths_agree(monkeypatch):
     rng = np.random.default_rng(2)
     batches = _rank_batches(rng)
-    for p in (2, 3, 5, 11, 53, P_MAX):
+    for p in (2, 3, 5, 11, 53, 46337):
         for batch in batches:
             batch = batch * rng.integers(1, 10 ** 6, size=batch.shape)  # entries past p
             expect = ranks_mod_p_loop(batch, np.int64(p), np.zeros(len(batch), dtype=np.int64))
@@ -166,15 +165,24 @@ def test_ranks_mod_p_paths_agree(monkeypatch):
     assert np.array_equal(kernels.ranks_mod_p(batch, 5), expect)
     # p * I has rank 0 mod p
     assert list(kernels.ranks_mod_p(np.array([5 * np.eye(3, dtype=np.int64)]), 5)) == [0]
-    with pytest.raises(ValueError):
-        kernels.ranks_mod_p(batch, 46349)
+    # every prime: 46349 runs in int64, 2147483659 (2 p^2 > 2**62) in Python ints
+    for p, dtype in ((46349, np.int64), (2147483659, object)):
+        assert kernels.int_dtype(2 * p * p) is dtype
+        for batch in batches:
+            batch = batch * rng.integers(1, 10 ** 6, size=batch.shape)
+            assert list(kernels.ranks_mod_p(batch, p)) == [_rank_mod_p_oracle(M, p) for M in batch]
+
+
+def test_int_dtype_boundary():
+    assert kernels.int_dtype(2 ** 62 - 1) is np.int64
+    assert kernels.int_dtype(2 ** 62) is object
 
 
 def test_ranks_over_z_bigint_fallback():
     big = 10 ** 12
     batch = np.array([[[big, 0], [0, big]], [[big, big], [big, big]],
                       [[big, 1], [big + 1, 1]], [[0, 0], [0, 0]]], dtype=np.int64)
-    assert not kernels.ranks_int_safe_bound(big + 1, 2, 2)
+    assert kernels.int_dtype(kernels.bareiss_bound(big + 1, 2, 2)) is object
     assert list(kernels.ranks_over_z(batch)) == [2, 1, 2, 0]
     huge = np.array([[[10 ** 30, 1], [2 * 10 ** 30, 2]], [[10 ** 30, 1], [1, 10 ** 30]]],
                     dtype=object)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from latrank import (
     successive_k_minima,
     unit_ball_volume,
 )
+from latrank import kernels, zlattice
 from latrank.errors import MembershipError
 from latrank.zlattice import (
     _lll_transform,
@@ -198,6 +200,20 @@ def _rows(arr):
     return [tuple(v) for v in arr.tolist()]
 
 
+def _log_int_dtype(mp):
+    """Record (calling function, dtype) for every kernels.int_dtype decision."""
+    log = []
+    pick = kernels.int_dtype
+
+    def spy(bound):
+        dtype = pick(bound)
+        log.append((sys._getframe(1).f_code.co_name, dtype))
+        return dtype
+
+    mp.setattr(kernels, "int_dtype", spy)
+    return log
+
+
 class TestShortVectors:
     def test_z2_radius1(self):
         got = short_vectors(integer_lattice(2), 1)
@@ -272,9 +288,10 @@ class TestShortVectors:
         assert all(q <= nrm for q in qs)
         assert any(q == nrm for q in qs)
 
-    def test_cap_abort(self):
+    def test_cap_abort(self, monkeypatch):
+        monkeypatch.setattr(zlattice, "DEFAULT_ENUM_CAP", 10_000)
         with pytest.raises(EnumerationCapError) as exc:
-            short_vectors(integer_lattice(4), 500, cap=10_000)
+            short_vectors(integer_lattice(4), 500)
         assert exc.value.estimate > 10_000
         assert (exc.value.cap, exc.value.radius) == (10_000, 500)
 
@@ -293,6 +310,42 @@ class TestShortVectors:
         got = short_vectors(L, 1)
         assert got.dtype == object
         assert _rows(got) == [(-big, 1), (-1, 0), (0, 0), (1, 0), (big, -1)]
+        # only 0 inside: the transform's bound still covers U's own entries
+        assert _rows(short_vectors(L, Fraction(1, 2))) == [(0, 0)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_object_dtype_matches_int64(self, data):
+        # the same lattice points through the Python-int path of each site:
+        # a Gram scaled by 4^40 (radius by 2^40) puts the exact filter's
+        # quadratic form past 2**62, and the basis E B, with E unimodular and
+        # one entry 2^62, puts the coordinate transform there
+        r = data.draw(st.integers(1, 3), label="rank")
+        n = r + data.draw(st.integers(0, 1), label="extra columns")
+        B = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                               min_size=r, max_size=r), label="B")
+        assume(intmat.rank(B) == r)
+        radius = Fraction(data.draw(st.integers(1, 12), label="radius numerator"),
+                          data.draw(st.integers(1, 3), label="radius denominator"))
+        want = _rows(short_vectors(ZLattice(B, Ambient.standard(n)), radius))
+        s = 2 ** 40
+        with pytest.MonkeyPatch.context() as mp:
+            log = _log_int_dtype(mp)
+            scaled = ZLattice([[s * x for x in row] for row in B], Ambient.standard(n))
+            assert _rows(short_vectors(scaled, s * radius)) == want
+            assert ("_filter_exact", object) in log
+        if r == 1:
+            return
+        t = 2 ** 62
+        skewed = [list(row) for row in B]
+        skewed[-1] = [a + t * b for a, b in zip(B[-1], B[0])]
+        # x B = x' (E B) for x' = x E^-1: x'_0 = x_0 - t x_(r-1)
+        expect = sorted((x[0] - t * x[-1],) + x[1:] for x in want)
+        with pytest.MonkeyPatch.context() as mp:
+            log = _log_int_dtype(mp)
+            got = short_vectors(ZLattice(skewed, Ambient.standard(n)), radius)
+            assert _rows(got) == expect
+            assert ("short_vectors", object) in log
 
 
 class TestSaturate:

@@ -265,7 +265,7 @@ def lambda_of_loop(D, ambient=None):
                            height_sq=hsq, denominator=denominator_loop(D))
 
 
-def span_modules_loop(okm, k, radius, cap=None, prod_bound=math.inf):
+def span_modules_loop(okm, k, radius, prod_bound=math.inf):
     """modules.span_modules with one rational RREF (modules._echelon) per k-tuple
     of candidates, at every k, and one lambda_of per new echelon key."""
     from latrank.modules import _candidates, _echelon, lambda_of
@@ -273,7 +273,7 @@ def span_modules_loop(okm, k, radius, cap=None, prod_bound=math.inf):
 
     field = okm.ambient.field
     d = field.degree
-    norms, phi = _candidates(okm, short_vectors(okm, radius, cap=cap))
+    norms, phi = _candidates(okm, short_vectors(okm, radius))
     norms, rows = norms.tolist(), phi.tolist()
     found = {}
     for combo in itertools.combinations(range(len(rows)), k):
