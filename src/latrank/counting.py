@@ -87,7 +87,12 @@ class TestFunction:
         """f at the zero vector of K_R^n; every ball contains it."""
         return 1.0
 
-    def lattice_sum(self, hl, include_zero: bool):
+    def lattice_points(self, lat: ZLattice, t_sq: PowerProduct):
+        """(coords, values): the vectors v of lat where g(v/T) may be nonzero, T^2 = t_sq.
+
+        values holds g(v/T) per row of coords, or is None for an indicator,
+        which is 1 on every row.
+        """
         raise ValueError("lattice sums support ball and custom test functions")
 
     def points_inside(self, lat: ZLattice, T) -> np.ndarray:
@@ -117,9 +122,8 @@ class Ball(TestFunction):
     def column_product(self, m: int, d: int) -> TestFunction:
         return product_of_balls(self.radius, m)
 
-    def lattice_sum(self, hl, include_zero: bool) -> int:
-        count = len(self.points_inside(hl.lattice, hl.t_scale_sq.sqrt()))
-        return count if include_zero else count - 1
+    def lattice_points(self, lat: ZLattice, t_sq: PowerProduct):
+        return self.points_inside(lat, t_sq.sqrt()), None
 
     def points_inside(self, lat: ZLattice, T) -> np.ndarray:
         return short_vectors(lat, self.support_cover(T, 1))
@@ -202,16 +206,12 @@ class Custom(TestFunction):
     def at_zero(self, n: int, d: int) -> float:
         return float(self.evaluator(np.zeros(n * d)))
 
-    def lattice_sum(self, hl, include_zero: bool) -> float:
-        lat = hl.lattice
-        total = 0.0
-        inv_t = 1.0 / hl.t_scale
-        for c in short_vectors(lat, self.support_cover(hl.t_scale_sq.sqrt(), 1)).tolist():
-            if not include_zero and not any(c):
-                continue
-            emb = lat.ambient.embed(lat.to_ambient(c))
-            total += float(self.evaluator(emb * inv_t))
-        return total
+    def lattice_points(self, lat: ZLattice, t_sq: PowerProduct):
+        coords = short_vectors(lat, self.support_cover(t_sq.sqrt(), 1))
+        inv_t = 1.0 / math.sqrt(float(t_sq))
+        values = [float(self.evaluator(lat.ambient.embed(lat.to_ambient(c)) * inv_t))
+                  for c in coords.tolist()]
+        return coords, np.array(values, dtype=float)
 
 
 def ball(radius) -> TestFunction:

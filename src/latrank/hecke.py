@@ -5,6 +5,11 @@ A (P, s)-neighbor of O_K^n is the preimage of an s-dimensional subspace of
 covolume.  Averaging m-th powers of lattice sums over all neighbors equals a
 rank-stratified sum over integral matrices exactly at every finite prime, and
 converges to the echelon-matrix series as N(P) grows.
+
+Lattice sums never build a neighbor: one enumeration of O_K^n per prime,
+reduced mod P and grouped by residue class, gives the sum over every
+neighbor at once, since x lies in the neighbor of S exactly when x mod P
+lies in S.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from . import intmat
 from .counting import TestFunction, term_value_detail
 from .errors import InvariantError, ValidationError
 from .exactval import PowerProduct
-from .kernels import ranks_mod_p
+from .kernels import int_dtype, ranks_mod_p
 from .modules import enumerate_primitive_modules
 from .numfield import NumberField, PrimeIdealData, rank_over_K
 from .zlattice import ZLattice, okn_lattice
@@ -29,6 +34,12 @@ from .zlattice import ZLattice, okn_lattice
 # convergence_table's "auto" mode averages exactly instead of sampling.
 SUBSPACE_CAP = 2_000_000
 EXACT_SUBSPACE_CAP = 5000
+
+# Largest number of (subspace, residue class) membership tests one batched
+# pass holds; the subspaces are tested in consecutive chunks of
+# _PAIR_BLOCK // (number of classes), so a pass's memory stays bounded at
+# every prime (the convention of kernels._BLOCK).
+_PAIR_BLOCK = 1 << 18
 
 
 # -- finite Grassmannians ---------------------------------------------------------
@@ -44,8 +55,13 @@ class FiniteSubspace:
     rows: tuple   # s rows of length n, entries in [0, q)
 
     def __post_init__(self):
-        if self.s == 0:
-            return
+        if len(self.rows) != self.s:
+            raise ValueError(f"need s = {self.s} rows, got {len(self.rows)}")
+        for row in self.rows:
+            if len(row) != self.n:
+                raise ValueError(f"rows must have length n = {self.n}, got {len(row)}")
+            if not all(0 <= x < self.q for x in row):
+                raise ValueError(f"entries must lie in [0, {self.q}), got {row}")
         pivots = []
         for i, row in enumerate(self.rows):
             piv = next((j for j, x in enumerate(row) if x), None)
@@ -82,8 +98,12 @@ def _free_positions(pivots, n):
     return free
 
 
-def enumerate_subspaces(s: int, n: int, q: int):
-    """All canonical echelon bases of s-dimensional subspaces of F_q^n."""
+def _subspace_rows(s: int, n: int, q: int) -> np.ndarray:
+    """(|Gr|, s, n) int64 echelon rows of every s-dimensional subspace of F_q^n.
+
+    Pivot sets come in itertools.combinations order and, within one, the
+    free entries in itertools.product order over range(q).
+    """
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
     count = gaussian_binomial(s, n, q)
@@ -91,22 +111,25 @@ def enumerate_subspaces(s: int, n: int, q: int):
         raise ValidationError(
             f"Grassmannian has {count} subspaces > cap {SUBSPACE_CAP}; use sampling"
         )
-    if s == 0:
-        return [FiniteSubspace(q=q, n=n, s=0, rows=())]
-    out = []
+    cells = []
     for pivots in itertools.combinations(range(n), s):
         free = _free_positions(pivots, n)
-        base = [[0] * n for _ in range(s)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        for fill in itertools.product(range(q), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, j), v in zip(free, fill):
-                rows[i][j] = v
-            out.append(FiniteSubspace(q=q, n=n, s=s,
-                                      rows=tuple(tuple(r) for r in rows)))
+        size = q ** len(free)
+        cell = np.zeros((size, s, n), dtype=np.int64)
+        cell[:, range(s), pivots] = 1
+        fills = np.indices((q,) * len(free)).reshape(len(free), size)
+        for (i, j), column in zip(free, fills):
+            cell[:, i, j] = column
+        cells.append(cell)
+    out = np.concatenate(cells)
     assert len(out) == count
     return out
+
+
+def enumerate_subspaces(s: int, n: int, q: int):
+    """All canonical echelon bases of s-dimensional subspaces of F_q^n."""
+    return [FiniteSubspace(q=q, n=n, s=s, rows=tuple(map(tuple, rows)))
+            for rows in _subspace_rows(s, n, q).tolist()]
 
 
 def sample_subspace(s: int, n: int, q: int, rng: np.random.Generator) -> FiniteSubspace:
@@ -142,7 +165,49 @@ def containment_probability(k: int, s: int, n: int, q: int) -> Fraction:
     return Fraction(gaussian_binomial(s - k, n - k, q), gaussian_binomial(s, n, q))
 
 
+def _check_matrices(rows: np.ndarray, q: int) -> np.ndarray:
+    """(B, n - s, n) bases of the annihilators of the subspaces with echelon rows (B, s, n).
+
+    Each non-pivot column j gives the check row with 1 at j and -rows[i][j]
+    at the pivot of row i, orthogonal to every row of the echelon basis.
+    """
+    B, s, n = rows.shape
+    pivots = (rows != 0).argmax(axis=2)                          # (B, s)
+    is_pivot = np.zeros((B, n), dtype=bool)
+    np.put_along_axis(is_pivot, pivots, True, axis=1)
+    free = np.argsort(is_pivot, axis=1, kind="stable")[:, :n - s]  # (B, n - s)
+    checks = np.zeros((B, n - s, n), dtype=np.int64)
+    at = np.arange(B)[:, None, None]
+    check_row = np.arange(n - s)[None, None, :]
+    checks[at[:, :, 0], check_row[0], free] = 1
+    # checks[b, t, pivots[b, i]] = -rows[b, i, free[b, t]]
+    checks[at, check_row, pivots[:, :, None]] = \
+        -np.take_along_axis(rows, free[:, None, :], axis=2) % q
+    return checks
+
+
 # -- Hecke neighbors -----------------------------------------------------------------
+
+
+def _t_scale_sq(p: int, n: int, s: int, d: int) -> PowerProduct:
+    """T_P^2 = N(P)^(2 (n - s) / (n d)) for a degree-one prime above p."""
+    return PowerProduct.of(p, Fraction(2 * (n - s), n * d))
+
+
+def _residues(field: NumberField, P: PrimeIdealData, coords: np.ndarray) -> np.ndarray:
+    """(N, n) int64 images mod P of the points of O_K^n with okn_lattice coordinates coords.
+
+    One integer product with the (n d, n) residue matrix, whose column c
+    holds the images of the integral basis under theta -> P.root in rows
+    c d .. c d + d - 1.
+    """
+    d = field.degree
+    n = coords.shape[1] // d
+    images = np.array([[field.reduce_mod_prime(u, P)] for u in field.basis_elements()])
+    residue = np.kron(np.eye(n, dtype=np.int64), images)
+    max_c = int(np.max(np.abs(coords))) if coords.size else 0
+    dtype = int_dtype(n * d * max_c * P.p)
+    return (coords.astype(dtype, copy=False) @ residue.astype(dtype) % P.p).astype(np.int64)
 
 
 @dataclass
@@ -198,12 +263,65 @@ def hecke_neighbor(field: NumberField, P: PrimeIdealData, S: FiniteSubspace,
         raise InvariantError(f"neighbor index: {abs(det)} != p^(n-s) = {p ** (n - s)}")
     basis = intmat.mat_mul(basis_w, [list(r) for r in okn.basis])
     lat = ZLattice(basis, okn.ambient, ok_module=True)
-    t_sq = PowerProduct.of(p, Fraction(2 * (n - s), n * d))
+    t_sq = _t_scale_sq(p, n, s, d)
     hl = HeckeLattice(lattice=lat, prime=P, subspace=S,
                       t_scale=math.sqrt(float(t_sq)), t_scale_sq=t_sq)
     if not hl.covolume_sq() == PowerProduct.coerce(1):
         raise InvariantError("neighbor covolume: the rescaled lattice does not have covolume 1")
     return hl
+
+
+def _neighbor_sums(field: NumberField, P: PrimeIdealData, rows: np.ndarray, g: TestFunction,
+                   include_zero: bool, check_incidence: bool = False) -> list:
+    """Sum of g over each rescaled (P, s)-neighbor of O_K^n, one per echelon basis in rows.
+
+    rows is a (B, s, n) integer array.  The neighbor of S is
+    L_S = {x in O_K^n : x mod P in S}, so one enumeration of O_K^n at g's
+    support radius times T_P serves all of them: the points are reduced mod
+    P and grouped by residue class, and each class is tested against the
+    check matrix of each S, in chunks of _PAIR_BLOCK tests.  Ball
+    indicators give exact int counts; custom g sums its values on the
+    embedded points divided by T_P, as floats.
+
+    With check_incidence, rows must be the whole Grassmannian, and the
+    points counted over all neighbors must match the incidence count: the
+    zero class lies in every S and any other class in the
+    gaussian_binomial(s - 1, n - 1, p) subspaces that contain it.
+    """
+    p = P.p
+    _, s, n = rows.shape
+    coords, values = g.lattice_points(okn_lattice(field, n),
+                                      _t_scale_sq(p, n, s, field.degree))
+    if not include_zero:
+        nonzero = (coords != 0).any(axis=1)
+        coords = coords[nonzero]
+        values = None if values is None else values[nonzero]
+    classes, inverse, counts = np.unique(_residues(field, P, coords), axis=0,
+                                         return_inverse=True, return_counts=True)
+    dtype = int_dtype(n * p * p)
+    classes_t = classes.T.astype(dtype)
+    hits = np.zeros(len(rows), dtype=np.int64)
+    sums = np.zeros(len(rows)) if values is not None else hits
+    if values is not None:
+        class_values = np.bincount(inverse.reshape(-1), weights=values,
+                                   minlength=len(classes))
+    step = max(1, _PAIR_BLOCK // max(1, len(classes)))
+    for start in range(0, len(rows), step):
+        checks = _check_matrices(rows[start:start + step], p).astype(dtype)
+        inside = (checks @ classes_t % p == 0).all(axis=1)       # (chunk, classes)
+        hits[start:start + step] = inside @ counts
+        if values is not None:
+            sums[start:start + step] = inside @ class_values
+    if check_incidence:
+        zero_class = int(counts[~classes.any(axis=1)].sum())
+        want = (gaussian_binomial(s, n, p) * zero_class
+                + gaussian_binomial(s - 1, n - 1, p) * (len(coords) - zero_class))
+        got = int(hits.sum())
+        if got != want:
+            raise InvariantError(
+                f"neighbor incidence: {got} points counted over {len(rows)} "
+                f"neighbors, expected {want}")
+    return sums.tolist()
 
 
 def lattice_sum(hl: HeckeLattice, g: TestFunction, include_zero: bool = True):
@@ -212,7 +330,9 @@ def lattice_sum(hl: HeckeLattice, g: TestFunction, include_zero: bool = True):
     Ball indicators give an exact integer count; custom g is evaluated in
     floating point on the embedded rescaled vectors.
     """
-    return g.lattice_sum(hl, include_zero)
+    S = hl.subspace
+    rows = np.array(S.rows, dtype=np.int64).reshape(1, S.s, S.n)
+    return _neighbor_sums(hl.lattice.ambient.field, hl.prime, rows, g, include_zero)[0]
 
 
 # -- moments ----------------------------------------------------------------------------
@@ -239,28 +359,26 @@ def moment_lhs(field: NumberField, P: PrimeIdealData, n: int, s: int, m: int,
                seed=None, include_zero: bool = True):
     """Average of (sum of g over the neighbor)^m over the neighbors of O_K^n.
 
-    Exact mode returns a Fraction for indicator g; sampled mode returns
-    (mean, stderr) over uniformly sampled subspaces.
+    Exact mode returns a Fraction for indicator g, and raises InvariantError
+    when the neighbor sums miss the incidence count; sampled mode returns
+    (mean, stderr) over uniformly sampled subspaces.  Every neighbor's sum
+    comes from one enumeration of O_K^n (see _neighbor_sums).
     """
-    okn = okn_lattice(field, n)
     if mode == "exact":
-        subs = enumerate_subspaces(s, n, P.p)
-        total = 0
-        for S in subs:
-            hl = hecke_neighbor(field, P, S, base=okn)
-            total += lattice_sum(hl, g, include_zero=include_zero) ** m
+        rows = _subspace_rows(s, n, P.p)
+        sums = _neighbor_sums(field, P, rows, g, include_zero, check_incidence=True)
+        total = sum(x ** m for x in sums)
         if isinstance(total, int):   # indicator counts average exactly
-            return Fraction(total, len(subs))
-        return total / len(subs)
+            return Fraction(total, len(rows))
+        return total / len(rows)
     if mode == "sampled":
         if sample_count <= 0:
             raise ValueError("sample_count must be positive in sampled mode")
         rng = np.random.default_rng(seed)
-        vals = np.zeros(sample_count)
-        for i in range(sample_count):
-            S = sample_subspace(s, n, P.p, rng)
-            hl = hecke_neighbor(field, P, S, base=okn)
-            vals[i] = lattice_sum(hl, g, include_zero=include_zero) ** m
+        rows = np.array([sample_subspace(s, n, P.p, rng).rows for _ in range(sample_count)],
+                        dtype=np.int64).reshape(sample_count, s, n)
+        vals = np.array([x ** m for x in _neighbor_sums(field, P, rows, g, include_zero)],
+                        dtype=float)
         stderr = float(vals.std(ddof=1) / math.sqrt(sample_count)) if sample_count > 1 else 0.0
         return float(vals.mean()), stderr
     raise ValueError(f"unknown mode {mode!r}")
@@ -276,13 +394,8 @@ def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: 
     not the rank over K.
     """
     p = P.p
-    d = field.degree
-    okn = okn_lattice(field, n)
-    t_sq = PowerProduct.of(p, Fraction(2 * (n - s), n * d))
-    cols = g.points_inside(okn, t_sq.sqrt()).tolist()
-    # reduction of each candidate column to F_p^n
-    red_arr = np.array([[field.reduce_mod_prime(x, P) for x in okn.kvector_of_coords(c)]
-                        for c in cols], dtype=np.int64)          # (|C|, n)
+    cols = g.points_inside(okn_lattice(field, n), _t_scale_sq(p, n, s, field.degree).sqrt())
+    red_arr = _residues(field, P, cols)                         # (|C|, n)
     probs = [containment_probability(k, s, n, p) for k in range(min(n, m) + 1)]
     # every m-tuple of columns, in itertools.product order: (|C|^m, m) indices
     combos = np.indices((len(cols),) * m).reshape(m, -1).T

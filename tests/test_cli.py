@@ -201,26 +201,22 @@ def test_io_failure_exit_4(tmp_path):
 
 
 def test_invariant_failure_exit_5(tmp_path, capsys, monkeypatch):
-    # a Hermite form with the right diagonal but twice the determinant: the
-    # neighbor passes its index check and fails the covolume check
-    from latrank import intmat
+    # check matrices that annihilate every residue put every point in every
+    # neighbor, so the exact moment fails its incidence count
+    import numpy as np
 
-    hnf = intmat.hermite_normal_form
+    from latrank import hecke
 
-    def wrong_hnf(A, *args, **kwargs):
-        H, U = hnf(A, *args, **kwargs)
-        H = [list(row) for row in H]
-        H[0][1], H[1][0] = H[0][0], -H[1][1]
-        return H, U
-
-    monkeypatch.setattr(intmat, "hermite_normal_form", wrong_hnf)
+    checks = hecke._check_matrices
+    monkeypatch.setattr(hecke, "_check_matrices",
+                        lambda rows, q: np.zeros_like(checks(rows, q)))
     out = tmp_path / "run"
     code = main(["hecke-moment", "--n", "2", "--m", "1", "--s", "1", "--primes", "2",
                  "--ball", "1.5", "--cutoff", "10", "--mc-samples", "1000",
                  "--output-dir", str(out)])
     assert code == 5
     err = capsys.readouterr().err
-    assert "internal invariant failed: neighbor covolume" in err
+    assert "internal invariant failed: neighbor incidence" in err
     assert not out.exists()
 
 

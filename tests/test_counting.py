@@ -330,6 +330,26 @@ def _element(field, coords):
     return from_integral_coords(field, coords)
 
 
+# largest T per field at which the direct enumeration stays small
+_DIRECT_T_MAX = {"QQ": Fraction(9, 2), "Qi": Fraction(2), "Qs5": Fraction(2)}
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_direct_equals_stratified_property(name, data, QQ, Qi, Qs5):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    n, m = data.draw(st.sampled_from([(2, 1), (3, 2)]))
+    k = data.draw(st.integers(1, m))
+    den = data.draw(st.integers(1, 4))
+    num = data.draw(st.integers(den, int(_DIRECT_T_MAX[name] * den)))
+    T = Fraction(num, den)
+    g = ball(data.draw(st.sampled_from([Fraction(1), Fraction(6, 5)])))
+    a = lhs_count(field, n, m, k, T, g, method="direct")
+    b = lhs_count(field, n, m, k, T, g, method="stratified")
+    assert a.raw_sum == b.raw_sum
+
+
 @st.composite
 def _kmatrix_batches(draw, field):
     """Batches of n x c matrices over O_K, each a product X D of inner size j."""

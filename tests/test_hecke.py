@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latrank import (
     FiniteSubspace,
@@ -20,10 +21,15 @@ from latrank import (
     moment_stratified,
     okn_lattice,
     rank_drop_check,
+    InvariantError,
     ValidationError,
 )
+from latrank import hecke
 from latrank.counting import custom, product_of_balls
 from latrank.hecke import sample_subspace, validate_moment_window
+from latrank.kernels import ranks_mod_p
+from latrank.zlattice import short_vectors
+from tests_support import enumerate_subspaces_loop, moment_lhs_loop
 
 
 class TestGaussianBinomial:
@@ -59,6 +65,25 @@ class TestSubspaces:
             FiniteSubspace(q=2, n=2, s=1, rows=((0, 0),))
         with pytest.raises(ValueError):
             FiniteSubspace(q=3, n=2, s=2, rows=((1, 1), (0, 1)))
+
+    @pytest.mark.parametrize("s,rows,match", [
+        (2, ((1, 0, 2),), "need s = 2 rows"),
+        (0, ((1, 0, 0),), "need s = 0 rows"),
+        (1, ((1, 0),), "length n = 3"),
+        (2, ((1, 0, 2), (0, 1)), "length n = 3"),
+        (1, ((1, 0, 5),), r"entries must lie in \[0, 5\)"),
+        (1, ((1, -1, 0),), r"entries must lie in \[0, 5\)"),
+    ])
+    def test_shape_and_range_validated(self, s, rows, match):
+        with pytest.raises(ValueError, match=match):
+            FiniteSubspace(q=5, n=3, s=s, rows=rows)
+
+    def test_order_matches_loop(self):
+        for q in (2, 3):
+            for n in range(1, 5):
+                for s in range(n + 1):
+                    assert [S.rows for S in enumerate_subspaces(s, n, q)] == \
+                        enumerate_subspaces_loop(s, n, q)
 
     def test_all_distinct(self):
         subs = enumerate_subspaces(2, 4, 3)
@@ -105,8 +130,6 @@ class TestContainment:
                         e = np.zeros(n, dtype=np.int64)
                         e[t] = 1
                         aug = np.vstack([M, e])
-                        from latrank.kernels import ranks_mod_p
-
                         if ranks_mod_p(aug[None, :, :], q)[0] > s:
                             ok = False
                             break
@@ -156,6 +179,24 @@ class TestHeckeNeighbor:
         S = FiniteSubspace(q=3, n=2, s=1, rows=((1, 0),))
         with pytest.raises(ValueError):
             hecke_neighbor(QQ, P, S)
+
+    def test_wrong_hermite_form_fails_covolume(self, QQ, monkeypatch):
+        # a Hermite form with the right diagonal but twice the determinant: the
+        # neighbor passes its index check and fails the covolume check
+        from latrank import intmat
+
+        hnf = intmat.hermite_normal_form
+
+        def wrong_hnf(A, *args, **kwargs):
+            H, U = hnf(A, *args, **kwargs)
+            H = [list(row) for row in H]
+            H[0][1], H[1][0] = H[0][0], -H[1][1]
+            return H, U
+
+        monkeypatch.setattr(intmat, "hermite_normal_form", wrong_hnf)
+        S = FiniteSubspace(q=2, n=2, s=1, rows=((1, 0),))
+        with pytest.raises(InvariantError, match="neighbor covolume"):
+            hecke_neighbor(QQ, QQ.prime_above(2), S)
 
     def test_neighbor_count_matches_grassmannian(self, QQ):
         for p in (2, 3, 5):
@@ -226,6 +267,89 @@ class TestMomentIdentity:
         mean, stderr = moment_lhs(QQ, P, 2, 1, 1, ball(Fraction(3, 2)),
                                   mode="sampled", sample_count=800, seed=21)
         assert abs(mean - exact) <= 3 * stderr + 1e-9
+
+
+    def test_broken_membership_fails_incidence(self, QQ, monkeypatch):
+        # check matrices that annihilate everything put every point in every
+        # neighbor, which the incidence count rejects
+        checks = hecke._check_matrices
+        monkeypatch.setattr(hecke, "_check_matrices",
+                            lambda rows, q: np.zeros_like(checks(rows, q)))
+        with pytest.raises(InvariantError, match="neighbor incidence"):
+            moment_lhs(QQ, QQ.prime_above(2), 2, 1, 1, ball(Fraction(3, 2)))
+
+    def test_check_matrices_annihilate(self):
+        for q, n, s in [(2, 3, 1), (3, 4, 2), (5, 3, 2), (3, 3, 0), (3, 3, 3)]:
+            rows = hecke._subspace_rows(s, n, q)
+            checks = hecke._check_matrices(rows, q)
+            assert checks.shape == (len(rows), n - s, n)
+            assert not (rows @ checks.transpose(0, 2, 1) % q).any()
+            assert (ranks_mod_p(checks, q) == n - s).all()
+
+    def test_large_prime_equals_stratified(self, QQ):
+        # 10,303 neighbors at p = 101, one enumeration of Z^3
+        P = QQ.prime_above(101)
+        g = ball(Fraction(6, 5))
+        lhs = moment_lhs(QQ, P, 3, 2, 2, g)
+        assert lhs == moment_stratified(QQ, P, 3, 2, 2, g) == Fraction(922447, 10303)
+
+
+# degree-one primes of each field that prime_above accepts
+_MOMENT_PRIMES = {"QQ": (2, 3, 5, 7, 11), "Qi": (2, 5, 13, 17), "Qs5": (5, 11, 19)}
+
+
+@st.composite
+def _moment_cases(draw, field, name):
+    p = draw(st.sampled_from(_MOMENT_PRIMES[name]))
+    n = draw(st.integers(2, 3))
+    s = draw(st.integers(0, n))
+    m = draw(st.integers(1, 2))
+    radius = draw(st.sampled_from([Fraction(1), Fraction(6, 5), Fraction(3, 2)]))
+    # moment_stratified holds |C|^m column tuples: keep the columns C, the
+    # points of O_K^n in the ball of radius R T_P, to a few hundred
+    t_p = PowerProduct.of(p, Fraction(n - s, n * field.degree))
+    assume(len(short_vectors(okn_lattice(field, n), radius * t_p)) <= 400)
+    return p, n, s, m, radius
+
+
+def _gaussian_bump(radius):
+    r_sq = float(radius) ** 2
+    return custom(lambda v: math.exp(-float(v @ v)) if float(v @ v) <= r_sq else 0.0,
+                  support_radius=float(radius))
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_moment_lhs_matches_neighbor_loop(name, data, QQ, Qi, Qs5):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    p, n, s, m, radius = data.draw(_moment_cases(field, name))
+    P = field.prime_above(p)
+    include_zero = data.draw(st.booleans())
+    g = ball(radius)
+    assert moment_lhs(field, P, n, s, m, g, include_zero=include_zero) == \
+        moment_lhs_loop(field, P, n, s, m, g, include_zero=include_zero)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    sampled = dict(mode="sampled", sample_count=20, seed=seed, include_zero=include_zero)
+    assert moment_lhs(field, P, n, s, m, g, **sampled) == \
+        moment_lhs_loop(field, P, n, s, m, g, **sampled)
+    bump = _gaussian_bump(radius)
+    assert moment_lhs(field, P, n, s, m, bump, include_zero=include_zero) == pytest.approx(
+        moment_lhs_loop(field, P, n, s, m, bump, include_zero=include_zero))
+    assert moment_lhs(field, P, n, s, m, bump, **sampled) == pytest.approx(
+        moment_lhs_loop(field, P, n, s, m, bump, **sampled))
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_moment_identity_property(name, data, QQ, Qi, Qs5):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    p, n, s, m, radius = data.draw(_moment_cases(field, name))
+    P = field.prime_above(p)
+    lhs = moment_lhs(field, P, n, s, m, ball(radius))
+    assert isinstance(lhs, Fraction)
+    assert lhs == moment_stratified(field, P, n, s, m, ball(radius))
 
 
 class TestMomentRhs:

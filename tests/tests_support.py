@@ -7,8 +7,11 @@ from fractions import Fraction
 import numpy as np
 
 from latrank import intmat
+from latrank.counting import Ball
 from latrank.errors import NotIntegralError
 from latrank.exactval import PowerProduct
+from latrank.hecke import enumerate_subspaces, hecke_neighbor, sample_subspace
+from latrank.zlattice import okn_lattice, short_vectors
 
 
 def brute_force_short(lat, radius_sq: Fraction):
@@ -364,6 +367,64 @@ def term_value_detail_loop(P, n, f, mc_samples, seed=None):
     std = float(vals.std(ddof=1)) if mc_samples > 1 else 0.0
     return (hn * volume * float(vals.mean()),
             hn * volume * std / math.sqrt(mc_samples))
+
+
+# -- Hecke neighbors one at a time: the reference for latrank.hecke's moments -------
+
+
+def neighbor_sum_loop(hl, g, include_zero=True):
+    """Sum of g over one neighbor lattice, enumerated on its own basis."""
+    lat = hl.lattice
+    coords = short_vectors(lat, g.support_cover(hl.t_scale_sq.sqrt(), 1))
+    if isinstance(g, Ball):
+        return len(coords) if include_zero else len(coords) - 1
+    total = 0.0
+    inv_t = 1.0 / hl.t_scale
+    for c in coords.tolist():
+        if not include_zero and not any(c):
+            continue
+        emb = lat.ambient.embed(lat.to_ambient(c))
+        total += float(g.evaluator(emb * inv_t))
+    return total
+
+
+def enumerate_subspaces_loop(s, n, q):
+    """Echelon rows of every s-dim subspace of F_q^n, one itertools fill at a time."""
+    out = []
+    for pivots in itertools.combinations(range(n), s):
+        pivset = set(pivots)
+        free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n)
+                if j not in pivset]
+        for fill in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * n for _ in range(s)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), v in zip(free, fill):
+                rows[i][j] = v
+            out.append(tuple(tuple(r) for r in rows))
+    return out
+
+
+def moment_lhs_loop(field, P, n, s, m, g, mode="exact", sample_count=0, seed=None,
+                    include_zero=True):
+    """`hecke.moment_lhs` by building every neighbor with `hecke_neighbor`."""
+    okn = okn_lattice(field, n)
+    if mode == "exact":
+        subs = enumerate_subspaces(s, n, P.p)
+        total = 0
+        for S in subs:
+            hl = hecke_neighbor(field, P, S, base=okn)
+            total += neighbor_sum_loop(hl, g, include_zero) ** m
+        if isinstance(total, int):
+            return Fraction(total, len(subs))
+        return total / len(subs)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(sample_count)
+    for i in range(sample_count):
+        hl = hecke_neighbor(field, P, sample_subspace(s, n, P.p, rng), base=okn)
+        vals[i] = neighbor_sum_loop(hl, g, include_zero) ** m
+    stderr = float(vals.std(ddof=1) / math.sqrt(sample_count)) if sample_count > 1 else 0.0
+    return float(vals.mean()), stderr
 
 
 # -- matrices over K: the FieldElement reference for latrank.modules._echelon ------
