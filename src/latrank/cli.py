@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--primes", required=True)
     p.add_argument("--ball", default="1")
-    p.add_argument("--mode", default="exact", help="exact | auto | sampled:<count>")
+    p.add_argument("--mode", default="exact", help="exact | auto | sampled | sampled:<count>")
     p.add_argument("--cutoff", type=float, default=30)
     p.add_argument("--mc-samples", type=int, default=4000)
 

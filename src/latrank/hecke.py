@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import intmat
+from . import intmat, kernels
 from .counting import TestFunction, term_value_detail
 from .errors import InvariantError, ValidationError
 from .exactval import PowerProduct
@@ -34,6 +35,9 @@ from .zlattice import ZLattice, okn_lattice
 # convergence_table's "auto" mode averages exactly instead of sampling.
 SUBSPACE_CAP = 2_000_000
 EXACT_SUBSPACE_CAP = 5000
+
+# Subspaces drawn per prime by convergence_table's "sampled" and "auto" modes.
+DEFAULT_SAMPLE_COUNT = 2000
 
 # Largest number of (subspace, residue class) membership tests one batched
 # pass holds; the subspaces are tested in consecutive chunks of
@@ -397,10 +401,14 @@ def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: 
     cols = g.points_inside(okn_lattice(field, n), _t_scale_sq(p, n, s, field.degree).sqrt())
     red_arr = _residues(field, P, cols)                         # (|C|, n)
     probs = [containment_probability(k, s, n, p) for k in range(min(n, m) + 1)]
-    # every m-tuple of columns, in itertools.product order: (|C|^m, m) indices
-    combos = np.indices((len(cols),) * m).reshape(m, -1).T
-    batch = red_arr[combos].transpose(0, 2, 1)                  # (N, n, m)
-    counts = np.bincount(ranks_mod_p(batch, p), minlength=len(probs))
+    # every m-tuple of columns, in itertools.product order and in pieces of
+    # kernels._BLOCK tuples, so memory stays bounded however large |C|^m is
+    shape, total = (len(cols),) * m, len(cols) ** m
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for start in range(0, total, kernels._BLOCK):
+        combos = np.unravel_index(np.arange(start, min(start + kernels._BLOCK, total)), shape)
+        batch = np.stack([red_arr[c] for c in combos], axis=2)  # (block, n, m)
+        counts += np.bincount(ranks_mod_p(batch, p), minlength=len(probs))
     return sum((int(c) * probs[k] for k, c in enumerate(counts)), Fraction(0))
 
 
@@ -463,22 +471,38 @@ def validate_moment_window(n: int, m: int, s: int) -> None:
         raise ValidationError(f"need m <= s <= n-1 (or s = n-1): m={m}, s={s}, n={n}")
 
 
+def parse_mode(mode: str) -> tuple[str, int]:
+    """(kind, sample count) of a convergence_table mode; ValidationError otherwise.
+
+    The modes are exact, auto, sampled and sampled:<count> with count >= 1.
+    Bare sampled, and auto at a prime whose Grassmannian has more than
+    EXACT_SUBSPACE_CAP subspaces, draw DEFAULT_SAMPLE_COUNT subspaces.
+    """
+    if mode == "exact":
+        return mode, 0
+    if mode in ("auto", "sampled"):
+        return mode, DEFAULT_SAMPLE_COUNT
+    count = re.fullmatch(r"sampled:([0-9]+)", mode)
+    if count is None or int(count[1]) < 1:
+        raise ValidationError(f"unknown mode {mode!r}: expected exact, auto, sampled "
+                              "or sampled:<count> with count >= 1")
+    return "sampled", int(count[1])
+
+
 def convergence_table(field: NumberField, n: int, m: int, s: int, g: TestFunction,
                       primes, mode: str = "exact", height_cutoff=30,
                       mc_samples: int = 4000, seed=None) -> list[MomentReport]:
     """Per-prime moments against the limit value; the error should trend down."""
     validate_moment_window(n, m, s)
+    kind, sample_count = parse_mode(mode)
     rhs, _, rhs_err = moment_rhs_limit(field, n, m, g, height_cutoff,
                                        mc_samples=mc_samples, seed=seed)
     reports = []
-    sample_count = 0
-    if mode.startswith("sampled"):
-        sample_count = int(mode.split(":", 1)[1]) if ":" in mode else 2000
     for p in primes:
         P = field.prime_above(p)
-        n_subs = gaussian_binomial(s, n, p)
         stratified = moment_stratified(field, P, n, s, m, g)
-        if mode == "exact" or (mode == "auto" and n_subs <= EXACT_SUBSPACE_CAP):
+        if kind == "exact" or (kind == "auto"
+                               and gaussian_binomial(s, n, p) <= EXACT_SUBSPACE_CAP):
             lhs_val = moment_lhs(field, P, n, s, m, g, mode="exact")
             reports.append(MomentReport(
                 p=p, s=s, n=n, m=m, mode="exact",

@@ -127,20 +127,17 @@ class PrimitiveModule:
 def _field_maps(field: NumberField):
     """Integer data of K used by every module, computed once per field.
 
-    Returns (mults, bnum, bden, t2num, t2den): mults[b][j] holds the
-    integral coordinates of u_b * theta^j, so a row x of power coordinates
-    maps to the integral coordinates x * mults[b] of u_b * x; the integral
-    basis in power coordinates is bnum / bden; and the T2 Gram of the
-    integral basis, Tr(u_a * conj(u_b)), is t2num / t2den.
+    Returns (mults, bnum, bden): mults[b][j] holds the integral coordinates
+    of u_b * theta^j, so a row x of power coordinates maps to the integral
+    coordinates x * mults[b] of u_b * x; and the integral basis in power
+    coordinates is bnum / bden.
     """
     d = field.degree
     units = [field.element([int(i == j) for i in range(d)]) for j in range(d)]
     mults = tuple(tuple(tuple(field.integral_coords(u * t)) for t in units)
                   for u in field.basis_elements())
     bden, bnum = _integral(field.integral_basis)
-    t2den, t2num = _integral([[field.t2(u, w) for w in field.basis_elements()]
-                              for u in field.basis_elements()])
-    return mults, tuple(map(tuple, bnum)), bden, tuple(map(tuple, t2num)), t2den
+    return mults, tuple(map(tuple, bnum)), bden
 
 
 def _blockwise(rows, blk, d: int):
@@ -190,37 +187,22 @@ def _denominator_of(q: int, divisors) -> int:
     return idx
 
 
-@functools.lru_cache(maxsize=64)
-def _scale_power(scale_sq: PowerProduct, r: int) -> PowerProduct:
-    """scale_sq ** r, the factor of H^2 of every rank-r module over one field."""
-    return scale_sq ** r
-
-
 def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModule:
     """Lambda_D = (row space of D over K) intersect O_K^m, with height and denominator.
 
     One Smith form of q * A gives both: its V^-1 spans the saturation of the
-    O_K-span of D's rows in O_K^m, and its divisors give Den(D).  The Gram
-    is computed from that basis in integers, so the lattice needs no check,
-    and H^2 is the determinant of that integer Gram over t2den^r.
+    O_K-span of D's rows in O_K^m, and its divisors give Den(D).
     """
     field = D.field
-    d = field.degree
-    ambient = ambient or Ambient.for_field(field, D.m)
     q, A = _span_matrix(D)
     divisors, _, _, Vinv = intmat.smith_normal_form(A, with_inverse=True)
-    den = _denominator_of(q, divisors)
     sat = Vinv[:len(divisors)]   # D has full rank, so every divisor is nonzero
-    _, bnum, bden, t2num, t2den = _field_maps(field)
-    basis = [[Fraction(v, bden) for v in row] for row in _blockwise(sat, bnum, d)]
-    sg = _blockwise(sat, t2num, d)
-    g_int = [[sum(a * b for a, b in zip(u, w)) for w in sat] for u in sg]
-    lat = ZLattice(basis, ambient, gram=[[Fraction(x, t2den) for x in row] for row in g_int],
-                   ok_module=True, check=False)
-    minors, _ = intmat.leading_minors(g_int)
-    hsq = _scale_power(ambient.scale_sq, len(sat)) * Fraction(minors[-1], t2den ** len(sat))
+    _, bnum, bden = _field_maps(field)
+    basis = [[Fraction(v, bden) for v in row] for row in _blockwise(sat, bnum, field.degree)]
+    lat = ZLattice(basis, ambient or Ambient.for_field(field, D.m), ok_module=True)
+    hsq = lat.height_sq()
     return PrimitiveModule(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
-                           height_sq=hsq, denominator=den)
+                           height_sq=hsq, denominator=_denominator_of(q, divisors))
 
 
 def denominator(D: EchelonMatrix) -> int:
@@ -377,7 +359,7 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
     if len(vecs):
         first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
         vecs = vecs[first < 0]
-    gden, g_int = _integral(okm.gram)
+    gden, g_int = okm.gram_den, okm.gram_int
     r = okm.rank
     phi = _regular_rows(field, _integral(okm.basis)[1]).reshape(r, -1)
     max_v = int(np.max(np.abs(vecs))) if vecs.size else 0
@@ -449,19 +431,8 @@ def matrix_module_index(D: EchelonMatrix, n: int) -> int:
 
 def jacobian_sq(D: EchelonMatrix) -> Fraction:
     """Squared volume scaling of x -> x D on M_{1 x k}(K_R), exact rational."""
-    field = D.field
-    img_rows = [flatten_kvector(field, r) for r in field.ok_z_basis(D.rows)]
-    amb = Ambient.for_field(field, D.m)
-    g_img = [[amb.qform(u, v) for v in img_rows] for u in img_rows]
-    det_img = intmat.det(g_img)
-    dom = Ambient.for_field(field, D.k)
-    dom_rows = [flatten_kvector(field, r)
-                for r in field.ok_z_basis([
-                    tuple(field.one() if j == i else field.zero() for j in range(D.k))
-                    for i in range(D.k)])]
-    g_dom = [[dom.qform(u, v) for v in dom_rows] for u in dom_rows]
-    det_dom = intmat.det(g_dom)
-    return det_img / det_dom
+    # the image of O_K^k is the O_K-span of D's rows
+    return from_ok_rows(D.field, D.rows).det_gram() / okn_lattice(D.field, D.k).det_gram()
 
 
 def jacobian(D: EchelonMatrix) -> float:

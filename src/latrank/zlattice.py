@@ -1,8 +1,9 @@
 """Exact Z-lattice engine.
 
 A ZLattice is a full-rank-by-rows discrete module in an exact rational
-quadratic space, carried as basis + Gram data over Fraction with an analytic
-scale factor (a PowerProduct holding discriminant powers).  Heights, LLL
+quadratic space, carried as a basis, its Gram (computed once, in integers, by
+the constructor) and an analytic scale factor (a PowerProduct holding
+discriminant powers).  Heights, LLL
 reduction, Fincke-Pohst short-vector enumeration, saturation, successive
 K-minima and covering-radius bounds all live here.
 
@@ -12,6 +13,7 @@ and radius tests are exact even when the scale itself is irrational.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -37,45 +39,48 @@ def unit_ball_volume(s: int) -> float:
 
 
 class Ambient:
-    """Exact quadratic space Q^N, optionally the coordinate space of K^m."""
+    """Exact quadratic space Q^N, optionally the coordinate space of K^m.
 
-    __slots__ = ("form", "scale_sq", "field", "dim")
+    The form is scaled to integers once, by form_den, the lcm of its
+    denominators; every lattice in this space computes its Gram from that.
+    """
+
+    __slots__ = ("form", "form_den", "_form_rows", "scale_sq", "field", "dim", "_stacks")
 
     def __init__(self, form, scale_sq: PowerProduct, field: NumberField | None = None):
         self.form = tuple(tuple(Fraction(x) for x in row) for row in form)
         self.dim = len(self.form)
+        self.form_den, form_int = _integral(self.form)
+        # the nonzero entries (j, f) of each row of form_int
+        self._form_rows = tuple(tuple((j, f) for j, f in enumerate(row) if f)
+                                for row in form_int)
         self.scale_sq = scale_sq
         self.field = field
+        self._stacks = {}   # n -> the orthogonal sum of n copies
 
     @classmethod
     def standard(cls, n: int) -> "Ambient":
         return cls(intmat.identity(n), ONE)
 
-    @classmethod
-    def for_field(cls, fld: NumberField, m: int) -> "Ambient":
-        d = fld.degree
-        blk = fld._t2_power
-        if blk is None:
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def for_field(fld: NumberField, m: int) -> "Ambient":
+        """K^m in power coordinates with the twisted T2 form, built once per (fld, m)."""
+        if fld._t2_power is None:
             fld.t2(fld.one(), fld.one())  # raises ExactNormUnavailableError
-        n = m * d
-        form = [[Fraction(0)] * n for _ in range(n)]
-        for c in range(m):
-            for i in range(d):
-                for j in range(d):
-                    form[c * d + i][c * d + j] = blk[i][j]
-        return cls(form, fld.scale_sq, field=fld)
+        return Ambient(fld._t2_power, fld.scale_sq, field=fld).stacked(m)
 
-    def qform(self, u, v=None) -> Fraction:
-        if v is None:
-            v = u
-        acc = Fraction(0)
-        for i, a in enumerate(u):
-            if a:
-                row = self.form[i]
-                for j, b in enumerate(v):
-                    if b:
-                        acc += a * b * row[j]
-        return acc
+    def stacked(self, n: int) -> "Ambient":
+        """The orthogonal sum of n copies of this space, built once per n."""
+        amb = self._stacks.get(n)
+        if amb is None:
+            N = self.dim
+            form = [[0] * (N * n) for _ in range(N * n)]
+            for t in range(n):
+                for i, row in enumerate(self.form):
+                    form[t * N + i][t * N:(t + 1) * N] = row
+            amb = self._stacks[n] = Ambient(form, self.scale_sq, field=self.field)
+        return amb
 
     def embed(self, vec) -> np.ndarray:
         """Float coordinates in an orthonormal frame for the twisted norm."""
@@ -86,63 +91,71 @@ class Ambient:
 
 def _integral(rows):
     """(den, den * rows) for a Fraction matrix, den the lcm of its denominators."""
-    den = intmat.lcm_denominator(rows)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+@functools.lru_cache(maxsize=64)
+def _scale_power(scale_sq: PowerProduct, r: int) -> PowerProduct:
+    """scale_sq ** r, the factor of H^2 of every rank-r lattice in one space."""
+    return scale_sq ** r
 
 
 class ZLattice:
     """Discrete rank-r module with exact Gram data.
 
-    basis rows are ambient coordinates; gram = basis * form * basis^T is
-    verified on construction together with positive definiteness.
+    basis rows are ambient coordinates.  The constructor computes the Gram
+    basis * form * basis^T once, in integers, as gram_int / gram_den with
+    gram_den the lcm of the denominators of the Gram, and rejects it unless it
+    is symmetric and positive definite; gram is the same matrix over Fraction.
     """
 
-    __slots__ = ("basis", "gram", "scale_sq", "ambient_dim", "rank", "ambient", "ok_module",
-                 "_lll")
+    __slots__ = ("basis", "gram", "gram_int", "gram_den", "scale_sq", "ambient_dim", "rank",
+                 "ambient", "ok_module", "_det", "_lll")
 
-    def __init__(self, basis, ambient: Ambient, gram=None, ok_module: bool = False,
-                 check: bool = True):
-        self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
+    def __init__(self, basis, ambient: Ambient, ok_module: bool = False):
+        # a Fraction is kept as it is: Fraction(x) of one costs an ABC check
+        self.basis = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                           for row in basis)
         self.ambient = ambient
         self.ambient_dim = ambient.dim
         self.rank = len(self.basis)
         self.scale_sq = ambient.scale_sq
         self.ok_module = ok_module
         self._lll = None  # LLL transform, filled on first use
-        computed = None
-        if gram is None:
-            computed = self._compute_gram()
-            gram = computed
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        if check:
-            if computed is None:
-                computed = self._compute_gram()
-                if tuple(tuple(r) for r in computed) != self.gram:
-                    raise ValueError("gram does not match basis under the ambient form")
-            for i in range(self.rank):
-                for j in range(i):
-                    if self.gram[i][j] != self.gram[j][i]:
-                        raise ValueError("gram is not symmetric")
-            minors, _ = intmat.leading_minors(_integral(self.gram)[1])
-            if min(minors) <= 0:
-                raise ValueError("gram is not positive definite")
-
-    def _compute_gram(self):
-        rows = [[Fraction(x) for x in row] for row in self.basis]
-        out = []
-        for i, u in enumerate(rows):
-            out.append([self.ambient.qform(u, v) for v in rows])
-        return out
+        bden, B = _integral(self.basis)
+        rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+        form = ambient._form_rows
+        g = []
+        for nz in rows:
+            bf = [0] * ambient.dim   # this row of B * form
+            for i, b in nz:
+                for j, f in form[i]:
+                    bf[j] += b * f
+            g.append([sum(bf[j] * b for j, b in other) for other in rows])
+        for i in range(self.rank):
+            for j in range(i):
+                if g[i][j] != g[j][i]:
+                    raise ValueError("gram is not symmetric")
+        # the Gram is g / total; dividing both by their gcd leaves the lcm scaling
+        total = bden * bden * ambient.form_den
+        c = math.gcd(total, *(x for row in g for x in row))
+        self.gram_den = total // c
+        self.gram_int = tuple(tuple(x // c for x in row) for row in g)
+        minors, _ = intmat.leading_minors(self.gram_int)
+        if min(minors) <= 0:
+            raise ValueError("gram is not positive definite")
+        self._det = minors[-1]
+        self.gram = tuple(tuple(Fraction(x, self.gram_den) for x in row)
+                          for row in self.gram_int)
 
     # -- heights ---------------------------------------------------------------
 
     def det_gram(self) -> Fraction:
-        den, g = _integral(self.gram)
-        d, _ = intmat.leading_minors(g)
-        return Fraction(d[-1], den ** self.rank)  # the gram is positive definite
+        return Fraction(self._det, self.gram_den ** self.rank)
 
     def height_sq(self) -> PowerProduct:
-        return self.scale_sq ** self.rank * self.det_gram()
+        return _scale_power(self.scale_sq, self.rank) * self.det_gram()
 
     def height(self) -> float:
         return math.sqrt(float(self.height_sq()))
@@ -262,23 +275,14 @@ def from_ok_rows(fld: NumberField, kvec_rows, ambient: Ambient | None = None) ->
 
 def direct_sum(lat: ZLattice, n: int) -> ZLattice:
     """Orthogonal sum of n copies (matrices with rows from the lattice)."""
-    r, N = lat.rank, lat.ambient_dim
-    form = [[Fraction(0)] * (N * n) for _ in range(N * n)]
-    for t in range(n):
-        for i in range(N):
-            for j in range(N):
-                form[t * N + i][t * N + j] = lat.ambient.form[i][j]
-    amb = Ambient(form, lat.scale_sq, field=lat.ambient.field)
+    N = lat.ambient_dim
     basis = []
-    gram = [[Fraction(0)] * (r * n) for _ in range(r * n)]
     for t in range(n):
-        for i in range(r):
-            vec = [Fraction(0)] * (N * n)
-            vec[t * N:(t + 1) * N] = list(lat.basis[i])
+        for row in lat.basis:
+            vec = [0] * (N * n)
+            vec[t * N:(t + 1) * N] = row
             basis.append(vec)
-            for j in range(r):
-                gram[t * r + i][t * r + j] = lat.gram[i][j]
-    return ZLattice(basis, amb, gram=gram, check=False)
+    return ZLattice(basis, lat.ambient.stacked(n))
 
 
 # -- basic functionals -------------------------------------------------------------
@@ -296,30 +300,29 @@ def hadamard_ratio(lat_or_basis, ambient: Ambient | None = None) -> float:
         if ambient is None:
             ambient = Ambient.standard(len(lat_or_basis[0]))
         lat = ZLattice(lat_or_basis, ambient)
-    detg = lat.det_gram()
-    if detg == 0:
-        raise ValueError("basis rows are dependent")
     ratio_sq = Fraction(1)
     for i in range(lat.rank):
         ratio_sq *= lat.gram[i][i]
-    return math.sqrt(float(ratio_sq / detg))
+    return math.sqrt(float(ratio_sq / lat.det_gram()))
 
 
 # -- LLL ---------------------------------------------------------------------------
 
 
-def _lll_transform(gram, delta: Fraction):
-    """Unimodular U with U G U^T Lovasz-reduced; integral LLL on the scaled Gram.
+def _lll_transform(gram_int, delta: Fraction):
+    """Unimodular U with U G U^T Lovasz-reduced; integral LLL on a scaled Gram.
+
+    gram_int is a positive integer multiple of G, such as ZLattice.gram_int.
 
     Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7, with
     exact integers in place of the rational Gram-Schmidt data: d[i] is the i-th
-    leading minor of the lcm-scaled Gram (a positive scale leaves U unchanged)
+    leading minor of gram_int (a positive scale leaves U unchanged)
     and lam[i][j] = d[j+1] * mu_ij.  Rows are size-reduced against j = k-1 .. 0
     with r = floor(mu + 1/2) before the Lovasz test, so every decision, and U,
     is the one the rational algorithm makes.
     """
-    n = len(gram)
-    d, lam = intmat.leading_minors(_integral(gram)[1])
+    n = len(gram_int)
+    d, lam = intmat.leading_minors(gram_int)
     p, q = delta.numerator, delta.denominator
     U = intmat.identity(n)
     k = 1
@@ -361,7 +364,7 @@ _LLL_DELTA = Fraction(99, 100)
 def _transform(lat: ZLattice):
     """LLL transform of lat as a tuple of rows, computed once per lattice."""
     if lat._lll is None:
-        lat._lll = tuple(tuple(row) for row in _lll_transform(lat.gram, _LLL_DELTA))
+        lat._lll = tuple(tuple(row) for row in _lll_transform(lat.gram_int, _LLL_DELTA))
     return lat._lll
 
 
@@ -425,8 +428,8 @@ def short_vectors(lat: ZLattice, radius) -> np.ndarray:
     # the reduced Gram U G U^T is g_int / den with g_int = U (den G) U^T, and
     # this is its lcm scaling too: den is coprime to the gcd of the entries of
     # den G, and the unimodular U leaves that gcd unchanged
-    den, g_int = _integral(lat.gram)
-    g_int = intmat.mat_mul(intmat.mat_mul(U, g_int), intmat.transpose(U))
+    den = lat.gram_den
+    g_int = intmat.mat_mul(intmat.mat_mul(U, lat.gram_int), intmat.transpose(U))
     bound_pow = radius_sq / lat.scale_sq  # threshold for x G x^T
     bound_int = bound_pow * den
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from latrank.cli import main
 from latrank.zlattice import DEFAULT_ENUM_CAP
 
@@ -59,6 +61,34 @@ def test_invalid_moment_window_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "1 - s/n < 1/m" in err
+
+
+@pytest.mark.parametrize("mode, modes", [
+    ("exact", ["exact"]),
+    ("auto", ["exact", "sampled:2000"]),
+    ("sampled", ["sampled:2000", "sampled:2000"]),
+    ("sampled:3", ["sampled:3", "sampled:3"]),
+])
+def test_hecke_moment_modes(tmp_path, mode, modes):
+    # 73^2 + 73 + 1 planes in F_73^3 pass EXACT_SUBSPACE_CAP, so auto samples there
+    primes = "5" if mode == "exact" else "5,73"
+    out = tmp_path / "run"
+    code = main(["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", primes,
+                 "--ball", "1", "--cutoff", "3", "--mc-samples", "200", "--mode", mode,
+                 "--output-dir", str(out)])
+    assert code == 0
+    _, records = read_records(out)
+    assert [r["mode"] for r in records] == modes
+
+
+@pytest.mark.parametrize("mode", ["sampledXYZ", "sampled:0", "bogus"])
+def test_hecke_moment_unknown_mode_exit_2(tmp_path, capsys, mode):
+    out = tmp_path / "run"
+    code = main(["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5",
+                 "--mode", mode, "--output-dir", str(out)])
+    assert code == 2
+    assert f"unknown mode {mode!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -24,7 +24,7 @@ from latrank import (
     InvariantError,
     ValidationError,
 )
-from latrank import hecke
+from latrank import hecke, kernels
 from latrank.counting import custom, product_of_balls
 from latrank.hecke import sample_subspace, validate_moment_window
 from latrank.kernels import ranks_mod_p
@@ -397,6 +397,13 @@ class TestCustomG:
             float(moment_lhs(QQ, P, 2, 1, 1, gb)))
 
 
+def test_moment_stratified_chunks(QQ, monkeypatch):
+    # ~1.5e5 column pairs at p=53 cut into pieces of 4099, the last one partial
+    monkeypatch.setattr(kernels, "_BLOCK", 4099)
+    assert moment_stratified(QQ, QQ.prime_above(53), 3, 2, 2, ball(Fraction(6, 5))) == \
+        Fraction(258487, 2863)
+
+
 class TestUnsupportedG:
     """Each moment entry point rejects the test functions it has no rule for."""
 
@@ -479,6 +486,31 @@ class TestConvergenceTable:
         assert reports[2].lhs_exact == Fraction(20, 3)
         assert reports[-1].abs_error < reports[0].abs_error
         assert reports[-1].abs_error < reports[1].abs_error
+
+    @pytest.mark.parametrize("mode, primes, modes", [
+        ("exact", [5], ["exact"]),
+        # auto samples once the Grassmannian passes EXACT_SUBSPACE_CAP:
+        # 73^2 + 73 + 1 = 5403 planes in F_73^3
+        ("auto", [5, 73], ["exact", "sampled:2000"]),
+        ("sampled", [5], ["sampled:2000"]),
+        ("sampled:3", [5], ["sampled:3"]),
+    ])
+    def test_modes(self, QQ, mode, primes, modes):
+        assert hecke.gaussian_binomial(2, 3, 73) > hecke.EXACT_SUBSPACE_CAP
+        reports = convergence_table(QQ, 3, 2, 2, ball(1), primes=primes, mode=mode,
+                                    height_cutoff=3, mc_samples=200, seed=1)
+        assert [r.mode for r in reports] == modes
+        for r in reports:
+            assert r.stratified_exact is not None
+            assert (r.lhs_exact is not None) == (r.mode == "exact")
+
+    @pytest.mark.parametrize("mode", ["sampledXYZ", "sampled:", "sampled:0", "sampled:-2",
+                                      "sampled:2.5", "Exact", "auto:5", ""])
+    def test_unknown_mode_rejected_before_the_limit(self, QQ, mode, monkeypatch):
+        monkeypatch.setattr(hecke, "moment_rhs_limit",
+                            lambda *a, **k: pytest.fail("the limit ran on a bad mode"))
+        with pytest.raises(ValidationError, match=f"unknown mode {mode!r}"):
+            convergence_table(QQ, 3, 2, 2, ball(1), primes=[5], mode=mode)
 
     def test_report_fields(self, QQ):
         g = ball(1)

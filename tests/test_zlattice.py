@@ -38,7 +38,7 @@ from latrank.zlattice import (
 )
 
 
-from tests_support import brute_force_short, lll_transform_loop
+from tests_support import brute_force_short, gram_loop, lll_transform_loop
 
 
 class TestHeights:
@@ -53,10 +53,6 @@ class TestHeights:
         L = ZLattice([[2, 1]], Ambient.standard(2))
         assert abs(height(L) - math.sqrt(5)) < 1e-14
         assert L.height_sq() == PowerProduct.coerce(5)
-
-    def test_gram_checked_on_construction(self):
-        with pytest.raises(ValueError):
-            ZLattice([[1, 0]], Ambient.standard(2), gram=[[2]])
 
     def test_positive_definite_required(self):
         with pytest.raises(ValueError):
@@ -91,6 +87,55 @@ class TestHeights:
             det = intmat.det([list(r) for r in L.gram])
             assert L.det_gram() == det
             assert L.height_sq() == L.scale_sq ** L.rank * det
+
+
+def _assert_gram_matches_loop(L):
+    assert L.gram == gram_loop(L)
+    assert L.det_gram() == intmat.det([list(r) for r in L.gram])
+    # gram_int / gram_den is the lcm scaling of the Fraction Gram
+    assert L.gram_den == intmat.lcm_denominator(L.gram)
+    assert L.gram_int == tuple(tuple(x * L.gram_den for x in row) for row in L.gram)
+
+
+_small_fraction = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gram_matches_fraction_loop(data):
+    # a positive definite rational form C C^T and a rational basis of rank r
+    N = data.draw(st.integers(1, 4), label="ambient dim")
+    r = data.draw(st.integers(1, N), label="rank")
+    C = data.draw(st.lists(st.lists(_small_fraction, min_size=N, max_size=N),
+                           min_size=N, max_size=N), label="C")
+    assume(intmat.rank(C) == N)
+    B = data.draw(st.lists(st.lists(_small_fraction, min_size=N, max_size=N),
+                           min_size=r, max_size=r), label="basis")
+    assume(intmat.rank(B) == r)
+    form = intmat.mat_mul(C, intmat.transpose(C))
+    L = ZLattice(B, Ambient(form, PowerProduct.coerce(1)))
+    _assert_gram_matches_loop(L)
+    _assert_gram_matches_loop(direct_sum(L, data.draw(st.integers(1, 3), label="copies")))
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_field_lattice_grams_match_fraction_loop(name, data, request):
+    from latrank import lambda_of, to_echelon
+    from tests_support import from_integral_coords
+
+    field = request.getfixturevalue(name)
+    m = data.draw(st.integers(1, 3), label="m")
+    _assert_gram_matches_loop(okn_lattice(field, m))
+    # Lambda_D of a line through (1, x_1, ..., x_{m-1}) and its stacked copies
+    entries = [from_integral_coords(field, [Fraction(data.draw(st.integers(-9, 9)),
+                                                     data.draw(st.integers(1, 9)))
+                                            for _ in range(field.degree)])
+               for _ in range(m - 1)]
+    lat = lambda_of(to_echelon(field, [[field.one()] + entries])).lattice
+    _assert_gram_matches_loop(lat)
+    _assert_gram_matches_loop(direct_sum(lat, data.draw(st.integers(1, 3), label="copies")))
 
 
 class TestLLL:
@@ -150,8 +195,10 @@ class TestLLL:
         scale = data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 6),
                                            Fraction(1, 35)]), label="scale")
         delta = data.draw(st.sampled_from([Fraction(3, 4), Fraction(99, 100)]), label="delta")
-        G = [[scale * x for x in row] for row in intmat.mat_mul(B, intmat.transpose(B))]
-        assert _lll_transform(G, delta) == lll_transform_loop(G, delta)
+        # the integer LLL runs on B B^T, a positive multiple of G
+        G_int = intmat.mat_mul(B, intmat.transpose(B))
+        G = [[scale * x for x in row] for row in G_int]
+        assert _lll_transform(G_int, delta) == lll_transform_loop(G, delta)
 
     def test_transform_cached_per_lattice(self, monkeypatch):
         from latrank import intmat, zlattice
@@ -457,6 +504,16 @@ class TestSerialization:
         text = L.dumps()
         L2 = ZLattice.loads(text, L.ambient)
         assert L2.basis == L.basis and L2.gram == L.gram
+
+    def test_loads_rejects_edited_gram(self):
+        import json
+
+        L = ZLattice([[2, 1], [0, 3]], Ambient.standard(2))
+        data = json.loads(L.dumps())
+        assert data["gram"][0][0] == "5/1"
+        data["gram"][0][0] = "6/1"
+        with pytest.raises(ValueError, match="stored gram disagrees"):
+            ZLattice.loads(json.dumps(data), L.ambient)
 
     def test_roundtrip_field(self, Qs5):
         import json

@@ -36,6 +36,24 @@ def brute_force_short(lat, radius_sq: Fraction):
     return out
 
 
+def gram_loop(lat):
+    """basis * form * basis^T by Fraction loops over the ambient form."""
+    form = lat.ambient.form
+    out = []
+    for u in lat.basis:
+        row = []
+        for v in lat.basis:
+            acc = Fraction(0)
+            for i, a in enumerate(u):
+                if a:
+                    for j, b in enumerate(v):
+                        if b:
+                            acc += a * b * form[i][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 # -- reference loops for the vectorized kernels in latrank.kernels -------------
 
 
