@@ -214,20 +214,26 @@ class Custom(TestFunction):
         return coords, np.array(values, dtype=float)
 
 
+def _positive_radius(radius):
+    if not radius > 0:
+        raise ValueError(f"test function radius must be positive, got {radius}")
+    return radius
+
+
 def ball(radius) -> TestFunction:
-    return Ball(Fraction(radius))
+    return Ball(_positive_radius(Fraction(radius)))
 
 
 def product_of_balls(radius, m: int | None = None) -> TestFunction:
     if isinstance(radius, (list, tuple)):
-        radii = tuple(Fraction(r) for r in radius)
+        radii = tuple(_positive_radius(Fraction(r)) for r in radius)
     else:
-        radii = (Fraction(radius),) * (m or 1)
+        radii = (_positive_radius(Fraction(radius)),) * (m or 1)
     return ProductOfBalls(radii)
 
 
 def custom(evaluator: Callable, support_radius: float) -> TestFunction:
-    return Custom(evaluator, support_radius)
+    return Custom(evaluator, _positive_radius(support_radius))
 
 
 # -- reports ----------------------------------------------------------------------

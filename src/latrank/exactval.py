@@ -116,11 +116,7 @@ class PowerProduct:
         ratio = self / other
         if not ratio.exps:
             return ratio.coeff, Fraction(1)
-        denoms = [e.denominator for _, e in ratio.exps]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // math.gcd(lcm, d)
-        powed = ratio ** lcm
+        powed = ratio ** math.lcm(*(e.denominator for _, e in ratio.exps))
         return powed.as_fraction(), Fraction(1)
 
     @staticmethod

@@ -460,7 +460,9 @@ def rank_drop_check(field: NumberField, rows, P: PrimeIdealData):
 
 
 def validate_moment_window(n: int, m: int, s: int) -> None:
-    """Admissible (m, s): s = n-1, or m <= s <= n-1 with 1 - s/n < 1/m."""
+    """Admissible (m, s): s = n-1, or m <= s <= n-1 with 1 - s/n < 1/m; n >= 2, m >= 1."""
+    if n < 2 or m < 1:
+        raise ValidationError(f"need n >= 2 and m >= 1: n={n}, m={m}")
     if s == n - 1 and 1 <= m <= n - 1:
         return
     if not Fraction(1) - Fraction(s, n) < Fraction(1, m):

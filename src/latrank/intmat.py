@@ -7,6 +7,7 @@ transforms so callers can compute indices and saturations exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -291,11 +292,4 @@ def saturation_basis(A):
 
 
 def lcm_denominator(rows) -> int:
-    from math import gcd
-
-    q = 1
-    for row in rows:
-        for x in row:
-            d = Fraction(x).denominator
-            q = q * d // gcd(q, d)
-    return q
+    return math.lcm(*(Fraction(x).denominator for row in rows for x in row))

@@ -1,9 +1,10 @@
-"""Hot numeric kernels: short-vector enumeration and batched rank filters.
+"""Hot numeric kernels: short-vector enumeration, batched rank filters and echelon forms.
 
 Every kernel is array-native NumPy: the enumeration expands a whole level of
-the Fincke-Pohst tree at once, and the rank filters run one elimination step
-on every matrix of a batch at once.  The loop versions they replace are kept
-in the tests as reference implementations.
+the Fincke-Pohst tree at once, and the rank filters and the fraction-free
+Gauss-Jordan that gives every echelon matrix of modules.py run one
+elimination step on every matrix of a batch at once.  The loop versions they
+replace are kept in the tests as reference implementations.
 
 The enumeration kernel works in float64 on an LLL-reduced Gram and is always
 followed by an exact integer-arithmetic filter in zlattice.py, so float error
@@ -100,45 +101,47 @@ def fp_enumerate(lmat: np.ndarray, dvec: np.ndarray, bound: float, cap: int) -> 
     return np.concatenate(done)
 
 
-def _ranks_by_elimination(batch: np.ndarray, combine) -> np.ndarray:
-    """Ranks of an (N, n, m) int64 or object batch by row elimination on all matrices at once.
+def _eliminate(batch: np.ndarray, combine, jordan: bool):
+    """Row elimination on every matrix of an (N, n, m) int64 or object batch at once.
 
     Column by column, each matrix takes as pivot its first row at or below
     its current rank with a nonzero entry in the column (a masked argmax),
-    swaps it up, and `combine(rows, pivot_row, pivot_value, row_entries,
-    previous_pivot)` replaces every row below it.  Rows of matrices without a
-    pivot, and rows at or above the pivot, keep their values.
+    swaps it up to row `rank`, and `combine(rows, pivot_row, pivot_value,
+    row_entries, previous_pivot)` replaces every row below it, or with
+    `jordan` every other row; the pivot row, and every row of a matrix
+    without a pivot, keep their values.  Returns (rows, rank, prev), prev[i]
+    the last pivot value of matrix i (1 for a zero matrix).
     """
     nmat, nrow, ncol = batch.shape
-    ranks = np.zeros(nmat, dtype=np.int64)
-    if nrow == 0 or ncol == 0:
-        return ranks
-    rows = np.arange(nrow)
-    for start in range(0, nmat, _BLOCK):
-        work = batch[start:start + _BLOCK].copy()
-        idx = np.arange(work.shape[0])
-        rank = np.zeros(work.shape[0], dtype=np.int64)
-        prev = np.ones(work.shape[0], dtype=np.int64)
-        for col in range(ncol):
-            cand = (work[:, :, col] != 0) & (rows[None, :] >= rank[:, None])
-            piv = cand.argmax(axis=1)
-            has = cand[idx, piv]
-            if not has.any():
-                continue
-            at = np.minimum(rank, nrow - 1)
-            piv = np.where(has, piv, at)
-            pivot_row = work[idx, piv]
-            work[idx, piv] = work[idx, at]
-            work[idx, at] = pivot_row
-            pval = pivot_row[:, col]
-            new = combine(work, pivot_row[:, None, :], pval[:, None, None],
-                          work[:, :, col, None], prev[:, None, None])
-            below = has[:, None] & (rows[None, :] > rank[:, None])
-            work = np.where(below[:, :, None], new, work)
-            prev = np.where(has, pval, prev)
-            rank += has
-        ranks[start:start + work.shape[0]] = rank
-    return ranks
+    work = batch.copy()
+    rank = np.zeros(nmat, dtype=np.int64)
+    prev = np.ones(nmat, dtype=batch.dtype)
+    idx, rows = np.arange(nmat), np.arange(nrow)
+    for col in range(ncol if nrow else 0):
+        cand = (work[:, :, col] != 0) & (rows[None, :] >= rank[:, None])
+        piv = cand.argmax(axis=1)
+        has = cand[idx, piv]
+        if not has.any():
+            continue
+        at = np.minimum(rank, nrow - 1)
+        piv = np.where(has, piv, at)
+        pivot_row = work[idx, piv]
+        work[idx, piv] = work[idx, at]
+        work[idx, at] = pivot_row
+        pval = pivot_row[:, col]
+        new = combine(work, pivot_row[:, None, :], pval[:, None, None],
+                      work[:, :, col, None], prev[:, None, None])
+        others = (np.not_equal if jordan else np.greater)(rows[None, :], rank[:, None])
+        work = np.where((has[:, None] & others)[:, :, None], new, work)
+        prev = np.where(has, pval, prev)
+        rank += has
+    return work, rank, prev
+
+
+def _ranks_by_elimination(batch: np.ndarray, combine) -> np.ndarray:
+    """Ranks of an (N, n, m) batch by forward elimination, in _BLOCK pieces."""
+    return np.concatenate([_eliminate(batch[start:start + _BLOCK], combine, False)[1]
+                           for start in range(0, max(batch.shape[0], 1), _BLOCK)])
 
 
 def _bareiss_step(rows, pivot_row, pval, entries, prev):
@@ -162,6 +165,11 @@ def ranks_int64(batch: np.ndarray) -> np.ndarray:
     return _ranks_by_elimination(batch, _bareiss_step)
 
 
+def _bareiss_dtype(batch: np.ndarray):
+    max_abs = max(int(batch.max()), -int(batch.min())) if batch.size else 0
+    return int_dtype(bareiss_bound(max_abs, batch.shape[1], batch.shape[2]))
+
+
 def bareiss_bound(max_abs: int, nrow: int, ncol: int) -> int:
     """A bound on the values Bareiss elimination forms from entries bounded by max_abs."""
     k = min(nrow, ncol)
@@ -172,11 +180,25 @@ def bareiss_bound(max_abs: int, nrow: int, ncol: int) -> int:
 
 def ranks_over_z(batch: np.ndarray) -> np.ndarray:
     """Exact ranks over Z of a (N, n, m) integer batch, in int64 or in Python ints."""
-    if batch.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    max_abs = max(int(batch.max()), -int(batch.min())) if batch.size else 0
-    dtype = int_dtype(bareiss_bound(max_abs, batch.shape[1], batch.shape[2]))
-    return ranks_int64(batch.astype(dtype, copy=False))
+    return ranks_int64(batch.astype(_bareiss_dtype(batch), copy=False))
+
+
+def gauss_jordan(batch: np.ndarray):
+    """Fraction-free Gauss-Jordan on a (N, n, m) integer batch, in int64 or in Python ints.
+
+    Bareiss elimination that also clears the entries above each pivot: every
+    value stays a minor of the input, so every division is exact.  Returns
+    (rows, rank, pivots, den): the first rank[i] rows of matrix i are den[i]
+    (its last pivot value, of either sign) times its rational RREF, whose
+    t-th pivot, the first nonzero entry of row t, is in column pivots[i, t]
+    (-1 past the rank).
+    """
+    batch = batch.astype(_bareiss_dtype(batch), copy=False)
+    parts = [_eliminate(batch[start:start + _BLOCK], _bareiss_step, True)
+             for start in range(0, max(batch.shape[0], 1), _BLOCK)]
+    rows, rank, den = (np.concatenate(part) for part in zip(*parts))
+    pivots = (np.cumsum(rows != 0, axis=2) == 0).sum(axis=2)   # leading zeros
+    return rows, rank, np.where(np.arange(batch.shape[1]) < rank[:, None], pivots, -1), den
 
 
 def ranks_regular(coords: np.ndarray, to_blocks: np.ndarray, d: int) -> np.ndarray:

@@ -3,11 +3,13 @@
 An echelon matrix D (row-reduced, maximal rank) canonically represents a
 point of Gr(k, K^m); its module Lambda_D is the set of integral vectors in
 the row space.  This file implements the three-way dictionary between those
-objects and the height/denominator data attached to them.  One search finds
-modules: `span_modules` takes Lambda_D for the K-spans of k independent short
-vectors of O_K^m.  The complete enumeration of primitive rank-k modules below
-a height bound runs it on the vectors that the successive minima allow, and
-the stratified count on the vectors that can be rows of a counted matrix.
+objects and the height/denominator data attached to them.  Every echelon
+matrix comes from one batched integer Gauss-Jordan pass, `_echelons`.  One
+search finds modules: `span_modules` takes Lambda_D for the K-spans of k
+independent short vectors of O_K^m, at every k through that pass.  The
+complete enumeration of primitive rank-k modules below a height bound runs
+it on the vectors that the successive minima allow, and the stratified count
+on the vectors that can be rows of a counted matrix.
 """
 
 from __future__ import annotations
@@ -73,22 +75,49 @@ def _echelon(field: NumberField, phi_rows) -> EchelonMatrix:
     """Echelon form of a K-stable row space; its k is the K-rank (0 for zero).
 
     phi_rows are rational rows, in power coordinates, that span a K-stable
-    subspace of K^m over Q: the rows of Phi(A) (numfield._regular_rows), or
-    a Z-basis of an O_K-module, each row scaled by any nonzero rational.  The
-    rational RREF of the space is Phi of its RREF over K, so rows 0, d, 2d,
-    ... of it are the K-rows and every d-th pivot, over d, is a K-pivot.
+    subspace of K^m over Q (the rows of Phi(A), or a Z-basis of an O_K-module);
+    scaled to integers, they go through _echelons as a batch of one matrix.
     """
-    d = field.degree
-    R, pivots, rk = intmat.rref(phi_rows)
-    return EchelonMatrix(field=field,
-                         rows=tuple(unflatten_kvector(field, R[i]) for i in range(0, rk, d)),
-                         pivot_cols=tuple(p // d for p in pivots[::d]))
+    ints = _integral(phi_rows)[1]
+    batch = np.array(ints, dtype=object).reshape(1, len(ints), len(ints[0]) if ints else 0)
+    return next(iter(_echelons(field, batch).values()))
+
+
+def _echelons(field: NumberField, phi: np.ndarray, k: int | None = None,
+              known=()) -> dict:
+    """The distinct echelon forms of the row spaces of a batch of integer Phi rows.
+
+    phi[i] holds rational rows, each scaled to integers, that span a K-stable
+    subspace of K^m over Q: the d rows of L Phi(v) for each v of a tuple of
+    candidates (see _candidates), or a Z-basis of an O_K-module.  Its
+    rational RREF is Phi of its RREF over K, so rows 0, d, 2d, ... of it are
+    the K-rows and every d-th pivot, over d, is a K-pivot.  One
+    kernels.gauss_jordan pass gives den * RREF for the whole batch.  The key
+    of a matrix, its K-pivots, den and K-rows over their gcd, signed so that
+    den > 0, is canonical, so the batch is deduplicated before any Fraction.
+
+    Returns {key: EchelonMatrix} in first-occurrence order, for the matrices
+    of K-rank k (of any K-rank when k is None) whose key is not in `known`.
+    """
+    d, width = field.degree, phi.shape[2]
+    R, rank, pivots, den = kernels.gauss_jordan(phi)
+    found: dict = {}
+    for kk in (k,) if k is not None else set((rank // d).tolist()):
+        sel = np.flatnonzero(rank == kk * d)
+        rows = R[sel, :kk * d:d].reshape(len(sel), kk * width)
+        g = np.gcd(np.gcd.reduce(rows, axis=1), den[sel]) * np.where(den[sel] < 0, -1, 1)
+        keys = np.column_stack([pivots[sel, :kk * d:d] // d, den[sel] // g, rows // g[:, None]])
+        new = [key for key in dict.fromkeys(map(tuple, keys.tolist())) if key not in known]
+        cuts = [slice(kk + 1 + i * width, kk + 1 + (i + 1) * width) for i in range(kk)]
+        found.update(zip(new, [EchelonMatrix(field=field, pivot_cols=key[:kk], rows=tuple(
+            [unflatten_kvector(field, [Fraction(x, key[kk]) for x in key[cut]]) for cut in cuts]))
+            for key in new]))
+    return found
 
 
 def _echelon_of_rows(field: NumberField, mat) -> EchelonMatrix:
     """Echelon form of the row space of a K-matrix."""
-    return _echelon(field, _regular_rows(field, [flatten_kvector(field, row) for row in mat])
-                    .tolist())
+    return _echelon(field, _regular_rows(field, [flatten_kvector(field, row) for row in mat]))
 
 
 def to_echelon(field: NumberField, rows) -> EchelonMatrix:
@@ -165,14 +194,12 @@ def _span_matrix(D: EchelonMatrix):
     scaled = []
     for row in D.rows:
         coords = [c for x in row for c in x.coords]
-        e = 1
-        for c in coords:
-            e = e * c.denominator // math.gcd(e, c.denominator)
+        e = math.lcm(*(c.denominator for c in coords))
         num = [c.numerator * (e // c.denominator) for c in coords]
         for mult in mults:
             out = _blockwise([num], mult, d)[0]
             g = math.gcd(e, *out)  # the entries are out / e with lcm denominator e / g
-            q = q * (e // g) // math.gcd(q, e // g)
+            q = math.lcm(q, e // g)
             scaled.append((out, e // g, g))
     return q, [[(v // g) * (q // den) for v in out] for out, den, g in scaled]
 
@@ -267,79 +294,30 @@ def span_modules(okm: ZLattice, k: int, radius,
                  prod_bound: float = math.inf) -> list[PrimitiveModule]:
     """Lambda_D for every K-span of k independent vectors of okm = O_K^m with norm <= radius.
 
-    Each distinct echelon key gets one lambda_of; the result is sorted by
-    (H, key).  A k-tuple whose product of norms^d exceeds prod_bound (in
-    floats) is skipped before its span is formed.  At k = 1 the echelon rows
-    come from one integer pass over all candidates (_line_echelons); at
-    k >= 2 every k-tuple is reduced by a rational RREF.
+    The k-tuples of candidates, in itertools.combinations order, go through
+    _echelons in blocks of at most kernels._BLOCK; a tuple whose product of
+    norms^d exceeds prod_bound (in floats) is dropped before its span is
+    formed.  For k d = rank the first block with a span ends the search, as
+    k independent vectors span all of K^m.  Each distinct echelon key gets
+    one lambda_of; the result is sorted by (H, key).
     """
     field = okm.ambient.field
     d = field.degree
     norms, phi = _candidates(okm, short_vectors(okm, radius))
-    if k == 1:
-        echelons = _line_echelons(field, phi[norms ** (d / 2.0) <= prod_bound])
-    else:
-        norms, rows = norms.tolist(), phi.tolist()
-        found: dict = {}
-        for combo in itertools.combinations(range(len(rows)), k):
-            if math.prod(norms[i] ** (d / 2.0) for i in combo) > prod_bound:
-                continue
-            D = _echelon(field, [row for i in combo for row in rows[i]])
-            if D.k == k:
-                found.setdefault(D.key(), D)
-                if k * d == okm.rank:
-                    break   # k independent vectors span all of K^m
-        echelons = found.values()
-    modules = [lambda_of(D, okm.ambient) for D in echelons]
+    powers = np.array([x ** (d / 2.0) for x in norms.tolist()])
+    combos = itertools.combinations(range(len(powers)), k)
+    found: dict = {}
+    for _ in range(0, math.comb(len(powers), k), kernels._BLOCK):
+        flat = itertools.chain.from_iterable(itertools.islice(combos, kernels._BLOCK))
+        tuples = np.fromiter(flat, dtype=np.int64).reshape(-1, k)
+        # each product of norms^d in floats, factor by factor in tuple order
+        tuples = tuples[functools.reduce(np.multiply, powers[tuples].T) <= prod_bound]
+        new = _echelons(field, phi[tuples].reshape(len(tuples), k * d, phi.shape[2]), k, found)
+        found.update(new)
+        if new and k * d == okm.rank:
+            break
+    modules = [lambda_of(D, okm.ambient) for D in found.values()]
     return sorted(modules, key=lambda P: (P.height, P.key()))
-
-
-def _line_echelons(field: NumberField, phi: np.ndarray) -> list[EchelonMatrix]:
-    """The distinct echelon forms of the K-lines spanned by candidate vectors.
-
-    phi[i] holds the d rows of L Phi(v) for a nonzero v in O_K^m (as
-    _candidates returns them).  With p the first nonzero K-entry of v, the
-    echelon row is v / v_p, and its power coordinates are e_0 B^-1 phi[i]
-    for the d x d block B = L M(v_p) of phi[i] at column block p.  One
-    fraction-free Gauss-Jordan pass on [B^T | e_0] (Bareiss, with row swaps)
-    gives det(B) and row 0 of adj(B), up to a common sign, for every
-    candidate at once; every division in it is exact.  The integer rows are
-    reduced by their gcd and deduplicated before any Fraction is formed.
-    """
-    n, d = len(phi), field.degree
-    if not n:
-        return []
-    m = phi.shape[2] // d
-    pivots = np.argmax((phi[:, 0].reshape(n, m, d) != 0).any(axis=2), axis=1)
-    # the elimination's values are differences of two products of minors of
-    # order <= d of [B^T | e_0], each minor at most (sqrt(d) b)^d (Hadamard);
-    # the numerators, d products of such a minor and an entry, stay below too
-    b = max(int(np.max(np.abs(phi))), 1)
-    dtype = kernels.int_dtype(2 * d ** d * b ** (2 * d))
-    phi = phi.astype(dtype)
-    blocks = phi.reshape(n, d, m, d)[np.arange(n), :, pivots, :]
-    M = np.concatenate([blocks.transpose(0, 2, 1), np.zeros((n, d, 1), dtype=dtype)], axis=2)
-    M[:, 0, d] = 1
-    rows = np.arange(n)
-    prev = np.ones(n, dtype=dtype)
-    for t in range(d):
-        swap = t + np.argmax(M[:, t:, t] != 0, axis=1)
-        M[rows, t], M[rows, swap] = M[rows, swap], M[rows, t]
-        piv = M[:, t, t]
-        step = (piv[:, None, None] * M - M[:, :, t:t + 1] * M[:, t:t + 1, :]) \
-            // prev[:, None, None]
-        step[:, t] = M[:, t]
-        M, prev = step, piv
-    den = prev
-    num = (M[:, :, d, None] * phi).sum(axis=1)
-    g = np.gcd(np.gcd.reduce(num, axis=1), den)
-    sign = np.where(den < 0, -1, 1)
-    den = den // g * sign
-    num = num // (g * sign)[:, None]
-    keys = np.column_stack([pivots, den, num]).tolist()
-    return [EchelonMatrix(field=field, pivot_cols=(p,),
-                          rows=(unflatten_kvector(field, [Fraction(x, q) for x in row]),))
-            for p, q, *row in dict.fromkeys(map(tuple, keys))]
 
 
 def _candidates(okm: ZLattice, vecs: np.ndarray):
@@ -351,7 +329,7 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
     norms; a norm's float is that of the exact PowerProduct, as int / int
     division rounds correctly.  One integer product gives the d rows of
     Phi(v) (numfield._regular_rows) scaled by the lcm of the denominators of
-    okm's basis, which is what _echelon takes.  Both arrays are sorted by
+    okm's basis, which is what _echelons takes.  Both arrays are sorted by
     (norm, coordinates).
     """
     field = okm.ambient.field

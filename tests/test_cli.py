@@ -63,6 +63,27 @@ def test_invalid_moment_window_exit_2(tmp_path, capsys):
     assert "1 - s/n < 1/m" in err
 
 
+@pytest.mark.parametrize("n, m, s", [("3", "0", "2"), ("1", "1", "0")])
+def test_moment_window_out_of_range_exit_2(tmp_path, capsys, n, m, s):
+    # m < 1 and n < 2 are rejected before any division by m
+    out = tmp_path / "run"
+    code = main(["hecke-moment", "--n", n, "--m", m, "--s", s, "--primes", "5",
+                 "--output-dir", str(out)])
+    assert code == 2
+    assert "need n >= 2 and m >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["-1", "0"])
+def test_count_rank_nonpositive_ball_exit_2(tmp_path, capsys, radius):
+    out = tmp_path / "run"
+    code = main(["count-rank", "--n", "3", "--m", "2", "--k", "1", "--T", "2",
+                 "--ball", radius, "--output-dir", str(out)])
+    assert code == 2
+    assert f"radius must be positive, got {radius}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, modes", [
     ("exact", ["exact"]),
     ("auto", ["exact", "sampled:2000"]),

@@ -115,6 +115,17 @@ class TestLhsCount:
         with pytest.raises(ValueError):
             lhs_count(QQ, 3, 2, 0, 2, ball(1))
 
+    @pytest.mark.parametrize("make", [
+        lambda r: ball(r),
+        lambda r: product_of_balls(r, 2),
+        lambda r: product_of_balls([1, r]),
+        lambda r: custom(lambda M: 1.0, r),
+    ])
+    @pytest.mark.parametrize("radius", [-1, 0, Fraction(-1, 2)])
+    def test_nonpositive_radius_rejected(self, make, radius):
+        with pytest.raises(ValueError, match=f"radius must be positive, got {radius}"):
+            make(radius)
+
 
 class TestTermValue:
     def test_pivot_ball(self, QQ):

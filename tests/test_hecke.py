@@ -472,6 +472,13 @@ class TestConvergenceTable:
             validate_moment_window(4, 3, 1)
         assert "1 - s/n < 1/m" in str(exc.value)
 
+    @pytest.mark.parametrize("n,m,s", [(3, 0, 2), (3, -1, 2), (1, 1, 0), (0, 1, -1)])
+    def test_window_rejects_small_n_and_m(self, QQ, n, m, s):
+        with pytest.raises(ValidationError, match="need n >= 2 and m >= 1"):
+            validate_moment_window(n, m, s)
+        with pytest.raises(ValidationError, match="need n >= 2 and m >= 1"):
+            convergence_table(QQ, n, m, s, ball(1), primes=[5])
+
     def test_small_table_trends_down(self, QQ):
         # the m = 1 moments at radius 1.5 carry circle-count fluctuations of
         # size ~1 at single-digit primes (exact values: 23/3 at p=2, 6 at p=3,

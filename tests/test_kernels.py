@@ -1,5 +1,7 @@
 """The vectorized kernels must agree with the reference loops in tests_support."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,24 @@ def test_ranks_paths_agree(monkeypatch):
         expect = [intmat.rank([[int(v) for v in row] for row in M]) for M in batch]
         assert list(kernels.ranks_over_z(batch)) == expect
     assert kernels.ranks_over_z(np.zeros((0, 3, 2), dtype=np.int64)).shape == (0,)
+
+
+def test_gauss_jordan_matches_rref(monkeypatch):
+    # den * RREF, rank and pivots against the rational RREF, in int64, in
+    # Python ints scaled past int64, and across a chunk boundary
+    rng = np.random.default_rng(2)
+    for batch in _rank_batches(rng):
+        expect = [intmat.rref([[int(v) for v in row] for row in M]) for M in batch]
+        for scaled in (batch, batch.astype(object) * 2 ** 40):
+            for block in (kernels._BLOCK, 16):
+                monkeypatch.setattr(kernels, "_BLOCK", block)
+                rows, rank, pivots, den = kernels.gauss_jordan(scaled)
+                for i, (R, piv, rk) in enumerate(expect):
+                    assert rank[i] == rk
+                    assert list(pivots[i]) == piv + [-1] * (len(R) - rk)
+                    assert [[Fraction(x, int(den[i])) for x in row] for row in rows[i, :rk].tolist()] == R[:rk]
+    assert [x.shape for x in kernels.gauss_jordan(np.zeros((0, 3, 2), dtype=np.int64))] == \
+        [(0, 3, 2), (0,), (0, 3), (0,)]
 
 
 def _rank_mod_p_oracle(M, p):

@@ -19,12 +19,12 @@ from latrank import (
     schmidt_count,
     to_echelon,
 )
-from latrank import intmat
+from latrank import intmat, kernels
 from latrank import modules
 from latrank.modules import (
     _candidates,
     _echelon,
-    _line_echelons,
+    _echelons,
     dump_module_lines,
     jacobian,
     matrix_module_index,
@@ -36,6 +36,7 @@ from latrank.zlattice import direct_sum, is_primitive_in, short_vectors
 from tests_support import (
     brute_force_short,
     denominator_loop,
+    echelon_rref,
     from_integral_coords,
     is_integral,
     k_rref,
@@ -458,18 +459,19 @@ def _k_matrices(draw, field):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_echelon_matches_k_rref(name, data, QQ, Qi, Qs5, Qzeta9p, Qzeta8):
-    # the rational RREF of the regular representation against Gauss-Jordan over K,
-    # on Phi rows as built and on Phi rows scaled to integers one by one
+    # the integer echelon pass and the rational RREF of the regular
+    # representation against Gauss-Jordan over K, on Phi rows as built and on
+    # Phi rows scaled to integers one by one
     field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5, "Qzeta9p": Qzeta9p, "Qzeta8": Qzeta8}[name]
     rows = data.draw(_k_matrices(field))
     R, pivots, rank = k_rref(rows)
     phi = _regular_rows(field, [flatten_kvector(field, row) for row in rows]).tolist()
     scaled = [[x * intmat.lcm_denominator([row]) for x in row] for row in phi]
     for phi_rows in (phi, scaled):
-        D = _echelon(field, phi_rows)
-        assert D.key() == tuple(tuple(x.coords for x in row) for row in R[:rank])
-        assert D.pivot_cols == tuple(pivots)
-        assert D.k == rank
+        for D in (_echelon(field, phi_rows), echelon_rref(field, phi_rows)):
+            assert D.key() == tuple(tuple(x.coords for x in row) for row in R[:rank])
+            assert D.pivot_cols == tuple(pivots)
+            assert D.k == rank
     assert rank_over_K(rows) == rank
 
 
@@ -492,23 +494,21 @@ def test_module_dump_golden(name, k, m, H, request):
     assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_DUMPS[name, k, m, H]
 
 
-# -- the k = 1 module search: batched echelon keys ------------------------------
+# -- the module search: one integer echelon pass per block of k-tuples ----------
 
 FIELD_NAMES = ["QQ", "Qi", "Qs5", "Qzeta9p", "Qzeta8"]
 
 
-@pytest.mark.parametrize("name", FIELD_NAMES)
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_line_echelons_match_rref(name, data, QQ, Qi, Qs5, Qzeta9p, Qzeta8):
-    # the batched fraction-free keys against the rational RREF of each
-    # candidate's Phi rows, on int64 rows and on rows scaled by 2**40 past the
-    # int64 guard; integer multiples of a vector must dedupe to its one line
-    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5, "Qzeta9p": Qzeta9p, "Qzeta8": Qzeta8}[name]
-    m = data.draw(st.integers(1, 3))
+def _check_tuple_echelons(field, k, data, max_vectors):
+    # the batched fraction-free keys of k-tuples of candidates against the
+    # rational RREF of each tuple's Phi rows, on int64 rows and on rows scaled
+    # by 2**40 past the int64 guard; integer multiples of a vector must
+    # dedupe to its one line, dependent tuples must drop out, and known keys
+    # must be skipped
+    m = data.draw(st.integers(k, 3))
     r = m * field.degree
     vecs = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r)
-                              .filter(any), min_size=1, max_size=6))
+                              .filter(any), min_size=1, max_size=max_vectors))
     vecs += [[c * x for x in v] for v in vecs for c in (-2, 3)]
     # _candidates keeps the sign whose first nonzero entry is negative
     vecs = [v if next(x for x in v if x) < 0 else [-x for x in v] for v in vecs]
@@ -516,13 +516,33 @@ def test_line_echelons_match_rref(name, data, QQ, Qi, Qs5, Qzeta9p, Qzeta8):
     arr = np.array(vecs, dtype=np.int64)
     for rows in (arr, arr.astype(object) * 2 ** 40):
         phi = _candidates(okm, rows)[1]
+        tuples = np.array(list(itertools.combinations(range(len(phi)), k)), dtype=np.int64)
+        batch = phi[tuples].reshape(len(tuples), k * field.degree, phi.shape[2])
         want = {}
-        for phi_v in phi.tolist():
-            D = _echelon(field, phi_v)
-            want.setdefault(D.key(), D.pivot_cols)
-        got = _line_echelons(field, phi)
-        assert {D.key(): D.pivot_cols for D in got} == want
+        for mat in batch.tolist():
+            D = echelon_rref(field, mat)
+            if D.k == k:
+                want.setdefault(D.key(), D.pivot_cols)
+        got = _echelons(field, batch, k)
+        assert {D.key(): D.pivot_cols for D in got.values()} == want
         assert len(got) == len(want)
+        assert _echelons(field, batch, k, got) == {}
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_line_echelons_match_rref(name, data, QQ, Qi, Qs5, Qzeta9p, Qzeta8):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5, "Qzeta9p": Qzeta9p, "Qzeta8": Qzeta8}[name]
+    _check_tuple_echelons(field, 1, data, max_vectors=6)
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_plane_echelons_match_rref(name, data, QQ, Qi, Qs5, Qzeta9p, Qzeta8):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5, "Qzeta9p": Qzeta9p, "Qzeta8": Qzeta8}[name]
+    _check_tuple_echelons(field, 2, data, max_vectors=3)
 
 
 @pytest.mark.parametrize("name,m", [("QQ", 2), ("QQ", 3), ("Qi", 2), ("Qs5", 2)])
@@ -557,7 +577,36 @@ def test_span_modules_k1_brute_force(name, m, radius, request):
     assert dump_module_lines(span_modules(okm, 1, radius)) == dump_module_lines(want)
 
 
-def test_span_modules_k1_one_lambda_per_key_and_no_rref(Qi, monkeypatch):
+@pytest.mark.parametrize("name,m,radius", [("QQ", 3, 2), ("QQ", 4, Fraction(3, 2)),
+                                           ("Qi", 3, Fraction(3, 2))])
+def test_span_modules_k2_brute_force(name, m, radius, request):
+    # the K-span of every independent pair of nonzero vectors of a box around
+    # the ball, reduced over K one pair at a time
+    field = request.getfixturevalue(name)
+    okm = okn_lattice(field, m)
+    vecs = [okm.kvector_of_coords(c) for c in brute_force_short(okm, Fraction(radius) ** 2)
+            if any(c) and next(x for x in c if x) > 0]
+    found = {}
+    for v, w in itertools.combinations(vecs, 2):
+        if rank_over_K([v, w]) == 2:
+            D = to_echelon(field, [v, w])
+            found.setdefault(D.key(), D)
+    want = sorted((lambda_of(D) for D in found.values()), key=lambda P: (P.height, P.key()))
+    assert dump_module_lines(span_modules(okm, 2, radius)) == dump_module_lines(want)
+
+
+@pytest.mark.parametrize("name,m,k,radius", [("QQ", 3, 2, 2), ("Qi", 2, 1, 3),
+                                             ("Qi", 2, 2, 2)])
+def test_span_modules_in_small_blocks(name, m, k, radius, request, monkeypatch):
+    # with blocks of 7 tuples, keys dedupe across blocks and only a search
+    # with k d = rank stops at the first block that yields a span
+    okm = okn_lattice(request.getfixturevalue(name), m)
+    want = dump_module_lines(span_modules(okm, k, radius))
+    monkeypatch.setattr(kernels, "_BLOCK", 7)
+    assert dump_module_lines(span_modules(okm, k, radius)) == want
+
+
+def _check_one_lambda_per_key_and_no_rref(okm, k, radius, monkeypatch):
     calls = []
 
     def counted(D, ambient=None):
@@ -565,9 +614,20 @@ def test_span_modules_k1_one_lambda_per_key_and_no_rref(Qi, monkeypatch):
         return lambda_of(D, ambient)
 
     def no_rref(A):
-        raise AssertionError("intmat.rref called at k = 1")
+        raise AssertionError("intmat.rref called by the module search")
 
     monkeypatch.setattr(modules, "lambda_of", counted)
     monkeypatch.setattr(intmat, "rref", no_rref)
-    got = span_modules(okn_lattice(Qi, 2), 1, 3)
+    got = span_modules(okm, k, radius)
     assert len(calls) == len(set(calls)) == len(got) > 0
+
+
+def test_span_modules_k1_one_lambda_per_key_and_no_rref(Qi, monkeypatch):
+    _check_one_lambda_per_key_and_no_rref(okn_lattice(Qi, 2), 1, 3, monkeypatch)
+
+
+@pytest.mark.parametrize("name,m,radius", [("QQ", 3, 2), ("Qi", 3, 1)])
+def test_span_modules_k2_one_lambda_per_key_and_no_rref(name, m, radius, request,
+                                                        monkeypatch):
+    okm = okn_lattice(request.getfixturevalue(name), m)
+    _check_one_lambda_per_key_and_no_rref(okm, 2, radius, monkeypatch)

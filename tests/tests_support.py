@@ -286,10 +286,28 @@ def lambda_of_loop(D, ambient=None):
                            height_sq=hsq, denominator=denominator_loop(D))
 
 
+def echelon_rref(field, phi_rows):
+    """modules._echelon by a rational RREF: the echelon form of a K-stable row space.
+
+    phi_rows are rational rows, in power coordinates, that span a K-stable
+    subspace of K^m over Q, each row scaled by any nonzero rational.  Their
+    rational RREF is Phi of the RREF over K, so rows 0, d, 2d, ... of it are
+    the K-rows and every d-th pivot, over d, is a K-pivot.
+    """
+    from latrank.modules import EchelonMatrix
+    from latrank.numfield import unflatten_kvector
+
+    d = field.degree
+    R, pivots, rk = intmat.rref(phi_rows)
+    return EchelonMatrix(field=field,
+                         rows=tuple(unflatten_kvector(field, R[i]) for i in range(0, rk, d)),
+                         pivot_cols=tuple(p // d for p in pivots[::d]))
+
+
 def span_modules_loop(okm, k, radius, prod_bound=math.inf):
-    """modules.span_modules with one rational RREF (modules._echelon) per k-tuple
+    """modules.span_modules with one rational RREF (echelon_rref) per k-tuple
     of candidates, at every k, and one lambda_of per new echelon key."""
-    from latrank.modules import _candidates, _echelon, lambda_of
+    from latrank.modules import _candidates, lambda_of
     from latrank.zlattice import short_vectors
 
     field = okm.ambient.field
@@ -300,7 +318,7 @@ def span_modules_loop(okm, k, radius, prod_bound=math.inf):
     for combo in itertools.combinations(range(len(rows)), k):
         if math.prod(norms[i] ** (d / 2.0) for i in combo) > prod_bound:
             continue
-        D = _echelon(field, [row for i in combo for row in rows[i]])
+        D = echelon_rref(field, [row for i in combo for row in rows[i]])
         if D.k < k or D.key() in found:
             continue
         found[D.key()] = lambda_of(D, okm.ambient)
