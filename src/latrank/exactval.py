@@ -29,6 +29,11 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction, without Fraction()'s ABC check when it already is one."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class PowerProduct:
     """Immutable exact value q * prod(p ** e) with q rational > 0, p prime, e rational.
 
@@ -76,17 +81,26 @@ class PowerProduct:
             raise ValueError(f"{self!r} is irrational")
         return self.coeff
 
+    def _rescaled(self, coeff: Fraction) -> "PowerProduct":
+        """coeff * prod(p ** e) over self's exponents, which are already normalized."""
+        if coeff.numerator <= 0:
+            raise ValueError("PowerProduct values are positive")
+        out = object.__new__(PowerProduct)
+        object.__setattr__(out, "coeff", coeff)
+        object.__setattr__(out, "exps", self.exps)
+        return out
+
     def __mul__(self, other) -> "PowerProduct":
         if isinstance(other, PowerProduct):
             return PowerProduct(self.coeff * other.coeff, self.exps + other.exps)
-        return PowerProduct(self.coeff * Fraction(other), self.exps)
+        return self._rescaled(self.coeff * _rational(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "PowerProduct":
         if isinstance(other, PowerProduct):
             return self * other ** -1
-        return PowerProduct(self.coeff / Fraction(other), self.exps)
+        return self._rescaled(self.coeff / _rational(other))
 
     def __rtruediv__(self, other) -> "PowerProduct":
         return PowerProduct(Fraction(other), ()) / self

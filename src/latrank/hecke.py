@@ -256,8 +256,7 @@ def hecke_neighbor(field: NumberField, P: PrimeIdealData, S: FiniteSubspace,
                 vec = [0] * (n * d)
                 vec[c * d:(c + 1) * d] = coords
                 gens.append(vec)
-    H, _ = intmat.hermite_normal_form(gens)
-    basis_w = [row for row in H if any(row)]
+    basis_w = [row for row in intmat.hermite_normal_form(gens) if any(row)]
     if len(basis_w) != n * d:
         raise InvariantError("neighbor rank: the construction produced a degenerate lattice")
     det = 1

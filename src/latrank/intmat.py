@@ -1,8 +1,9 @@
 """Exact matrix routines over the integers and rationals.
 
 Matrices are lists of lists of Python ints or Fractions; everything here is
-arbitrary precision.  Hermite and Smith normal forms carry their unimodular
-transforms so callers can compute indices and saturations exactly.
+arbitrary precision.  The one integer normal form is the Hermite form; it
+gives neighbor bases and, through saturation_basis, every saturation and
+index, from the rational RREF of a row space.
 """
 
 from __future__ import annotations
@@ -137,158 +138,83 @@ def inverse(A):
 
 
 def hermite_normal_form(M):
-    """Row-style Hermite normal form with transform.
+    """Row-style Hermite normal form H of an integer matrix M.
 
-    Returns (H, U) with U * M = H, det(U) = +-1, pivots positive, entries above
-    each pivot reduced into [0, pivot).  Zero rows sink to the bottom.
+    H spans the same lattice as the rows of M.  Its pivots move strictly
+    right and are positive, the entries above each pivot lie in [0, pivot),
+    and zero rows sink to the bottom, so H is canonical.  Each entry below a
+    pivot is cleared by one unimodular combination of two rows, built from
+    the extended gcd of the two entries.
     """
-    A = [[int(x) for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U = identity(rows)
+    H = [list(map(int, row)) for row in M]
+    rows = len(H)
     r = 0
-    for c in range(cols):
-        # clear column c below row r by gcd steps
-        while True:
-            nz = [i for i in range(r + 1, rows) if A[i][c] != 0]
-            if A[r][c] == 0:
-                if not nz:
-                    break
-                i = nz[0]
-                A[r], A[i] = A[i], A[r]
-                U[r], U[i] = U[i], U[r]
-                continue
-            if not nz:
-                break
-            i = min(nz, key=lambda t: abs(A[t][c]))
-            if abs(A[i][c]) < abs(A[r][c]):
-                A[r], A[i] = A[i], A[r]
-                U[r], U[i] = U[i], U[r]
-                continue
-            q = A[i][c] // A[r][c]
-            A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-            U[i] = [a - q * b for a, b in zip(U[i], U[r])]
-        if A[r][c] == 0:
-            continue
-        if A[r][c] < 0:
-            A[r] = [-x for x in A[r]]
-            U[r] = [-x for x in U[r]]
-        piv = A[r][c]
-        for i in range(r):
-            q = A[i][c] // piv
-            if q:
-                A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-                U[i] = [a - q * b for a, b in zip(U[i], U[r])]
-        r += 1
+    for c in range(len(H[0]) if rows else 0):
         if r == rows:
             break
-    return A, U
-
-
-def smith_normal_form(M, with_inverse: bool = False):
-    """Smith normal form with transforms.
-
-    Returns (divisors, U, V) with U * M * V diagonal on `divisors`,
-    d_1 | d_2 | ... and d_i >= 0; U, V unimodular.  With `with_inverse`,
-    V^-1 follows as a fourth entry: every column operation on V is applied
-    to V^-1 as the inverse row operation, so it stays integral and exact
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.4.14).
-    """
-    A = [[int(x) for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U = identity(rows)
-    V = identity(cols)
-    Vinv = identity(cols)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def add_row(src, dst, q):
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-        # V (I + q e_src e_dst^T) has inverse (I - q e_src e_dst^T) V^-1
-        Vinv[src] = [a - q * b for a, b in zip(Vinv[src], Vinv[dst])]
-
-    t = 0
-    n = min(rows, cols)
-    while t < n:
-        # find a nonzero pivot
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            done = True
-            for i in range(t + 1, rows):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, cols):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if done:
+        for i in range(r, rows):
+            if H[i][c]:
                 break
-        # enforce divisibility of the remaining block by the pivot
-        d = A[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if A[i][j] % d != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
+        else:
             continue
-        if d < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    divisors = [A[i][i] for i in range(n)]
-    if with_inverse:
-        return divisors, U, V, Vinv
-    return divisors, U, V
+        H[r], H[i] = H[i], H[r]
+        top = H[r]
+        for i in range(r + 1, rows):
+            row = H[i]
+            a, b = top[c], row[c]
+            if b % a == 0:
+                if b:
+                    f = b // a
+                    H[i] = [y - f * x for x, y in zip(top, row)]
+                continue
+            # with a, b over their gcd, s a + t b = 1: [[s, t], [-b, a]] is unimodular
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            s = pow(a, -1, abs(b))
+            t = (1 - s * a) // b
+            H[i] = [a * y - b * x for x, y in zip(top, row)]
+            top = H[r] = [s * x + t * y for x, y in zip(top, row)]
+        if top[c] < 0:
+            top = H[r] = [-x for x in top]
+        for i in range(r):
+            f = H[i][c] // top[c]
+            if f:
+                H[i] = [y - f * x for x, y in zip(top, H[i])]
+        r += 1
+    return H
 
 
-def saturation_basis(A):
-    """Basis of the saturation of the row space of integer matrix A in Z^cols.
+def saturation_basis(q: int, A):
+    """(S, den): the Hermite basis S of (row space of A) intersect Z^n, and its index den.
 
-    Uses A = U^-1 S V^-1: the saturated lattice is spanned by the first r
-    rows of V^-1, r = rank(A).  Returns a list of integer rows.
+    A / q is a rational matrix of rank r in reduced row echelon form, with A
+    its integer numerator, so A = q I on the pivot columns.  A row y A / q
+    with y rational is integral iff y is integral (y is its pivot part) and
+    y A_N = 0 mod q on the other columns N.  So the saturation is L A / q with
+    L = {y in Z^r : y A_N = 0 mod q}, and den = [Z^r : L] is its index in
+    Z^r A / q.  The Hermite form of [[A_N, I_r], [q I, 0]] ends in the
+    Hermite basis of L, its vectors with no A_N part; L is upper triangular
+    and A / q is the identity on its pivots, so L A / q is again a Hermite
+    basis, and den is the product of L's diagonal.  The q I rows let A_N be
+    taken mod q, and a column of A_N that is 0 mod q constrains nothing.
     """
-    divisors, _, _, Vinv = smith_normal_form(A, with_inverse=True)
-    r = sum(1 for d in divisors if d != 0)
-    return Vinv[:r]
+    r = len(A)
+    pivots = {row.index(q) for row in A}   # each row's first nonzero entry is q
+    cols = list(zip(*A))
+    rest = [[x % q for x in col] for j, col in enumerate(cols) if j not in pivots]
+    rest = [col for col in rest if any(col)]
+    s = len(rest)
+    H = hermite_normal_form([[col[i] for col in rest] + e for i, e in enumerate(identity(r))]
+                            + [[q if i == j else 0 for j in range(s + r)] for i in range(s)])
+    L = [row[s:] for row in H[s:]]
+    S = []
+    for Lrow in L:   # Lrow A / q, skipping the zeros of the triangular L
+        acc = [0] * len(cols)
+        for y, row in zip(Lrow, A):
+            if y:
+                acc = [u + y * v for u, v in zip(acc, row)]
+        S.append([u // q for u in acc])
+    return S, math.prod([L[i][i] for i in range(r)])
 
 
 def lcm_denominator(rows) -> int:

@@ -3,7 +3,8 @@
 An echelon matrix D (row-reduced, maximal rank) canonically represents a
 point of Gr(k, K^m); its module Lambda_D is the set of integral vectors in
 the row space.  This file implements the three-way dictionary between those
-objects and the height/denominator data attached to them.  Every echelon
+objects and the height/denominator data attached to them; one Hermite
+form (intmat.saturation_basis) gives both Lambda_D and Den(D).  Every echelon
 matrix comes from one batched integer Gauss-Jordan pass, `_echelons`.  One
 search finds modules: `span_modules` takes Lambda_D for the K-spans of k
 independent short vectors of O_K^m, at every k through that pass.  The
@@ -204,39 +205,27 @@ def _span_matrix(D: EchelonMatrix):
     return q, [[(v // g) * (q // den) for v in out] for out, den, g in scaled]
 
 
-def _denominator_of(q: int, divisors) -> int:
-    """Den(D) from the Smith divisors of q * A (see _span_matrix)."""
-    idx = 1
-    for dv in divisors:
-        if dv == 0:
-            raise ValueError("echelon matrix is not of full rank")
-        idx *= q // math.gcd(dv, q)
-    return idx
-
-
 def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModule:
     """Lambda_D = (row space of D over K) intersect O_K^m, with height and denominator.
 
-    One Smith form of q * A gives both: its V^-1 spans the saturation of the
-    O_K-span of D's rows in O_K^m, and its divisors give Den(D).
+    q * A (see _span_matrix) is the numerator of the rational RREF of the
+    O_K-span of D's rows: A is the identity on the integral coordinates of
+    D's pivot columns.  So one intmat.saturation_basis gives both the
+    Hermite basis of Lambda_D and its index Den(D) in that span.
     """
     field = D.field
-    q, A = _span_matrix(D)
-    divisors, _, _, Vinv = intmat.smith_normal_form(A, with_inverse=True)
-    sat = Vinv[:len(divisors)]   # D has full rank, so every divisor is nonzero
+    sat, den = intmat.saturation_basis(*_span_matrix(D))
     _, bnum, bden = _field_maps(field)
     basis = [[Fraction(v, bden) for v in row] for row in _blockwise(sat, bnum, field.degree)]
     lat = ZLattice(basis, ambient or Ambient.for_field(field, D.m), ok_module=True)
     hsq = lat.height_sq()
     return PrimitiveModule(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
-                           height_sq=hsq, denominator=_denominator_of(q, divisors))
+                           height_sq=hsq, denominator=den)
 
 
 def denominator(D: EchelonMatrix) -> int:
     """Index [O_K^k : {v in O_K^k : v D is integral}], computed over Z-coordinates."""
-    q, A = _span_matrix(D)
-    divisors, _, _ = intmat.smith_normal_form(A)
-    return _denominator_of(q, divisors)
+    return intmat.saturation_basis(*_span_matrix(D))[1]
 
 
 def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:

@@ -502,8 +502,8 @@ class NumberField:
     def prime_above(self, p: int, root: int | None = None) -> PrimeIdealData:
         """Degree-one prime data above p; validates the root and monogenicity index."""
         p = int(p)
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        if p < 2 or any(p % t == 0 for t in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"p={p} is not a prime")
         if self.monogenic_index % p == 0:
             raise ValueError(
                 f"p={p} divides the index [O_K : Z[theta]] = {self.monogenic_index}"

@@ -3,9 +3,10 @@
 A ZLattice is a full-rank-by-rows discrete module in an exact rational
 quadratic space, carried as a basis, its Gram (computed once, in integers, by
 the constructor) and an analytic scale factor (a PowerProduct holding
-discriminant powers).  Heights, LLL
-reduction, Fincke-Pohst short-vector enumeration, saturation, successive
-K-minima and covering-radius bounds all live here.
+discriminant powers).  Heights, LLL reduction, Fincke-Pohst short-vector
+enumeration, saturation (one Hermite form, intmat.saturation_basis, of the
+rational RREF of the coordinates), successive K-minima and covering-radius
+bounds all live here.
 
 Squared norms decompose as scale_sq * (x G x^T) with G exact, so membership
 and radius tests are exact even when the scale itself is irrational.
@@ -511,29 +512,34 @@ def sublattice_coords(sub: ZLattice, ambient_lat: ZLattice):
     return rows
 
 
+def _saturation(sub: ZLattice, ambient_lat: ZLattice):
+    """(S, index): the Hermite basis S of sub's saturation, in ambient_lat's
+    coordinates, and [saturation : sub].
+
+    The coordinates X of sub factor as X_P R, with R their rational RREF and
+    X_P their columns at R's pivots, so sub has index |det X_P| in Z^r R and
+    intmat.saturation_basis gives the index of the saturation there.
+    """
+    X = sublattice_coords(sub, ambient_lat)
+    R, pivots, rk = intmat.rref(X)
+    q = intmat.lcm_denominator(R[:rk])
+    sat, den = intmat.saturation_basis(q, [[int(x * q) for x in row] for row in R[:rk]])
+    return sat, int(abs(intmat.det([[row[p] for p in pivots] for row in X]))) // den
+
+
 def saturate(sub: ZLattice, ambient_lat: ZLattice) -> ZLattice:
     """(sub tensor Q) intersect ambient_lat, a primitive sublattice.
 
     The returned basis is canonical (Hermite form in ambient coordinates),
     so saturating twice reproduces the same object.
     """
-    X = sublattice_coords(sub, ambient_lat)
-    sat = intmat.saturation_basis(X)
-    H, _ = intmat.hermite_normal_form(sat)
-    canon = [row for row in H if any(row)]
-    basis = intmat.mat_mul(canon, [list(r) for r in ambient_lat.basis])
+    basis = intmat.mat_mul(_saturation(sub, ambient_lat)[0], [list(r) for r in ambient_lat.basis])
     return ZLattice(basis, ambient_lat.ambient, ok_module=sub.ok_module)
 
 
 def saturation_index(sub: ZLattice, ambient_lat: ZLattice) -> int:
     """Index of sub inside its saturation."""
-    X = sublattice_coords(sub, ambient_lat)
-    divisors, _, _ = intmat.smith_normal_form(X)
-    idx = 1
-    for dv in divisors:
-        if dv:
-            idx *= dv
-    return idx
+    return _saturation(sub, ambient_lat)[1]
 
 
 def is_primitive_in(sub: ZLattice, ambient_lat: ZLattice) -> bool:

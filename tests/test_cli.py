@@ -74,6 +74,16 @@ def test_moment_window_out_of_range_exit_2(tmp_path, capsys, n, m, s):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("primes", ["4", "5,9"])
+def test_hecke_moment_non_prime_exit_2(tmp_path, capsys, primes):
+    out = tmp_path / "run"
+    code = main(["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", primes,
+                 "--cutoff", "3", "--output-dir", str(out)])
+    assert code == 2
+    assert f"p={primes[-1]} is not a prime" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radius", ["-1", "0"])
 def test_count_rank_nonpositive_ball_exit_2(tmp_path, capsys, radius):
     out = tmp_path / "run"

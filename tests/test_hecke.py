@@ -187,11 +187,10 @@ class TestHeckeNeighbor:
 
         hnf = intmat.hermite_normal_form
 
-        def wrong_hnf(A, *args, **kwargs):
-            H, U = hnf(A, *args, **kwargs)
-            H = [list(row) for row in H]
+        def wrong_hnf(A):
+            H = hnf(A)
             H[0][1], H[1][0] = H[0][0], -H[1][1]
-            return H, U
+            return H
 
         monkeypatch.setattr(intmat, "hermite_normal_form", wrong_hnf)
         S = FiniteSubspace(q=2, n=2, s=1, rows=((1, 0),))

@@ -1,78 +1,93 @@
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from latrank import intmat
+from tests_support import hermite_loop, max_minor_gcd, smith_normal_form
 
 
 def random_int_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def _same_lattice(M, H):
+    """The rows of M and the nonzero rows of the echelon matrix H span the same lattice.
+
+    Every row of M is an integral combination of H's rows (solved exactly on
+    H's pivot columns), and both have the same gcd of maximal minors, so the
+    index of one span in the other is 1.
+    """
+    basis = [row for row in H if any(row)]
+    if not basis:
+        return not any(any(row) for row in M)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    square = intmat.transpose([[row[p] for p in pivots] for row in basis])
+    for row in M:
+        y = intmat.solve(square, [row[p] for p in pivots])
+        if any(c.denominator != 1 for c in y) or intmat.vec_mat(y, basis) != list(row):
+            return False
+    return max_minor_gcd(M) == max_minor_gcd(basis)
+
+
 def test_hnf_identity():
-    H, U = intmat.hermite_normal_form(intmat.identity(3))
-    assert H == intmat.identity(3)
-    assert U == intmat.identity(3)
+    assert intmat.hermite_normal_form(intmat.identity(3)) == intmat.identity(3)
 
 
 def test_hnf_example():
     M = [[2, 4], [1, 3]]
-    H, U = intmat.hermite_normal_form(M)
-    assert intmat.mat_mul(U, M) == H
-    assert abs(intmat.det(U)) == 1
+    H = intmat.hermite_normal_form(M)
+    assert _same_lattice(M, H)
     # canonical row HNF of this matrix
     assert H == [[1, 1], [0, 2]]
 
 
 def test_hnf_zero_row_sinks():
     M = [[0, 0], [3, 1]]
-    H, U = intmat.hermite_normal_form(M)
+    H = intmat.hermite_normal_form(M)
     assert H[-1] == [0, 0]
-    assert intmat.mat_mul(U, M) == H
+    assert _same_lattice(M, H)
 
 
 def test_hnf_random_properties():
     rng = random.Random(0)
     for _ in range(40):
         M = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        H, U = intmat.hermite_normal_form(M)
-        assert intmat.mat_mul(U, M) == H
-        assert abs(intmat.det(U)) == 1
-        # pivots strictly move right, entries above pivots reduced
+        H = intmat.hermite_normal_form(M)
+        assert _same_lattice(M, H)
+        # pivots strictly move right, positive, entries above pivots reduced
         last = -1
-        for row in H:
+        for i, row in enumerate(H):
             piv = next((j for j, x in enumerate(row) if x), None)
             if piv is None:
-                continue
+                assert not any(any(r) for r in H[i:])
+                break
             assert piv > last
             last = piv
             assert row[piv] > 0
+            assert all(0 <= H[t][piv] < row[piv] for t in range(i))
 
 
 def test_snf_examples():
-    d, U, V = intmat.smith_normal_form([[2, 0], [0, 3]])
-    assert d == [1, 6]
-    d, U, V = intmat.smith_normal_form(intmat.identity(2))
-    assert d == [1, 1]
-    d, U, V = intmat.smith_normal_form([[2, 0], [0, 2]])
-    assert d == [2, 2]
+    # the reference Smith form of tests_support
+    assert smith_normal_form([[2, 0], [0, 3]])[0] == [1, 6]
+    assert smith_normal_form(intmat.identity(2))[0] == [1, 1]
+    assert smith_normal_form([[2, 0], [0, 2]])[0] == [2, 2]
 
 
 def test_snf_random_properties():
+    # divisors that divide each other, as many nonzero ones as the rank, and
+    # their product the gcd of the maximal minors
     rng = random.Random(1)
     for _ in range(40):
         M = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        d, U, V = intmat.smith_normal_form(M)
-        S = intmat.mat_mul(intmat.mat_mul(U, M), V)
-        for i, row in enumerate(S):
-            for j, x in enumerate(row):
-                assert x == (d[i] if i == j and i < len(d) else 0)
-        assert abs(intmat.det(U)) == 1
-        assert abs(intmat.det(V)) == 1
-        nz = [x for x in d if x]
+        nz = [x for x in smith_normal_form(M)[0] if x]
+        assert all(x > 0 for x in nz) and len(nz) == intmat.rank(M)
         for a, b in zip(nz, nz[1:]):
             assert b % a == 0
+        if nz:
+            assert math.prod(nz) == max_minor_gcd(M)
 
 
 def test_rank_and_det():
@@ -115,13 +130,12 @@ def test_solve_and_inverse():
 
 
 def test_saturation_basis():
-    sat = intmat.saturation_basis([[2, 4]])
-    assert len(sat) == 1
-    a, b = sat[0]
-    assert b == 2 * a and abs(a) == 1
-    # saturation of a saturated lattice spans the same rank
-    sat2 = intmat.saturation_basis(sat)
-    assert intmat.rank(sat2) == 1
+    # A / q = [[1, 2]]: Z (1, 2) is saturated
+    assert intmat.saturation_basis(1, [[1, 2]]) == ([[1, 2]], 1)
+    # A / q = [[1, 1/2]]: y (1, 1/2) is integral iff y is even
+    assert intmat.saturation_basis(2, [[2, 1]]) == ([[2, 1]], 2)
+    # A / q = [[1, 0, 1/3], [0, 1, 2/3]]: y is integral iff y_1 + 2 y_2 = 0 mod 3
+    assert intmat.saturation_basis(3, [[3, 0, 1], [0, 3, 2]]) == ([[1, 1, 1], [0, 3, 2]], 3)
 
 
 @st.composite
@@ -141,16 +155,25 @@ def _int_matrices(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@given(M=_int_matrices())
+def test_hnf_matches_loop(M):
+    H, U = hermite_loop(M)
+    assert intmat.mat_mul(U, M) == H and abs(intmat.det(U)) == 1
+    assert intmat.hermite_normal_form(M) == H
+
+
+@settings(max_examples=150, deadline=None)
 @given(A=_int_matrices())
-def test_snf_inverse_transform(A):
-    d, U, V, Vinv = intmat.smith_normal_form(A, with_inverse=True)
-    assert (d, U, V) == intmat.smith_normal_form(A)
-    n = len(V)
-    assert intmat.mat_mul(V, Vinv) == intmat.identity(n)
-    assert intmat.mat_mul(Vinv, V) == intmat.identity(n)
-    S = intmat.mat_mul(intmat.mat_mul(U, A), V)
-    assert all(x == (d[i] if i == j else 0) for i, row in enumerate(S) for j, x in enumerate(row))
-    # the saturation basis is read off V^-1; the Fraction inverse agrees
-    r = sum(1 for x in d if x)
-    assert intmat.saturation_basis(A) == [[int(x) for x in row] for row in intmat.inverse(V)[:r]]
-    assert intmat.rank(A) == r
+def test_saturation_basis_oracles(A):
+    R, _, r = intmat.rref(A)
+    if r == 0:
+        return
+    q = intmat.lcm_denominator(R[:r])
+    num = [[int(x * q) for x in row] for row in R[:r]]
+    S, den = intmat.saturation_basis(q, num)
+    # a Hermite basis of a saturated lattice in the row space of A
+    assert intmat.hermite_normal_form(S) == S and len(S) == r
+    assert intmat.rank(A + S) == r and max_minor_gcd(S) == 1
+    # of index den in Z^r R: det Gram(S) = den^2 det Gram(R)
+    gram = lambda B: intmat.det(intmat.mat_mul(B, intmat.transpose(B)))  # noqa: E731
+    assert gram(S) == den ** 2 * gram(R[:r])

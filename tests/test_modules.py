@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from latrank.modules import (
     _echelons,
     dump_module_lines,
     jacobian,
+    jacobian_sq,
     matrix_module_index,
     rank_factorize,
     span_modules,
@@ -42,7 +45,9 @@ from tests_support import (
     k_rref,
     kmat_mul,
     lambda_of_loop,
+    max_minor_gcd,
     span_modules_loop,
+    _w_blocks,
 )
 
 
@@ -369,9 +374,13 @@ def _echelon_matrices(draw, field, max_num, max_den):
 
 
 def _assert_same_module_data(D):
+    # the same module: lambda_of's basis is the Hermite form, in integral
+    # coordinates, of the reference's Smith basis
     P, R = lambda_of(D), lambda_of_loop(D)
-    assert P.lattice.basis == R.lattice.basis
-    assert P.lattice.gram == R.lattice.gram
+    W, Winv = _w_blocks(D.field, D.m)
+    ref = [[int(x) for x in row] for row in intmat.mat_mul(R.lattice.basis, Winv)]
+    assert [list(row) for row in P.lattice.basis] == intmat.mat_mul(
+        intmat.hermite_normal_form(ref), W)
     assert P.height_sq == R.height_sq and P.height == R.height
     assert P.denominator == R.denominator == denominator(D) == denominator_loop(D)
     assert P.lattice.ok_module and P.lattice.ambient.field is D.field
@@ -387,9 +396,10 @@ def test_module_data_matches_reference_over_Q(data, QQ):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_module_data_matches_reference_quadratic(name, data, Qi, Qs5):
-    # entries stay small: at m = 3 larger ones drive intmat.smith_normal_form,
-    # on both sides, into coefficient explosion (a 4 x 6 matrix with entries
-    # below 500 already runs for minutes)
+    # entries stay small: at m = 3 larger ones drive the reference's Smith form
+    # (tests_support.smith_normal_form) into coefficient explosion (a 4 x 6
+    # matrix with entries below 500 already runs for minutes); lambda_of itself
+    # is checked on large entries by test_module_data_large_entries_gaussian
     field = {"Qi": Qi, "Qs5": Qs5}[name]
     _assert_same_module_data(data.draw(_echelon_matrices(field, 6, 6)))
 
@@ -404,6 +414,54 @@ def test_module_data_matches_reference_quadratic_large_denominators(name, data, 
     entry = from_integral_coords(field, [Fraction(data.draw(num), data.draw(den)),
                                          Fraction(data.draw(num), data.draw(den))])
     _assert_same_module_data(to_echelon(field, [[field.one(), entry]]))
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError inside the block once `seconds` of wall time have passed."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_module_of(D):
+    """Den(D)^2 J(D)^2 = H(D)^2 exactly, and Lambda_D is a saturated lattice
+    that spans D's row space."""
+    P = lambda_of(D)
+    assert P.denominator ** 2 * jacobian_sq(D) == P.height_sq
+    assert echelon_rref(D.field, P.lattice.basis).key() == D.key()
+    ints = intmat.mat_mul(P.lattice.basis, _w_blocks(D.field, D.m)[1])
+    assert max_minor_gcd([[int(x) for x in row] for row in ints]) == 1
+    return P
+
+
+def test_module_data_large_entries_gaussian(Qi):
+    # k = 2, m = 3 over Q(i), where a Smith form of q A grew its entries past
+    # 2 million bits; the guard turns a return of that blowup into a failure
+    def draw(rng):
+        x = lambda: Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))  # noqa: E731
+        return to_echelon(Qi, [[Qi.one(), Qi.zero(), from_integral_coords(Qi, [x(), x()])],
+                               [Qi.zero(), Qi.one(), from_integral_coords(Qi, [x(), x()])]])
+
+    D = to_echelon(Qi, [
+        [Qi.one(), Qi.zero(), from_integral_coords(Qi, [Fraction(-11, 4), Fraction(-11, 9)])],
+        [Qi.zero(), Qi.one(), from_integral_coords(Qi, [Fraction(-8, 5), Fraction(1, 3)])]])
+    assert modules._span_matrix(D) == (180, [[180, 0, 0, 0, -495, -220],
+                                             [0, 180, 0, 0, 220, -495],
+                                             [0, 0, 180, 0, -288, 60],
+                                             [0, 0, 0, 180, -60, -288]])
+    rng = random.Random(13)
+    with _time_limit(30):
+        assert _assert_module_of(D).denominator == 32400 == denominator(D)
+        for _ in range(30):
+            _assert_module_of(draw(rng))
 
 
 @pytest.mark.parametrize("name,m,radius", [("QQ", 3, 4), ("Qi", 2, 3), ("Qs5", 2, 3)])

@@ -218,6 +218,12 @@ class TestReduction:
         with pytest.raises(ValueError):
             Qs5.prime_above(2)   # 2 divides [O_K : Z[theta]]
 
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, 25])
+    def test_non_prime_rejected(self, QQ, Qi, p):
+        for K in (QQ, Qi):
+            with pytest.raises(ValueError, match=f"p={p} is not a prime"):
+                K.prime_above(p)
+
     def test_invalid_root_rejected(self, Qi):
         with pytest.raises(ValueError):
             Qi.prime_above(5, root=1)

@@ -243,6 +243,158 @@ def lll_transform_loop(gram, delta: Fraction):
     return U
 
 
+# -- reference normal forms: a Hermite loop with its transform, and Smith for the module data --
+
+
+def hermite_loop(M):
+    """intmat.hermite_normal_form by min-abs row swaps, with its transform.
+
+    Returns (H, U) with U * M = H, det(U) = +-1, pivots positive, entries above
+    each pivot reduced into [0, pivot).  Zero rows sink to the bottom.
+    """
+    A = [[int(x) for x in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    U = intmat.identity(rows)
+    r = 0
+    for c in range(cols):
+        # clear column c below row r by gcd steps
+        while True:
+            nz = [i for i in range(r + 1, rows) if A[i][c] != 0]
+            if A[r][c] == 0:
+                if not nz:
+                    break
+                i = nz[0]
+                A[r], A[i] = A[i], A[r]
+                U[r], U[i] = U[i], U[r]
+                continue
+            if not nz:
+                break
+            i = min(nz, key=lambda t: abs(A[t][c]))
+            if abs(A[i][c]) < abs(A[r][c]):
+                A[r], A[i] = A[i], A[r]
+                U[r], U[i] = U[i], U[r]
+                continue
+            q = A[i][c] // A[r][c]
+            A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+            U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+        if A[r][c] == 0:
+            continue
+        if A[r][c] < 0:
+            A[r] = [-x for x in A[r]]
+            U[r] = [-x for x in U[r]]
+        piv = A[r][c]
+        for i in range(r):
+            q = A[i][c] // piv
+            if q:
+                A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+                U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+        r += 1
+        if r == rows:
+            break
+    return A, U
+
+
+def max_minor_gcd(rows) -> int:
+    """gcd of the r x r minors of an integer matrix of rank r >= 1.
+
+    It depends only on the Z-span of the rows; for a basis it is the index of
+    that span in its saturation, so it is 1 iff the span is saturated.
+    """
+    r = intmat.rank(rows)
+    return math.gcd(*(int(intmat.det([[rows[i][j] for j in cols] for i in sub]))
+                      for sub in itertools.combinations(range(len(rows)), r)
+                      for cols in itertools.combinations(range(len(rows[0])), r)))
+
+
+def smith_normal_form(M):
+    """Smith normal form with transforms, the reference of lambda_of_loop and
+    denominator_loop.
+
+    Returns (divisors, U, V) with U * M * V diagonal on `divisors`,
+    d_1 | d_2 | ... and d_i >= 0; U, V unimodular.  Only the pivot row and
+    column are reduced, so entries can grow without bound (a 4 x 6 matrix
+    with entries below 500 can run for minutes): keep its inputs small.
+    """
+    A = [[int(x) for x in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    U = intmat.identity(rows)
+    V = intmat.identity(cols)
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(src, dst, q):
+        for row in A:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    t = 0
+    n = min(rows, cols)
+    while t < n:
+        # find a nonzero pivot
+        piv = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
+                    best = abs(A[i][j])
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            done = True
+            for i in range(t + 1, rows):
+                if A[i][t] != 0:
+                    q = A[i][t] // A[t][t]
+                    add_row(t, i, -q)
+                    if A[i][t] != 0:
+                        swap_rows(t, i)
+                        done = False
+            for j in range(t + 1, cols):
+                if A[t][j] != 0:
+                    q = A[t][j] // A[t][t]
+                    add_col(t, j, -q)
+                    if A[t][j] != 0:
+                        swap_cols(t, j)
+                        done = False
+            if done:
+                break
+        # enforce divisibility of the remaining block by the pivot
+        d = A[t][t]
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if A[i][j] % d != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        if d < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    return [A[i][i] for i in range(n)], U, V
+
+
 # -- reference loops for the module data in latrank.modules and latrank.exactval --
 
 
@@ -274,7 +426,7 @@ def lambda_of_loop(D, ambient=None):
     A = intmat.mat_mul(span_rows, Winv)
     q = intmat.lcm_denominator(A)
     A_int = [[int(x * q) for x in row] for row in A]
-    divisors, _, V = intmat.smith_normal_form(A_int)
+    divisors, _, V = smith_normal_form(A_int)
     r = sum(1 for dv in divisors if dv != 0)
     Vinv = intmat.inverse(V)
     assert all(x.denominator == 1 for row in Vinv for x in row)
@@ -348,7 +500,7 @@ def denominator_loop(D) -> int:
     B = intmat.mat_mul(intmat.mat_mul(Wk, t_rows), Wm_inv)
     q = intmat.lcm_denominator(B)
     C = [[int(x * q) for x in row] for row in B]
-    divisors, _, _ = intmat.smith_normal_form(C)
+    divisors, _, _ = smith_normal_form(C)
     idx = 1
     for dv in divisors:
         if dv == 0:
