@@ -90,10 +90,29 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in str(text).replace(",", " ").split()]
 
 
+def _rational(text, option: str) -> Fraction:
+    """A rational such as "5/2"; ValidationError names the option."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{option} must be a rational number with a nonzero "
+                              f"denominator, got {text!r}") from None
+
+
 def _parse_scales(text: str) -> list:
     """Rational scales such as "2,5/2"; integral ones stay int, so they print as before."""
-    scales = [Fraction(t) for t in str(text).replace(",", " ").split()]
+    scales = [_rational(t, "--T") for t in str(text).replace(",", " ").split()]
     return [int(T) if T.denominator == 1 else T for T in scales]
+
+
+def _parse_matrix(text: str) -> list:
+    """JSON rows of rationals; ValidationError unless a non-empty list of equal-length lists."""
+    rows = json.loads(text)
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)
+            and all(len(row) == len(rows[0]) for row in rows)):
+        raise ValidationError(f"--matrix must be a non-empty JSON list of lists of equal "
+                              f"length, got {text}")
+    return [[_rational(x, "--matrix entry") for x in row] for row in rows]
 
 
 def _config_echo(args, keys):
@@ -116,7 +135,7 @@ def cmd_field_info(args):
 
 def cmd_count_rank(args):
     fld = _load_field(args)
-    f = ball(Fraction(args.ball))
+    f = ball(_rational(args.ball, "--ball"))
     records = []
     for T in _parse_scales(args.T):
         rep = lhs_count(fld, args.n, args.m, args.k, T, f, method=args.method)
@@ -130,7 +149,7 @@ def cmd_count_rank(args):
 
 def cmd_c1_sum(args):
     fld = _load_field(args)
-    f = ball(Fraction(args.ball))
+    f = ball(_rational(args.ball, "--ball"))
     est = c1_estimate(fld, args.n, args.m, args.k, f, args.cutoff,
                       mc_samples=args.mc_samples, seed=args.seed)
     records = [{
@@ -175,7 +194,7 @@ def cmd_identity_check(args):
 def cmd_hecke_moment(args):
     fld = _load_field(args)
     validate_moment_window(args.n, args.m, args.s)
-    g = ball(Fraction(args.ball))
+    g = ball(_rational(args.ball, "--ball"))
     reports = convergence_table(fld, args.n, args.m, args.s, g,
                                 primes=_parse_int_list(args.primes), mode=args.mode,
                                 height_cutoff=args.cutoff, mc_samples=args.mc_samples,
@@ -201,9 +220,7 @@ def cmd_hecke_moment(args):
 
 def cmd_factorize(args):
     fld = _load_field(args)
-    rows = json.loads(args.matrix)
-    mat = [[Fraction(str(x)) for x in row] for row in rows]
-    C, D = modules_rank_factorize(fld, mat)
+    C, D = modules_rank_factorize(fld, _parse_matrix(args.matrix))
     records = [{
         "rank": D.k,
         "pivot_cols": list(D.pivot_cols),

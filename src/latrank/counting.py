@@ -280,8 +280,7 @@ def ranks_over_K(field: NumberField, coords, row_basis) -> np.ndarray:
     row_basis are cleared once, which scales every matrix and keeps its
     rank; the integer kernel then ranks the regular representation.
     """
-    den = intmat.lcm_denominator(row_basis)
-    basis = [[int(x * den) for x in row] for row in row_basis]
+    basis = intmat._integral(row_basis)[1]
     to_blocks = _regular_rows(field, basis).reshape(len(basis), -1)
     return kernels.ranks_regular(coords, to_blocks, field.degree)
 
@@ -563,8 +562,10 @@ def primitive_zeta_check(n: int, m: int, cutoff):
 
     Both sums share the cutoff; returns (lhs, rhs, relative_error).
     """
-    if not n > m:
-        raise ValueError("need n > m")
+    if not n > m >= 1:
+        raise ValueError(f"need n > m >= 1, got n={n}, m={m}")
+    if not 1 <= float(cutoff) < math.inf:
+        raise ValueError(f"cutoff must be finite and >= 1, got {cutoff}")
     pts, nsq = _grid_norm_sq(m, float(cutoff))
     norms = np.sqrt(nsq.astype(float))
     rhs = float((norms ** (-float(n))).sum())

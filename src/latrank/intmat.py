@@ -1,15 +1,28 @@
 """Exact matrix routines over the integers and rationals.
 
 Matrices are lists of lists of Python ints or Fractions; everything here is
-arbitrary precision.  The one integer normal form is the Hermite form; it
+arbitrary precision.  The one elimination over Q is kernels.gauss_jordan:
+rref runs it on the matrix scaled to integers by _integral, and rank, solve
+and inverse read rref.  The one integer normal form is the Hermite form; it
 gives neighbor bases and, through saturation_basis, every saturation and
-index, from the rational RREF of a row space.
+index, from the fraction-free RREF of a row space.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from . import kernels
+
+
+def _integral(rows):
+    """(den, den * rows) for a matrix of ints and Fractions, den the lcm of its
+    denominators; it reads .numerator and .denominator and builds no Fraction."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def identity(n: int):
@@ -87,30 +100,15 @@ def leading_minors(G):
 def rref(A):
     """Reduced row echelon form over the rationals.
 
-    Returns (R, pivot_cols, rank).
+    Returns (R, pivot_cols, rank).  One kernels.gauss_jordan pass on A scaled
+    to integers gives den times the RREF, with den its last pivot value.
     """
     if not A:
         return [], [], 0
-    M = [[Fraction(x) for x in row] for row in A]
-    rows, cols = len(M), len(M[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return M, pivots, r
+    batch = np.array(_integral(A)[1], dtype=object)[None]
+    R, rank, pivots, den = (x[0] for x in kernels.gauss_jordan(batch))
+    return [[Fraction(x, int(den)) for x in row] for row in R.tolist()], \
+        pivots[:rank].tolist(), int(rank)
 
 
 def rank(A) -> int:
@@ -120,8 +118,7 @@ def rank(A) -> int:
 def solve(A, b):
     """Solve A x = b exactly; A square nonsingular."""
     n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
-    R, pivots, rk = rref(M)
+    R, pivots, rk = rref([list(row) + [v] for row, v in zip(A, b)])
     if rk < n or pivots != list(range(n)):
         raise ValueError("singular system")
     return [R[i][n] for i in range(n)]
@@ -129,9 +126,8 @@ def solve(A, b):
 
 def inverse(A):
     n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    R, pivots, rk = rref(M)
+    R, pivots, rk = rref([list(row) + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(A)])
     if rk < n or pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return [row[n:] for row in R]
@@ -216,6 +212,3 @@ def saturation_basis(q: int, A):
         S.append([u // q for u in acc])
     return S, math.prod([L[i][i] for i in range(r)])
 
-
-def lcm_denominator(rows) -> int:
-    return math.lcm(*(Fraction(x).denominator for row in rows for x in row))

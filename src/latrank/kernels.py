@@ -2,9 +2,10 @@
 
 Every kernel is array-native NumPy: the enumeration expands a whole level of
 the Fincke-Pohst tree at once, and the rank filters and the fraction-free
-Gauss-Jordan that gives every echelon matrix of modules.py run one
-elimination step on every matrix of a batch at once.  The loop versions they
-replace are kept in the tests as reference implementations.
+Gauss-Jordan run one elimination step on every matrix of a batch at once.
+gauss_jordan is the library's one elimination over Q: it gives every echelon
+matrix of modules.py, intmat.rref and every saturation.  The loop versions
+they replace are kept in the tests as reference implementations.
 
 The enumeration kernel works in float64 on an LLL-reduced Gram and is always
 followed by an exact integer-arithmetic filter in zlattice.py, so float error

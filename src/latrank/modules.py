@@ -34,7 +34,6 @@ from .numfield import (
 from .zlattice import (
     Ambient,
     ZLattice,
-    _integral,
     direct_sum,
     from_ok_rows,
     is_primitive_in,
@@ -79,7 +78,7 @@ def _echelon(field: NumberField, phi_rows) -> EchelonMatrix:
     subspace of K^m over Q (the rows of Phi(A), or a Z-basis of an O_K-module);
     scaled to integers, they go through _echelons as a batch of one matrix.
     """
-    ints = _integral(phi_rows)[1]
+    ints = intmat._integral(phi_rows)[1]
     batch = np.array(ints, dtype=object).reshape(1, len(ints), len(ints[0]) if ints else 0)
     return next(iter(_echelons(field, batch).values()))
 
@@ -166,7 +165,7 @@ def _field_maps(field: NumberField):
     units = [field.element([int(i == j) for i in range(d)]) for j in range(d)]
     mults = tuple(tuple(tuple(field.integral_coords(u * t)) for t in units)
                   for u in field.basis_elements())
-    bden, bnum = _integral(field.integral_basis)
+    bden, bnum = intmat._integral(field.integral_basis)
     return mults, tuple(map(tuple, bnum)), bden
 
 
@@ -258,6 +257,8 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int,
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
+    if isinstance(height_bound, float) and not math.isfinite(height_bound):
+        raise ValueError(f"height_bound must be finite, got {height_bound}")
     bound = Fraction(height_bound)
     if bound < 1:
         raise ValueError("height_bound must be >= 1")
@@ -328,7 +329,7 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
         vecs = vecs[first < 0]
     gden, g_int = okm.gram_den, okm.gram_int
     r = okm.rank
-    phi = _regular_rows(field, _integral(okm.basis)[1]).reshape(r, -1)
+    phi = _regular_rows(field, intmat._integral(okm.basis)[1]).reshape(r, -1)
     max_v = int(np.max(np.abs(vecs))) if vecs.size else 0
     max_gb = max(max(abs(x) for row in g_int for x in row), int(np.max(np.abs(phi))))
     dtype = kernels.int_dtype(r * r * max_gb * (max_v + 1) ** 2)

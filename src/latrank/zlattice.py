@@ -5,8 +5,8 @@ quadratic space, carried as a basis, its Gram (computed once, in integers, by
 the constructor) and an analytic scale factor (a PowerProduct holding
 discriminant powers).  Heights, LLL reduction, Fincke-Pohst short-vector
 enumeration, saturation (one Hermite form, intmat.saturation_basis, of the
-rational RREF of the coordinates), successive K-minima and covering-radius
-bounds all live here.
+fraction-free RREF that kernels.gauss_jordan gives of the coordinates),
+successive K-minima and covering-radius bounds all live here.
 
 Squared norms decompose as scale_sq * (x G x^T) with G exact, so membership
 and radius tests are exact even when the scale itself is irrational.
@@ -51,7 +51,7 @@ class Ambient:
     def __init__(self, form, scale_sq: PowerProduct, field: NumberField | None = None):
         self.form = tuple(tuple(Fraction(x) for x in row) for row in form)
         self.dim = len(self.form)
-        self.form_den, form_int = _integral(self.form)
+        self.form_den, form_int = intmat._integral(self.form)
         # the nonzero entries (j, f) of each row of form_int
         self._form_rows = tuple(tuple((j, f) for j, f in enumerate(row) if f)
                                 for row in form_int)
@@ -90,12 +90,6 @@ class Ambient:
         return self.field.minkowski_embed(unflatten_kvector(self.field, list(vec)))
 
 
-def _integral(rows):
-    """(den, den * rows) for a Fraction matrix, den the lcm of its denominators."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-
-
 @functools.lru_cache(maxsize=64)
 def _scale_power(scale_sq: PowerProduct, r: int) -> PowerProduct:
     """scale_sq ** r, the factor of H^2 of every rank-r lattice in one space."""
@@ -124,7 +118,7 @@ class ZLattice:
         self.scale_sq = ambient.scale_sq
         self.ok_module = ok_module
         self._lll = None  # LLL transform, filled on first use
-        bden, B = _integral(self.basis)
+        bden, B = intmat._integral(self.basis)
         rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
         form = ambient._form_rows
         g = []
@@ -169,22 +163,19 @@ class ZLattice:
             for j in range(self.ambient_dim)
         )
 
+    def _coords(self, vecs):
+        """Rational coordinates of ambient vectors in this basis, or None if one is
+        outside the span: one RREF of [basis^T | vecs^T], whose first rank pivots
+        are the independent basis columns; a vector outside the span adds one."""
+        R, _, rk = intmat.rref(list(zip(*self.basis, *vecs)))
+        if rk > self.rank:
+            return None
+        return [[R[i][self.rank + t] for i in range(self.rank)] for t in range(len(vecs))]
+
     def coords_of(self, vec):
         """Rational coordinates of an ambient vector in this basis, or None."""
-        aug = [[self.basis[i][j] for i in range(self.rank)] for j in range(self.ambient_dim)]
-        target = [Fraction(x) for x in vec]
-        M = [row + [t] for row, t in zip(aug, target)]
-        R, pivots, rk = intmat.rref(M)
-        if rk > self.rank or any(p == self.rank for p in pivots):
-            return None
-        sol = [Fraction(0)] * self.rank
-        for r, p in enumerate(pivots):
-            sol[p] = R[r][self.rank]
-        # consistency of the overdetermined system
-        for j in range(self.ambient_dim):
-            if sum(sol[i] * self.basis[i][j] for i in range(self.rank)) != target[j]:
-                return None
-        return sol
+        sol = self._coords([vec])
+        return None if sol is None else sol[0]
 
     def contains(self, vec) -> bool:
         sol = self.coords_of(vec)
@@ -503,28 +494,26 @@ def shortest_nonzero_sqnorm(lat: ZLattice) -> PowerProduct:
 
 def sublattice_coords(sub: ZLattice, ambient_lat: ZLattice):
     """Integer coordinates of sub's basis in ambient_lat's basis; raises if not contained."""
-    rows = []
-    for row in sub.basis:
-        sol = ambient_lat.coords_of(row)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise MembershipError("sublattice is not contained in the ambient lattice")
-        rows.append([int(c) for c in sol])
-    return rows
+    sol = ambient_lat._coords(sub.basis)
+    if sol is None or any(c.denominator != 1 for row in sol for c in row):
+        raise MembershipError("sublattice is not contained in the ambient lattice")
+    return [[c.numerator for c in row] for row in sol]
 
 
 def _saturation(sub: ZLattice, ambient_lat: ZLattice):
     """(S, index): the Hermite basis S of sub's saturation, in ambient_lat's
     coordinates, and [saturation : sub].
 
-    The coordinates X of sub factor as X_P R, with R their rational RREF and
-    X_P their columns at R's pivots, so sub has index |det X_P| in Z^r R and
-    intmat.saturation_basis gives the index of the saturation there.
+    kernels.gauss_jordan gives den times the rational RREF R of sub's integer
+    coordinates X, the q A of intmat.saturation_basis with q = |den|.  X = X_P R,
+    X_P its columns at R's pivots, and |den| = |det X_P| is the index of sub in
+    Z^r R; saturation_basis gives the index of the saturation there.
     """
     X = sublattice_coords(sub, ambient_lat)
-    R, pivots, rk = intmat.rref(X)
-    q = intmat.lcm_denominator(R[:rk])
-    sat, den = intmat.saturation_basis(q, [[int(x * q) for x in row] for row in R[:rk]])
-    return sat, int(abs(intmat.det([[row[p] for p in pivots] for row in X]))) // den
+    rows, _, _, den = kernels.gauss_jordan(np.array(X, dtype=object)[None])
+    q, sign = abs(int(den[0])), (1 if den[0] > 0 else -1)
+    sat, sat_den = intmat.saturation_basis(q, [[sign * x for x in row] for row in rows[0].tolist()])
+    return sat, q // sat_den
 
 
 def saturate(sub: ZLattice, ambient_lat: ZLattice) -> ZLattice:
@@ -614,7 +603,7 @@ def successive_k_minima(lat: ZLattice, k: int | None = None) -> MinimaReport:
             chosen.append(coords)
             kvec = lat.kvector_of_coords(coords)
             for row in fld.ok_z_basis([kvec]):
-                span_rows.append([Fraction(x) for x in flatten_kvector(fld, row)])
+                span_rows.append(flatten_kvector(fld, row))
             found = True
             break
         if not found:
@@ -629,18 +618,15 @@ def successive_k_minima(lat: ZLattice, k: int | None = None) -> MinimaReport:
 
 def _check_ok_stable(lat: ZLattice):
     fld = lat.ambient.field
-    for row in lat.basis:
-        kvec = unflatten_kvector(fld, list(row))
-        for u in fld.basis_elements():
-            prod = tuple(u * x for x in kvec)
-            if not lat.contains(flatten_kvector(fld, prod)):
-                raise ValueError("lattice is not stable under the integral basis action")
+    prods = [flatten_kvector(fld, tuple(u * x for x in unflatten_kvector(fld, list(row))))
+             for row in lat.basis for u in fld.basis_elements()]
+    sol = lat._coords(prods)
+    if sol is None or any(c.denominator != 1 for row in sol for c in row):
+        raise ValueError("lattice is not stable under the integral basis action")
 
 
 def _in_span(span_rows, lat: ZLattice, coords) -> bool:
-    vec = [Fraction(x) for x in lat.to_ambient(coords)]
-    rk = intmat.rank(span_rows)
-    return intmat.rank(span_rows + [vec]) == rk
+    return intmat.rank(span_rows + [lat.to_ambient(coords)]) == intmat.rank(span_rows)
 
 
 def _projection_checks(lat: ZLattice, chosen) -> list:

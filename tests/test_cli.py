@@ -165,6 +165,40 @@ def test_factorize(tmp_path):
     assert records[0]["D"] == [["1", "1/2"]]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count-rank", "--n", "3", "--m", "2", "--k", "1", "--T", "1/0"],
+     "--T must be a rational number with a nonzero denominator"),
+    (["count-rank", "--n", "3", "--m", "2", "--k", "1", "--T", "2", "--ball", "2/0"],
+     "--ball must be a rational number with a nonzero denominator"),
+    (["c1-sum", "--n", "3", "--m", "2", "--k", "1", "--cutoff", "5", "--ball", "2/0"],
+     "--ball must be a rational number with a nonzero denominator"),
+    (["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5", "--ball", "2/0"],
+     "--ball must be a rational number with a nonzero denominator"),
+    (["c1-sum", "--n", "3", "--m", "2", "--k", "1", "--cutoff", "inf"],
+     "height_bound must be finite"),
+    (["identity-check", "--kind", "koecher", "--n", "3", "--m", "2", "--cutoff", "inf"],
+     "height_bound must be finite"),
+    (["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5", "--cutoff", "inf"],
+     "height_bound must be finite"),
+    *[(["identity-check", "--kind", "primitive-zeta", "--n", "3", "--m", "2",
+        "--cutoff", cutoff], "cutoff must be finite and >= 1")
+      for cutoff in ("inf", "0", "0.5", "-3")],
+    (["identity-check", "--kind", "primitive-zeta", "--n", "3", "--m", "0", "--cutoff", "5"],
+     "need n > m >= 1"),
+    *[(["factorize", "--matrix", matrix], "--matrix must be a non-empty JSON list of lists "
+       "of equal length") for matrix in ("[1,2]", "[[1,2],3]", "[[1,2],[3]]", "[]")],
+    (["factorize", "--matrix", '[[1,"1/0"]]'],
+     "--matrix entry must be a rational number with a nonzero denominator"),
+])
+def test_arithmetic_and_shape_errors_exit_2(tmp_path, capsys, argv, message):
+    # bad rationals, infinite or too small cutoffs and malformed matrices are
+    # rejected with the violated constraint, before any report is written
+    out = tmp_path / "run"
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T": "3"}))

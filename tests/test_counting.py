@@ -28,7 +28,7 @@ from latrank.counting import (
 )
 from latrank.numfield import rank_over_K
 from latrank.zlattice import okn_lattice, unit_ball_volume
-from tests_support import from_integral_coords, kmat_mul, term_value_detail_loop
+from tests_support import from_integral_coords, k_rref, kmat_mul, term_value_detail_loop
 
 
 class TestLhsCount:
@@ -244,6 +244,13 @@ class TestPrimitiveZeta:
         assert abs(lhs - 2 * zeta(3)) < 1e-12
         assert abs(rhs - 2 * sum(a ** -3.0 for a in range(1, 51))) < 1e-12
 
+    @pytest.mark.parametrize("m, cutoff", [(2, 0), (2, 0.5), (2, -3), (2, math.inf),
+                                           (2, math.nan), (0, 5)])
+    def test_rejects_empty_sums(self, m, cutoff):
+        # a cutoff below 1 or m = 0 leaves no vector to sum over
+        with pytest.raises(ValueError, match="need n > m >= 1|cutoff must be finite"):
+            primitive_zeta_check(3, m, cutoff)
+
     def test_mobius_oracle(self):
         # sum over all = zeta * sum over primitive, both summed far enough
         # that truncation is negligible at this tolerance
@@ -399,7 +406,7 @@ def test_ranks_over_K_match_rref(name, data, QQ, Qi, Qs5):
     coords = _batch_coords(field, n, c, batch, scale)
     got = ranks_over_K(field, coords, okn_lattice(field, c).basis)
     assert got.shape == (len(batch),)
-    assert list(got) == [rank_over_K(A) for A in batch]
+    assert list(got) == [k_rref(A)[2] for A in batch]
 
 
 def test_ranks_over_K_chunks(Qs5, monkeypatch):
@@ -415,7 +422,7 @@ def test_ranks_over_K_chunks(Qs5, monkeypatch):
     basis = okn_lattice(Qs5, 2).basis
     monkeypatch.setattr(kernels, "_BLOCK", 16)
     got = ranks_over_K(Qs5, coords, basis)
-    assert list(got) == [rank_over_K(A) for A in batch]
+    assert list(got) == [k_rref(A)[2] for A in batch]
     assert set(got) == {0, 1, 2}
     assert ranks_over_K(Qs5, coords[:0], basis).shape == (0,)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from latrank import intmat
-from tests_support import hermite_loop, max_minor_gcd, smith_normal_form
+from tests_support import hermite_loop, max_minor_gcd, rref_loop, smith_normal_form
 
 
 def random_int_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -90,6 +90,35 @@ def test_snf_random_properties():
             assert math.prod(nz) == max_minor_gcd(M)
 
 
+@st.composite
+def _rational_matrices(draw):
+    """0-4 x 0-4 matrices of ints and Fractions, some with a row that depends on
+    the others, some scaled by 10^15 so that Bareiss runs on Python ints."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6),
+                                                    st.integers(1, 7)))
+    A = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        A[-1] = [a * x + b * y for x, y in zip(A[0], A[1])]
+    scale = draw(st.sampled_from([1, 10 ** 15]))
+    return [[x * scale for x in row] for row in A]
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=_rational_matrices())
+def test_rref_matches_loop(A):
+    R, pivots, rank = intmat.rref(A)
+    assert (R, pivots, rank) == rref_loop(A)
+    assert all(type(x) is Fraction for row in R for x in row)
+
+
+def test_rref_edge_shapes():
+    assert intmat.rref([]) == ([], [], 0) == rref_loop([])
+    assert intmat.rref([[], []]) == ([[], []], [], 0) == rref_loop([[], []])
+    assert intmat.rref([[0, 0]]) == ([[0, 0]], [], 0)
+
+
 def test_rank_and_det():
     assert intmat.rank([[1, 2], [2, 4]]) == 1
     assert intmat.det([[1, 2], [3, 4]]) == -2
@@ -165,15 +194,14 @@ def test_hnf_matches_loop(M):
 @settings(max_examples=150, deadline=None)
 @given(A=_int_matrices())
 def test_saturation_basis_oracles(A):
-    R, _, r = intmat.rref(A)
+    R, _, r = rref_loop(A)
     if r == 0:
         return
-    q = intmat.lcm_denominator(R[:r])
-    num = [[int(x * q) for x in row] for row in R[:r]]
+    q, num = intmat._integral(R[:r])
     S, den = intmat.saturation_basis(q, num)
     # a Hermite basis of a saturated lattice in the row space of A
     assert intmat.hermite_normal_form(S) == S and len(S) == r
-    assert intmat.rank(A + S) == r and max_minor_gcd(S) == 1
+    assert rref_loop(A + S)[2] == r and max_minor_gcd(S) == 1
     # of index den in Z^r R: det Gram(S) = den^2 det Gram(R)
     gram = lambda B: intmat.det(intmat.mat_mul(B, intmat.transpose(B)))  # noqa: E731
     assert gram(S) == den ** 2 * gram(R[:r])

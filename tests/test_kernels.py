@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latrank import intmat, kernels
+from latrank import kernels
 from latrank.errors import EnumerationCapError
 from latrank.zlattice import DEFAULT_ENUM_CAP as CAP
-from tests_support import fp_enumerate_loop, ranks_int_loop, ranks_mod_p_loop
+from tests_support import fp_enumerate_loop, ranks_int_loop, ranks_mod_p_loop, rref_loop
 
 
 def _cholesky_data(gram):
@@ -119,7 +119,7 @@ def test_ranks_paths_agree(monkeypatch):
     rng = np.random.default_rng(1)
     batches = _rank_batches(rng)
     for batch in batches:
-        expect = [intmat.rank([[int(v) for v in row] for row in M]) for M in batch]
+        expect = [rref_loop(M.tolist())[2] for M in batch]
         loop = ranks_int_loop(batch, np.zeros(len(batch), dtype=np.int64))
         assert list(loop) == expect
         assert list(kernels.ranks_int64(batch)) == expect
@@ -129,17 +129,17 @@ def test_ranks_paths_agree(monkeypatch):
     # batches that cross a chunk boundary
     monkeypatch.setattr(kernels, "_BLOCK", 16)
     for batch in batches:
-        expect = [intmat.rank([[int(v) for v in row] for row in M]) for M in batch]
+        expect = [rref_loop(M.tolist())[2] for M in batch]
         assert list(kernels.ranks_over_z(batch)) == expect
     assert kernels.ranks_over_z(np.zeros((0, 3, 2), dtype=np.int64)).shape == (0,)
 
 
 def test_gauss_jordan_matches_rref(monkeypatch):
-    # den * RREF, rank and pivots against the rational RREF, in int64, in
-    # Python ints scaled past int64, and across a chunk boundary
+    # den * RREF, rank and pivots against the Fraction loop rref_loop, in
+    # int64, in Python ints scaled past int64, and across a chunk boundary
     rng = np.random.default_rng(2)
     for batch in _rank_batches(rng):
-        expect = [intmat.rref([[int(v) for v in row] for row in M]) for M in batch]
+        expect = [rref_loop(M.tolist()) for M in batch]
         for scaled in (batch, batch.astype(object) * 2 ** 40):
             for block in (kernels._BLOCK, 16):
                 monkeypatch.setattr(kernels, "_BLOCK", block)

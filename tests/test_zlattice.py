@@ -38,7 +38,7 @@ from latrank.zlattice import (
 )
 
 
-from tests_support import brute_force_short, gram_loop, lll_transform_loop
+from tests_support import brute_force_short, gram_loop, lll_transform_loop, max_minor_gcd, rref_loop
 
 
 class TestHeights:
@@ -93,7 +93,7 @@ def _assert_gram_matches_loop(L):
     assert L.gram == gram_loop(L)
     assert L.det_gram() == intmat.det([list(r) for r in L.gram])
     # gram_int / gram_den is the lcm scaling of the Fraction Gram
-    assert L.gram_den == intmat.lcm_denominator(L.gram)
+    assert L.gram_den == intmat._integral(L.gram)[0]
     assert L.gram_int == tuple(tuple(x * L.gram_den for x in row) for row in L.gram)
 
 
@@ -311,7 +311,7 @@ class TestShortVectors:
             if intmat.rank(rows) < r:
                 continue
             L = ZLattice(rows, Ambient.standard(r))
-            if intmat.lcm_denominator(L.gram) == 1:
+            if intmat._integral(L.gram)[0] == 1:
                 continue
             radius = Fraction(rng.randint(1, 3), 2)
             got = short_vectors(L, radius)
@@ -429,6 +429,33 @@ class TestSaturate:
         sub = ZLattice([[1, 0]], Ambient.standard(2))
         with pytest.raises(MembershipError):
             saturate(sub, amb)
+
+
+_small_int_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n,
+                       max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(B=_small_int_rows, data=st.data())
+def test_saturation_matches_minor_oracles(B, data):
+    # [saturation : sub] against |det X_P| / den, with the rational RREF of
+    # the coordinates X from rref_loop, X_P their columns at its pivots and
+    # den the index saturation_basis gives; and against the gcd of the
+    # maximal minors of X.  The saturated basis is S times the ambient basis.
+    n = len(B)
+    assume(rref_loop(B)[2] == n)
+    r = data.draw(st.integers(1, n), label="rank")
+    X = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                           min_size=r, max_size=r), label="coordinates")
+    R, pivots, rk = rref_loop(X)
+    assume(rk == r)
+    amb = ZLattice(B, Ambient.standard(n))
+    sub = ZLattice(intmat.mat_mul(X, B), Ambient.standard(n))
+    S, den = intmat.saturation_basis(*intmat._integral(R))
+    index = abs(intmat.det([[row[p] for p in pivots] for row in X])) / den
+    assert saturation_index(sub, amb) == index == max_minor_gcd(X)
+    assert saturate(sub, amb).basis == tuple(map(tuple, intmat.mat_mul(S, B)))
 
 
 class TestMinima:

@@ -295,13 +295,43 @@ def hermite_loop(M):
     return A, U
 
 
+def rref_loop(A):
+    """Reduced row echelon form over the rationals by Gauss-Jordan on Fractions,
+    the reference of intmat.rref and kernels.gauss_jordan.
+
+    Returns (R, pivot_cols, rank).
+    """
+    if not A:
+        return [], [], 0
+    M = [[Fraction(x) for x in row] for row in A]
+    rows, cols = len(M), len(M[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M, pivots, r
+
+
 def max_minor_gcd(rows) -> int:
     """gcd of the r x r minors of an integer matrix of rank r >= 1.
 
     It depends only on the Z-span of the rows; for a basis it is the index of
     that span in its saturation, so it is 1 iff the span is saturated.
     """
-    r = intmat.rank(rows)
+    r = rref_loop(rows)[2]
     return math.gcd(*(int(intmat.det([[rows[i][j] for j in cols] for i in sub]))
                       for sub in itertools.combinations(range(len(rows)), r)
                       for cols in itertools.combinations(range(len(rows[0])), r)))
@@ -423,9 +453,7 @@ def lambda_of_loop(D, ambient=None):
     ambient = ambient or Ambient.for_field(field, m)
     span_rows = [flatten_kvector(field, r) for r in field.ok_z_basis(D.rows)]
     W, Winv = _w_blocks(field, m)
-    A = intmat.mat_mul(span_rows, Winv)
-    q = intmat.lcm_denominator(A)
-    A_int = [[int(x * q) for x in row] for row in A]
+    A_int = intmat._integral(intmat.mat_mul(span_rows, Winv))[1]
     divisors, _, V = smith_normal_form(A_int)
     r = sum(1 for dv in divisors if dv != 0)
     Vinv = intmat.inverse(V)
@@ -450,7 +478,7 @@ def echelon_rref(field, phi_rows):
     from latrank.numfield import unflatten_kvector
 
     d = field.degree
-    R, pivots, rk = intmat.rref(phi_rows)
+    R, pivots, rk = rref_loop(phi_rows)
     return EchelonMatrix(field=field,
                          rows=tuple(unflatten_kvector(field, R[i]) for i in range(0, rk, d)),
                          pivot_cols=tuple(p // d for p in pivots[::d]))
@@ -497,9 +525,7 @@ def denominator_loop(D) -> int:
             t_rows.append(flatten_kvector(field, image))
     Wk, _ = _w_blocks(field, k)
     _, Wm_inv = _w_blocks(field, m)
-    B = intmat.mat_mul(intmat.mat_mul(Wk, t_rows), Wm_inv)
-    q = intmat.lcm_denominator(B)
-    C = [[int(x * q) for x in row] for row in B]
+    q, C = intmat._integral(intmat.mat_mul(intmat.mat_mul(Wk, t_rows), Wm_inv))
     divisors, _, _ = smith_normal_form(C)
     idx = 1
     for dv in divisors:
@@ -618,8 +644,17 @@ def moment_lhs_loop(field, P, n, s, m, g, mode="exact", sample_count=0, seed=Non
 # -- matrices over K: the FieldElement reference for latrank.modules._echelon ------
 
 
+def _inverse_loop(x):
+    """x^-1 in K: the y with y M(x) = e_0, solved by rref_loop."""
+    d = x.field.degree
+    cols = list(zip(*x.field.mult_matrix(x)))
+    R = rref_loop([list(col) + [int(j == 0)] for j, col in enumerate(cols)])[0]
+    return x.field.element([R[i][d] for i in range(d)])
+
+
 def k_rref(A):
-    """Reduced row echelon form over K by Gauss-Jordan on FieldElement entries.
+    """Reduced row echelon form over K by Gauss-Jordan on FieldElement entries,
+    each pivot inverted through rref_loop.
 
     Returns (R, pivot_cols, rank).
     """
@@ -634,7 +669,7 @@ def k_rref(A):
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c].inverse()
+        inv = _inverse_loop(M[r][c])
         M[r] = [x * inv for x in M[r]]
         for i in range(rows):
             if i != r and not M[i][c].is_zero():
