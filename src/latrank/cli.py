@@ -107,7 +107,11 @@ def _parse_scales(text: str) -> list:
 
 def _parse_matrix(text: str) -> list:
     """JSON rows of rationals; ValidationError unless a non-empty list of equal-length lists."""
-    rows = json.loads(text)
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--matrix must be a non-empty JSON list of lists of equal "
+                              f"length, got {text} (not JSON: {exc})") from None
     if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)
             and all(len(row) == len(rows[0]) for row in rows)):
         raise ValidationError(f"--matrix must be a non-empty JSON list of lists of equal "

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import intmat, kernels
+from .errors import ValidationError
 from .exactval import PowerProduct
 from .modules import PrimitiveModule, enumerate_primitive_modules, span_modules
 from .numfield import NumberField, _regular_rows, unflatten_kvector
@@ -496,6 +497,8 @@ def c1_estimate(field: NumberField, n: int, m: int, k: int, f: TestFunction,
     """Truncated series for the leading constant, plus a heuristic tail estimate."""
     if not (n > m >= k >= 1):
         raise ValueError("need n > m >= k >= 1")
+    if mc_samples < 0:
+        raise ValidationError(f"mc_samples (--mc-samples) must be >= 0, got {mc_samples}")
     modules = enumerate_primitive_modules(field, k, m, height_cutoff)
     total = 0.0
     var = 0.0

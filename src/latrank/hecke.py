@@ -420,6 +420,9 @@ def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,
     """
     if not (n >= 2 and 1 <= m <= n - 1):
         raise ValidationError(f"need n >= 2 and 1 <= m <= n-1, got n={n}, m={m}")
+    if mc_samples < 1:
+        raise ValidationError(f"the moment limit integrates the column product of g by Monte "
+                              f"Carlo and needs mc_samples (--mc-samples) >= 1, got {mc_samples}")
     f = g.column_product(m, field.degree)
     per_k = [g.at_zero(n, field.degree) ** m]
     stderr_sq = 0.0

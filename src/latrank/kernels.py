@@ -7,6 +7,15 @@ gauss_jordan is the library's one elimination over Q: it gives every echelon
 matrix of modules.py, intmat.rref and every saturation.  The loop versions
 they replace are kept in the tests as reference implementations.
 
+The one elimination, _eliminate, holds each block of matrices batch-last,
+(n, m, N), so a step is a few operations on contiguous length-N vectors.
+Rows never move: an (n, N) array of places records where a row-swapping
+elimination would hold each row, the rows placed below the rank are the
+used-row mask, and the pivot is the unused nonzero row of lowest place, so
+gauss_jordan returns exactly the rows, pivots and den of the swapping
+elimination.  The rank filters run it forward only: they combine the unused
+rows right of the pivot column alone, and nothing after the last column.
+
 The enumeration kernel works in float64 on an LLL-reduced Gram and is always
 followed by an exact integer-arithmetic filter in zlattice.py, so float error
 here can only cost a few spurious candidates, never a missed vector (the
@@ -20,6 +29,7 @@ expressions then run on either dtype.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -102,47 +112,85 @@ def fp_enumerate(lmat: np.ndarray, dvec: np.ndarray, bound: float, cap: int) -> 
     return np.concatenate(done)
 
 
-def _eliminate(batch: np.ndarray, combine, jordan: bool):
-    """Row elimination on every matrix of an (N, n, m) int64 or object batch at once.
+def _eliminate(work: np.ndarray, combine, jordan: bool):
+    """Row elimination, in place, on a batch-last block of matrices.
 
-    Column by column, each matrix takes as pivot its first row at or below
-    its current rank with a nonzero entry in the column (a masked argmax),
-    swaps it up to row `rank`, and `combine(rows, pivot_row, pivot_value,
-    row_entries, previous_pivot)` replaces every row below it, or with
-    `jordan` every other row; the pivot row, and every row of a matrix
-    without a pivot, keep their values.  Returns (rows, rank, prev), prev[i]
-    the last pivot value of matrix i (1 for a zero matrix).
+    work is (n, m, N), int64 or object, work[:, :, i] matrix i, so every step
+    is a few vector operations on contiguous length-N rows.  Rows stay where
+    they are: pos[r, i] is the place row r of matrix i would hold in an
+    elimination that swaps each pivot up to place rank[i], and the rows
+    placed below rank[i] form the used-row mask (they were pivots).  Column
+    by column, each matrix takes as pivot its unused row of lowest place with
+    a nonzero entry in the column, the row the swapping elimination picks,
+    and that row and the row at place rank trade places.  `combine(rows,
+    pivot_row, pivot_value, row_entries, previous_pivot)` then replaces, with
+    `jordan`, every other row.  In forward (rank-only) mode it replaces only
+    the unused rows and only right of the column, their entries in the column
+    become 0 without it, and after the last column nothing is combined.  The
+    pivot row, the used rows in forward mode, and every row of a matrix
+    without a pivot keep their values.
+
+    Returns (pos, rank, prev), prev[i] the last pivot value of matrix i (1
+    for a zero matrix); _swap_order(work, pos) puts the rows in the order
+    the swapping elimination leaves them.
     """
-    nmat, nrow, ncol = batch.shape
-    work = batch.copy()
-    rank = np.zeros(nmat, dtype=np.int64)
-    prev = np.ones(nmat, dtype=batch.dtype)
-    idx, rows = np.arange(nmat), np.arange(nrow)
+    nrow, ncol, nmat = work.shape
+    small = np.min_scalar_type(-2 * nrow)
+    place = np.arange(nrow, dtype=small)[:, None]
+    idx, cols, sentinel = np.arange(nmat), np.arange(ncol)[:, None], small.type(nrow)
+    pos = np.repeat(place, nmat, axis=1)
+    rank = np.zeros(nmat, dtype=small)
+    prev = np.ones(nmat, dtype=work.dtype)
+    divisor = 1     # every prev is 1 up to the first pivot, and NumPy divides fast by a scalar
     for col in range(ncol if nrow else 0):
-        cand = (work[:, :, col] != 0) & (rows[None, :] >= rank[:, None])
-        piv = cand.argmax(axis=1)
-        has = cand[idx, piv]
+        entries = work[:, col]
+        used = pos < rank
+        # the place of each matrix's pivot, nrow where no unused row is nonzero
+        first = np.maximum(pos, ((entries == 0) | used) * sentinel).min(axis=0)
+        has = first < nrow
         if not has.any():
             continue
-        at = np.minimum(rank, nrow - 1)
-        piv = np.where(has, piv, at)
-        pivot_row = work[idx, piv]
-        work[idx, piv] = work[idx, at]
-        work[idx, at] = pivot_row
-        pval = pivot_row[:, col]
-        new = combine(work, pivot_row[:, None, :], pval[:, None, None],
-                      work[:, :, col, None], prev[:, None, None])
-        others = (np.not_equal if jordan else np.greater)(rows[None, :], rank[:, None])
-        work = np.where((has[:, None] & others)[:, :, None], new, work)
-        prev = np.where(has, pval, prev)
+        pivot = pos == first
+        lo = 0 if jordan else col
+        pivot_row = work[(pivot * place).max(axis=0), cols[lo:], idx]
+        pval = pivot_row[col - lo]
+        if jordan:
+            change = has & ~pivot
+            np.copyto(work, combine(work, pivot_row, pval, entries[:, None], divisor),
+                      where=change[:, None])
+        else:
+            change = has & ~(used | pivot)
+            if col + 1 < ncol:
+                right = work[:, col + 1:]
+                np.copyto(right, combine(right, pivot_row[1:], pval, entries[:, None], divisor),
+                          where=change[:, None])
+            entries *= ~change      # the entries the combine would clear
+        # the pivot row and the row at place rank trade places
+        shift = (first - rank) * has
+        pos += (pos == rank) * shift - pivot * shift
+        np.copyto(prev, pval, where=has)
+        divisor = prev
         rank += has
-    return work, rank, prev
+    return pos, rank.astype(np.int64), prev
+
+
+def _swap_order(work: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The (N, n, m) rows of a batch-last block _eliminate left, each at its place pos."""
+    nrow, ncol, nmat = work.shape
+    rows = np.empty((nmat, nrow, ncol), dtype=work.dtype)
+    rows[np.arange(nmat)[:, None], pos.T] = work.transpose(2, 0, 1)
+    return rows
+
+
+def _blocks(batch: np.ndarray):
+    """The (N, n, m) batch in _BLOCK pieces, each a batch-last (n, m, N') copy."""
+    for start in range(0, max(batch.shape[0], 1), _BLOCK):
+        yield batch[start:start + _BLOCK].transpose(1, 2, 0).copy()
 
 
 def _ranks_by_elimination(batch: np.ndarray, combine) -> np.ndarray:
     """Ranks of an (N, n, m) batch by forward elimination, in _BLOCK pieces."""
-    return np.concatenate([_eliminate(batch[start:start + _BLOCK], combine, False)[1]
-                           for start in range(0, max(batch.shape[0], 1), _BLOCK)])
+    return np.concatenate([_eliminate(work, combine, False)[1] for work in _blocks(batch)])
 
 
 def _bareiss_step(rows, pivot_row, pval, entries, prev):
@@ -161,7 +209,7 @@ def int_dtype(bound: int):
 def ranks_int64(batch: np.ndarray) -> np.ndarray:
     """Exact ranks over Z of a (N, n, m) int64 or object batch; the caller picks the dtype.
 
-    Fraction-free Bareiss elimination, vectorized over the batch axis.
+    Fraction-free Bareiss elimination, forward only, on batch-last blocks.
     """
     return _ranks_by_elimination(batch, _bareiss_step)
 
@@ -195,8 +243,10 @@ def gauss_jordan(batch: np.ndarray):
     (-1 past the rank).
     """
     batch = batch.astype(_bareiss_dtype(batch), copy=False)
-    parts = [_eliminate(batch[start:start + _BLOCK], _bareiss_step, True)
-             for start in range(0, max(batch.shape[0], 1), _BLOCK)]
+    parts = []
+    for work in _blocks(batch):
+        pos, rank, den = _eliminate(work, _bareiss_step, True)
+        parts.append((_swap_order(work, pos), rank, den))
     rows, rank, den = (np.concatenate(part) for part in zip(*parts))
     pivots = (np.cumsum(rows != 0, axis=2) == 0).sum(axis=2)   # leading zeros
     return rows, rank, np.where(np.arange(batch.shape[1]) < rank[:, None], pivots, -1), den
@@ -237,8 +287,9 @@ def ranks_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
     if batch.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     dtype = int_dtype(2 * int(p) ** 2)
+    return _ranks_by_elimination(batch.astype(dtype) % p, functools.partial(_mod_p_step, p=p))
 
-    def step(rows, pivot_row, pval, entries, prev):
-        return (pval * rows - entries * pivot_row) % p
 
-    return _ranks_by_elimination(batch.astype(dtype) % p, step)
+def _mod_p_step(rows, pivot_row, pval, entries, prev, p):
+    # a row scaled by the unit pval plus a multiple of the pivot row
+    return (pval * rows - entries * pivot_row) % p

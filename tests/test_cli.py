@@ -189,10 +189,20 @@ def test_factorize(tmp_path):
        "of equal length") for matrix in ("[1,2]", "[[1,2],3]", "[[1,2],[3]]", "[]")],
     (["factorize", "--matrix", '[[1,"1/0"]]'],
      "--matrix entry must be a rational number with a nonzero denominator"),
+    (["factorize", "--matrix", "[[1,2],[2,1/0]]"],
+     "--matrix must be a non-empty JSON list of lists of equal length, got [[1,2],[2,1/0]] "
+     "(not JSON"),
+    (["c1-sum", "--n", "3", "--m", "2", "--k", "1", "--cutoff", "5", "--mc-samples", "-5"],
+     "mc_samples (--mc-samples) must be >= 0, got -5"),
+    *[(["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5", "--ball", "1",
+        "--cutoff", "3", "--mc-samples", count],
+       "the moment limit integrates the column product of g by Monte Carlo and needs "
+       f"mc_samples (--mc-samples) >= 1, got {count}") for count in ("0", "-1")],
 ])
 def test_arithmetic_and_shape_errors_exit_2(tmp_path, capsys, argv, message):
-    # bad rationals, infinite or too small cutoffs and malformed matrices are
-    # rejected with the violated constraint, before any report is written
+    # bad rationals, infinite or too small cutoffs, malformed matrices and
+    # sample counts below what the command needs are rejected with the
+    # violated constraint, before any report is written
     out = tmp_path / "run"
     assert main(argv + ["--output-dir", str(out)]) == 2
     assert message in capsys.readouterr().err

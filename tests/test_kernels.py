@@ -1,14 +1,17 @@
 """The vectorized kernels must agree with the reference loops in tests_support."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latrank import kernels
 from latrank.errors import EnumerationCapError
 from latrank.zlattice import DEFAULT_ENUM_CAP as CAP
-from tests_support import fp_enumerate_loop, ranks_int_loop, ranks_mod_p_loop, rref_loop
+from tests_support import (eliminate_reference, fp_enumerate_loop, ranks_int_loop,
+                           ranks_mod_p_loop, rref_loop)
 
 
 def _cholesky_data(gram):
@@ -150,6 +153,88 @@ def test_gauss_jordan_matches_rref(monkeypatch):
                     assert [[Fraction(x, int(den[i])) for x in row] for row in rows[i, :rk].tolist()] == R[:rk]
     assert [x.shape for x in kernels.gauss_jordan(np.zeros((0, 3, 2), dtype=np.int64))] == \
         [(0, 3, 2), (0,), (0, 3), (0,)]
+
+
+def _eliminate_in_blocks(batch, combine, jordan):
+    """kernels._eliminate over the batch-last blocks of a batch, rows in swap order."""
+    parts = []
+    for work in kernels._blocks(batch):
+        pos, rank, prev = kernels._eliminate(work, combine, jordan)
+        parts.append((kernels._swap_order(work, pos), rank, prev))
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
+def _assert_identical(got, want):
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
+def _eliminate_paths(batch):
+    """(batch, combine) for every path that runs _eliminate: Bareiss in int64
+    and on Python ints scaled past int64, and mod p in int64 and in Python ints."""
+    out = [(batch, kernels._bareiss_step),
+           (batch.astype(object) * 2 ** 40, kernels._bareiss_step)]
+    for p in (2, 53, 46349, 2147483659):
+        dtype = kernels.int_dtype(2 * p * p)
+        out.append((batch.astype(dtype) * 1009 % p, functools.partial(kernels._mod_p_step, p=p)))
+    return out
+
+
+@st.composite
+def _small_batches(draw):
+    """Full, thin (rank <= 1), sparse and zero batches, n and m from 0 to 5."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    nmat = draw(st.integers(0, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["full", "thin", "sparse", "zero"]))
+    if kind == "full":
+        batch = rng.integers(-9, 10, size=(nmat, n, m))
+    elif kind == "thin":
+        batch = rng.integers(-3, 4, size=(nmat, n, 1)) * rng.integers(-3, 4, size=(nmat, 1, m))
+    elif kind == "sparse":
+        batch = rng.integers(-9, 10, size=(nmat, n, m)) * (rng.random((nmat, n, m)) < 0.3)
+    else:
+        batch = np.zeros((nmat, n, m))
+    return batch.astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_small_batches())
+def test_eliminate_matches_reference(batch):
+    # bit for bit: rows in the order of a row-swapping elimination, rank and
+    # last pivot in both modes, and gauss_jordan's pivots and den, in blocks
+    # of 7 matrices so that a batch crosses blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK", 7)
+        for work, combine in _eliminate_paths(batch):
+            for jordan in (False, True):
+                _assert_identical(_eliminate_in_blocks(work, combine, jordan),
+                                  eliminate_reference(work, combine, jordan))
+        for work in (batch, batch.astype(object) * 2 ** 40):
+            rows, rank, pivots, den = kernels.gauss_jordan(work)
+            work = work.astype(kernels._bareiss_dtype(work))    # what gauss_jordan runs on
+            ref_rows, ref_rank, ref_den = eliminate_reference(work, kernels._bareiss_step, True)
+            lead = (np.cumsum(ref_rows != 0, axis=2) == 0).sum(axis=2)
+            ref_pivots = np.where(np.arange(work.shape[1]) < ref_rank[:, None], lead, -1)
+            _assert_identical((rows, rank, pivots, den), (ref_rows, ref_rank, ref_pivots, ref_den))
+
+
+def test_eliminate_keeps_the_swap_order():
+    # rows a, b, c: only c is nonzero in column 0, so a row swap puts c first
+    # and a last, and the second pivot is b, the first of b, a; in the input
+    # order it would be a, and den would be 3 instead of 6
+    batch = np.array([[[0, 1], [0, 2], [3, 0]]], dtype=np.int64)
+    rows, rank, pivots, den = kernels.gauss_jordan(batch)
+    assert rows.tolist() == [[[6, 0], [0, 6], [0, 0]]]
+    assert rank.tolist() == [2] and pivots.tolist() == [[0, 1, -1]] and den.tolist() == [6]
+    assert [[Fraction(x, 6) for x in row] for row in rows[0, :2].tolist()] == \
+        rref_loop(batch[0].tolist())[0][:2]
+    for work, combine in _eliminate_paths(batch):
+        for jordan in (False, True):
+            _assert_identical(_eliminate_in_blocks(work, combine, jordan),
+                              eliminate_reference(work, combine, jordan))
+    assert _eliminate_in_blocks(batch, kernels._bareiss_step, False)[2].tolist() == [6]
 
 
 def _rank_mod_p_oracle(M, p):

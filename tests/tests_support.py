@@ -197,6 +197,44 @@ def ranks_mod_p_loop(batch, p, out):
     return out
 
 
+def eliminate_reference(batch: np.ndarray, combine, jordan: bool):
+    """Row elimination on every matrix of an (N, n, m) int64 or object batch at once,
+    with physical row swaps; the reference for kernels._eliminate.
+
+    Column by column, each matrix takes as pivot its first row at or below
+    its current rank with a nonzero entry in the column (a masked argmax),
+    swaps it up to row `rank`, and `combine(rows, pivot_row, pivot_value,
+    row_entries, previous_pivot)` replaces every row below it, or with
+    `jordan` every other row; the pivot row, and every row of a matrix
+    without a pivot, keep their values.  Returns (rows, rank, prev), prev[i]
+    the last pivot value of matrix i (1 for a zero matrix).
+    """
+    nmat, nrow, ncol = batch.shape
+    work = batch.copy()
+    rank = np.zeros(nmat, dtype=np.int64)
+    prev = np.ones(nmat, dtype=batch.dtype)
+    idx, rows = np.arange(nmat), np.arange(nrow)
+    for col in range(ncol if nrow else 0):
+        cand = (work[:, :, col] != 0) & (rows[None, :] >= rank[:, None])
+        piv = cand.argmax(axis=1)
+        has = cand[idx, piv]
+        if not has.any():
+            continue
+        at = np.minimum(rank, nrow - 1)
+        piv = np.where(has, piv, at)
+        pivot_row = work[idx, piv]
+        work[idx, piv] = work[idx, at]
+        work[idx, at] = pivot_row
+        pval = pivot_row[:, col]
+        new = combine(work, pivot_row[:, None, :], pval[:, None, None],
+                      work[:, :, col, None], prev[:, None, None])
+        others = (np.not_equal if jordan else np.greater)(rows[None, :], rank[:, None])
+        work = np.where((has[:, None] & others)[:, :, None], new, work)
+        prev = np.where(has, pval, prev)
+        rank += has
+    return work, rank, prev
+
+
 # -- reference loop for the integral LLL in latrank.zlattice ---------------------
 
 
