@@ -64,8 +64,7 @@ class TestFunction:
         hn = float(P.height_sq) ** (-n / 2.0)
         if mc_samples <= 0:
             raise ValueError("mc_samples must be positive for non-ball test functions")
-        m = P.echelon.m
-        d = P.echelon.field.degree
+        m, d = P.m, P.field.degree
         # orthonormal frame of the embedded row space
         basis_emb = np.array([lat.ambient.embed(row) for row in lat.basis])
         q, _ = np.linalg.qr(basis_emb.T)        # (m d, kd), orthonormal columns
@@ -116,7 +115,7 @@ class Ball(TestFunction):
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
         hn = float(P.height_sq) ** (-n / 2.0)
-        s = P.lattice.rank * n
+        s = P.k * P.field.degree * n
         val = hn * unit_ball_volume(s) * float(self.radius) ** s
         return TermValue(value=val, stderr=0.0, method="closed_form")
 
@@ -340,7 +339,7 @@ def _lhs_stratified(field, n, m, k, T, f):
         seen += len(coords)
         # A = X D with X = A[:, pivots], as D is the identity on its pivot
         # columns, so rank_K A = rank_K X: rank the pivot columns only
-        pivots = [p * d + b for p in P.echelon.pivot_cols for b in range(d)]
+        pivots = [p * d + b for p in P.pivot_cols for b in range(d)]
         piv_basis = [[row[j] for j in pivots] for row in lam.basis]
         ranks = ranks_over_K(field, coords.reshape(len(coords), n, lam.rank), piv_basis)
         raw = f.rank_k_sum(raw, field, stacked, coords, ranks == k, n, m, T)
@@ -505,9 +504,10 @@ def c1_estimate(field: NumberField, n: int, m: int, k: int, f: TestFunction,
     terms = []
     base_seed = 0 if seed is None else int(seed)
     for idx, P in enumerate(modules):
-        # independent deterministic stream per module, in canonical module order
-        tv = term_value_detail(P, n, f, mc_samples=mc_samples,
-                               seed=np.random.SeedSequence((base_seed, idx)))
+        # independent deterministic stream per module, in canonical module order;
+        # exact integrals (mc_samples = 0) draw nothing
+        seed_seq = np.random.SeedSequence((base_seed, idx)) if mc_samples else None
+        tv = term_value_detail(P, n, f, mc_samples=mc_samples, seed=seed_seq)
         total += tv.value
         var += tv.stderr ** 2
         terms.append((P.height, P.denominator, tv.value))

@@ -188,11 +188,6 @@ def _blocks(batch: np.ndarray):
         yield batch[start:start + _BLOCK].transpose(1, 2, 0).copy()
 
 
-def _ranks_by_elimination(batch: np.ndarray, combine) -> np.ndarray:
-    """Ranks of an (N, n, m) batch by forward elimination, in _BLOCK pieces."""
-    return np.concatenate([_eliminate(work, combine, False)[1] for work in _blocks(batch)])
-
-
 def _bareiss_step(rows, pivot_row, pval, entries, prev):
     # exact division: every entry stays a minor of the input (Bareiss)
     return (pval * rows - entries * pivot_row) // prev
@@ -211,7 +206,7 @@ def ranks_int64(batch: np.ndarray) -> np.ndarray:
 
     Fraction-free Bareiss elimination, forward only, on batch-last blocks.
     """
-    return _ranks_by_elimination(batch, _bareiss_step)
+    return np.concatenate([_eliminate(work, _bareiss_step, False)[1] for work in _blocks(batch)])
 
 
 def _bareiss_dtype(batch: np.ndarray):
@@ -283,11 +278,18 @@ def ranks_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
     Rows below the pivot become pval * row - entry * pivot_row (mod p), a
     row scaled by the unit pval plus a multiple of the pivot row, so no
     pivot inverse is needed; every value stays below 2 p^2 in absolute value.
+    Each batch-last block that _blocks copies is reduced mod p in place,
+    unless its entries already lie in [0, p).
     """
     if batch.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    dtype = int_dtype(2 * int(p) ** 2)
-    return _ranks_by_elimination(batch.astype(dtype) % p, functools.partial(_mod_p_step, p=p))
+    step = functools.partial(_mod_p_step, p=p)
+    ranks = []
+    for work in _blocks(batch.astype(int_dtype(2 * int(p) ** 2), copy=False)):
+        if work.size and (work.min() < 0 or work.max() >= p):
+            np.remainder(work, p, out=work)
+        ranks.append(_eliminate(work, step, False)[1])
+    return np.concatenate(ranks)
 
 
 def _mod_p_step(rows, pivot_row, pval, entries, prev, p):

@@ -3,10 +3,12 @@
 An echelon matrix D (row-reduced, maximal rank) canonically represents a
 point of Gr(k, K^m); its module Lambda_D is the set of integral vectors in
 the row space.  This file implements the three-way dictionary between those
-objects and the height/denominator data attached to them; one Hermite
-form (intmat.saturation_basis) gives both Lambda_D and Den(D).  Every echelon
-matrix comes from one batched integer Gauss-Jordan pass, `_echelons`.  One
-search finds modules: `span_modules` takes Lambda_D for the K-spans of k
+objects and the height/denominator data attached to them.  Every echelon
+matrix comes from one batched integer Gauss-Jordan pass, `_echelon_keys`, as
+an integer key; one module data pass, `_modules`, takes Lambda_D and Den(D)
+from one Hermite form (intmat.saturation_basis) per key and H^2 from its
+integer Gram, and a PrimitiveModule forms Fractions only when they are read.
+One search finds modules: `span_modules` takes Lambda_D for the K-spans of k
 independent short vectors of O_K^m, at every k through that pass.  The
 complete enumeration of primitive rank-k modules below a height bound runs
 it on the vectors that the successive minima allow, and the stratified count
@@ -34,6 +36,9 @@ from .numfield import (
 from .zlattice import (
     Ambient,
     ZLattice,
+    _height_sq,
+    _reduced_gram,
+    _scale_power,
     direct_sum,
     from_ok_rows,
     is_primitive_in,
@@ -41,6 +46,7 @@ from .zlattice import (
     short_vectors,
     shortest_nonzero_sqnorm,
     sublattice_coords,
+    unit_ball_volume,
 )
 
 
@@ -76,16 +82,18 @@ def _echelon(field: NumberField, phi_rows) -> EchelonMatrix:
 
     phi_rows are rational rows, in power coordinates, that span a K-stable
     subspace of K^m over Q (the rows of Phi(A), or a Z-basis of an O_K-module);
-    scaled to integers, they go through _echelons as a batch of one matrix.
+    scaled to integers, they go through _echelon_keys as a batch of one matrix.
     """
     ints = intmat._integral(phi_rows)[1]
-    batch = np.array(ints, dtype=object).reshape(1, len(ints), len(ints[0]) if ints else 0)
-    return next(iter(_echelons(field, batch).values()))
+    width = len(ints[0]) if ints else 0
+    batch = np.array(ints, dtype=object).reshape(1, len(ints), width)
+    key = _echelon_keys(field, batch)[0]
+    return _echelon_matrix(field, (len(key) - 1) // (width + 1), key)
 
 
-def _echelons(field: NumberField, phi: np.ndarray, k: int | None = None,
-              known=()) -> dict:
-    """The distinct echelon forms of the row spaces of a batch of integer Phi rows.
+def _echelon_keys(field: NumberField, phi: np.ndarray, k: int | None = None,
+                  known=()) -> list:
+    """The distinct echelon keys of the row spaces of a batch of integer Phi rows.
 
     phi[i] holds rational rows, each scaled to integers, that span a K-stable
     subspace of K^m over Q: the d rows of L Phi(v) for each v of a tuple of
@@ -93,11 +101,12 @@ def _echelons(field: NumberField, phi: np.ndarray, k: int | None = None,
     rational RREF is Phi of its RREF over K, so rows 0, d, 2d, ... of it are
     the K-rows and every d-th pivot, over d, is a K-pivot.  One
     kernels.gauss_jordan pass gives den * RREF for the whole batch.  The key
-    of a matrix, its K-pivots, den and K-rows over their gcd, signed so that
-    den > 0, is canonical, so the batch is deduplicated before any Fraction.
+    of a matrix, the tuple of its k K-pivots, den and the k K-rows over their
+    gcd in power coordinates, signed so that den > 0, is canonical, so the
+    batch is deduplicated in integers; _echelon_matrix builds the Fractions.
 
-    Returns {key: EchelonMatrix} in first-occurrence order, for the matrices
-    of K-rank k (of any K-rank when k is None) whose key is not in `known`.
+    Returns the keys in first-occurrence order, of the matrices of K-rank k
+    (of any K-rank when k is None) whose key is not in `known`.
     """
     d, width = field.degree, phi.shape[2]
     R, rank, pivots, den = kernels.gauss_jordan(phi)
@@ -107,12 +116,25 @@ def _echelons(field: NumberField, phi: np.ndarray, k: int | None = None,
         rows = R[sel, :kk * d:d].reshape(len(sel), kk * width)
         g = np.gcd(np.gcd.reduce(rows, axis=1), den[sel]) * np.where(den[sel] < 0, -1, 1)
         keys = np.column_stack([pivots[sel, :kk * d:d] // d, den[sel] // g, rows // g[:, None]])
-        new = [key for key in dict.fromkeys(map(tuple, keys.tolist())) if key not in known]
-        cuts = [slice(kk + 1 + i * width, kk + 1 + (i + 1) * width) for i in range(kk)]
-        found.update(zip(new, [EchelonMatrix(field=field, pivot_cols=key[:kk], rows=tuple(
-            [unflatten_kvector(field, [Fraction(x, key[kk]) for x in key[cut]]) for cut in cuts]))
-            for key in new]))
-    return found
+        found.update(dict.fromkeys(key for key in map(tuple, keys.tolist()) if key not in known))
+    return list(found)
+
+
+def _echelon_matrix(field: NumberField, k: int, key) -> EchelonMatrix:
+    """The EchelonMatrix of an echelon key with k K-rows (see _echelon_keys)."""
+    den, entries = key[k], key[k + 1:]
+    width = len(entries) // k if k else 0
+    return EchelonMatrix(field=field, pivot_cols=key[:k], rows=tuple(
+        unflatten_kvector(field, [Fraction(x, den) for x in entries[i * width:(i + 1) * width]])
+        for i in range(k)))
+
+
+def _key_of(D: EchelonMatrix):
+    """The echelon key of D (see _echelon_keys): den is the lcm of the
+    denominators of its entries, so den and the rows den * D have gcd 1."""
+    coords = [c for row in D.rows for x in row for c in x.coords]
+    den = math.lcm(*(c.denominator for c in coords))
+    return (*D.pivot_cols, den, *(c.numerator * (den // c.denominator) for c in coords))
 
 
 def _echelon_of_rows(field: NumberField, mat) -> EchelonMatrix:
@@ -138,18 +160,61 @@ def rank_factorize(field: NumberField, rows):
     return C, D
 
 
-@dataclass
 class PrimitiveModule:
-    """An echelon matrix together with its module Lambda_D, height and denominator."""
+    """An echelon matrix together with its module Lambda_D, height and denominator.
 
-    echelon: EchelonMatrix
-    lattice: ZLattice
-    height: float
-    height_sq: PowerProduct
-    denominator: int
+    The module data pass (_modules) gives it in integers: the echelon key of
+    D, the Hermite basis of Lambda_D in integral coordinates, H^2 and Den(D).
+    `echelon` and `lattice`, which hold Fractions, are built from them the
+    first time something reads them, the lattice by the ZLattice constructor.
+    """
+
+    def __init__(self, field: NumberField, k: int, m: int, key, hermite,
+                 height_sq: PowerProduct, denominator: int, ambient: Ambient):
+        self.field, self.k, self.m = field, k, m
+        self.pivot_cols = key[:k]
+        self.height_sq = height_sq
+        self.height = math.sqrt(float(height_sq))
+        self.denominator = denominator
+        self._key, self._hermite, self._ambient = key, hermite, ambient
+
+    @functools.cached_property
+    def echelon(self) -> EchelonMatrix:
+        return _echelon_matrix(self.field, self.k, self._key)
+
+    @functools.cached_property
+    def lattice(self) -> ZLattice:
+        _, bnum, bden = _field_maps(self.field)
+        basis = [[Fraction(v, bden) for v in row]
+                 for row in _blockwise(self._hermite, bnum, self.field.degree)]
+        return ZLattice(basis, self._ambient, ok_module=True)
 
     def key(self):
         return self.echelon.key()
+
+    def _order(self):
+        """A sort key that orders the modules of one k and m as (H, key()) does."""
+        return self.height, _Entries(self._key[self.k], self._key[self.k + 1:])
+
+
+class _Entries:
+    """The entries x / den of an echelon key, compared as a tuple of Fractions
+    by cross-multiplying, with no Fraction formed.
+
+    key() nests the same Fractions, in the same order, in tuples of equal
+    lengths, so the two compare alike between keys of one k and m.
+    """
+
+    __slots__ = ("den", "rows")
+
+    def __init__(self, den: int, rows):
+        self.den, self.rows = den, rows
+
+    def __lt__(self, other: "_Entries") -> bool:
+        for x, y in zip(self.rows, other.rows):
+            if x * other.den != y * self.den:
+                return x * other.den < y * self.den
+        return False
 
 
 @functools.lru_cache(maxsize=16)
@@ -169,6 +234,22 @@ def _field_maps(field: NumberField):
     return mults, tuple(map(tuple, bnum)), bden
 
 
+@functools.lru_cache(maxsize=16)
+def _okm_form(ambient: Ambient):
+    """(G, total): ambient's form on the integral coordinates of O_K^m is G / total.
+
+    G = W F W^T over the integers, with W = diag(bnum, ..., bnum) and F the
+    form times form_den, so total = bden^2 * form_den; a Hermite basis S of
+    Lambda_D in integral coordinates has the Gram S G S^T / total.
+    """
+    field = ambient.field
+    _, bnum, bden = _field_maps(field)
+    W = _blockwise(intmat.identity(ambient.dim), bnum, field.degree)
+    form_den, F = intmat._integral(ambient.form)
+    G = intmat.mat_mul(intmat.mat_mul(W, F), intmat.transpose(W))
+    return np.array(G, dtype=object), bden * bden * form_den
+
+
 def _blockwise(rows, blk, d: int):
     """rows * diag(blk, ..., blk) over the integers, blk a d x d block."""
     out = []
@@ -181,50 +262,70 @@ def _blockwise(rows, blk, d: int):
     return out
 
 
-def _span_matrix(D: EchelonMatrix):
-    """(q, q * A): row i d + b of A holds the integral coordinates of u_b * D_i.
+def _span_matrices(field: NumberField, k: int, keys):
+    """(qs, spans): q and q * A of each echelon key with k K-rows.
 
-    These rows span the O_K-module of D's row space over Z; q is the lcm of
-    the denominators of A, so q * A is the smallest integral multiple.
+    Row i d + b of A holds the integral coordinates of u_b * D_i, so the rows
+    of A span the O_K-module of D's row space over Z; q is the lcm of the
+    denominators of A, so q * A is its smallest integral multiple.  A key
+    holds den * D in power coordinates, which mults maps to the integral
+    coordinates of den * u_b * D_i in one integer product for the batch; q is
+    den over the gcd of den and the entries of that product.
     """
-    field = D.field
-    d = field.degree
-    mults = _field_maps(field)[0]
-    q = 1
-    scaled = []
-    for row in D.rows:
-        coords = [c for x in row for c in x.coords]
-        e = math.lcm(*(c.denominator for c in coords))
-        num = [c.numerator * (e // c.denominator) for c in coords]
-        for mult in mults:
-            out = _blockwise([num], mult, d)[0]
-            g = math.gcd(e, *out)  # the entries are out / e with lcm denominator e / g
-            q = math.lcm(q, e // g)
-            scaled.append((out, e // g, g))
-    return q, [[(v // g) * (q // den) for v in out] for out, den, g in scaled]
+    d, n = field.degree, len(keys)
+    arr = np.array(keys, dtype=object).reshape(n, -1)
+    mults = np.array(_field_maps(field)[0], dtype=object)     # (b, j, l)
+    max_key = int(np.max(np.abs(arr[:, k:])))
+    dtype = kernels.int_dtype(d * max_key * int(np.max(np.abs(mults))))
+    den = arr[:, k].astype(dtype)
+    prod = arr[:, k + 1:].astype(dtype).reshape(-1, d) @ \
+        mults.transpose(1, 0, 2).reshape(d, d * d).astype(dtype)
+    out = prod.reshape(n, k, -1, d, d).transpose(0, 1, 3, 2, 4).reshape(n, k * d, -1)
+    g = np.gcd(np.gcd.reduce(out.reshape(n, -1), axis=1), den)
+    return (den // g).tolist(), (out // g[:, None, None]).tolist()
+
+
+def _modules(field: NumberField, k: int, keys, ambient: Ambient) -> list[PrimitiveModule]:
+    """Lambda_D, Den(D) and H^2 of a batch of echelon keys with k K-rows, in integers.
+
+    q * A (see _span_matrices) is the numerator of the rational RREF of the
+    O_K-span of D's rows: A is the identity on the integral coordinates of
+    D's pivot columns.  So one intmat.saturation_basis per key gives both the
+    Hermite basis S of Lambda_D and its index Den(D) in that span.  The Grams
+    S G S^T (see _okm_form) are one integer product for the batch, and each
+    is checked, scaled and reduced to H^2 as the ZLattice constructor does.
+    """
+    if not keys:
+        return []
+    m = ambient.dim // field.degree
+    sats = [intmat.saturation_basis(q, A) for q, A in zip(*_span_matrices(field, k, keys))]
+    G, total = _okm_form(ambient)
+    max_s = max(abs(x) for sat, _ in sats for row in sat for x in row)
+    dtype = kernels.int_dtype(max_s * max_s * int(np.max(np.abs(G))) * ambient.dim ** 2)
+    S = np.array([sat for sat, _ in sats], dtype=object).astype(dtype)
+    grams = (S @ G.astype(dtype) @ S.transpose(0, 2, 1)).tolist()
+    r = k * field.degree
+    scale = _scale_power(ambient.scale_sq, r)
+    out = []
+    for key, (sat, den), g in zip(keys, sats, grams):
+        _, gram_den, det = _reduced_gram(g, total)
+        hsq = _height_sq(scale, r, det, gram_den)
+        out.append(PrimitiveModule(field, k, m, key, sat, hsq, den, ambient))
+    return out
 
 
 def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModule:
     """Lambda_D = (row space of D over K) intersect O_K^m, with height and denominator.
 
-    q * A (see _span_matrix) is the numerator of the rational RREF of the
-    O_K-span of D's rows: A is the identity on the integral coordinates of
-    D's pivot columns.  So one intmat.saturation_basis gives both the
-    Hermite basis of Lambda_D and its index Den(D) in that span.
+    The module data pass (_modules) on D's echelon key.
     """
-    field = D.field
-    sat, den = intmat.saturation_basis(*_span_matrix(D))
-    _, bnum, bden = _field_maps(field)
-    basis = [[Fraction(v, bden) for v in row] for row in _blockwise(sat, bnum, field.degree)]
-    lat = ZLattice(basis, ambient or Ambient.for_field(field, D.m), ok_module=True)
-    hsq = lat.height_sq()
-    return PrimitiveModule(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
-                           height_sq=hsq, denominator=den)
+    return _modules(D.field, D.k, [_key_of(D)], ambient or Ambient.for_field(D.field, D.m))[0]
 
 
 def denominator(D: EchelonMatrix) -> int:
     """Index [O_K^k : {v in O_K^k : v D is integral}], computed over Z-coordinates."""
-    return intmat.saturation_basis(*_span_matrix(D))[1]
+    (q,), (A,) = _span_matrices(D.field, D.k, [_key_of(D)])
+    return intmat.saturation_basis(q, A)[1]
 
 
 def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:
@@ -246,14 +347,33 @@ def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:
     return _echelon(field, lat.basis)
 
 
+# gamma_r^r for r = 1..8, Hermite's constant to the power r, known exactly in
+# these ranks (Conway & Sloane, SPLAG, ch. 1)
+_HERMITE_POWERS = (1, Fraction(4, 3), 2, 4, 8, Fraction(64, 3), 64, 256)
+
+
+def _minkowski_constant(r: int) -> float:
+    """A float at least gamma_r^(r/2), which bounds the product of the r
+    successive minima of a rank-r lattice over its covolume (Minkowski's
+    second theorem).  Beyond r = 8, Minkowski's gamma_r^(r/2) <= 2^r / V(r)."""
+    if r > 8:
+        # the pad covers the rounding of V(r) in floats
+        return 2.0 ** r / unit_ball_volume(r) * (1 + 1e-12)
+    power = Fraction(_HERMITE_POWERS[r - 1])
+    c = math.sqrt(power)
+    while Fraction(c) ** 2 < power:
+        c = math.nextafter(c, math.inf)
+    return c
+
+
 def enumerate_primitive_modules(field: NumberField, k: int, m: int,
                                 height_bound) -> list[PrimitiveModule]:
     """All primitive rank-k O_K-modules in O_K^m with H <= height_bound.
 
     Search: every qualifying module has successive K-minima whose norms are
-    bounded via the Minkowski-type product inequality, so the spans of
-    k-tuples of short vectors (`span_modules`) exhaust the candidates.  The
-    bound constant over-enumerates on purpose; completeness is what is tested.
+    bounded via Minkowski's second theorem, so the spans of k-tuples of short
+    vectors (`span_modules`) exhaust the candidates.  The bound
+    over-enumerates on purpose; completeness is what is tested.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
@@ -265,14 +385,15 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int,
     d = field.degree
     if k == m:
         # Phi of the identity over K is the identity over Q
-        return [lambda_of(_echelon(field, intmat.identity(m * d)))]
+        keys = _echelon_keys(field, np.array(intmat.identity(m * d), dtype=object)[None])
+        return _modules(field, m, keys, Ambient.for_field(field, m))
 
     okm = okn_lattice(field, m)
     nu = math.sqrt(float(shortest_nonzero_sqnorm(okm)))
     kd = k * d
-    # prod ||l_i||^d <= prod of all kd Z-minima <= 2^(kd(kd-1)/4) H, and every
+    # prod ||l_i||^d <= prod of all kd Z-minima <= gamma_kd^(kd/2) H, and every
     # minimum is at least the shortest vector of O_K^m, so each ||l_i|| obeys:
-    c6 = 2.0 ** (kd * (kd - 1) / 4.0)
+    c6 = _minkowski_constant(kd)
     per_vec = (c6 * float(bound) / nu ** (d * (k - 1))) ** (1.0 / d)
     bound_sq = PowerProduct.coerce(bound ** 2)
     spans = span_modules(okm, k, per_vec * (1 + 1e-9),
@@ -285,11 +406,12 @@ def span_modules(okm: ZLattice, k: int, radius,
     """Lambda_D for every K-span of k independent vectors of okm = O_K^m with norm <= radius.
 
     The k-tuples of candidates, in itertools.combinations order, go through
-    _echelons in blocks of at most kernels._BLOCK; a tuple whose product of
-    norms^d exceeds prod_bound (in floats) is dropped before its span is
+    _echelon_keys in blocks of at most kernels._BLOCK; a tuple whose product
+    of norms^d exceeds prod_bound (in floats) is dropped before its span is
     formed.  For k d = rank the first block with a span ends the search, as
-    k independent vectors span all of K^m.  Each distinct echelon key gets
-    one lambda_of; the result is sorted by (H, key).
+    k independent vectors span all of K^m.  The distinct echelon keys go
+    through the module data pass (_modules) once; the result is sorted by
+    (H, key).
     """
     field = okm.ambient.field
     d = field.degree
@@ -302,12 +424,11 @@ def span_modules(okm: ZLattice, k: int, radius,
         tuples = np.fromiter(flat, dtype=np.int64).reshape(-1, k)
         # each product of norms^d in floats, factor by factor in tuple order
         tuples = tuples[functools.reduce(np.multiply, powers[tuples].T) <= prod_bound]
-        new = _echelons(field, phi[tuples].reshape(len(tuples), k * d, phi.shape[2]), k, found)
-        found.update(new)
+        new = _echelon_keys(field, phi[tuples].reshape(len(tuples), k * d, phi.shape[2]), k, found)
+        found.update(dict.fromkeys(new))
         if new and k * d == okm.rank:
             break
-    modules = [lambda_of(D, okm.ambient) for D in found.values()]
-    return sorted(modules, key=lambda P: (P.height, P.key()))
+    return sorted(_modules(field, k, list(found), okm.ambient), key=PrimitiveModule._order)
 
 
 def _candidates(okm: ZLattice, vecs: np.ndarray):

@@ -96,6 +96,32 @@ def _scale_power(scale_sq: PowerProduct, r: int) -> PowerProduct:
     return scale_sq ** r
 
 
+def _reduced_gram(g, total: int):
+    """(gram_int, gram_den, det) of the Gram g / total, g an integer matrix.
+
+    Rejects g unless it is symmetric and positive definite.  Dividing g and
+    total by their gcd leaves gram_den the lcm of the denominators of the
+    Gram; det is the determinant of gram_int, its last leading minor.
+    """
+    for i in range(len(g)):
+        for j in range(i):
+            if g[i][j] != g[j][i]:
+                raise ValueError("gram is not symmetric")
+    c = math.gcd(total, *(x for row in g for x in row))
+    gram_int = tuple(tuple(x // c for x in row) for row in g)
+    minors, _ = intmat.leading_minors(gram_int)
+    if min(minors) <= 0:
+        raise ValueError("gram is not positive definite")
+    return gram_int, total // c, minors[-1]
+
+
+def _height_sq(scale_r: PowerProduct, r: int, det: int, gram_den: int) -> PowerProduct:
+    """H^2 of a rank-r lattice whose Gram has determinant det / gram_den^r,
+    with scale_r = _scale_power(scale_sq, r) of its space."""
+    coeff = scale_r.coeff
+    return scale_r._rescaled(Fraction(coeff.numerator * det, coeff.denominator * gram_den ** r))
+
+
 class ZLattice:
     """Discrete rank-r module with exact Gram data.
 
@@ -128,19 +154,7 @@ class ZLattice:
                 for j, f in form[i]:
                     bf[j] += b * f
             g.append([sum(bf[j] * b for j, b in other) for other in rows])
-        for i in range(self.rank):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram is not symmetric")
-        # the Gram is g / total; dividing both by their gcd leaves the lcm scaling
-        total = bden * bden * ambient.form_den
-        c = math.gcd(total, *(x for row in g for x in row))
-        self.gram_den = total // c
-        self.gram_int = tuple(tuple(x // c for x in row) for row in g)
-        minors, _ = intmat.leading_minors(self.gram_int)
-        if min(minors) <= 0:
-            raise ValueError("gram is not positive definite")
-        self._det = minors[-1]
+        self.gram_int, self.gram_den, self._det = _reduced_gram(g, bden * bden * ambient.form_den)
         self.gram = tuple(tuple(Fraction(x, self.gram_den) for x in row)
                           for row in self.gram_int)
 
@@ -150,7 +164,8 @@ class ZLattice:
         return Fraction(self._det, self.gram_den ** self.rank)
 
     def height_sq(self) -> PowerProduct:
-        return _scale_power(self.scale_sq, self.rank) * self.det_gram()
+        return _height_sq(_scale_power(self.scale_sq, self.rank), self.rank, self._det,
+                          self.gram_den)
 
     def height(self) -> float:
         return math.sqrt(float(self.height_sq()))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from latrank import ball, c1_estimate
 from latrank.cli import main
 from latrank.zlattice import DEFAULT_ENUM_CAP
 
@@ -400,3 +402,31 @@ def test_hecke_moment_golden_records(tmp_path):
     assert code == 0
     assert (out / "records.jsonl").read_bytes() == GOLDEN_RECORDS.encode()
     assert (out / "summary.csv").read_bytes() == GOLDEN_SUMMARY.encode()
+
+
+# sha256 of records.jsonl from c1-sum and of repr(c1_estimate(...).terms),
+# (height, denominator, value) per module in module order, as computed before
+# the module data came from one integer pass over the echelon keys
+GOLDEN_C1_SUM = {
+    ("QQ", 3, 2, 1, 40): ("9d519fb398b7b8aac7f93233cff6cec816d25ae713d01aafc9014459d35cf00c",
+                          "aafb63f5b8c6780ae829f360e61d34181c7e6b6d51f43424aa1a58ed0d53d6a0"),
+    ("Qi", 3, 2, 1, 8): ("590f3bbc2ee3baacd18e0f67d910c56851a1144e8d5f01404a1d1636d3559203",
+                         "ac3420363349a74a62783397ea6a1b9bc54a4723e5e0e58221d4e1c66a9e8b15"),
+    ("QQ", 4, 3, 2, 5): ("5cc9e41c4f1cbbeac44107f746f6a150b885058e201ef42ad68cf7b25af54b24",
+                         "d0857e08f51c43916971cd8ebc6bc8285531f8a90724886caf3ba68ac3bcb013"),
+}
+
+
+@pytest.mark.parametrize("name,n,m,k,cutoff", list(GOLDEN_C1_SUM))
+def test_c1_sum_golden_records(tmp_path, request, name, n, m, k, cutoff):
+    argv = ["c1-sum", "--n", str(n), "--m", str(m), "--k", str(k), "--cutoff", str(cutoff)]
+    if name == "Qi":
+        spec = tmp_path / "field.txt"
+        spec.write_text("min_poly = 1 0 1\n")
+        argv += ["--field", str(spec)]
+    out = tmp_path / "run"
+    assert main([*argv, "--output-dir", str(out)]) == 0
+    records, terms = GOLDEN_C1_SUM[name, n, m, k, cutoff]
+    assert hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest() == records
+    est = c1_estimate(request.getfixturevalue(name), n, m, k, ball(1), cutoff)
+    assert hashlib.sha256(repr(est.terms).encode()).hexdigest() == terms

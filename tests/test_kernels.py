@@ -278,6 +278,25 @@ def test_ranks_mod_p_paths_agree(monkeypatch):
             assert list(kernels.ranks_mod_p(batch, p)) == [_rank_mod_p_oracle(M, p) for M in batch]
 
 
+def test_ranks_mod_p_reduces_each_block(monkeypatch):
+    # entries below 0 and at or past p, reduced in each block of 16 matrices;
+    # the first block holds residues in [0, p) already, which are kept as they
+    # are; against the row-swapping elimination of the batch reduced beforehand
+    monkeypatch.setattr(kernels, "_BLOCK", 16)
+    rng = np.random.default_rng(4)
+    for p in (2, 53, 2147483659):
+        step = functools.partial(kernels._mod_p_step, p=p)
+        dtype = kernels.int_dtype(2 * p * p)
+        for batch in _rank_batches(rng):
+            batch = batch * rng.integers(1, 10 ** 12, size=batch.shape)
+            batch[:16] %= p
+            assert batch.min() < 0 and batch.max() >= p
+            before = batch.copy()
+            expect = eliminate_reference(batch.astype(dtype) % p, step, False)[1]
+            assert np.array_equal(kernels.ranks_mod_p(batch, p), expect)
+            assert np.array_equal(batch, before)
+
+
 def test_int_dtype_boundary():
     assert kernels.int_dtype(2 ** 62 - 1) is np.int64
     assert kernels.int_dtype(2 ** 62) is object

@@ -26,7 +26,8 @@ from latrank import modules
 from latrank.modules import (
     _candidates,
     _echelon,
-    _echelons,
+    _echelon_keys,
+    _echelon_matrix,
     dump_module_lines,
     jacobian,
     jacobian_sq,
@@ -35,7 +36,7 @@ from latrank.modules import (
     span_modules,
 )
 from latrank.numfield import _regular_rows, flatten_kvector, rank_over_K
-from latrank.zlattice import direct_sum, is_primitive_in, short_vectors
+from latrank.zlattice import Ambient, ZLattice, direct_sum, is_primitive_in, short_vectors
 from tests_support import (
     brute_force_short,
     denominator_loop,
@@ -358,11 +359,11 @@ class TestRankFactorize:
 
 
 @st.composite
-def _echelon_matrices(draw, field, max_num, max_den):
-    """k x m echelon D (m = 2..3, k = 1..m) whose free entries have integral-basis
-    coordinates num / den with |num| <= max_num and den <= max_den."""
-    m = draw(st.integers(2, 3))
-    k = draw(st.integers(1, m))
+def _echelon_matrices(draw, field, max_num, max_den, m=None, k=None):
+    """k x m echelon D (m = 2..3, k = 1..m unless given) whose free entries have
+    integral-basis coordinates num / den with |num| <= max_num and den <= max_den."""
+    m = draw(st.integers(2, 3)) if m is None else m
+    k = draw(st.integers(1, m)) if k is None else k
     pivots = sorted(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)))
     rows = []
     for i, p in enumerate(pivots):
@@ -422,6 +423,66 @@ def test_module_data_matches_reference_quadratic_large_denominators(name, data, 
     _assert_same_module_data(to_echelon(field, [[field.one(), entry]]))
 
 
+# the 4 x 6 q A of this k = 2, m = 3 echelon matrix over Q(i) made a Smith form
+# grow its entries past 2 million bits; its Den(D) is 32400
+def _found13(Qi):
+    return to_echelon(Qi, [
+        [Qi.one(), Qi.zero(), from_integral_coords(Qi, [Fraction(-11, 4), Fraction(-11, 9)])],
+        [Qi.zero(), Qi.one(), from_integral_coords(Qi, [Fraction(-8, 5), Fraction(1, 3)])]])
+
+
+@pytest.mark.parametrize("name,k", [(name, k) for name in ("QQ", "Qi", "Qs5") for k in (1, 2)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_module_data_pass_matches_loops(name, k, data, QQ, Qi, Qs5):
+    # one batch of keys through the pass against lambda_of_loop and
+    # denominator_loop per matrix: H^2, Den, the Hermite basis, and the
+    # lattice built on first read; the FOUND-13 matrix rides in the Q(i)
+    # batches at k = 2, where the Smith reference cannot run on it
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    m = 3 if k == 2 else data.draw(st.integers(2, 3))
+    size = (10 ** 6, 10 ** 6) if field is QQ else (6, 6)
+    Ds = data.draw(st.lists(_echelon_matrices(field, *size, m=m, k=k), min_size=1, max_size=4))
+    if field is Qi and k == 2 and m == 3:
+        Ds.append(_found13(Qi))
+    amb = Ambient.for_field(field, m)
+    got = modules._modules(field, k, [modules._key_of(D) for D in Ds], amb)
+    W, Winv = _w_blocks(field, m)
+    found13 = _found13(Qi).key()
+    for D, P in zip(Ds, got):
+        assert P.k == k and P.m == m and P.pivot_cols == D.pivot_cols
+        assert "lattice" not in vars(P) and "echelon" not in vars(P)
+        assert P.key() == D.key()
+        one = lambda_of(D)
+        assert (P.height_sq, P.height, P.denominator) == \
+            (one.height_sq, one.height, one.denominator)
+        if D.key() == found13:
+            assert P.denominator == 32400 and P.denominator ** 2 * jacobian_sq(D) == P.height_sq
+            continue
+        R = lambda_of_loop(D)
+        assert P.height_sq == R.height_sq and P.height == R.height
+        assert P.denominator == R.denominator == denominator_loop(D)
+        ref = [[int(x) for x in row] for row in intmat.mat_mul(R.lattice.basis, Winv)]
+        assert P._hermite == intmat.hermite_normal_form(ref)
+        basis = intmat.mat_mul(P._hermite, W)
+        assert [list(row) for row in P.lattice.basis] == basis
+        assert P.lattice.gram == ZLattice(basis, amb).gram
+        assert P.lattice.height_sq() == P.height_sq and P.lattice.ambient is amb
+
+
+def test_module_data_pass_rejects_bad_grams(QQ, monkeypatch):
+    # every key's integer Gram is checked, though no lattice is built
+    key = modules._key_of(to_echelon(QQ, [[1, 0], [0, 1]]))
+    amb = Ambient.for_field(QQ, 2)
+    total = modules._okm_form(amb)[1]
+    for bad, message in (([[1, 1], [0, 1]], "not symmetric"),
+                         ([[1, 0], [0, -1]], "not positive definite")):
+        monkeypatch.setattr(modules, "_okm_form",
+                            lambda amb, G=np.array(bad, dtype=object): (G, total))
+        with pytest.raises(ValueError, match=message):
+            modules._modules(QQ, 2, [key], amb)
+
+
 @contextlib.contextmanager
 def _time_limit(seconds: float):
     """Raise TimeoutError inside the block once `seconds` of wall time have passed."""
@@ -456,13 +517,12 @@ def test_module_data_large_entries_gaussian(Qi):
         return to_echelon(Qi, [[Qi.one(), Qi.zero(), from_integral_coords(Qi, [x(), x()])],
                                [Qi.zero(), Qi.one(), from_integral_coords(Qi, [x(), x()])]])
 
-    D = to_echelon(Qi, [
-        [Qi.one(), Qi.zero(), from_integral_coords(Qi, [Fraction(-11, 4), Fraction(-11, 9)])],
-        [Qi.zero(), Qi.one(), from_integral_coords(Qi, [Fraction(-8, 5), Fraction(1, 3)])]])
-    assert modules._span_matrix(D) == (180, [[180, 0, 0, 0, -495, -220],
-                                             [0, 180, 0, 0, 220, -495],
-                                             [0, 0, 180, 0, -288, 60],
-                                             [0, 0, 0, 180, -60, -288]])
+    D = _found13(Qi)
+    assert modules._span_matrices(Qi, 2, [modules._key_of(D)]) == (
+        [180], [[[180, 0, 0, 0, -495, -220],
+                 [0, 180, 0, 0, 220, -495],
+                 [0, 0, 180, 0, -288, 60],
+                 [0, 0, 0, 180, -60, -288]]])
     rng = random.Random(13)
     with _time_limit(30):
         assert _assert_module_of(D).denominator == 32400 == denominator(D)
@@ -587,10 +647,11 @@ def _check_tuple_echelons(field, k, data, max_vectors):
             D = echelon_rref(field, mat)
             if D.k == k:
                 want.setdefault(D.key(), D.pivot_cols)
-        got = _echelons(field, batch, k)
-        assert {D.key(): D.pivot_cols for D in got.values()} == want
+        got = _echelon_keys(field, batch, k)
+        assert {D.key(): D.pivot_cols
+                for D in (_echelon_matrix(field, k, key) for key in got)} == want
         assert len(got) == len(want)
-        assert _echelons(field, batch, k, got) == {}
+        assert _echelon_keys(field, batch, k, got) == []
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)
@@ -624,6 +685,20 @@ def test_span_modules_k1_matches_loop(name, m, data, QQ, Qi, Qs5):
     want = span_modules_loop(okm, 1, radius, prod_bound=prod_bound)
     assert dump_module_lines(got) == dump_module_lines(want)
     assert [P.height_sq for P in got] == [P.height_sq for P in want]
+    assert [P.key() for P in got] == [P.key() for P in want]
+
+
+@pytest.mark.parametrize("name,m,k,radius", [("QQ", 2, 1, 6), ("Qi", 2, 1, 3), ("Qs5", 2, 1, 3),
+                                             ("QQ", 3, 2, 2), ("QQ", 4, 2, Fraction(3, 2)),
+                                             ("Qi", 3, 2, 1)])
+def test_span_modules_order_matches_loop(name, m, k, radius, request):
+    # the modules and their order, ties in H included, against one lambda_of
+    # per key sorted on the Fraction keys
+    okm = okn_lattice(request.getfixturevalue(name), m)
+    got, want = span_modules(okm, k, radius), span_modules_loop(okm, k, radius)
+    assert len({P.height for P in got}) < len(got)
+    assert [(P.key(), P.height_sq, P.denominator) for P in got] == \
+        [(P.key(), P.height_sq, P.denominator) for P in want]
 
 
 @pytest.mark.parametrize("name,m,radius", [("QQ", 2, 5), ("QQ", 3, 3), ("Qi", 2, 2),
@@ -670,28 +745,31 @@ def test_span_modules_in_small_blocks(name, m, k, radius, request, monkeypatch):
     assert dump_module_lines(span_modules(okm, k, radius)) == want
 
 
-def _check_one_lambda_per_key_and_no_rref(okm, k, radius, monkeypatch):
+def _check_one_saturation_per_key_and_no_rref(okm, k, radius, monkeypatch):
+    # the per-key step of the module data pass runs once per distinct key
     calls = []
+    saturation_basis = intmat.saturation_basis
 
-    def counted(D, ambient=None):
-        calls.append(D.key())
-        return lambda_of(D, ambient)
+    def counted(q, A):
+        calls.append((q, tuple(map(tuple, A))))
+        return saturation_basis(q, A)
 
     def no_rref(A):
         raise AssertionError("intmat.rref called by the module search")
 
-    monkeypatch.setattr(modules, "lambda_of", counted)
+    monkeypatch.setattr(intmat, "saturation_basis", counted)
     monkeypatch.setattr(intmat, "rref", no_rref)
     got = span_modules(okm, k, radius)
     assert len(calls) == len(set(calls)) == len(got) > 0
+    assert len({P.key() for P in got}) == len(got)
 
 
 def test_span_modules_k1_one_lambda_per_key_and_no_rref(Qi, monkeypatch):
-    _check_one_lambda_per_key_and_no_rref(okn_lattice(Qi, 2), 1, 3, monkeypatch)
+    _check_one_saturation_per_key_and_no_rref(okn_lattice(Qi, 2), 1, 3, monkeypatch)
 
 
 @pytest.mark.parametrize("name,m,radius", [("QQ", 3, 2), ("Qi", 3, 1)])
 def test_span_modules_k2_one_lambda_per_key_and_no_rref(name, m, radius, request,
                                                         monkeypatch):
     okm = okn_lattice(request.getfixturevalue(name), m)
-    _check_one_lambda_per_key_and_no_rref(okm, 2, radius, monkeypatch)
+    _check_one_saturation_per_key_and_no_rref(okm, 2, radius, monkeypatch)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -479,10 +480,24 @@ def _w_blocks(field, m: int):
     return W, Winv
 
 
+@dataclass
+class ModuleRef:
+    """The module data of lambda_of_loop, under the attribute names of
+    latrank.modules.PrimitiveModule, all computed up front."""
+
+    echelon: object
+    lattice: object
+    height: float
+    height_sq: PowerProduct
+    denominator: int
+
+    def key(self):
+        return self.echelon.key()
+
+
 def lambda_of_loop(D, ambient=None):
     """Lambda_D through FieldElement products, Fraction matrix products, the
     Fraction inverse of the Smith transform V and a validated ZLattice."""
-    from latrank.modules import PrimitiveModule
     from latrank.numfield import flatten_kvector
     from latrank.zlattice import Ambient, ZLattice
 
@@ -500,8 +515,8 @@ def lambda_of_loop(D, ambient=None):
     basis = intmat.mat_mul(sat, W)
     lat = ZLattice(basis, ambient, ok_module=True)
     hsq = lat.height_sq()
-    return PrimitiveModule(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
-                           height_sq=hsq, denominator=denominator_loop(D))
+    return ModuleRef(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
+                     height_sq=hsq, denominator=denominator_loop(D))
 
 
 def echelon_rref(field, phi_rows):
