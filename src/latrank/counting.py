@@ -24,6 +24,7 @@ from .modules import PrimitiveModule, enumerate_primitive_modules, span_modules
 from .numfield import NumberField, _regular_rows, unflatten_kvector
 from .zlattice import (
     ZLattice,
+    _gram_bound,
     direct_sum,
     okn_lattice,
     short_vectors,
@@ -47,7 +48,7 @@ class TestFunction:
         """Exact R >= T * (support radius on m columns); T rational or a PowerProduct."""
         return Fraction(self.support_radius).limit_denominator(10 ** 12) * T * Fraction(1001, 1000)
 
-    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T) -> float:
+    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
         """raw plus the sum of f(A/T) over the enumerated matrices A flagged in hit."""
         d = field.degree
         for c in coords[hit].tolist():
@@ -56,6 +57,23 @@ class TestFunction:
                     for t in range(n)]
             raw += self._value_at(field, rows, T, m)
         return raw
+
+    def module_sum(self, raw, P: PrimitiveModule, n: int, k: int, T, RT):
+        """(raw plus the sum of f(A/T) over the rank-k n x m matrices A with rows
+        in P's Lambda_D, the number of matrices of Lambda_D^n of norm <= RT).
+
+        Enumerates Lambda_D^n, a lattice of rank n k d, and ranks every matrix.
+        """
+        lam = P.lattice
+        field, d = P.field, P.field.degree
+        stacked = direct_sum(lam, n)
+        coords = short_vectors(stacked, RT)
+        # A = X D with X = A[:, pivots], as D is the identity on its pivot
+        # columns, so rank_K A = rank_K X: rank the pivot columns only
+        pivots = [p * d + b for p in P.pivot_cols for b in range(d)]
+        piv_basis = [[row[j] for j in pivots] for row in lam.basis]
+        ranks = ranks_over_K(field, coords.reshape(len(coords), n, lam.rank), piv_basis)
+        return self.rank_k_sum(raw, field, stacked, coords, ranks == k, n, P.m, T), len(coords)
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
         """D(D)^(-n) * integral of f(x D), by Monte Carlo over the subspace measure."""
@@ -109,9 +127,17 @@ class Ball(TestFunction):
     def support_cover(self, T, m: int):
         return self.radius * T
 
-    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T) -> float:
+    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
         # the points were enumerated in f's own ball, so f(A/T) = 1 on each
-        return raw + float(np.count_nonzero(hit))
+        return raw + int(np.count_nonzero(hit))
+
+    def module_sum(self, raw, P: PrimitiveModule, n: int, k: int, T, RT):
+        if k != 1:
+            return super().module_sum(raw, P, n, k, T, RT)
+        # every nonzero n-tuple of Lambda_D vectors has rank 1, so the count
+        # is read from the theta series of Lambda_D
+        tuples = _ball_tuples(P.lattice, n, RT)
+        return raw + tuples - 1, tuples
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
         hn = float(P.height_sq) ** (-n / 2.0)
@@ -156,7 +182,8 @@ class ProductOfBalls(TestFunction):
             root += Fraction(1, 1000)
         return root * T
 
-    def _value_at(self, field, rows, T, m: int) -> float:
+    def _value_at(self, field, rows, T, m: int) -> int:
+        # an indicator: its sums stay exact Python ints
         radii = self.column_radii(m)
         for j in range(m):
             sq = sum(field.t2(row[j], row[j]) for row in rows)
@@ -164,8 +191,8 @@ class ProductOfBalls(TestFunction):
                 continue
             if not PowerProduct.coerce(sq) * field.scale_sq <= \
                     PowerProduct.coerce(radii[j] ** 2 * T ** 2):
-                return 0.0
-        return 1.0
+                return 0
+        return 1
 
     def _sample_values(self, pts, q, m: int, d: int) -> np.ndarray:
         radii = np.array([float(r) for r in self.column_radii(m)])
@@ -244,6 +271,9 @@ class RankCountReport:
     T: Fraction
     raw_sum: float          # integer-valued for indicator test functions
     normalized: float       # raw_sum / T^(k n d)
+    # matrices of norm <= R T enumerated; stratified, the n-tuples of Lambda_D
+    # vectors in the ball, summed over the modules, which a ball at k = 1
+    # counts from the theta series of Lambda_D without enumerating them
     matrices_seen: int
     method: str
 
@@ -294,7 +324,8 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
 
     method "direct" enumerates the full matrix ball and filters by rank;
     "stratified" decomposes the sum over the modules Lambda_D carrying the
-    rank-k matrices, which is how large T stays tractable.  The two methods
+    rank-k matrices, which is how large T stays tractable; a ball at k = 1
+    counts each module from the theta series of Lambda_D.  The two methods
     agree exactly (tested), so "auto" picks by cost.  `threads` is accepted
     for compatibility and has no effect.
     """
@@ -320,31 +351,81 @@ def _lhs_direct(field, n, m, k, T, f):
     # O_K^(nm) is n copies of O_K^m, one per matrix row; its first block is O_K^m
     row_basis = [row[:m * d] for row in lat.basis[:m * d]]
     ranks = ranks_over_K(field, coords.reshape(seen, n, m * d), row_basis)
-    raw = f.rank_k_sum(0.0, field, lat, coords, ranks == k, n, m, T)
-    return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),
-                           matrices_seen=seen, method="direct")
+    raw = f.rank_k_sum(0, field, lat, coords, ranks == k, n, m, T)
+    return _report(T, raw, seen, k * n * d, "direct")
 
 
 def _lhs_stratified(field, n, m, k, T, f):
-    d = field.degree
     RT = f.support_cover(T, m)
-    raw = 0.0
-    seen = 0
+    raw = seen = 0
     # a counted matrix has k K-independent rows in its Lambda_D, each of norm
     # <= RT, so Lambda_D is spanned by k independent such vectors of O_K^m
     for P in span_modules(okn_lattice(field, m), k, RT):
-        lam = P.lattice
-        stacked = direct_sum(lam, n)
-        coords = short_vectors(stacked, RT)
-        seen += len(coords)
-        # A = X D with X = A[:, pivots], as D is the identity on its pivot
-        # columns, so rank_K A = rank_K X: rank the pivot columns only
-        pivots = [p * d + b for p in P.pivot_cols for b in range(d)]
-        piv_basis = [[row[j] for j in pivots] for row in lam.basis]
-        ranks = ranks_over_K(field, coords.reshape(len(coords), n, lam.rank), piv_basis)
-        raw = f.rank_k_sum(raw, field, stacked, coords, ranks == k, n, m, T)
-    return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** (k * n * d),
-                           matrices_seen=seen, method="stratified")
+        raw, tuples = f.module_sum(raw, P, n, k, T, RT)
+        seen += tuples
+    return _report(T, raw, seen, k * n * field.degree, "stratified")
+
+
+def _report(T, raw, seen: int, knd: int, method: str) -> RankCountReport:
+    # indicator counts are summed as Python ints and converted here, once
+    raw = float(raw)
+    return RankCountReport(T=T, raw_sum=raw, normalized=raw / float(T) ** knd,
+                           matrices_seen=seen, method=method)
+
+
+# -- left side: ball counts from theta series ------------------------------------------
+
+
+def _norm_bound(lat: ZLattice, radius) -> int:
+    """The integer X with: x G_int x^T <= X iff ||x * basis|| <= radius.
+
+    X = floor(radius^2 gram_den / scale_sq), exact also for an irrational
+    scale_sq.  A sum of such integer norms, as of the rows of a tuple of
+    lattice vectors, obeys the same bound.
+    """
+    return math.floor(_gram_bound(radius, lat.scale_sq) * lat.gram_den)
+
+
+def _truncated_product(av, ac, bv, bc, X: int):
+    """The series (av, ac) times (bv, bc), terms of degree <= X only.
+
+    A series is its sorted distinct degrees and their coefficients.
+    """
+    deg = (av[:, None] + bv[None, :]).ravel()
+    coef = (ac[:, None] * bc[None, :]).ravel()
+    keep = deg <= X
+    deg, coef = deg[keep], coef[keep]
+    order = np.argsort(deg, kind="stable")
+    deg, coef = deg[order], coef[order]
+    starts = np.flatnonzero(np.r_[True, deg[1:] != deg[:-1]])
+    return deg[starts], np.add.reduceat(coef, starts)
+
+
+def _ball_tuples(lat: ZLattice, n: int, radius) -> int:
+    """The number of n-tuples of vectors of lat whose squared norms sum to <= radius^2.
+
+    The theta series of lat^n is the n-th power of lat's (Conway and Sloane,
+    SPLAG ch. 2).  One enumeration of lat gives its theta series up to the
+    bound X of `_norm_bound`, in integer norms; n - 2 truncated products give
+    the first n - 1 rows by their total norm, and the last row is read from
+    the cumulative series.  Every count is at most (vectors)^n, and int_dtype
+    picks the arrays that hold it.
+    """
+    X = _norm_bound(lat, radius)
+    coords = short_vectors(lat, radius)
+    gram = lat.gram_int
+    max_c = int(np.max(np.abs(coords)))     # coords holds 0, so it is never empty
+    max_g = max(abs(v) for row in gram for v in row)
+    x = coords.astype(kernels.int_dtype(max(max_g * max_c ** 2 * lat.rank ** 2, 2 * X)))
+    norms, counts = np.unique(((x @ np.array(gram, dtype=x.dtype)) * x).sum(axis=1),
+                              return_counts=True)
+    counts = counts.astype(kernels.int_dtype(len(coords) ** n))
+    acc_norms, acc_counts = norms, counts
+    for _ in range(n - 2):
+        acc_norms, acc_counts = _truncated_product(acc_norms, acc_counts, norms, counts, X)
+    # norms[0] = 0, so every remaining budget X - s >= 0 finds a norm
+    last = np.searchsorted(norms, X - acc_norms, side="right") - 1
+    return int((acc_counts * np.cumsum(counts)[last]).sum())
 
 
 # -- right side: per-module subspace integrals ----------------------------------------

@@ -29,6 +29,19 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
+def _iroot(v: int, L: int) -> int:
+    """The largest integer f >= 0 with f ** L <= v, for v >= 0."""
+    if v < 2:
+        return v
+    # Newton's iteration in integers, from f ** L > v, decreases to the root
+    f = 1 << -(-v.bit_length() // L)
+    while True:
+        g = ((L - 1) * f + v // f ** (L - 1)) // L
+        if g >= f:
+            return f
+        f = g
+
+
 def _rational(x) -> Fraction:
     """x as a Fraction, without Fraction()'s ABC check when it already is one."""
     return x if type(x) is Fraction else Fraction(x)
@@ -122,6 +135,16 @@ class PowerProduct:
         for p, e in self.exps:
             v *= math.pow(p, float(e))
         return v
+
+    def __floor__(self) -> int:
+        """The largest integer <= self, exactly: math.floor(x)."""
+        if not self.exps:
+            return self.coeff.numerator // self.coeff.denominator
+        # f <= x iff f^L <= x^L, which is rational for L the lcm of the
+        # exponents' denominators, and for an integer f iff f^L <= floor(x^L)
+        L = math.lcm(*(e.denominator for _, e in self.exps))
+        xl = (self ** L).as_fraction()
+        return _iroot(xl.numerator // xl.denominator, L)
 
     def _cmp_key_against(self, other: "PowerProduct"):
         """Return (a, b) rationals with self <= other iff a <= b, exactly."""

@@ -415,6 +415,12 @@ def _coerce_radius_sq(radius) -> PowerProduct:
     return PowerProduct.coerce(Fraction(float(radius)) ** 2)
 
 
+@functools.lru_cache(maxsize=64)
+def _gram_bound(radius, scale_sq: PowerProduct) -> PowerProduct:
+    """radius^2 / scale_sq: x G x^T is at most this on the vectors of norm <= radius."""
+    return _coerce_radius_sq(radius) / scale_sq
+
+
 def short_vectors(lat: ZLattice, radius) -> np.ndarray:
     """Exactly the coordinate vectors x with ||x * basis|| <= radius.
 
@@ -437,8 +443,7 @@ def short_vectors(lat: ZLattice, radius) -> np.ndarray:
     # den G, and the unimodular U leaves that gcd unchanged
     den = lat.gram_den
     g_int = intmat.mat_mul(intmat.mat_mul(U, lat.gram_int), intmat.transpose(U))
-    bound_pow = radius_sq / lat.scale_sq  # threshold for x G x^T
-    bound_int = bound_pow * den
+    bound_int = _gram_bound(radius, lat.scale_sq) * den
 
     g_f = np.array([[float(v) for v in row] for row in g_int], dtype=float)
     chol = np.linalg.cholesky(g_f)

@@ -26,9 +26,17 @@ from latrank.counting import (
     ranks_over_K,
     term_value_detail,
 )
+from latrank.exactval import PowerProduct
+from latrank.modules import span_modules
 from latrank.numfield import rank_over_K
-from latrank.zlattice import okn_lattice, unit_ball_volume
-from tests_support import from_integral_coords, k_rref, kmat_mul, term_value_detail_loop
+from latrank.zlattice import okn_lattice, short_vectors, unit_ball_volume
+from tests_support import (
+    from_integral_coords,
+    k_rref,
+    kmat_mul,
+    lhs_stratified_enumerated,
+    term_value_detail_loop,
+)
 
 
 class TestLhsCount:
@@ -366,6 +374,89 @@ def test_direct_equals_stratified_property(name, data, QQ, Qi, Qs5):
     a = lhs_count(field, n, m, k, T, g, method="direct")
     b = lhs_count(field, n, m, k, T, g, method="stratified")
     assert a.raw_sum == b.raw_sum
+
+
+# -- rank-one ball counts from the theta series of Lambda_D ---------------------------
+
+
+# largest T per field at which enumerating every Lambda_D^n stays small
+_THETA_T_MAX = {"QQ": Fraction(6), "Qi": Fraction(5, 2), "Qs5": Fraction(5, 2)}
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_theta_count_equals_enumeration_property(name, data, QQ, Qi, Qs5):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    n, m = data.draw(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]))
+    den = data.draw(st.integers(1, 4))
+    num = data.draw(st.integers(den, int(_THETA_T_MAX[name] * den)))
+    T = Fraction(num, den)
+    g = ball(data.draw(st.sampled_from([Fraction(1), Fraction(6, 5)])))
+    rep = lhs_count(field, n, m, 1, T, g, method="stratified")
+    assert (rep.raw_sum, rep.matrices_seen) == lhs_stratified_enumerated(field, n, m, 1, T, g)
+
+
+@pytest.mark.parametrize("name,T,raw,seen", [
+    ("Qzeta9p", 2, 3412, 3492),             # irrational scale_sq 3^(2/3) / 9
+    ("Qzeta8", Fraction(3, 2), 768, 778),
+    ("QQ", 5, 1752, 1776),                   # (3, 4) on the sphere of radius 5
+])
+def test_theta_count_equals_enumeration(name, T, raw, seen, request):
+    field = request.getfixturevalue(name)
+    rep = lhs_count(field, 3, 2, 1, T, ball(1), method="stratified")
+    assert (rep.raw_sum, rep.matrices_seen) == (raw, seen)
+    assert lhs_stratified_enumerated(field, 3, 2, 1, T, ball(1)) == (raw, seen)
+
+
+def test_theta_count_reach(QQ):
+    # the values the enumeration of every Lambda_D^3 gives
+    rep = lhs_count(QQ, 3, 2, 1, 40, ball(1), method="stratified")
+    assert (rep.raw_sum, rep.matrices_seen) == (992560, 994092)
+
+
+def test_theta_count_on_the_sphere(QQ):
+    # Lambda_D = Z (3, 4) has norms 25 c^2; at T = 5 its tuples in the ball are
+    # 0 and the 3 places x 2 signs of +-(3, 4), each with norms summing to X
+    P = lambda_of(to_echelon(QQ, [[3, 4]]))
+    assert counting._norm_bound(P.lattice, 5) == 25
+    assert ball(1).module_sum(0, P, 3, 1, Fraction(5), Fraction(5)) == (6, 7)
+
+
+def test_ball_sums_stay_exact(QQ):
+    # past 2^53 a float sum would lose the + 1
+    P = next(iter(span_modules(okn_lattice(QQ, 2), 1, 1)))
+    raw, tuples = ball(1).module_sum(2 ** 60, P, 3, 1, Fraction(1), Fraction(1))
+    assert raw == 2 ** 60 + tuples - 1 and type(raw) is int
+
+
+def test_theta_count_on_python_ints(QQ, Qs5, monkeypatch):
+    # the object-array path, which int_dtype picks past int64, counts the same
+    want = [lhs_count(f, 4, 2, 1, T, ball(1), method="stratified") for f, T in ((QQ, 6), (Qs5, 2))]
+    monkeypatch.setattr(kernels, "int_dtype", lambda bound: object)
+    got = [lhs_count(f, 4, 2, 1, T, ball(1), method="stratified") for f, T in ((QQ, 6), (Qs5, 2))]
+    assert [(r.raw_sum, r.matrices_seen) for r in got] == \
+        [(r.raw_sum, r.matrices_seen) for r in want]
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5", "Qzeta9p", "Qzeta8"])
+def test_norm_bound_against_power_products(name, request):
+    # X is the largest integer with scale_sq X / gram_den <= R^2, by exact
+    # PowerProduct comparisons on both sides
+    field = request.getfixturevalue(name)
+    for R in (Fraction(1), Fraction(6, 5), Fraction(3, 2), Fraction(5, 2)):
+        for P in list(span_modules(okn_lattice(field, 2), 1, R))[:12]:
+            lat = P.lattice
+            X = counting._norm_bound(lat, R)
+            r_sq = PowerProduct.coerce(R ** 2)
+            if X > 0:
+                assert lat.scale_sq * Fraction(X, lat.gram_den) <= r_sq
+            assert lat.scale_sq * Fraction(X + 1, lat.gram_den) > r_sq
+            # and it is the bound the exact filter of short_vectors applies
+            coords = short_vectors(lat, R)
+            q = [sum(a * g * b for a, row in zip(c, lat.gram_int) for g, b in zip(row, c))
+                 for c in coords.tolist()]
+            assert max(q) <= X
 
 
 @st.composite

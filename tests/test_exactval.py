@@ -113,3 +113,23 @@ def test_pow_mul_div_compare_match_reference(x, y, e):
         assert (a <= b) == le and (a > b) == (not le)
         lt = le and not pp_le_loop(b, a)
         assert (a < b) == lt and (a >= b) == (not lt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_power_products())
+def test_floor_matches_reference(x):
+    f = math.floor(x)
+    assert f >= 0
+    assert f == 0 or pp_le_loop(PowerProduct(f), x)
+    assert not pp_le_loop(PowerProduct(f + 1), x)
+
+
+def test_floor_of_irrationals_and_rationals():
+    assert math.floor(PowerProduct(Fraction(7, 2))) == 3
+    assert math.floor(PowerProduct(4)) == 4
+    assert math.floor(PowerProduct.of(5, Fraction(1, 2))) == 2
+    assert math.floor(PowerProduct(7) * PowerProduct.of(2, Fraction(1, 2))) == 9
+    # 10^40 / 3 * 3^(1/3), far past the reach of a float
+    big = PowerProduct(Fraction(10 ** 40, 3)) * PowerProduct.of(3, Fraction(1, 3))
+    f = math.floor(big)
+    assert f ** 3 * 9 <= 10 ** 120 < (f + 1) ** 3 * 9

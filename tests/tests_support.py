@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 
 from latrank import intmat
-from latrank.counting import Ball
+from latrank.counting import Ball, TestFunction
 from latrank.errors import NotIntegralError
 from latrank.exactval import PowerProduct
 from latrank.hecke import enumerate_subspaces, hecke_neighbor, sample_subspace
+from latrank.modules import span_modules
 from latrank.zlattice import okn_lattice, short_vectors
 
 
@@ -35,6 +36,22 @@ def brute_force_short(lat, radius_sq: Fraction):
             out.append(tuple(coords))
     out.sort()
     return out
+
+
+def lhs_stratified_enumerated(field, n, m, k, T, f):
+    """(raw_sum, matrices_seen) of the stratified count, every module by enumeration.
+
+    Runs the base TestFunction.module_sum, which enumerates Lambda_D^n and
+    ranks every matrix, also for a Ball at k = 1, where the library counts
+    from the theta series of Lambda_D instead.
+    """
+    T = Fraction(T)
+    RT = f.support_cover(T, m)
+    raw = seen = 0
+    for P in span_modules(okn_lattice(field, m), k, RT):
+        raw, tuples = TestFunction.module_sum(f, raw, P, n, k, T, RT)
+        seen += tuples
+    return raw, seen
 
 
 def gram_loop(lat):
