@@ -24,7 +24,9 @@ from .modules import PrimitiveModule, enumerate_primitive_modules, span_modules
 from .numfield import NumberField, _regular_rows, unflatten_kvector
 from .zlattice import (
     ZLattice,
-    _gram_bound,
+    _filter_exact,
+    _int_norms,
+    _norm_bound,
     direct_sum,
     okn_lattice,
     short_vectors,
@@ -50,13 +52,7 @@ class TestFunction:
 
     def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
         """raw plus the sum of f(A/T) over the enumerated matrices A flagged in hit."""
-        d = field.degree
-        for c in coords[hit].tolist():
-            amb = lat.to_ambient(c)
-            rows = [unflatten_kvector(field, list(amb[t * m * d:(t + 1) * m * d]))
-                    for t in range(n)]
-            raw += self._value_at(field, rows, T, m)
-        return raw
+        raise ValueError("counts take ball, product-of-balls or custom test functions")
 
     def module_sum(self, raw, P: PrimitiveModule, n: int, k: int, T, RT):
         """(raw plus the sum of f(A/T) over the rank-k n x m matrices A with rows
@@ -182,17 +178,25 @@ class ProductOfBalls(TestFunction):
             root += Fraction(1, 1000)
         return root * T
 
-    def _value_at(self, field, rows, T, m: int) -> int:
-        # an indicator: its sums stay exact Python ints
-        radii = self.column_radii(m)
-        for j in range(m):
-            sq = sum(field.t2(row[j], row[j]) for row in rows)
-            if sq == 0:
-                continue
-            if not PowerProduct.coerce(sq) * field.scale_sq <= \
-                    PowerProduct.coerce(radii[j] ** 2 * T ** 2):
-                return 0
-        return 1
+    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
+        # an indicator: its sums stay exact Python ints.  Column j of A has
+        # squared norm scale_sq q_j / den, with q_j the integer norm under the
+        # Gram of lat's integer basis B_j, B with every coordinate outside
+        # column j's entries set to 0: the ambient form restricted to them
+        amb, d = lat.ambient, field.degree
+        bden, B = intmat._integral(lat.basis)
+        fden, form = intmat._integral(amb.form)
+        B, form = np.array(B, dtype=object), np.array(form, dtype=object)
+        den = bden * bden * fden
+        x = coords[hit]
+        inside = np.ones(len(x), dtype=bool)
+        for j, r in enumerate(self.column_radii(m)):
+            cols = [t * m * d + j * d + b for t in range(n) for b in range(d)]
+            B_j = np.zeros_like(B)
+            B_j[:, cols] = B[:, cols]
+            gram = (B_j @ form @ B_j.T).tolist()
+            inside &= _filter_exact(x, gram, _norm_bound(r * T, amb.scale_sq, den))
+        return raw + int(np.count_nonzero(inside))
 
     def _sample_values(self, pts, q, m: int, d: int) -> np.ndarray:
         radii = np.array([float(r) for r in self.column_radii(m)])
@@ -209,9 +213,16 @@ class Custom(TestFunction):
     def _support_radius(self, m: int) -> float:
         return self.support_radius
 
-    def _value_at(self, field, rows, T, m: int) -> float:
-        emb = np.array([np.concatenate([field.embed_element(x) for x in row]) for row in rows])
-        return float(self.evaluator(emb / float(T)))
+    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
+        d = field.degree
+        for c in coords[hit].tolist():
+            amb = lat.to_ambient(c)
+            rows = [unflatten_kvector(field, list(amb[t * m * d:(t + 1) * m * d]))
+                    for t in range(n)]
+            emb = np.array([np.concatenate([field.embed_element(x) for x in row])
+                            for row in rows])
+            raw += float(self.evaluator(emb / float(T)))
+        return raw
 
     def _sample_values(self, pts, q, m: int, d: int) -> np.ndarray:
         emb = pts @ q.T                      # (N, n, m d) rows in ambient frame
@@ -376,16 +387,6 @@ def _report(T, raw, seen: int, knd: int, method: str) -> RankCountReport:
 # -- left side: ball counts from theta series ------------------------------------------
 
 
-def _norm_bound(lat: ZLattice, radius) -> int:
-    """The integer X with: x G_int x^T <= X iff ||x * basis|| <= radius.
-
-    X = floor(radius^2 gram_den / scale_sq), exact also for an irrational
-    scale_sq.  A sum of such integer norms, as of the rows of a tuple of
-    lattice vectors, obeys the same bound.
-    """
-    return math.floor(_gram_bound(radius, lat.scale_sq) * lat.gram_den)
-
-
 def _truncated_product(av, ac, bv, bc, X: int):
     """The series (av, ac) times (bv, bc), terms of degree <= X only.
 
@@ -408,17 +409,13 @@ def _ball_tuples(lat: ZLattice, n: int, radius) -> int:
     SPLAG ch. 2).  One enumeration of lat gives its theta series up to the
     bound X of `_norm_bound`, in integer norms; n - 2 truncated products give
     the first n - 1 rows by their total norm, and the last row is read from
-    the cumulative series.  Every count is at most (vectors)^n, and int_dtype
-    picks the arrays that hold it.
+    the cumulative series.  The norms have room for a sum of two, at most
+    2 X; every count is at most (vectors)^n, and int_dtype picks the arrays
+    that hold it.
     """
-    X = _norm_bound(lat, radius)
+    X = _norm_bound(radius, lat.scale_sq, lat.gram_den)
     coords = short_vectors(lat, radius)
-    gram = lat.gram_int
-    max_c = int(np.max(np.abs(coords)))     # coords holds 0, so it is never empty
-    max_g = max(abs(v) for row in gram for v in row)
-    x = coords.astype(kernels.int_dtype(max(max_g * max_c ** 2 * lat.rank ** 2, 2 * X)))
-    norms, counts = np.unique(((x @ np.array(gram, dtype=x.dtype)) * x).sum(axis=1),
-                              return_counts=True)
+    norms, counts = np.unique(_int_norms(coords, lat.gram_int, 2 * X), return_counts=True)
     counts = counts.astype(kernels.int_dtype(len(coords) ** n))
     acc_norms, acc_counts = norms, counts
     for _ in range(n - 2):

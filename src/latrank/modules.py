@@ -37,6 +37,7 @@ from .zlattice import (
     Ambient,
     ZLattice,
     _height_sq,
+    _int_norms,
     _reduced_gram,
     _scale_power,
     direct_sum,
@@ -436,7 +437,7 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
 
     vecs holds the lexicographically sorted points of a ball in O_K^m, so of
     v and -v the first is the one whose first nonzero entry is negative, and
-    only that one is kept.  One integer quadratic form gives the squared
+    only that one is kept.  zlattice._int_norms gives the integer squared
     norms; a norm's float is that of the exact PowerProduct, as int / int
     division rounds correctly.  One integer product gives the d rows of
     Phi(v) (numfield._regular_rows) scaled by the lcm of the denominators of
@@ -448,17 +449,14 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
     if len(vecs):
         first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
         vecs = vecs[first < 0]
-    gden, g_int = okm.gram_den, okm.gram_int
     r = okm.rank
     phi = _regular_rows(field, intmat._integral(okm.basis)[1]).reshape(r, -1)
     max_v = int(np.max(np.abs(vecs))) if vecs.size else 0
-    max_gb = max(max(abs(x) for row in g_int for x in row), int(np.max(np.abs(phi))))
-    dtype = kernels.int_dtype(r * r * max_gb * (max_v + 1) ** 2)
-    V = vecs.astype(dtype)
-    sq_int = ((V @ np.array(g_int, dtype=dtype)) * V).sum(axis=1).tolist()
-    rows = (V @ phi.astype(dtype)).reshape(len(V), d, phi.shape[1] // d)
+    dtype = kernels.int_dtype(r * int(np.max(np.abs(phi))) * max_v)
+    rows = (vecs.astype(dtype) @ phi.astype(dtype)).reshape(len(vecs), d, phi.shape[1] // d)
+    sq_int = _int_norms(vecs, okm.gram_int).tolist()
     scale = okm.scale_sq
-    num, den = scale.coeff.numerator, scale.coeff.denominator * gden
+    num, den = scale.coeff.numerator, scale.coeff.denominator * okm.gram_den
     norms = []
     for q in sq_int:
         key = (q * num) / den

@@ -8,8 +8,14 @@ enumeration, saturation (one Hermite form, intmat.saturation_basis, of the
 fraction-free RREF that kernels.gauss_jordan gives of the coordinates),
 successive K-minima and covering-radius bounds all live here.
 
-Squared norms decompose as scale_sq * (x G x^T) with G exact, so membership
-and radius tests are exact even when the scale itself is irrational.
+One exact norm rule decides every ball membership in the package: the
+squared norm of x * basis is scale_sq * q / gram_den for the integer norm
+q = x gram_int x^T (`_int_norms`), and it is at most R^2 exactly when
+q <= X = floor(R^2 gram_den / scale_sq) (`_norm_bound`, exact also for an
+irrational scale_sq).  The exact filter of short_vectors, the theta series
+of a ball count, the candidate norms of the module search and the column
+tests of a product of balls all make that integer comparison; floats only
+propose candidates.
 """
 
 from __future__ import annotations
@@ -197,16 +203,9 @@ class ZLattice:
         return sol is not None and all(c.denominator == 1 for c in sol)
 
     def sqnorm_exact_of_coords(self, coords) -> PowerProduct | None:
-        q = Fraction(0)
-        for i, a in enumerate(coords):
-            if a:
-                row = self.gram[i]
-                for j, b in enumerate(coords):
-                    if b:
-                        q += Fraction(a) * Fraction(b) * row[j]
-        if q == 0:
-            return None
-        return self.scale_sq * q
+        """Squared norm of the vector with integer coordinates coords, None at 0."""
+        q = int(_int_norms(np.array([coords], dtype=object), self.gram_int)[0])
+        return self.scale_sq * Fraction(q, self.gram_den) if q else None
 
     def kvector_of_coords(self, coords):
         if self.ambient.field is None:
@@ -390,18 +389,15 @@ def lll_transform_of(lat: ZLattice):
 
 
 def _reduced_sqnorms(lat: ZLattice, U) -> list:
-    """Diagonal of U G U^T: the exact Gram norms of the reduced basis rows."""
-    g = lat.gram
-    idx = range(lat.rank)
-    return [sum(u[a] * g[a][b] * u[b] for a in idx if u[a] for b in idx if u[b])
-            for u in U]
+    """Diagonal of U G U^T, the Gram norms of the reduced basis rows, as floats."""
+    return [q / lat.gram_den
+            for q in _int_norms(np.array(U, dtype=object), lat.gram_int).tolist()]
 
 
 def covering_radius_bound(lat: ZLattice) -> float:
     """Certified upper bound: half the sum of the norms of an LLL-reduced basis."""
     scale = float(lat.scale_sq)
-    return 0.5 * sum(math.sqrt(scale * float(q))
-                     for q in _reduced_sqnorms(lat, _transform(lat)))
+    return 0.5 * sum(math.sqrt(scale * q) for q in _reduced_sqnorms(lat, _transform(lat)))
 
 
 # -- short vectors ------------------------------------------------------------------
@@ -410,15 +406,50 @@ def covering_radius_bound(lat: ZLattice) -> float:
 def _coerce_radius_sq(radius) -> PowerProduct:
     if isinstance(radius, PowerProduct):
         return radius ** 2
-    if isinstance(radius, (int, Fraction)):
-        return PowerProduct.coerce(Fraction(radius) ** 2)
-    return PowerProduct.coerce(Fraction(float(radius)) ** 2)
+    r = Fraction(radius) if isinstance(radius, (int, Fraction)) else Fraction(float(radius))
+    # tested before squaring, which would turn -r into the ball of radius r
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return PowerProduct.coerce(r ** 2)
 
 
 @functools.lru_cache(maxsize=64)
 def _gram_bound(radius, scale_sq: PowerProduct) -> PowerProduct:
     """radius^2 / scale_sq: x G x^T is at most this on the vectors of norm <= radius."""
     return _coerce_radius_sq(radius) / scale_sq
+
+
+def _norm_bound(radius, scale_sq: PowerProduct, den: int) -> int:
+    """The integer X with: q <= X iff scale_sq * q / den <= radius^2, for integers q.
+
+    X = floor(radius^2 den / scale_sq), exact also for an irrational scale_sq.
+    For q = x gram_int x^T and den = gram_den, q <= X iff ||x * basis|| <=
+    radius; a sum of such integer norms, as of the rows of a tuple of
+    lattice vectors, obeys the same bound.
+    """
+    return math.floor(_gram_bound(radius, scale_sq) * den)
+
+
+def _int_norms(x: np.ndarray, gram_int, headroom: int = 0) -> np.ndarray:
+    """The integer norms x G x^T of the rows of x, G = gram_int.
+
+    int_dtype picks the dtype from a bound on every intermediate value and on
+    headroom, which leaves a caller room for sums of the norms.
+    """
+    r = len(gram_int)
+    max_x = int(np.max(np.abs(x))) if x.size else 0
+    max_g = max(abs(v) for row in gram_int for v in row)
+    dtype = kernels.int_dtype(max(max_g * (max_x + 1) ** 2 * r * r, headroom))
+    y = x.astype(dtype, copy=False)
+    return ((y @ np.array(gram_int, dtype=dtype)) * y).sum(axis=1)
+
+
+def _filter_exact(x: np.ndarray, gram_int, X: int) -> np.ndarray:
+    """Mask of the rows of x with x G x^T <= X, G = gram_int: the one norm decision."""
+    q = _int_norms(x, gram_int)
+    # an int64 q is at most the int64 maximum, and NumPy 1.x compares an int64
+    # array safely only with a bound in int64
+    return q <= (X if q.dtype == object else min(X, np.iinfo(np.int64).max))
 
 
 def short_vectors(lat: ZLattice, radius) -> np.ndarray:
@@ -428,37 +459,31 @@ def short_vectors(lat: ZLattice, radius) -> np.ndarray:
     and include 0, in the dtype kernels.int_dtype picks for the coordinate
     transform: int64, or object (Python ints) when a coordinate could pass
     int64.  Output is complete (float enumeration is padded, then filtered
-    with exact integer arithmetic) and deterministic.  The radius may be a
-    float, Fraction, or PowerProduct; floats are treated as the exact binary
-    rational they denote.  An enumeration that creates more than
-    DEFAULT_ENUM_CAP rows, counted at every level of the search, stops with
-    EnumerationCapError, which reports the count it reached and the radius.
+    with exact integer arithmetic against `_norm_bound`) and deterministic.
+    The radius may be a positive float, Fraction, or PowerProduct; floats are
+    treated as the exact binary rational they denote.  An enumeration that
+    creates more than DEFAULT_ENUM_CAP rows, counted at every level of the
+    search, stops with EnumerationCapError, which reports the count it
+    reached and the radius.
     """
-    radius_sq = _coerce_radius_sq(radius)
-    if float(radius_sq) <= 0:
-        raise ValueError("radius must be positive")
+    X = _norm_bound(radius, lat.scale_sq, lat.gram_den)
     U = lll_transform_of(lat)
-    # the reduced Gram U G U^T is g_int / den with g_int = U (den G) U^T, and
-    # this is its lcm scaling too: den is coprime to the gcd of the entries of
-    # den G, and the unimodular U leaves that gcd unchanged
-    den = lat.gram_den
+    # the reduced Gram U G U^T is g_int / gram_den with g_int = U (gram_den G) U^T
     g_int = intmat.mat_mul(intmat.mat_mul(U, lat.gram_int), intmat.transpose(U))
-    bound_int = _gram_bound(radius, lat.scale_sq) * den
 
     g_f = np.array([[float(v) for v in row] for row in g_int], dtype=float)
     chol = np.linalg.cholesky(g_f)
     dvec = np.diag(chol) ** 2
     lmat = chol / np.diag(chol)[None, :]
 
-    bound_f = float(bound_int) * (1.0 + 1e-9) + 1e-9
+    bound_f = float(X) * (1.0 + 1e-9) + 1e-9
     try:
         ys = kernels.fp_enumerate(lmat, dvec, bound_f, DEFAULT_ENUM_CAP)
     except EnumerationCapError as exc:
         raise EnumerationCapError(exc.estimate, exc.cap,
-                                  math.sqrt(float(radius_sq))) from None
+                                  math.sqrt(float(_coerce_radius_sq(radius)))) from None
 
-    # exact filter on Q_int = y G_int y^T against bound_int
-    accepted = _filter_exact(ys, g_int, bound_int)
+    accepted = ys[_filter_exact(ys, g_int, X)]
     del ys
     max_u = max((abs(x) for row in U for x in row), default=0)
     max_y = int(np.max(np.abs(accepted))) if accepted.size else 0
@@ -468,45 +493,12 @@ def short_vectors(lat: ZLattice, radius) -> np.ndarray:
     return out[np.lexsort(out.T[::-1])]
 
 
-def _filter_exact(ys: np.ndarray, g_int, bound_int: PowerProduct) -> np.ndarray:
-    if ys.shape[0] == 0:
-        return ys
-    r = len(g_int)
-    max_y = int(np.max(np.abs(ys)))
-    max_g = max(abs(v) for row in g_int for v in row)
-    q_bound = max_g * (max_y + 1) ** 2 * r * r
-    dtype = kernels.int_dtype(q_bound)
-    y = ys.astype(dtype, copy=False)
-    q = ((y @ np.array(g_int, dtype=dtype)) * y).sum(axis=1)
-    if bound_int.is_rational():
-        # for an integer q and den > 0, q * den <= num is q <= num // den,
-        # and the cap at q_bound keeps the right side in q's dtype
-        b = bound_int.as_fraction()
-        return ys[q <= min(b.numerator // b.denominator, q_bound)]
-    # irrational bound: floats decide away from the boundary, exact compare at it
-    bf = float(bound_int)
-    qf = q.astype(float)
-    mask = qf <= bf * (1 - 1e-9)
-    boundary = ~mask & (qf <= bf * (1 + 1e-9))
-    for idx in np.nonzero(boundary)[0]:
-        qv = int(q[idx])
-        if qv == 0 or PowerProduct.coerce(qv) <= bound_int:
-            mask[idx] = True
-    return ys[mask]
-
-
 def shortest_nonzero_sqnorm(lat: ZLattice) -> PowerProduct:
     """Exact squared norm of a shortest nonzero vector."""
     # the cached reduction short_vectors runs on, without building a reduced lattice
-    guess = min(float(lat.scale_sq) * float(q)
-                for q in _reduced_sqnorms(lat, _transform(lat)))
-    radius = math.sqrt(guess) * (1 + 1e-9)
-    best = None
-    for v in short_vectors(lat, radius).tolist():
-        q = lat.sqnorm_exact_of_coords(v)
-        if q is not None and (best is None or q < best):
-            best = q
-    return best
+    guess = min(float(lat.scale_sq) * q for q in _reduced_sqnorms(lat, _transform(lat)))
+    q = _int_norms(short_vectors(lat, math.sqrt(guess) * (1 + 1e-9)), lat.gram_int)
+    return lat.scale_sq * Fraction(int(q[q > 0].min()), lat.gram_den)
 
 
 # -- saturation ----------------------------------------------------------------------
@@ -602,13 +594,10 @@ def successive_k_minima(lat: ZLattice, k: int | None = None) -> MinimaReport:
     span_rows: list[list[Fraction]] = []  # flat Q-rows spanning the K-span so far
     radius = math.sqrt(float(shortest_nonzero_sqnorm(lat))) * (1 + 1e-9)
     while len(chosen) < k:
-        candidates = []
-        for v in short_vectors(lat, radius).tolist():
-            q = lat.sqnorm_exact_of_coords(v)
-            if q is None:
-                continue
-            candidates.append((q, v))
-        candidates.sort(key=lambda t: (float(t[0]), _embed_key(lat, t[1])[0]))
+        coords = short_vectors(lat, radius)
+        candidates = [(q, v) for q, v in zip(_int_norms(coords, lat.gram_int).tolist(),
+                                             coords.tolist()) if q]
+        candidates.sort(key=lambda t: (t[0], _embed_key(lat, t[1])[0]))
         found = False
         for q, v in candidates:
             if chosen and _in_span(span_rows, lat, v):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from latrank import counting, kernels
+from latrank import counting, kernels, zlattice
 from latrank import (
     ball,
     c1_estimate,
@@ -75,6 +75,7 @@ class TestLhsCount:
         ("Qzeta9p", ball(1), 2, 3412),
         ("Qzeta8", ball(1), Fraction(3, 2), 768),
         ("Qi", ball(1), Fraction(3, 2), 192),
+        ("Qzeta9p", product_of_balls([1, Fraction(3, 2)]), 1, 278),
     ])
     def test_methods_agree_quadratic_fields(self, name, f, T, count, request):
         # counts as the per-matrix rref over K gave them; in degrees 3 and 4, as
@@ -419,7 +420,7 @@ def test_theta_count_on_the_sphere(QQ):
     # Lambda_D = Z (3, 4) has norms 25 c^2; at T = 5 its tuples in the ball are
     # 0 and the 3 places x 2 signs of +-(3, 4), each with norms summing to X
     P = lambda_of(to_echelon(QQ, [[3, 4]]))
-    assert counting._norm_bound(P.lattice, 5) == 25
+    assert zlattice._norm_bound(5, P.lattice.scale_sq, P.lattice.gram_den) == 25
     assert ball(1).module_sum(0, P, 3, 1, Fraction(5), Fraction(5)) == (6, 7)
 
 
@@ -447,7 +448,7 @@ def test_norm_bound_against_power_products(name, request):
     for R in (Fraction(1), Fraction(6, 5), Fraction(3, 2), Fraction(5, 2)):
         for P in list(span_modules(okn_lattice(field, 2), 1, R))[:12]:
             lat = P.lattice
-            X = counting._norm_bound(lat, R)
+            X = zlattice._norm_bound(R, lat.scale_sq, lat.gram_den)
             r_sq = PowerProduct.coerce(R ** 2)
             if X > 0:
                 assert lat.scale_sq * Fraction(X, lat.gram_den) <= r_sq

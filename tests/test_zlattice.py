@@ -38,7 +38,14 @@ from latrank.zlattice import (
 )
 
 
-from tests_support import brute_force_short, gram_loop, lll_transform_loop, max_minor_gcd, rref_loop
+from tests_support import (
+    brute_force_short,
+    gram_loop,
+    lll_transform_loop,
+    max_minor_gcd,
+    pp_le_loop,
+    rref_loop,
+)
 
 
 class TestHeights:
@@ -319,21 +326,33 @@ class TestShortVectors:
             assert _rows(got) == expect
             checked += 1
 
-    def test_brute_force_equivalence_twisted(self, Qi, Qs5):
-        for K in (Qi, Qs5):
-            L = okn_lattice(K, 2)
-            got = short_vectors(L, 2)
-            expect = brute_force_short(L, Fraction(4))
+    def test_brute_force_equivalence_twisted(self, Qi, Qs5, Qzeta9p):
+        # Q(zeta9)+ has the cubic irrational scale 3^(-4/3); its O_K is taken
+        # at radius 3, as the box oracle needs seconds for O_K^2 at radius 2
+        for L, radius in ((okn_lattice(Qi, 2), 2), (okn_lattice(Qs5, 2), 2),
+                          (okn_lattice(Qzeta9p, 1), 3)):
+            got = short_vectors(L, radius)
+            expect = brute_force_short(L, Fraction(radius) ** 2)
             assert _rows(got) == expect
 
-    def test_irrational_radius_exact_boundary(self, Qs5):
-        # norms in O_K(sqrt5) are q * 5^(-1/2); radius chosen to hit one exactly
-        L = okn_lattice(Qs5, 1)
-        nrm = shortest_nonzero_sqnorm(L)
-        got = short_vectors(L, nrm.sqrt())
-        qs = [L.sqnorm_exact_of_coords(c) for c in got if any(c)]
-        assert all(q <= nrm for q in qs)
-        assert any(q == nrm for q in qs)
+    def test_irrational_radius_exact_boundary(self, Qs5, Qzeta9p):
+        # norms in O_K are q * 5^(-1/2) over Q(sqrt5) and q * 3^(-4/3) over
+        # Q(zeta9)+; the radius lambda_1 hits one exactly, and the ball holds
+        # 0 and +-1 only (lambda_1^2 = 2/5 5^(1/2) and 1/3 3^(2/3))
+        for K in (Qs5, Qzeta9p):
+            L = okn_lattice(K, 1)
+            nrm = shortest_nonzero_sqnorm(L)
+            got = short_vectors(L, nrm.sqrt())
+            assert len(got) == 3
+            qs = [L.sqnorm_exact_of_coords(c) for c in got if any(c)]
+            assert all(q <= nrm for q in qs)
+            assert any(q == nrm for q in qs)
+
+    @pytest.mark.parametrize("radius", [-1, Fraction(-1, 2), -0.5, 0])
+    def test_nonpositive_radius_rejected(self, radius):
+        # the square of a negative radius is positive: the sign is tested first
+        with pytest.raises(ValueError, match="radius must be positive"):
+            short_vectors(integer_lattice(2), radius)
 
     def test_cap_abort(self, monkeypatch):
         monkeypatch.setattr(zlattice, "DEFAULT_ENUM_CAP", 10_000)
@@ -380,7 +399,7 @@ class TestShortVectors:
             log = _log_int_dtype(mp)
             scaled = ZLattice([[s * x for x in row] for row in B], Ambient.standard(n))
             assert _rows(short_vectors(scaled, s * radius)) == want
-            assert ("_filter_exact", object) in log
+            assert ("_int_norms", object) in log
         if r == 1:
             return
         t = 2 ** 62
@@ -393,6 +412,23 @@ class TestShortVectors:
             got = short_vectors(ZLattice(skewed, Ambient.standard(n)), radius)
             assert _rows(got) == expect
             assert ("short_vectors", object) in log
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5", "Qzeta9p"])
+def test_exact_sqnorms_match_fraction_loop(name, request):
+    # both read integer norms; the reference sums Fractions over the Gram and
+    # takes the minimum by PowerProduct comparisons
+    L = okn_lattice(request.getfixturevalue(name), 2)
+    want = []
+    for v in short_vectors(L, Fraction(3, 2)).tolist():
+        q = sum(a * b * L.gram[i][j] for i, a in enumerate(v) for j, b in enumerate(v))
+        want.append(L.scale_sq * q if q else None)
+        assert L.sqnorm_exact_of_coords(v) == want[-1]
+    best = None
+    for q in filter(None, want):
+        if best is None or not pp_le_loop(best, q):
+            best = q
+    assert shortest_nonzero_sqnorm(L) == best
 
 
 class TestSaturate:
