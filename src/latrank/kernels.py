@@ -21,10 +21,10 @@ followed by an exact integer-arithmetic filter in zlattice.py, so float error
 here can only cost a few spurious candidates, never a missed vector (the
 caller pads the bound).
 
-The exact kernels here and in zlattice.py and modules.py make one overflow
-decision: each computes a bound on every intermediate value and passes it to
-int_dtype, which picks int64 or NumPy object arrays of Python ints.  The same
-expressions then run on either dtype.
+The exact kernels here and in intmat.py, zlattice.py and modules.py make one
+overflow decision: each computes a bound on every intermediate value and
+passes it to int_dtype, which picks int64 or NumPy object arrays of Python
+ints.  The same expressions then run on either dtype.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ the row space.  This file implements the three-way dictionary between those
 objects and the height/denominator data attached to them.  Every echelon
 matrix comes from one batched integer Gauss-Jordan pass, `_echelon_keys`, as
 an integer key; one module data pass, `_modules`, takes Lambda_D and Den(D)
-from one Hermite form (intmat.saturation_basis) per key and H^2 from its
-integer Gram, and a PrimitiveModule forms Fractions only when they are read.
+of all keys of one shape from one batched Hermite form
+(intmat.saturation_basis) and H^2 from one batched reduction of their integer
+Grams, and a PrimitiveModule forms Fractions only when they are read.
 One search finds modules: `span_modules` takes Lambda_D for the K-spans of k
 independent short vectors of O_K^m, at every k through that pass.  The
 complete enumeration of primitive rank-k modules below a height bound runs
@@ -165,19 +166,21 @@ class PrimitiveModule:
     """An echelon matrix together with its module Lambda_D, height and denominator.
 
     The module data pass (_modules) gives it in integers: the echelon key of
-    D, the Hermite basis of Lambda_D in integral coordinates, H^2 and Den(D).
-    `echelon` and `lattice`, which hold Fractions, are built from them the
-    first time something reads them, the lattice by the ZLattice constructor.
+    D, the Hermite basis of Lambda_D in integral coordinates, its checked
+    Gram (gram_int rows, gram_den, det), H^2 and Den(D).  `echelon` and
+    `lattice`, which hold Fractions, are built from them the first time
+    something reads them, the lattice by the ZLattice constructor, which
+    takes the checked Gram.
     """
 
-    def __init__(self, field: NumberField, k: int, m: int, key, hermite,
+    def __init__(self, field: NumberField, k: int, m: int, key, hermite, gram,
                  height_sq: PowerProduct, denominator: int, ambient: Ambient):
         self.field, self.k, self.m = field, k, m
         self.pivot_cols = key[:k]
         self.height_sq = height_sq
         self.height = math.sqrt(float(height_sq))
         self.denominator = denominator
-        self._key, self._hermite, self._ambient = key, hermite, ambient
+        self._key, self._hermite, self._gram, self._ambient = key, hermite, gram, ambient
 
     @functools.cached_property
     def echelon(self) -> EchelonMatrix:
@@ -188,7 +191,7 @@ class PrimitiveModule:
         _, bnum, bden = _field_maps(self.field)
         basis = [[Fraction(v, bden) for v in row]
                  for row in _blockwise(self._hermite, bnum, self.field.degree)]
-        return ZLattice(basis, self._ambient, ok_module=True)
+        return ZLattice(basis, self._ambient, ok_module=True, gram=self._gram)
 
     def key(self):
         return self.echelon.key()
@@ -264,7 +267,8 @@ def _blockwise(rows, blk, d: int):
 
 
 def _span_matrices(field: NumberField, k: int, keys):
-    """(qs, spans): q and q * A of each echelon key with k K-rows.
+    """(qs, spans): q and q * A of each echelon key with k K-rows, as (B,) and
+    (B, k d, m d) integer arrays.
 
     Row i d + b of A holds the integral coordinates of u_b * D_i, so the rows
     of A span the O_K-module of D's row space over Z; q is the lcm of the
@@ -283,7 +287,7 @@ def _span_matrices(field: NumberField, k: int, keys):
         mults.transpose(1, 0, 2).reshape(d, d * d).astype(dtype)
     out = prod.reshape(n, k, -1, d, d).transpose(0, 1, 3, 2, 4).reshape(n, k * d, -1)
     g = np.gcd(np.gcd.reduce(out.reshape(n, -1), axis=1), den)
-    return (den // g).tolist(), (out // g[:, None, None]).tolist()
+    return den // g, out // g[:, None, None]
 
 
 def _modules(field: NumberField, k: int, keys, ambient: Ambient) -> list[PrimitiveModule]:
@@ -291,28 +295,28 @@ def _modules(field: NumberField, k: int, keys, ambient: Ambient) -> list[Primiti
 
     q * A (see _span_matrices) is the numerator of the rational RREF of the
     O_K-span of D's rows: A is the identity on the integral coordinates of
-    D's pivot columns.  So one intmat.saturation_basis per key gives both the
-    Hermite basis S of Lambda_D and its index Den(D) in that span.  The Grams
-    S G S^T (see _okm_form) are one integer product for the batch, and each
-    is checked, scaled and reduced to H^2 as the ZLattice constructor does.
+    D's pivot columns.  So one batched intmat.saturation_basis gives both the
+    Hermite basis S of Lambda_D and its index Den(D) in that span for every
+    key.  The Grams S G S^T (see _okm_form) are one integer product for the
+    batch, and one _reduced_gram checks, scales and reduces them all, as the
+    ZLattice constructor does for one; their determinants give H^2.
     """
     if not keys:
         return []
     m = ambient.dim // field.degree
-    sats = [intmat.saturation_basis(q, A) for q, A in zip(*_span_matrices(field, k, keys))]
+    S, dens = intmat.saturation_basis(*_span_matrices(field, k, keys))
     G, total = _okm_form(ambient)
-    max_s = max(abs(x) for sat, _ in sats for row in sat for x in row)
-    dtype = kernels.int_dtype(max_s * max_s * int(np.max(np.abs(G))) * ambient.dim ** 2)
-    S = np.array([sat for sat, _ in sats], dtype=object).astype(dtype)
-    grams = (S @ G.astype(dtype) @ S.transpose(0, 2, 1)).tolist()
+    max_s = int(np.max(np.abs(S)))
+    dtype = kernels.int_dtype(max(max_s * max_s * int(np.max(np.abs(G))) * ambient.dim ** 2,
+                                  total))
+    S = S.astype(dtype)
+    gram_int, gram_den, det = _reduced_gram(S @ G.astype(dtype) @ S.transpose(0, 2, 1), total)
     r = k * field.degree
     scale = _scale_power(ambient.scale_sq, r)
-    out = []
-    for key, (sat, den), g in zip(keys, sats, grams):
-        _, gram_den, det = _reduced_gram(g, total)
-        hsq = _height_sq(scale, r, det, gram_den)
-        out.append(PrimitiveModule(field, k, m, key, sat, hsq, den, ambient))
-    return out
+    return [PrimitiveModule(field, k, m, key, sat, (gi, gd, dt), _height_sq(scale, r, dt, gd),
+                            den, ambient)
+            for key, sat, gi, gd, dt, den in zip(keys, S.tolist(), gram_int.tolist(),
+                                                 gram_den.tolist(), det.tolist(), dens.tolist())]
 
 
 def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModule:
@@ -325,8 +329,7 @@ def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModu
 
 def denominator(D: EchelonMatrix) -> int:
     """Index [O_K^k : {v in O_K^k : v D is integral}], computed over Z-coordinates."""
-    (q,), (A,) = _span_matrices(D.field, D.k, [_key_of(D)])
-    return intmat.saturation_basis(q, A)[1]
+    return int(intmat.saturation_basis(*_span_matrices(D.field, D.k, [_key_of(D)]))[1][0])
 
 
 def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:

@@ -102,23 +102,27 @@ def _scale_power(scale_sq: PowerProduct, r: int) -> PowerProduct:
     return scale_sq ** r
 
 
-def _reduced_gram(g, total: int):
-    """(gram_int, gram_den, det) of the Gram g / total, g an integer matrix.
+def _reduced_gram(g: np.ndarray, total: int):
+    """(gram_int, gram_den, det) of a batch of Grams g[i] / total, as arrays.
 
-    Rejects g unless it is symmetric and positive definite.  Dividing g and
-    total by their gcd leaves gram_den the lcm of the denominators of the
-    Gram; det is the determinant of gram_int, its last leading minor.
+    g is a (B, r, r) integer array in a dtype that also holds total.  Rejects
+    the batch unless every g[i] is symmetric and positive definite.  Dividing
+    g[i] and total by their gcd leaves gram_den[i] the lcm of the
+    denominators of the Gram; det[i] is the determinant of gram_int[i], its
+    last leading minor, from one intmat.leading_minors pass over the batch
+    in the dtype that kernels.bareiss_bound gives for it.
     """
-    for i in range(len(g)):
-        for j in range(i):
-            if g[i][j] != g[j][i]:
-                raise ValueError("gram is not symmetric")
-    c = math.gcd(total, *(x for row in g for x in row))
-    gram_int = tuple(tuple(x // c for x in row) for row in g)
-    minors, _ = intmat.leading_minors(gram_int)
-    if min(minors) <= 0:
+    if (g != g.transpose(0, 2, 1)).any():
+        raise ValueError("gram is not symmetric")
+    B, r = g.shape[:2]
+    c = np.gcd(np.gcd.reduce(g.reshape(B, -1), axis=1), total)
+    gram_int = g // c[:, None, None]
+    max_g = int(np.max(np.abs(gram_int))) if gram_int.size else 0
+    minors, _ = intmat.leading_minors(
+        gram_int.astype(kernels.int_dtype(kernels.bareiss_bound(max_g, r, r)), copy=False))
+    if (minors <= 0).any():
         raise ValueError("gram is not positive definite")
-    return gram_int, total // c, minors[-1]
+    return gram_int, total // c, minors[:, -1]
 
 
 def _height_sq(scale_r: PowerProduct, r: int, det: int, gram_den: int) -> PowerProduct:
@@ -135,12 +139,14 @@ class ZLattice:
     basis * form * basis^T once, in integers, as gram_int / gram_den with
     gram_den the lcm of the denominators of the Gram, and rejects it unless it
     is symmetric and positive definite; gram is the same matrix over Fraction.
+    A caller that has already computed and checked that Gram, as
+    (gram_int rows, gram_den, det) from _reduced_gram, passes it as `gram`.
     """
 
     __slots__ = ("basis", "gram", "gram_int", "gram_den", "scale_sq", "ambient_dim", "rank",
                  "ambient", "ok_module", "_det", "_lll")
 
-    def __init__(self, basis, ambient: Ambient, ok_module: bool = False):
+    def __init__(self, basis, ambient: Ambient, ok_module: bool = False, gram=None):
         # a Fraction is kept as it is: Fraction(x) of one costs an ABC check
         self.basis = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
                            for row in basis)
@@ -150,17 +156,22 @@ class ZLattice:
         self.scale_sq = ambient.scale_sq
         self.ok_module = ok_module
         self._lll = None  # LLL transform, filled on first use
-        bden, B = intmat._integral(self.basis)
-        rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-        form = ambient._form_rows
-        g = []
-        for nz in rows:
-            bf = [0] * ambient.dim   # this row of B * form
-            for i, b in nz:
-                for j, f in form[i]:
-                    bf[j] += b * f
-            g.append([sum(bf[j] * b for j, b in other) for other in rows])
-        self.gram_int, self.gram_den, self._det = _reduced_gram(g, bden * bden * ambient.form_den)
+        if gram is None:
+            bden, B = intmat._integral(self.basis)
+            rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+            form = ambient._form_rows
+            g = []
+            for nz in rows:
+                bf = [0] * ambient.dim   # this row of B * form
+                for i, b in nz:
+                    for j, f in form[i]:
+                        bf[j] += b * f
+                g.append([sum(bf[j] * b for j, b in other) for other in rows])
+            g = np.array(g, dtype=object).reshape(1, self.rank, self.rank)
+            gram_int, gram_den, det = _reduced_gram(g, bden * bden * ambient.form_den)
+            gram = gram_int[0].tolist(), int(gram_den[0]), int(det[0])
+        gram_int, self.gram_den, self._det = gram
+        self.gram_int = tuple(map(tuple, gram_int))
         self.gram = tuple(tuple(Fraction(x, self.gram_den) for x in row)
                           for row in self.gram_int)
 
@@ -328,7 +339,8 @@ def _lll_transform(gram_int, delta: Fraction):
     is the one the rational algorithm makes.
     """
     n = len(gram_int)
-    d, lam = intmat.leading_minors(gram_int)
+    d, lam = intmat.leading_minors(np.array(gram_int, dtype=object).reshape(1, n, n))
+    d, lam = d[0].tolist(), [row[:i] for i, row in enumerate(lam[0].tolist())]
     p, q = delta.numerator, delta.denominator
     U = intmat.identity(n)
     k = 1
@@ -523,9 +535,9 @@ def _saturation(sub: ZLattice, ambient_lat: ZLattice):
     """
     X = sublattice_coords(sub, ambient_lat)
     rows, _, _, den = kernels.gauss_jordan(np.array(X, dtype=object)[None])
-    q, sign = abs(int(den[0])), (1 if den[0] > 0 else -1)
-    sat, sat_den = intmat.saturation_basis(q, [[sign * x for x in row] for row in rows[0].tolist()])
-    return sat, q // sat_den
+    q = abs(int(den[0]))
+    sat, sat_den = intmat.saturation_basis([q], rows * (1 if den[0] > 0 else -1))
+    return sat[0].tolist(), q // int(sat_den[0])
 
 
 def saturate(sub: ZLattice, ambient_lat: ZLattice) -> ZLattice:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from latrank import intmat
@@ -134,10 +135,10 @@ def test_leading_minors_random_symmetric():
         G = intmat.mat_mul(B, intmat.transpose(B))
         if rng.random() < 0.3:
             G[n - 1][n - 1] -= rng.randint(0, 400)  # may turn a minor non-positive
-        d, lam = intmat.leading_minors(G)
+        d, lam = (x[0].tolist() for x in intmat.leading_minors(np.array([G], dtype=object)))
         minors = [intmat.det([row[:k] for row in G[:k]]) for k in range(n + 1)]
         stop = next((k for k in range(1, n + 1) if minors[k] <= 0), n)
-        assert d == minors[:stop + 1]
+        assert d == minors[:stop + 1] + [0] * (n - stop)
         for i in range(n):
             for j in range(min(i, stop)):
                 rows = list(range(j)) + [i]
@@ -145,9 +146,15 @@ def test_leading_minors_random_symmetric():
 
 
 def test_leading_minors_stop_at_first_non_positive():
-    assert intmat.leading_minors([[1, 0, 0], [0, 0, 0], [0, 0, 5]])[0] == [1, 1, 0]
-    assert intmat.leading_minors([[1, 2, 0], [2, 1, 0], [0, 0, 1]])[0] == [1, 1, -3]
-    assert intmat.leading_minors([])[0] == [1]
+    # one batch: each matrix stops at its own first minor that is not
+    # positive, and its later minors read 0
+    G = np.array([[[1, 0, 0], [0, 0, 0], [0, 0, 5]],
+                  [[1, 2, 0], [2, 1, 0], [0, 0, 1]],
+                  [[2, 1, 0], [1, 2, 1], [0, 1, 2]]])
+    for dtype in (np.int64, object):
+        d, _ = intmat.leading_minors(G.astype(dtype))
+        assert d.tolist() == [[1, 1, 0, 0], [1, 1, -3, 0], [1, 2, 3, 4]]
+    assert intmat.leading_minors(np.zeros((1, 0, 0), dtype=object))[0].tolist() == [[1]]
 
 
 def test_solve_and_inverse():
@@ -158,13 +165,20 @@ def test_solve_and_inverse():
     assert intmat.mat_mul(A, Ainv) == [[1, 0], [0, 1]]
 
 
+def _saturation_one(q, A):
+    S, den = intmat.saturation_basis([q], [A])
+    return S[0].tolist(), int(den[0])
+
+
 def test_saturation_basis():
     # A / q = [[1, 2]]: Z (1, 2) is saturated
-    assert intmat.saturation_basis(1, [[1, 2]]) == ([[1, 2]], 1)
+    assert _saturation_one(1, [[1, 2]]) == ([[1, 2]], 1)
     # A / q = [[1, 1/2]]: y (1, 1/2) is integral iff y is even
-    assert intmat.saturation_basis(2, [[2, 1]]) == ([[2, 1]], 2)
+    assert _saturation_one(2, [[2, 1]]) == ([[2, 1]], 2)
     # A / q = [[1, 0, 1/3], [0, 1, 2/3]]: y is integral iff y_1 + 2 y_2 = 0 mod 3
-    assert intmat.saturation_basis(3, [[3, 0, 1], [0, 3, 2]]) == ([[1, 1, 1], [0, 3, 2]], 3)
+    assert _saturation_one(3, [[3, 0, 1], [0, 3, 2]]) == ([[1, 1, 1], [0, 3, 2]], 3)
+    # A / q = [[1, 1/2, 1, 0]]: a column of A that is 0 mod q constrains nothing
+    assert _saturation_one(2, [[2, 1, 2, 0]]) == ([[2, 1, 2, 0]], 2)
 
 
 @st.composite
@@ -198,10 +212,110 @@ def test_saturation_basis_oracles(A):
     if r == 0:
         return
     q, num = intmat._integral(R[:r])
-    S, den = intmat.saturation_basis(q, num)
+    S, den = _saturation_one(q, num)
     # a Hermite basis of a saturated lattice in the row space of A
     assert intmat.hermite_normal_form(S) == S and len(S) == r
     assert rref_loop(A + S)[2] == r and max_minor_gcd(S) == 1
     # of index den in Z^r R: det Gram(S) = den^2 det Gram(R)
     gram = lambda B: intmat.det(intmat.mat_mul(B, intmat.transpose(B)))  # noqa: E731
     assert gram(S) == den ** 2 * gram(R[:r])
+
+
+@st.composite
+def _hermite_batches(draw):
+    """A batch of g x n integer matrices of one shape, tall or wide, each of a
+    drawn kind: full, of lower inner rank B C, zero, or a smaller block of
+    rows padded with zero rows."""
+    g, n, size = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    ints, small = st.integers(-20, 20), st.integers(-4, 4)
+    batch = []
+    for _ in range(size):
+        kind = draw(st.sampled_from(["full", "low", "zero", "padded"]))
+        if kind == "full":
+            M = [[draw(ints) for _ in range(n)] for _ in range(g)]
+        elif kind == "low":
+            inner = draw(st.integers(1, max(min(g, n) - 1, 1)))
+            M = intmat.mat_mul([[draw(small) for _ in range(inner)] for _ in range(g)],
+                               [[draw(small) for _ in range(n)] for _ in range(inner)])
+        elif kind == "zero":
+            M = [[0] * n for _ in range(g)]
+        else:
+            top = draw(st.integers(0, g))
+            M = [[draw(ints) for _ in range(n)] for _ in range(top)] + \
+                [[0] * n for _ in range(g - top)]
+        batch.append(M)
+    return batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_hermite_batches())
+def test_batched_hermite_matches_loop(batch):
+    # every matrix of one _hermite pass against the Hermite loop: its pivot
+    # rows, in column order, then zero rows
+    P = intmat._hermite(np.array(batch, dtype=object))
+    for M, rows in zip(batch, P.tolist()):
+        basis = [row for row in rows if any(row)]
+        assert basis + [[0] * len(M[0])] * (len(M) - len(basis)) == hermite_loop(M)[0]
+        assert intmat.hermite_normal_form(M) == hermite_loop(M)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=_hermite_batches(), data=st.data())
+def test_batched_hermite_modulo_q_matches_loop(batch, data):
+    # with moduli, row i of the batch spans with q_i Z^n: the loop on the
+    # rows and q_i I, in both dtypes
+    n = len(batch[0][0])
+    qs = [data.draw(st.integers(1, 60)) for _ in batch]
+    for dtype in (np.int64, object):
+        W = np.array([[[x % q for x in row] for row in M] for M, q in zip(batch, qs)],
+                     dtype=dtype)
+        P = intmat._hermite(W, np.array(qs, dtype=dtype))
+        for M, q, H in zip(batch, qs, P.tolist()):
+            qI = [[q * (i == j) for j in range(n)] for i in range(n)]
+            assert H == hermite_loop(M + qI)[0][:n]
+
+
+@st.composite
+def _rref_numerators(draw, r, n):
+    """(q, A): A / q a random rational r x n RREF of rank r, A its numerator."""
+    pivots = sorted(draw(st.permutations(range(n)))[:r])
+    R = []
+    for i, p in enumerate(pivots):
+        R.append([Fraction(int(j == p)) if j in pivots or j < p else
+                  Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+                  for j in range(n)])
+    return intmat._integral(R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_saturation_matches_one_key_calls(data):
+    r = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(r, 5))
+    keys = data.draw(st.lists(_rref_numerators(r, n), min_size=1, max_size=8))
+    S, den = intmat.saturation_basis([q for q, _ in keys], [A for _, A in keys])
+    assert S.shape == (len(keys), r, n)
+    for (q, A), S_i, den_i in zip(keys, S.tolist(), den.tolist()):
+        assert (S_i, den_i) == _saturation_one(q, A)
+        R = [[Fraction(x, q) for x in row] for row in A]
+        assert intmat.hermite_normal_form(S_i) == S_i and rref_loop(R + S_i)[2] == r
+        assert max_minor_gcd(S_i) == 1
+
+
+def test_saturation_basis_object_path():
+    # q above 2^31 puts the Hermite pass past int_dtype's int64 bound 4 q^2;
+    # a small-q key in the same batch gets the answer of its own int64 call
+    big = 2 ** 31 + 11
+    for x in (6, 3 * 5 * 7 * 11, big - 1, 0):
+        g = math.gcd(big, x)
+        S, den = intmat.saturation_basis([big], [[[big, x]]])
+        assert S.dtype == object
+        assert (S[0].tolist(), int(den[0])) == ([[big // g, x // g]], big // g)
+    q2, A2 = 2 ** 40, [[2 ** 40, 0, 3 * 2 ** 20], [0, 2 ** 40, 5]]
+    S, den = intmat.saturation_basis([q2, 6], [A2, [[6, 0, 4], [0, 6, 3]]])
+    assert S.dtype == object
+    assert (S[1].tolist(), int(den[1])) == _saturation_one(6, [[6, 0, 4], [0, 6, 3]])
+    # y A / q integral iff 3 y_1 / 2^20 + 5 y_2 / 2^40 is, i.e. y_2 = -3 * 2^20 y_1 + 2^40 t
+    S0, den0 = S[0].tolist(), int(den[0])
+    assert den0 == 2 ** 40
+    assert intmat.hermite_normal_form(S0) == S0 and max_minor_gcd(S0) == 1

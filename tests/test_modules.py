@@ -22,7 +22,7 @@ from latrank import (
     to_echelon,
 )
 from latrank import intmat, kernels
-from latrank import modules
+from latrank import modules, zlattice
 from latrank.modules import (
     _candidates,
     _echelon,
@@ -483,6 +483,28 @@ def test_module_data_pass_rejects_bad_grams(QQ, monkeypatch):
             modules._modules(QQ, 2, [key], amb)
 
 
+@pytest.mark.parametrize("name,k,m", [("QQ", 1, 3), ("Qi", 2, 3)])
+def test_module_lattice_takes_the_checked_gram(name, k, m, request, monkeypatch):
+    # the pass's Gram check is the only one: building a module's lattice
+    # neither recomputes nor rechecks B F B^T, and gives the Gram that the
+    # constructor computes from the basis
+    field = request.getfixturevalue(name)
+    mods = enumerate_primitive_modules(field, k, m, 3)
+    amb = Ambient.for_field(field, m)
+
+    def no_check(*_):
+        raise AssertionError("a module lattice rechecked its Gram")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zlattice, "_reduced_gram", no_check)
+        lats = [P.lattice for P in mods]
+    for P, lat in zip(mods, lats):
+        ref = ZLattice(lat.basis, amb, ok_module=True)
+        assert (lat.gram_int, lat.gram_den, lat.det_gram()) == \
+            (ref.gram_int, ref.gram_den, ref.det_gram())
+        assert lat.height_sq() == P.height_sq
+
+
 @contextlib.contextmanager
 def _time_limit(seconds: float):
     """Raise TimeoutError inside the block once `seconds` of wall time have passed."""
@@ -518,7 +540,7 @@ def test_module_data_large_entries_gaussian(Qi):
                                [Qi.zero(), Qi.one(), from_integral_coords(Qi, [x(), x()])]])
 
     D = _found13(Qi)
-    assert modules._span_matrices(Qi, 2, [modules._key_of(D)]) == (
+    assert tuple(x.tolist() for x in modules._span_matrices(Qi, 2, [modules._key_of(D)])) == (
         [180], [[[180, 0, 0, 0, -495, -220],
                  [0, 180, 0, 0, 220, -495],
                  [0, 0, 180, 0, -288, 60],
@@ -600,7 +622,8 @@ def test_echelon_matches_k_rref(name, data, QQ, Qi, Qs5, Qzeta9p, Qzeta8):
 
 
 # sha256 of dump_module_lines(enumerate_primitive_modules(field, k, m, H)), as
-# produced by Gauss-Jordan over K before echelon forms came from Phi
+# produced by Gauss-Jordan over K before echelon forms came from Phi; the last
+# three as produced by one Hermite form per key, before the batched pass
 GOLDEN_DUMPS = {
     ("QQ", 1, 2, 20): "ba51990acbe425b34c116d793dd35cf4508f37a9574022792d649b1bdc43c4c7",
     ("QQ", 2, 3, 6): "26c1747e344bddb842bb3c946a7f965f8467bc532fa16aade238e56f3ebf7828",
@@ -608,6 +631,9 @@ GOLDEN_DUMPS = {
     ("Qs5", 1, 2, 12): "fb50e73a807e03a42ce1232aa348465cf5e4a15421281ec9a0f10baae4749bd3",
     ("Qzeta9p", 1, 2, 4): "39d02896f88ad60466605f330b17d5aba355662312d12fda4ec43a518ceb5f63",
     ("Qzeta8", 1, 2, 4): "f337c17f6e26788383baa2d835658555f2f4caafaada1473da927e9c79438508",
+    ("QQ", 1, 2, 80): "c63d93253113b8ca2f9a88abcd2e958f84745904f15c2145ac7f2955ef1b9d8a",
+    ("QQ", 1, 3, 12): "d5ef29a1be3dac820381660dd3abca83aa187c5f007126d819092a4b66d32a81",
+    ("Qi", 2, 3, 4): "a778711975ac6c1c0b590c33eca6b4a409c386491cce10615065efcfc3cb8793",
 }
 
 
@@ -746,13 +772,16 @@ def test_span_modules_in_small_blocks(name, m, k, radius, request, monkeypatch):
 
 
 def _check_one_saturation_per_key_and_no_rref(okm, k, radius, monkeypatch):
-    # the per-key step of the module data pass runs once per distinct key
-    calls = []
+    # the module data pass saturates every distinct key exactly once, in
+    # one batched call
+    calls, batches = [], []
     saturation_basis = intmat.saturation_basis
 
-    def counted(q, A):
-        calls.append((q, tuple(map(tuple, A))))
-        return saturation_basis(q, A)
+    def counted(qs, A):
+        batches.append(len(qs))
+        calls.extend((q, tuple(map(tuple, a)))
+                     for q, a in zip(np.asarray(qs).tolist(), np.asarray(A).tolist()))
+        return saturation_basis(qs, A)
 
     def no_rref(A):
         raise AssertionError("intmat.rref called by the module search")
@@ -760,7 +789,7 @@ def _check_one_saturation_per_key_and_no_rref(okm, k, radius, monkeypatch):
     monkeypatch.setattr(intmat, "saturation_basis", counted)
     monkeypatch.setattr(intmat, "rref", no_rref)
     got = span_modules(okm, k, radius)
-    assert len(calls) == len(set(calls)) == len(got) > 0
+    assert len(calls) == len(set(calls)) == len(got) > 0 and batches == [len(got)]
     assert len({P.key() for P in got}) == len(got)
 
 

@@ -488,7 +488,9 @@ def test_saturation_matches_minor_oracles(B, data):
     assume(rk == r)
     amb = ZLattice(B, Ambient.standard(n))
     sub = ZLattice(intmat.mat_mul(X, B), Ambient.standard(n))
-    S, den = intmat.saturation_basis(*intmat._integral(R))
+    q, num = intmat._integral(R)
+    S, den = intmat.saturation_basis([q], [num])
+    S, den = S[0].tolist(), int(den[0])
     index = abs(intmat.det([[row[p] for p in pivots] for row in X])) / den
     assert saturation_index(sub, amb) == index == max_minor_gcd(X)
     assert saturate(sub, amb).basis == tuple(map(tuple, intmat.mat_mul(S, B)))
