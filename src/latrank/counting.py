@@ -21,7 +21,7 @@ from . import intmat, kernels
 from .errors import ValidationError
 from .exactval import PowerProduct
 from .modules import PrimitiveModule, enumerate_primitive_modules, span_modules
-from .numfield import NumberField, _regular_rows, unflatten_kvector
+from .numfield import NumberField, ranks_over_K, unflatten_kvector
 from .zlattice import (
     ZLattice,
     _filter_exact,
@@ -50,7 +50,7 @@ class TestFunction:
         """Exact R >= T * (support radius on m columns); T rational or a PowerProduct."""
         return Fraction(self.support_radius).limit_denominator(10 ** 12) * T * Fraction(1001, 1000)
 
-    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
+    def rank_k_sum(self, raw, lat, coords, hit, n: int, m: int, T):
         """raw plus the sum of f(A/T) over the enumerated matrices A flagged in hit."""
         raise ValueError("counts take ball, product-of-balls or custom test functions")
 
@@ -58,18 +58,18 @@ class TestFunction:
         """(raw plus the sum of f(A/T) over the rank-k n x m matrices A with rows
         in P's Lambda_D, the number of matrices of Lambda_D^n of norm <= RT).
 
-        Enumerates Lambda_D^n, a lattice of rank n k d, and ranks every matrix.
+        Enumerates Lambda_D^n, a lattice of rank n d P.k, and ranks every matrix.
         """
         lam = P.lattice
-        field, d = P.field, P.field.degree
+        d = P.field.degree
         stacked = direct_sum(lam, n)
         coords = short_vectors(stacked, RT)
         # A = X D with X = A[:, pivots], as D is the identity on its pivot
         # columns, so rank_K A = rank_K X: rank the pivot columns only
         pivots = [p * d + b for p in P.pivot_cols for b in range(d)]
         piv_basis = [[row[j] for j in pivots] for row in lam.basis]
-        ranks = ranks_over_K(field, coords.reshape(len(coords), n, lam.rank), piv_basis)
-        return self.rank_k_sum(raw, field, stacked, coords, ranks == k, n, P.m, T), len(coords)
+        ranks = ranks_over_K(P.field, coords.reshape(len(coords), n, lam.rank), piv_basis)
+        return self.rank_k_sum(raw, stacked, coords, ranks == k, n, P.m, T), len(coords)
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
         """D(D)^(-n) * integral of f(x D), by Monte Carlo over the subspace measure."""
@@ -123,15 +123,15 @@ class Ball(TestFunction):
     def support_cover(self, T, m: int):
         return self.radius * T
 
-    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
+    def rank_k_sum(self, raw, lat, coords, hit, n: int, m: int, T):
         # the points were enumerated in f's own ball, so f(A/T) = 1 on each
         return raw + int(np.count_nonzero(hit))
 
     def module_sum(self, raw, P: PrimitiveModule, n: int, k: int, T, RT):
-        if k != 1:
+        if P.k != 1:
             return super().module_sum(raw, P, n, k, T, RT)
-        # every nonzero n-tuple of Lambda_D vectors has rank 1, so the count
-        # is read from the theta series of Lambda_D
+        # every nonzero n-tuple of vectors of a K-rank 1 Lambda_D has rank
+        # k = 1, so the count is read from the theta series of Lambda_D
         tuples = _ball_tuples(P.lattice, n, RT)
         return raw + tuples - 1, tuples
 
@@ -178,12 +178,13 @@ class ProductOfBalls(TestFunction):
             root += Fraction(1, 1000)
         return root * T
 
-    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
+    def rank_k_sum(self, raw, lat, coords, hit, n: int, m: int, T):
         # an indicator: its sums stay exact Python ints.  Column j of A has
         # squared norm scale_sq q_j / den, with q_j the integer norm under the
         # Gram of lat's integer basis B_j, B with every coordinate outside
         # column j's entries set to 0: the ambient form restricted to them
-        amb, d = lat.ambient, field.degree
+        amb = lat.ambient
+        d = amb.field.degree
         bden, B = intmat._integral(lat.basis)
         fden, form = intmat._integral(amb.form)
         B, form = np.array(B, dtype=object), np.array(form, dtype=object)
@@ -213,7 +214,8 @@ class Custom(TestFunction):
     def _support_radius(self, m: int) -> float:
         return self.support_radius
 
-    def rank_k_sum(self, raw, field, lat, coords, hit, n: int, m: int, T):
+    def rank_k_sum(self, raw, lat, coords, hit, n: int, m: int, T):
+        field = lat.ambient.field
         d = field.degree
         for c in coords[hit].tolist():
             amb = lat.to_ambient(c)
@@ -309,36 +311,21 @@ class C1Estimate:
     terms: list = dc_field(default_factory=list)
 
 
-# -- rank filter ------------------------------------------------------------------
-
-
-def ranks_over_K(field: NumberField, coords, row_basis) -> np.ndarray:
-    """Ranks over K of a batch of matrices given by the lattice coordinates of their rows.
-
-    coords is an (N, n, r) integer array and row_basis an r x (c d) rational
-    matrix: row t of matrix i has power-basis coordinates coords[i, t] @
-    row_basis, so each matrix is n x c over K.  The denominators of
-    row_basis are cleared once, which scales every matrix and keeps its
-    rank; the integer kernel then ranks the regular representation.
-    """
-    basis = intmat._integral(row_basis)[1]
-    to_blocks = _regular_rows(field, basis).reshape(len(basis), -1)
-    return kernels.ranks_regular(coords, to_blocks, field.degree)
-
-
-# -- left side: direct and stratified counting ---------------------------------------
+# -- left side: one module sum ------------------------------------------------------
 
 
 def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
               method: str = "auto", threads: int | None = None) -> RankCountReport:
     """Sum of f(A/T) over integral n x m matrices of rank exactly k.
 
-    method "direct" enumerates the full matrix ball and filters by rank;
-    "stratified" decomposes the sum over the modules Lambda_D carrying the
-    rank-k matrices, which is how large T stays tractable; a ball at k = 1
-    counts each module from the theta series of Lambda_D.  The two methods
-    agree exactly (tested), so "auto" picks by cost.  `threads` is accepted
-    for compatibility and has no effect.
+    Both methods sum f.module_sum over a list of primitive modules, each the
+    Lambda_D that holds the rows of its matrices.  "direct" takes the one
+    rank-m module O_K^m, whose Lambda_D^n holds every integral matrix, and
+    ranks them all; "stratified" takes the modules Lambda_D of rank k that
+    carry the rank-k matrices, which is how large T stays tractable.  A ball
+    counts a module of K-rank 1 from the theta series of its Lambda_D.  The
+    two methods agree exactly (tested), so "auto" picks by cost.  `threads`
+    is accepted for compatibility and has no effect.
     """
     if not (n > m >= k >= 1):
         raise ValueError("need n > m >= k >= 1")
@@ -347,34 +334,21 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
         raise ValueError("need T >= 1")
     if method == "auto":
         method = "direct" if k == m else "stratified"
-    if method == "direct":
-        return _lhs_direct(field, n, m, k, T, f)
-    if method == "stratified":
-        return _lhs_stratified(field, n, m, k, T, f)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _lhs_direct(field, n, m, k, T, f):
-    d = field.degree
-    lat = okn_lattice(field, n * m)
-    coords = short_vectors(lat, f.support_cover(T, m))
-    seen = len(coords)
-    # O_K^(nm) is n copies of O_K^m, one per matrix row; its first block is O_K^m
-    row_basis = [row[:m * d] for row in lat.basis[:m * d]]
-    ranks = ranks_over_K(field, coords.reshape(seen, n, m * d), row_basis)
-    raw = f.rank_k_sum(0, field, lat, coords, ranks == k, n, m, T)
-    return _report(T, raw, seen, k * n * d, "direct")
-
-
-def _lhs_stratified(field, n, m, k, T, f):
     RT = f.support_cover(T, m)
+    if method == "direct":
+        # O_K^m, with every column a pivot: its Lambda_D^n is O_K^(nm)
+        modules = enumerate_primitive_modules(field, m, m, 1)
+    elif method == "stratified":
+        # a counted matrix has k K-independent rows in its Lambda_D, each of
+        # norm <= RT, so Lambda_D is spanned by k independent such vectors of O_K^m
+        modules = span_modules(okn_lattice(field, m), k, RT)
+    else:
+        raise ValueError(f"unknown method {method!r}")
     raw = seen = 0
-    # a counted matrix has k K-independent rows in its Lambda_D, each of norm
-    # <= RT, so Lambda_D is spanned by k independent such vectors of O_K^m
-    for P in span_modules(okn_lattice(field, m), k, RT):
+    for P in modules:
         raw, tuples = f.module_sum(raw, P, n, k, T, RT)
         seen += tuples
-    return _report(T, raw, seen, k * n * field.degree, "stratified")
+    return _report(T, raw, seen, k * n * field.degree, method)
 
 
 def _report(T, raw, seen: int, knd: int, method: str) -> RankCountReport:

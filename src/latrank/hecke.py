@@ -265,7 +265,7 @@ def hecke_neighbor(field: NumberField, P: PrimeIdealData, S: FiniteSubspace,
     if abs(det) != p ** (n - s):
         raise InvariantError(f"neighbor index: {abs(det)} != p^(n-s) = {p ** (n - s)}")
     basis = intmat.mat_mul(basis_w, [list(r) for r in okn.basis])
-    lat = ZLattice(basis, okn.ambient, ok_module=True)
+    lat = ZLattice(basis, okn.ambient)
     t_sq = _t_scale_sq(p, n, s, d)
     hl = HeckeLattice(lattice=lat, prime=P, subspace=S,
                       t_scale=math.sqrt(float(t_sq)), t_scale_sq=t_sq)

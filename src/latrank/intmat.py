@@ -1,14 +1,15 @@
 """Exact matrix routines over the integers and rationals.
 
 Matrices are lists of lists of Python ints or Fractions; everything here is
-arbitrary precision.  The one elimination over Q is kernels.gauss_jordan:
-rref runs it on the matrix scaled to integers by _integral, and rank, solve
-and inverse read rref.  The one integer normal form is the Hermite form, one
-batched column-by-column elimination (_hermite); hermite_normal_form runs it
-on one matrix and gives neighbor bases, and saturation_basis runs it modulo
-q on a batch and gives every saturation and index, from the fraction-free
-RREF of a row space.  leading_minors is the one Bareiss recurrence on
-symmetric matrices, for a batch.
+arbitrary precision.  The one elimination over Q is kernels._eliminate, on
+the matrix scaled to integers by _integral: rref runs its Gauss-Jordan
+(kernels.gauss_jordan), rank, solve and inverse read rref, and det reads
+the last pivot of its forward pass.  The one integer normal form is the
+Hermite form, one batched column-by-column elimination (_hermite);
+hermite_normal_form runs it on one matrix and gives neighbor bases, and
+saturation_basis runs it modulo q on a batch and gives every saturation and
+index, from the fraction-free RREF of a row space.  leading_minors is the
+one Bareiss recurrence on symmetric matrices, for a batch.
 """
 
 from __future__ import annotations
@@ -52,26 +53,23 @@ def transpose(A):
 
 
 def det(A) -> Fraction:
-    """Determinant by exact Gaussian elimination with pivoting."""
+    """Determinant over the rationals, from one forward Bareiss pass.
+
+    kernels._eliminate on A scaled to integers (den A, of determinant
+    den^n det A) leaves that determinant, up to the sign of the row
+    permutation that its places record, as the last pivot value.
+    """
     n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        pivot = M[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                factor = M[r][col] / pivot
-                for c in range(col, n):
-                    M[r][c] -= factor * M[col][c]
-    return sign * result
+    if not n:
+        return Fraction(1)
+    den, M = _integral(A)
+    work = np.array(M, dtype=object).reshape(n, n, 1)
+    pos, rank, prev = kernels._eliminate(work, kernels._bareiss_step, False)
+    if rank[0] < n:
+        return Fraction(0)
+    places = pos[:, 0].tolist()
+    swaps = sum(a > b for i, a in enumerate(places) for b in places[i + 1:])
+    return Fraction(-int(prev[0]) if swaps % 2 else int(prev[0]), den ** n)
 
 
 def leading_minors(G):

@@ -13,8 +13,9 @@ Rows never move: an (n, N) array of places records where a row-swapping
 elimination would hold each row, the rows placed below the rank are the
 used-row mask, and the pivot is the unused nonzero row of lowest place, so
 gauss_jordan returns exactly the rows, pivots and den of the swapping
-elimination.  The rank filters run it forward only: they combine the unused
-rows right of the pivot column alone, and nothing after the last column.
+elimination.  The rank filters and intmat.det run it forward only: they
+combine the unused rows right of the pivot column alone, and nothing after
+the last column.
 
 The enumeration kernel works in float64 on an LLL-reduced Gram and is always
 followed by an exact integer-arithmetic filter in zlattice.py, so float error

@@ -37,6 +37,7 @@ from .numfield import (
 from .zlattice import (
     Ambient,
     ZLattice,
+    _check_ok_stable,
     _height_sq,
     _int_norms,
     _reduced_gram,
@@ -191,7 +192,7 @@ class PrimitiveModule:
         _, bnum, bden = _field_maps(self.field)
         basis = [[Fraction(v, bden) for v in row]
                  for row in _blockwise(self._hermite, bnum, self.field.degree)]
-        return ZLattice(basis, self._ambient, ok_module=True, gram=self._gram)
+        return ZLattice(basis, self._ambient, gram=self._gram)
 
     def key(self):
         return self.echelon.key()
@@ -332,21 +333,17 @@ def denominator(D: EchelonMatrix) -> int:
     return int(intmat.saturation_basis(*_span_matrices(D.field, D.k, [_key_of(D)]))[1][0])
 
 
-def echelon_of_module(lat: ZLattice, check: bool = True) -> EchelonMatrix:
-    """The unique echelon D with Lambda_D equal to the given module."""
+def echelon_of_module(lat: ZLattice) -> EchelonMatrix:
+    """The unique echelon D with Lambda_D equal to the given module (checked)."""
     field = lat.ambient.field
     if field is None:
         raise ValueError("lattice carries no field structure")
     d = field.degree
     if lat.rank % d:
         raise ValueError("Z-rank is not a multiple of the field degree")
-    if check:
-        from .zlattice import _check_ok_stable
-
-        _check_ok_stable(lat)
-        amb_lat = okn_lattice(field, lat.ambient_dim // d)
-        if not is_primitive_in(lat, amb_lat):
-            raise ValueError("module is not primitive in O_K^m")
+    _check_ok_stable(lat)
+    if not is_primitive_in(lat, okn_lattice(field, lat.ambient_dim // d)):
+        raise ValueError("module is not primitive in O_K^m")
     # a Z-basis of an O_K-module spans its K-span over Q
     return _echelon(field, lat.basis)
 

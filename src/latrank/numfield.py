@@ -22,7 +22,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from . import intmat
+from . import intmat, kernels
 from .errors import (
     ExactNormUnavailableError,
     FieldMismatchError,
@@ -670,13 +670,29 @@ def _regular_rows(field: NumberField, flat) -> np.ndarray:
     return blocks.reshape(n, c, d, d).transpose(0, 2, 1, 3).reshape(n * d, c * d)
 
 
+def ranks_over_K(field: NumberField, coords, row_basis) -> np.ndarray:
+    """Ranks over K of a batch of matrices given by the lattice coordinates of their rows.
+
+    coords is an (N, n, r) integer array and row_basis an r x (c d) rational
+    matrix: row t of matrix i has power-basis coordinates coords[i, t] @
+    row_basis, so each matrix is n x c over K.  The denominators of
+    row_basis are cleared once, which scales every matrix and keeps its
+    rank; the integer kernel then ranks the regular representation.
+    """
+    basis = intmat._integral(row_basis)[1]
+    to_blocks = _regular_rows(field, basis).reshape(len(basis), -1)
+    return kernels.ranks_regular(coords, to_blocks, field.degree)
+
+
 def rank_over_K(A) -> int:
-    """Rank over K of a matrix of FieldElements, from the rational rank of Phi(A)."""
+    """Rank over K of a matrix of FieldElements: ranks_over_K on a batch of one,
+    A's power coordinates scaled to integers, with the identity as row basis."""
     if not A or not A[0]:
         return 0
     field = A[0][0].field
-    phi = _regular_rows(field, [flatten_kvector(field, row) for row in A])
-    return intmat.rank(phi.tolist()) // field.degree
+    flat = intmat._integral([flatten_kvector(field, row) for row in A])[1]
+    coords = np.array(flat, dtype=object)[None]
+    return int(ranks_over_K(field, coords, intmat.identity(len(flat[0])))[0])
 
 
 def flatten_kvector(field: NumberField, vec):

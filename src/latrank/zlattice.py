@@ -144,9 +144,9 @@ class ZLattice:
     """
 
     __slots__ = ("basis", "gram", "gram_int", "gram_den", "scale_sq", "ambient_dim", "rank",
-                 "ambient", "ok_module", "_det", "_lll")
+                 "ambient", "_det", "_lll")
 
-    def __init__(self, basis, ambient: Ambient, ok_module: bool = False, gram=None):
+    def __init__(self, basis, ambient: Ambient, gram=None):
         # a Fraction is kept as it is: Fraction(x) of one costs an ABC check
         self.basis = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
                            for row in basis)
@@ -154,7 +154,6 @@ class ZLattice:
         self.ambient_dim = ambient.dim
         self.rank = len(self.basis)
         self.scale_sq = ambient.scale_sq
-        self.ok_module = ok_module
         self._lll = None  # LLL transform, filled on first use
         if gram is None:
             bden, B = intmat._integral(self.basis)
@@ -279,7 +278,7 @@ def okn_lattice(fld: NumberField, m: int) -> ZLattice:
             vec = [Fraction(0)] * (m * d)
             vec[c * d:(c + 1) * d] = list(row)
             basis.append(vec)
-    return ZLattice(basis, amb, ok_module=True)
+    return ZLattice(basis, amb)
 
 
 def from_ok_rows(fld: NumberField, kvec_rows, ambient: Ambient | None = None) -> ZLattice:
@@ -287,7 +286,7 @@ def from_ok_rows(fld: NumberField, kvec_rows, ambient: Ambient | None = None) ->
     rows = fld.ok_z_basis(kvec_rows)
     flat = [flatten_kvector(fld, r) for r in rows]
     amb = ambient or Ambient.for_field(fld, len(kvec_rows[0]))
-    return ZLattice(flat, amb, ok_module=True)
+    return ZLattice(flat, amb)
 
 
 def direct_sum(lat: ZLattice, n: int) -> ZLattice:
@@ -392,7 +391,7 @@ def lll_reduce(lat: ZLattice) -> ZLattice:
     if lat.rank <= 1:
         return lat
     basis = intmat.mat_mul(U, [list(r) for r in lat.basis])
-    return ZLattice(basis, lat.ambient, ok_module=lat.ok_module)
+    return ZLattice(basis, lat.ambient)
 
 
 def lll_transform_of(lat: ZLattice):
@@ -547,7 +546,7 @@ def saturate(sub: ZLattice, ambient_lat: ZLattice) -> ZLattice:
     so saturating twice reproduces the same object.
     """
     basis = intmat.mat_mul(_saturation(sub, ambient_lat)[0], [list(r) for r in ambient_lat.basis])
-    return ZLattice(basis, ambient_lat.ambient, ok_module=sub.ok_module)
+    return ZLattice(basis, ambient_lat.ambient)
 
 
 def saturation_index(sub: ZLattice, ambient_lat: ZLattice) -> int:
@@ -590,8 +589,9 @@ def successive_k_minima(lat: ZLattice, k: int | None = None) -> MinimaReport:
     embedded coordinates.
     """
     fld = lat.ambient.field
-    if fld is None or not lat.ok_module:
+    if fld is None:
         raise ValueError("successive_k_minima needs an O_K-module lattice")
+    _check_ok_stable(lat)
     d = fld.degree
     if lat.rank % d:
         raise ValueError("Z-rank is not a multiple of the field degree")
@@ -600,7 +600,6 @@ def successive_k_minima(lat: ZLattice, k: int | None = None) -> MinimaReport:
         k = krank
     if k > krank:
         raise ValueError(f"module has O_K-rank {krank} < {k}")
-    _check_ok_stable(lat)
 
     chosen: list[tuple] = []          # coordinate vectors
     span_rows: list[list[Fraction]] = []  # flat Q-rows spanning the K-span so far

@@ -20,6 +20,8 @@ from latrank import (
     zeta,
 )
 from latrank.counting import (
+    Ball,
+    TestFunction,
     custom,
     pivot_product_integral,
     product_of_balls,
@@ -377,6 +379,52 @@ def test_direct_equals_stratified_property(name, data, QQ, Qi, Qs5):
     assert a.raw_sum == b.raw_sum
 
 
+def _spy_module_sums(monkeypatch):
+    """The modules lhs_count hands to module_sum, one per outermost call."""
+    modules, depth = [], [0]
+    for cls in (TestFunction, Ball):
+        def spy(self, raw, P, *args, _orig=cls.module_sum):
+            if not depth[0]:
+                modules.append(P)
+            depth[0] += 1
+            try:
+                return _orig(self, raw, P, *args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(cls, "module_sum", spy)
+    return modules
+
+
+@pytest.mark.parametrize("name,n,m,k,T,g", [
+    ("QQ", 3, 2, 2, 3, ball(1)),
+    ("QQ", 3, 2, 1, 2, product_of_balls(1)),
+    ("QQ", 2, 1, 1, 3, ball(1)),
+    ("Qi", 3, 2, 2, Fraction(3, 2), ball(1)),
+    ("Qi", 3, 2, 1, 1, product_of_balls(1)),
+    ("Qi", 2, 1, 1, Fraction(3, 2), ball(1)),
+])
+def test_direct_count_is_one_module_sum(name, n, m, k, T, g, request, monkeypatch):
+    # the direct count sums over the one rank-m module, O_K^m itself
+    field = request.getfixturevalue(name)
+    modules = _spy_module_sums(monkeypatch)
+    lhs_count(field, n, m, k, T, g, method="direct")
+    (P,) = modules
+    assert (P.k, P.m) == (m, m) and P.pivot_cols == tuple(range(m))
+    assert P.lattice.basis == okn_lattice(field, m).basis
+
+
+@pytest.mark.parametrize("name,n,T", [
+    ("QQ", 2, 5), ("QQ", 3, 5), ("Qi", 2, Fraction(5, 2)), ("Qi", 3, 2),
+    ("Qs5", 2, Fraction(5, 2)), ("Qs5", 3, 2),
+])
+def test_direct_rank_one_count_equals_enumeration(name, n, T, request):
+    # at m = 1 both methods count O_K from its theta series; the enumerated
+    # reference ranks every matrix of O_K^n
+    field = request.getfixturevalue(name)
+    rep = lhs_count(field, n, 1, 1, T, ball(1), method="direct")
+    assert (rep.raw_sum, rep.matrices_seen) == lhs_stratified_enumerated(field, n, 1, 1, T, ball(1))
+
+
 # -- rank-one ball counts from the theta series of Lambda_D ---------------------------
 
 
@@ -499,6 +547,18 @@ def test_ranks_over_K_match_rref(name, data, QQ, Qi, Qs5):
     got = ranks_over_K(field, coords, okn_lattice(field, c).basis)
     assert got.shape == (len(batch),)
     assert list(got) == [k_rref(A)[2] for A in batch]
+
+
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rank_over_K_matches_rref(name, data, QQ, Qi, Qs5):
+    # rank_over_K is ranks_over_K on a batch of one; entries with denominators
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+    _, _, batch = data.draw(_kmatrix_batches(field))
+    den = data.draw(st.integers(1, 6))
+    batch = [[[x * Fraction(1, den) for x in row] for row in A] for A in batch]
+    assert [rank_over_K(A) for A in batch] == [k_rref(A)[2] for A in batch]
 
 
 def test_ranks_over_K_chunks(Qs5, monkeypatch):

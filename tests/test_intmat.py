@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from latrank import intmat
-from tests_support import hermite_loop, max_minor_gcd, rref_loop, smith_normal_form
+from tests_support import det_loop, hermite_loop, max_minor_gcd, rref_loop, smith_normal_form
 
 
 def random_int_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -118,6 +118,32 @@ def test_rref_edge_shapes():
     assert intmat.rref([]) == ([], [], 0) == rref_loop([])
     assert intmat.rref([[], []]) == ([[], []], [], 0) == rref_loop([[], []])
     assert intmat.rref([[0, 0]]) == ([[0, 0]], [], 0)
+
+
+@st.composite
+def _square_rational_matrices(draw):
+    """0-6 x 0-6 matrices of ints and Fractions, some singular (a row that
+    depends on the others, or a zero column), some scaled by 10^15."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6),
+                                                    st.integers(1, 7)))
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        A[-1] = [a * x + b * y for x, y in zip(A[0], A[1])]
+    if n and draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for row in A:
+            row[col] = 0
+    scale = draw(st.sampled_from([1, 10 ** 15]))
+    return [[x * scale for x in row] for row in A]
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=_square_rational_matrices())
+def test_det_matches_loop(A):
+    got = intmat.det(A)
+    assert got == det_loop(A) and type(got) is Fraction
 
 
 def test_rank_and_det():

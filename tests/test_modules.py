@@ -36,7 +36,14 @@ from latrank.modules import (
     span_modules,
 )
 from latrank.numfield import _regular_rows, flatten_kvector, rank_over_K
-from latrank.zlattice import Ambient, ZLattice, direct_sum, is_primitive_in, short_vectors
+from latrank.zlattice import (
+    Ambient,
+    ZLattice,
+    _check_ok_stable,
+    direct_sum,
+    is_primitive_in,
+    short_vectors,
+)
 from tests_support import (
     brute_force_short,
     denominator_loop,
@@ -169,7 +176,7 @@ class TestTrijection:
         from latrank.zlattice import Ambient, ZLattice
 
         amb = Ambient.for_field(QQ, 2)
-        L = ZLattice([[2, 0]], amb, ok_module=True)
+        L = ZLattice([[2, 0]], amb)
         with pytest.raises(ValueError):
             echelon_of_module(L)
 
@@ -390,7 +397,8 @@ def _assert_same_module_data(D):
         intmat.hermite_normal_form(ref), W)
     assert P.height_sq == R.height_sq and P.height == R.height
     assert P.denominator == R.denominator == denominator(D) == denominator_loop(D)
-    assert P.lattice.ok_module and P.lattice.ambient.field is D.field
+    _check_ok_stable(P.lattice)     # raises unless O_K preserves Lambda_D
+    assert P.lattice.ambient.field is D.field
 
 
 @settings(max_examples=80, deadline=None)
@@ -499,7 +507,7 @@ def test_module_lattice_takes_the_checked_gram(name, k, m, request, monkeypatch)
         patch.setattr(zlattice, "_reduced_gram", no_check)
         lats = [P.lattice for P in mods]
     for P, lat in zip(mods, lats):
-        ref = ZLattice(lat.basis, amb, ok_module=True)
+        ref = ZLattice(lat.basis, amb)
         assert (lat.gram_int, lat.gram_den, lat.det_gram()) == \
             (ref.gram_int, ref.gram_den, ref.det_gram())
         assert lat.height_sq() == P.height_sq

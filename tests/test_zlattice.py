@@ -530,6 +530,13 @@ class TestMinima:
         with pytest.raises(ValueError):
             successive_k_minima(L, k=2)
 
+    def test_needs_an_ok_module(self, Qi):
+        with pytest.raises(ValueError, match="O_K-module"):
+            successive_k_minima(integer_lattice(2))
+        # Z + 2i Z: of Z-rank 2 = d, but i * 1 is not in it
+        with pytest.raises(ValueError, match="not stable"):
+            successive_k_minima(ZLattice([[1, 0], [0, 2]], Ambient.for_field(Qi, 1)))
+
     def test_minkowski_first_minimum_bound(self, QQ, Qi):
         rng = random.Random(31)
         for K in (QQ, Qi):

@@ -381,6 +381,30 @@ def rref_loop(A):
     return M, pivots, r
 
 
+def det_loop(A) -> Fraction:
+    """Determinant by Gaussian elimination on Fractions with row swaps, the
+    reference of intmat.det."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] for row in A]
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            sign = -sign
+        pivot = M[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            if M[r][col] != 0:
+                factor = M[r][col] / pivot
+                for c in range(col, n):
+                    M[r][c] -= factor * M[col][c]
+    return sign * result
+
+
 def max_minor_gcd(rows) -> int:
     """gcd of the r x r minors of an integer matrix of rank r >= 1.
 
@@ -530,7 +554,7 @@ def lambda_of_loop(D, ambient=None):
     assert all(x.denominator == 1 for row in Vinv for x in row)
     sat = [[int(x) for x in Vinv[i]] for i in range(r)]
     basis = intmat.mat_mul(sat, W)
-    lat = ZLattice(basis, ambient, ok_module=True)
+    lat = ZLattice(basis, ambient)
     hsq = lat.height_sq()
     return ModuleRef(echelon=D, lattice=lat, height=math.sqrt(float(hsq)),
                      height_sq=hsq, denominator=denominator_loop(D))
