@@ -128,12 +128,23 @@ class Ball(TestFunction):
         return raw + int(np.count_nonzero(hit))
 
     def module_sum(self, raw, P: PrimitiveModule, n: int, k: int, T, RT):
-        if P.k != 1:
+        """As TestFunction.module_sum; a module of K-rank k = 1 or k = m is
+        counted from the theta series of Lambda_D, without ranking a matrix.
+
+        Every nonzero n-tuple of vectors of a K-rank 1 Lambda_D has rank 1.
+        A K-rank m module is O_K^m, and every matrix of rank j < m in its
+        ball has the one Lambda_D of rank j that its rows span: the rank-m
+        count is the theta count less the zero matrix and the stratified
+        counts of ranks 1, ..., m - 1.
+        """
+        if k != P.k or 1 < k < P.m:
             return super().module_sum(raw, P, n, k, T, RT)
-        # every nonzero n-tuple of vectors of a K-rank 1 Lambda_D has rank
-        # k = 1, so the count is read from the theta series of Lambda_D
         tuples = _ball_tuples(P.lattice, n, RT)
-        return raw + tuples - 1, tuples
+        raw += tuples - 1
+        for j in range(1, k):
+            for L in span_modules(P.lattice, j, RT):
+                raw -= self.module_sum(0, L, n, j, T, RT)[0]
+        return raw, tuples
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
         hn = float(P.height_sq) ** (-n / 2.0)
@@ -284,9 +295,10 @@ class RankCountReport:
     T: Fraction
     raw_sum: float          # integer-valued for indicator test functions
     normalized: float       # raw_sum / T^(k n d)
-    # matrices of norm <= R T enumerated; stratified, the n-tuples of Lambda_D
-    # vectors in the ball, summed over the modules, which a ball at k = 1
-    # counts from the theta series of Lambda_D without enumerating them
+    # the n-tuples of Lambda_D vectors of norm <= R T, summed over the
+    # modules: the matrices the enumeration of each Lambda_D^n sees, which a
+    # ball on a module of K-rank 1 or m counts from the theta series of
+    # Lambda_D without enumerating them
     matrices_seen: int
     method: str
 
@@ -323,9 +335,11 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
     rank-m module O_K^m, whose Lambda_D^n holds every integral matrix, and
     ranks them all; "stratified" takes the modules Lambda_D of rank k that
     carry the rank-k matrices, which is how large T stays tractable.  A ball
-    counts a module of K-rank 1 from the theta series of its Lambda_D.  The
-    two methods agree exactly (tested), so "auto" picks by cost.  `threads`
-    is accepted for compatibility and has no effect.
+    counts a module of K-rank 1 from the theta series of its Lambda_D, and
+    the module O_K^m at k = m, by either method, from the theta series of
+    O_K^m less the stratified counts of the lower ranks.  The two methods
+    agree exactly (tested), so "auto" picks by cost.  `threads` is accepted
+    for compatibility and has no effect.
     """
     if not (n > m >= k >= 1):
         raise ValueError("need n > m >= k >= 1")
@@ -364,16 +378,23 @@ def _report(T, raw, seen: int, knd: int, method: str) -> RankCountReport:
 def _truncated_product(av, ac, bv, bc, X: int):
     """The series (av, ac) times (bv, bc), terms of degree <= X only.
 
-    A series is its sorted distinct degrees and their coefficients.
+    A series is its sorted distinct degrees and their coefficients.  The
+    outer product is formed for at most kernels._BLOCK pairs at a time: a
+    block of av's degrees against all of bv, merged into the running result.
     """
-    deg = (av[:, None] + bv[None, :]).ravel()
-    coef = (ac[:, None] * bc[None, :]).ravel()
-    keep = deg <= X
-    deg, coef = deg[keep], coef[keep]
-    order = np.argsort(deg, kind="stable")
-    deg, coef = deg[order], coef[order]
-    starts = np.flatnonzero(np.r_[True, deg[1:] != deg[:-1]])
-    return deg[starts], np.add.reduceat(coef, starts)
+    step = max(1, kernels._BLOCK // len(bv))
+    deg, coef = av[:0], ac[:0]
+    for s in range(0, len(av), step):
+        bdeg = (av[s:s + step, None] + bv[None, :]).ravel()
+        bcoef = (ac[s:s + step, None] * bc[None, :]).ravel()
+        keep = bdeg <= X
+        deg = np.concatenate((deg, bdeg[keep]))
+        coef = np.concatenate((coef, bcoef[keep]))
+        order = np.argsort(deg, kind="stable")
+        deg, coef = deg[order], coef[order]
+        starts = np.flatnonzero(np.r_[True, deg[1:] != deg[:-1]])
+        deg, coef = deg[starts], np.add.reduceat(coef, starts)
+    return deg, coef
 
 
 def _ball_tuples(lat: ZLattice, n: int, radius) -> int:

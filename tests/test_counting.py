@@ -377,6 +377,10 @@ def test_direct_equals_stratified_property(name, data, QQ, Qi, Qs5):
     a = lhs_count(field, n, m, k, T, g, method="direct")
     b = lhs_count(field, n, m, k, T, g, method="stratified")
     assert a.raw_sum == b.raw_sum
+    if k == m:
+        # both methods take the theta branch at k = m: compare with enumeration
+        want = lhs_stratified_enumerated(field, n, m, k, T, g)
+        assert (a.raw_sum, a.matrices_seen) == (b.raw_sum, b.matrices_seen) == want
 
 
 def _spy_module_sums(monkeypatch):
@@ -423,6 +427,51 @@ def test_direct_rank_one_count_equals_enumeration(name, n, T, request):
     field = request.getfixturevalue(name)
     rep = lhs_count(field, n, 1, 1, T, ball(1), method="direct")
     assert (rep.raw_sum, rep.matrices_seen) == lhs_stratified_enumerated(field, n, 1, 1, T, ball(1))
+
+
+@pytest.mark.parametrize("name,n,m,T,radius,raw,seen", [
+    ("QQ", 3, 2, 4, 1, 22944, 23793),
+    ("Qi", 3, 2, 2, 1, 8640, 9993),
+    ("Qs5", 3, 2, 2, Fraction(6, 5), 38160, 40745),
+    ("Qzeta9p", 3, 2, 2, 1, 12792, 16205),
+    ("Qzeta8", 3, 2, Fraction(3, 2), 1, 384, 1153),
+    ("QQ", 4, 3, 3, 1, 779328, 959801),
+])
+def test_rank_m_count_equals_enumeration(name, n, m, T, radius, raw, seen, request):
+    # at k = m both methods count O_K^m from its theta series less the lower
+    # ranks; the enumerated reference ranks every matrix of O_K^(nm)
+    field = request.getfixturevalue(name)
+    f = ball(radius)
+    assert lhs_stratified_enumerated(field, n, m, m, T, f) == (raw, seen)
+    for method in ("direct", "stratified"):
+        rep = lhs_count(field, n, m, m, T, f, method=method)
+        assert (rep.raw_sum, rep.matrices_seen) == (raw, seen)
+
+
+def test_rank_m_count_reach(QQ):
+    # the values the enumeration of Z^6 gives at T = 10, 5,260,181 matrices
+    rep = lhs_count(QQ, 3, 2, 2, 10, ball(1), method="direct")
+    assert (rep.raw_sum, rep.matrices_seen) == (5245248, 5260181)
+
+
+def test_rank_m_count_against_r2_convolution(QQ):
+    # the points of Z^6 with norm <= 40^2, from r_2, the number of ways to
+    # write an integer as a sum of two squares, convolved in Python ints
+    X = 1600
+    r2 = [0] * (X + 1)
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a * a + b * b <= X:
+                r2[a * a + b * b] += 1
+    r4 = [sum(r2[i] * r2[s - i] for i in range(s + 1)) for s in range(X + 1)]
+    cum2 = list(itertools.accumulate(r2))
+    points = sum(r4[s] * cum2[X - s] for s in range(X + 1))
+    assert points == 21193962881
+    # the rank-2 matrices are the nonzero ones less the 992,560 of rank 1
+    # (test_theta_count_reach); an enumeration of Z^6 passes the row cap here
+    for method in ("direct", "stratified"):
+        rep = lhs_count(QQ, 3, 2, 2, 40, ball(1), method=method)
+        assert (rep.raw_sum, rep.matrices_seen) == (points - 1 - 992560, points)
 
 
 # -- rank-one ball counts from the theta series of Lambda_D ---------------------------
@@ -486,6 +535,28 @@ def test_theta_count_on_python_ints(QQ, Qs5, monkeypatch):
     got = [lhs_count(f, 4, 2, 1, T, ball(1), method="stratified") for f, T in ((QQ, 6), (Qs5, 2))]
     assert [(r.raw_sum, r.matrices_seen) for r in got] == \
         [(r.raw_sum, r.matrices_seen) for r in want]
+
+
+@pytest.mark.parametrize("block", [1, 1000, kernels._BLOCK])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_truncated_product_in_blocks(QQ, block, dtype, monkeypatch):
+    # the product in blocks of av's degrees equals the whole outer product,
+    # summed term by term in Python ints
+    lat = okn_lattice(QQ, 2)
+    norms, counts = np.unique(zlattice._int_norms(short_vectors(lat, 20), lat.gram_int),
+                              return_counts=True)
+    norms, counts = norms.astype(dtype), counts.astype(dtype)
+    X = 500
+    want = {}
+    for a, ca in zip(norms.tolist(), counts.tolist()):
+        for b, cb in zip(norms.tolist(), counts.tolist()):
+            if a + b <= X:
+                want[a + b] = want.get(a + b, 0) + ca * cb
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    deg, coef = counting._truncated_product(norms, counts, norms, counts, X)
+    assert deg.dtype == coef.dtype == np.dtype(dtype)
+    assert deg.tolist() == sorted(want)
+    assert coef.tolist() == [want[s] for s in sorted(want)]
 
 
 @pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5", "Qzeta9p", "Qzeta8"])
