@@ -53,7 +53,6 @@ from .modules import (
     echelon_of_module,
     enumerate_primitive_modules,
     lambda_of,
-    matrices_with_rows,
     rank_factorize,
     schmidt_count,
     to_echelon,

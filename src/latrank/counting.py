@@ -26,6 +26,8 @@ from .zlattice import (
     ZLattice,
     _filter_exact,
     _int_norms,
+    _LLL_DELTA,
+    _lll_transform,
     _norm_bound,
     direct_sum,
     okn_lattice,
@@ -70,6 +72,16 @@ class TestFunction:
         piv_basis = [[row[j] for j in pivots] for row in lam.basis]
         ranks = ranks_over_K(P.field, coords.reshape(len(coords), n, lam.rank), piv_basis)
         return self.rank_k_sum(raw, stacked, coords, ranks == k, n, P.m, T), len(coords)
+
+    def modules_sum(self, modules, n: int, k: int, T, RT):
+        """(the sum of f(A/T) over the rank-k n x m matrices A with rows in the
+        Lambda_D of one of the modules, the number of n-tuples of Lambda_D
+        vectors of norm <= RT summed over the modules): module_sum on each."""
+        raw = seen = 0
+        for P in modules:
+            raw, tuples = self.module_sum(raw, P, n, k, T, RT)
+            seen += tuples
+        return raw, seen
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
         """D(D)^(-n) * integral of f(x D), by Monte Carlo over the subspace measure."""
@@ -128,23 +140,36 @@ class Ball(TestFunction):
         return raw + int(np.count_nonzero(hit))
 
     def module_sum(self, raw, P: PrimitiveModule, n: int, k: int, T, RT):
-        """As TestFunction.module_sum; a module of K-rank k = 1 or k = m is
-        counted from the theta series of Lambda_D, without ranking a matrix.
+        """As TestFunction.module_sum: modules_sum on the one module."""
+        total, tuples = self.modules_sum([P], n, k, T, RT)
+        return raw + total, tuples
+
+    def modules_sum(self, modules, n: int, k: int, T, RT):
+        """As TestFunction.modules_sum; the modules of K-rank k = 1 or k = m
+        are counted from theta tables (`_ball_tuple_counts`), without ranking
+        a matrix.
 
         Every nonzero n-tuple of vectors of a K-rank 1 Lambda_D has rank 1.
         A K-rank m module is O_K^m, and every matrix of rank j < m in its
         ball has the one Lambda_D of rank j that its rows span: the rank-m
         count is the theta count less the zero matrix and the stratified
-        counts of ranks 1, ..., m - 1.
+        counts of ranks 1, ..., m - 1, each one modules_sum call.
         """
-        if k != P.k or 1 < k < P.m:
-            return super().module_sum(raw, P, n, k, T, RT)
-        tuples = _ball_tuples(P.lattice, n, RT)
-        raw += tuples - 1
-        for j in range(1, k):
-            for L in span_modules(P.lattice, j, RT):
-                raw -= self.module_sum(0, L, n, j, T, RT)[0]
-        return raw, tuples
+        raw = seen = 0
+        theta = []
+        for P in modules:
+            if k == P.k and not 1 < k < P.m:
+                theta.append(P)
+            else:
+                raw, tuples = super().module_sum(raw, P, n, k, T, RT)
+                seen += tuples
+        tuples = _ball_tuple_counts(theta, n, RT)
+        raw += sum(tuples) - len(tuples)
+        seen += sum(tuples)
+        for P in theta:
+            for j in range(1, k):
+                raw -= self.modules_sum(span_modules(P.lattice, j, RT), n, j, T, RT)[0]
+        return raw, seen
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
         hn = float(P.height_sq) ** (-n / 2.0)
@@ -297,8 +322,8 @@ class RankCountReport:
     normalized: float       # raw_sum / T^(k n d)
     # the n-tuples of Lambda_D vectors of norm <= R T, summed over the
     # modules: the matrices the enumeration of each Lambda_D^n sees, which a
-    # ball on a module of K-rank 1 or m counts from the theta series of
-    # Lambda_D without enumerating them
+    # ball on a module of K-rank 1 or m reads from the theta table of
+    # Lambda_D's Gram class without enumerating them
     matrices_seen: int
     method: str
 
@@ -330,16 +355,17 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
               method: str = "auto", threads: int | None = None) -> RankCountReport:
     """Sum of f(A/T) over integral n x m matrices of rank exactly k.
 
-    Both methods sum f.module_sum over a list of primitive modules, each the
-    Lambda_D that holds the rows of its matrices.  "direct" takes the one
-    rank-m module O_K^m, whose Lambda_D^n holds every integral matrix, and
-    ranks them all; "stratified" takes the modules Lambda_D of rank k that
-    carry the rank-k matrices, which is how large T stays tractable.  A ball
-    counts a module of K-rank 1 from the theta series of its Lambda_D, and
-    the module O_K^m at k = m, by either method, from the theta series of
-    O_K^m less the stratified counts of the lower ranks.  The two methods
-    agree exactly (tested), so "auto" picks by cost.  `threads` is accepted
-    for compatibility and has no effect.
+    Both methods hand one list of primitive modules, each the Lambda_D that
+    holds the rows of its matrices, to f.modules_sum.  "direct" takes the
+    one rank-m module O_K^m, whose Lambda_D^n holds every integral matrix,
+    and ranks them all; "stratified" takes the modules Lambda_D of rank k
+    that carry the rank-k matrices, which is how large T stays tractable.  A
+    ball counts the modules of K-rank 1 from theta tables, one per Gram class
+    of Lambda_D up to scale (`_ball_tuple_counts`), and the module O_K^m at
+    k = m, by either method, from its theta table less the stratified counts
+    of the lower ranks.  The two methods agree exactly (tested), so "auto"
+    picks by cost.  `threads` is accepted for compatibility and has no
+    effect.
     """
     if not (n > m >= k >= 1):
         raise ValueError("need n > m >= k >= 1")
@@ -358,10 +384,7 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
         modules = span_modules(okn_lattice(field, m), k, RT)
     else:
         raise ValueError(f"unknown method {method!r}")
-    raw = seen = 0
-    for P in modules:
-        raw, tuples = f.module_sum(raw, P, n, k, T, RT)
-        seen += tuples
+    raw, seen = f.modules_sum(modules, n, k, T, RT)
     return _report(T, raw, seen, k * n * field.degree, method)
 
 
@@ -397,27 +420,79 @@ def _truncated_product(av, ac, bv, bc, X: int):
     return deg, coef
 
 
-def _ball_tuples(lat: ZLattice, n: int, radius) -> int:
-    """The number of n-tuples of vectors of lat whose squared norms sum to <= radius^2.
+def _gauss_reduced(a: int, b: int, c: int):
+    """The Gram ((a, b), (b, c)) with 0 <= 2 b <= a <= c that is GL_2(Z)-equivalent
+    to the positive definite form a x^2 + 2 b x y + c y^2 (Gauss reduction)."""
+    while True:
+        r = (2 * b + a) // (2 * a)      # the nearest integer to b / a
+        b, c = b - r * a, c - r * (2 * b - r * a)
+        if a <= c:
+            return (a, abs(b)), (abs(b), c)
+        a, c = c, a
 
-    The theta series of lat^n is the n-th power of lat's (Conway and Sloane,
-    SPLAG ch. 2).  One enumeration of lat gives its theta series up to the
-    bound X of `_norm_bound`, in integer norms; n - 2 truncated products give
-    the first n - 1 rows by their total norm, and the last row is read from
-    the cumulative series.  The norms have room for a sum of two, at most
-    2 X; every count is at most (vectors)^n, and int_dtype picks the arrays
-    that hold it.
+
+def _class_key(P: PrimitiveModule):
+    """(c, G0): the content c of Lambda_D's integer Gram and its class key G0.
+
+    G0 is a reduced integer Gram of Lambda_D over c: [[1]] at rank 1, the
+    Gauss-reduced binary form at rank 2, and the LLL-reduced Gram U G U^T
+    beyond, with U from zlattice._lll_transform on the module's integer Gram,
+    so no lattice is built.  Every integer norm of Lambda_D is c times a norm
+    of G0, so modules with one key have one theta series in q / c; isometric
+    modules with unequal keys only cost a second table.
     """
-    X = _norm_bound(radius, lat.scale_sq, lat.gram_den)
-    coords = short_vectors(lat, radius)
-    norms, counts = np.unique(_int_norms(coords, lat.gram_int, 2 * X), return_counts=True)
-    counts = counts.astype(kernels.int_dtype(len(coords) ** n))
-    acc_norms, acc_counts = norms, counts
-    for _ in range(n - 2):
-        acc_norms, acc_counts = _truncated_product(acc_norms, acc_counts, norms, counts, X)
-    # norms[0] = 0, so every remaining budget X - s >= 0 finds a norm
-    last = np.searchsorted(norms, X - acc_norms, side="right") - 1
-    return int((acc_counts * np.cumsum(counts)[last]).sum())
+    gram = P.gram_int
+    if len(gram) == 1:
+        return gram[0][0], ((1,),)
+    if len(gram) == 2:
+        (a, b), (_, c) = gram
+        g = math.gcd(a, b, c)
+        return g, _gauss_reduced(a // g, b // g, c // g)
+    U = _lll_transform(gram, _LLL_DELTA)
+    red = intmat.mat_mul(intmat.mat_mul(U, gram), intmat.transpose(U))
+    g = math.gcd(*(x for row in red for x in row))
+    return g, tuple(tuple(x // g for x in row) for row in red)
+
+
+def _ball_tuple_counts(modules, n: int, radius) -> list:
+    """Per module, the number of n-tuples of Lambda_D vectors whose squared
+    norms sum to <= radius^2: one cumulative theta table per class key.
+
+    The theta series of Lambda_D^n is the n-th power of Lambda_D's (Conway
+    and Sloane, SPLAG ch. 2).  A module's tuples are those whose integer
+    norms sum to at most X of `_norm_bound`; with q = c q0 (`_class_key`)
+    that is q0 <= Y = floor(X / c).  One grouping pass by key finds each
+    class's largest Y; one `short_vectors` call on the member that has it,
+    its norms over c, n - 1 truncated products up to that Y and a cumsum
+    give the table, and each member's count is one lookup at its Y.  The
+    norms have room for a sum of two, at most 2 Y; every count is at most
+    (vectors)^n, and int_dtype picks the arrays that hold it.
+    """
+    bounds = {}     # gram_den -> X
+    classes = {}    # class key -> [(module index, c, Y)]
+    for i, P in enumerate(modules):
+        X = bounds.get(P.gram_den)
+        if X is None:
+            X = bounds[P.gram_den] = _norm_bound(radius, P.field.scale_sq, P.gram_den)
+        c, key = _class_key(P)
+        classes.setdefault(key, []).append((i, c, X // c))
+    counts = [0] * len(modules)
+    for members in classes.values():
+        i, c, Y = max(members, key=lambda t: t[2])
+        lat = modules[i].lattice
+        coords = short_vectors(lat, radius)
+        norms, hist = np.unique(_int_norms(coords, lat.gram_int, 2 * Y) // c,
+                                return_counts=True)
+        hist = hist.astype(kernels.int_dtype(len(coords) ** n))
+        deg, coef = norms, hist
+        for _ in range(n - 1):
+            deg, coef = _truncated_product(deg, coef, norms, hist, Y)
+        # deg[0] = 0 <= every Y
+        at = np.searchsorted(deg, np.array([y for _, _, y in members], dtype=deg.dtype),
+                             side="right") - 1
+        for (j, _, _), t in zip(members, np.cumsum(coef)[at].tolist()):
+            counts[j] = t
+    return counts
 
 
 # -- right side: per-module subspace integrals ----------------------------------------
@@ -541,27 +616,6 @@ def term_value_detail(P: PrimitiveModule, n: int, f: TestFunction,
 def term_value(P: PrimitiveModule, n: int, f: TestFunction,
                mc_samples: int = 0, seed=None) -> float:
     return term_value_detail(P, n, f, mc_samples=mc_samples, seed=seed).value
-
-
-def pivot_product_integral(P: PrimitiveModule, n: int, f: TestFunction) -> float:
-    """Closed form of the product integral when D has only pivot and zero columns.
-
-    Independent of the Monte Carlo path; used as its cross-check.
-    """
-    D = P.echelon
-    field = D.field
-    d = field.degree
-    radii = f.column_radii(D.m)
-    val = float(P.height_sq) ** (-n / 2.0)
-    for j in range(D.m):
-        col = [D.rows[i][j] for i in range(D.k)]
-        if j in D.pivot_cols:
-            val *= unit_ball_volume(n * d) * float(radii[j]) ** (n * d)
-        elif all(x.is_zero() for x in col):
-            continue
-        else:
-            raise ValueError("matrix has a non-pivot nonzero column")
-    return val
 
 
 def c1_estimate(field: NumberField, n: int, m: int, k: int, f: TestFunction,

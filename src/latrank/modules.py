@@ -42,13 +42,10 @@ from .zlattice import (
     _int_norms,
     _reduced_gram,
     _scale_power,
-    direct_sum,
-    from_ok_rows,
     is_primitive_in,
     okn_lattice,
     short_vectors,
     shortest_nonzero_sqnorm,
-    sublattice_coords,
     unit_ball_volume,
 )
 
@@ -182,6 +179,16 @@ class PrimitiveModule:
         self.height = math.sqrt(float(height_sq))
         self.denominator = denominator
         self._key, self._hermite, self._gram, self._ambient = key, hermite, gram, ambient
+
+    @property
+    def gram_int(self):
+        """The integer Gram rows of Lambda_D's Hermite basis, as ZLattice.gram_int,
+        read without building the lattice."""
+        return self._gram[0]
+
+    @property
+    def gram_den(self) -> int:
+        return self._gram[1]
 
     @functools.cached_property
     def echelon(self) -> EchelonMatrix:
@@ -492,35 +499,3 @@ def dump_module_lines(modules) -> str:
             "denominator": P.denominator,
         }))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def matrices_with_rows(n: int, P: PrimitiveModule, radius):
-    """All elements of M_n(Lambda_D) with Frobenius twisted norm <= radius, as K-matrices."""
-    stacked = direct_sum(P.lattice, n)
-    coords = short_vectors(stacked, radius).tolist()
-    r = P.lattice.rank
-    out = []
-    for c in coords:
-        rows = [P.lattice.kvector_of_coords(c[t * r:(t + 1) * r]) for t in range(n)]
-        out.append(rows)
-    return out
-
-
-def matrix_module_index(D: EchelonMatrix, n: int) -> int:
-    """[M_{n x k}(O_K) D : M_n(Lambda_D)] = |det X|^n, exact.
-
-    X holds the coordinates of Lambda_D in the Z-basis of the O_K-span of
-    D's rows; it is square and nonsingular, as both have Z-rank kd.
-    """
-    X = sublattice_coords(lambda_of(D).lattice, from_ok_rows(D.field, D.rows))
-    return int(abs(intmat.det(X))) ** n
-
-
-def jacobian_sq(D: EchelonMatrix) -> Fraction:
-    """Squared volume scaling of x -> x D on M_{1 x k}(K_R), exact rational."""
-    # the image of O_K^k is the O_K-span of D's rows
-    return from_ok_rows(D.field, D.rows).det_gram() / okn_lattice(D.field, D.k).det_gram()
-
-
-def jacobian(D: EchelonMatrix) -> float:
-    return math.sqrt(float(jacobian_sq(D)))

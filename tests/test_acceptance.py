@@ -32,9 +32,9 @@ from latrank import (
     schmidt_count,
     to_echelon,
 )
-from latrank.modules import jacobian, matrix_module_index
 from latrank.zlattice import direct_sum, hadamard_ratio, short_vectors, \
     shortest_nonzero_sqnorm
+from tests_support import jacobian, matrix_module_index
 
 
 def report(crit: str, ok: bool, detail: str):

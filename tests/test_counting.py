@@ -23,7 +23,6 @@ from latrank.counting import (
     Ball,
     TestFunction,
     custom,
-    pivot_product_integral,
     product_of_balls,
     ranks_over_K,
     term_value_detail,
@@ -33,10 +32,13 @@ from latrank.modules import span_modules
 from latrank.numfield import rank_over_K
 from latrank.zlattice import okn_lattice, short_vectors, unit_ball_volume
 from tests_support import (
+    ball_tuples,
     from_integral_coords,
     k_rref,
     kmat_mul,
+    lhs_k1_oracle_Q,
     lhs_stratified_enumerated,
+    pivot_product_integral,
     term_value_detail_loop,
 )
 
@@ -360,14 +362,15 @@ def _element(field, coords):
 
 
 # largest T per field at which the direct enumeration stays small
-_DIRECT_T_MAX = {"QQ": Fraction(9, 2), "Qi": Fraction(2), "Qs5": Fraction(2)}
+_DIRECT_T_MAX = {"QQ": Fraction(9, 2), "Qi": Fraction(2), "Qs5": Fraction(2),
+                 "Qzeta8": Fraction(3, 2)}
 
 
-@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5", "Qzeta8"])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
-def test_direct_equals_stratified_property(name, data, QQ, Qi, Qs5):
-    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+def test_direct_equals_stratified_property(name, data, QQ, Qi, Qs5, Qzeta8):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5, "Qzeta8": Qzeta8}[name]
     n, m = data.draw(st.sampled_from([(2, 1), (3, 2)]))
     k = data.draw(st.integers(1, m))
     den = data.draw(st.integers(1, 4))
@@ -384,18 +387,18 @@ def test_direct_equals_stratified_property(name, data, QQ, Qi, Qs5):
 
 
 def _spy_module_sums(monkeypatch):
-    """The modules lhs_count hands to module_sum, one per outermost call."""
+    """The modules lhs_count hands to modules_sum, in its outermost calls."""
     modules, depth = [], [0]
     for cls in (TestFunction, Ball):
-        def spy(self, raw, P, *args, _orig=cls.module_sum):
+        def spy(self, mods, *args, _orig=cls.modules_sum):
             if not depth[0]:
-                modules.append(P)
+                modules.extend(mods)
             depth[0] += 1
             try:
-                return _orig(self, raw, P, *args)
+                return _orig(self, mods, *args)
             finally:
                 depth[0] -= 1
-        monkeypatch.setattr(cls, "module_sum", spy)
+        monkeypatch.setattr(cls, "modules_sum", spy)
     return modules
 
 
@@ -478,14 +481,15 @@ def test_rank_m_count_against_r2_convolution(QQ):
 
 
 # largest T per field at which enumerating every Lambda_D^n stays small
-_THETA_T_MAX = {"QQ": Fraction(6), "Qi": Fraction(5, 2), "Qs5": Fraction(5, 2)}
+_THETA_T_MAX = {"QQ": Fraction(6), "Qi": Fraction(5, 2), "Qs5": Fraction(5, 2),
+                "Qzeta8": Fraction(3, 2)}
 
 
-@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5"])
+@pytest.mark.parametrize("name", ["QQ", "Qi", "Qs5", "Qzeta8"])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
-def test_theta_count_equals_enumeration_property(name, data, QQ, Qi, Qs5):
-    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5}[name]
+def test_theta_count_equals_enumeration_property(name, data, QQ, Qi, Qs5, Qzeta8):
+    field = {"QQ": QQ, "Qi": Qi, "Qs5": Qs5, "Qzeta8": Qzeta8}[name]
     n, m = data.draw(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]))
     den = data.draw(st.integers(1, 4))
     num = data.draw(st.integers(den, int(_THETA_T_MAX[name] * den)))
@@ -511,6 +515,68 @@ def test_theta_count_reach(QQ):
     # the values the enumeration of every Lambda_D^3 gives
     rep = lhs_count(QQ, 3, 2, 1, 40, ball(1), method="stratified")
     assert (rep.raw_sum, rep.matrices_seen) == (992560, 994092)
+
+
+@pytest.mark.parametrize("T", [20, 40, 200])
+def test_theta_count_against_oracle(QQ, T):
+    # the NumPy count from the primitive-norm histogram of Z^2 and the theta
+    # series of Z^3, which shares no code with the library
+    rep = lhs_count(QQ, 3, 2, 1, T, ball(1), method="stratified")
+    assert (rep.raw_sum, rep.matrices_seen) == lhs_k1_oracle_Q(3, 2, T)
+
+
+def test_oracle_pins():
+    assert lhs_k1_oracle_Q(3, 2, 200) == (125570764, 125608944)
+    assert lhs_k1_oracle_Q(3, 2, 1000) == (15731108588, 15732063476)
+
+
+@pytest.mark.parametrize("name,T,radius,classes", [
+    ("QQ", 6, 1, 2),
+    ("Qi", Fraction(5, 2), 1, 2),
+    ("Qs5", 2, Fraction(6, 5), 7),              # Gauss-reduced keys of several classes
+    ("Qzeta8", Fraction(3, 2), 1, None),        # LLL-reduced keys
+])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_class_tables_equal_per_module_reference(name, T, radius, classes, n, request,
+                                                 monkeypatch):
+    # one theta table per class key gives every module the count of its own
+    # enumeration, for the rank-one modules of O_K^2 and O_K^3 and for O_K^2
+    field = request.getfixturevalue(name)
+    RT = Fraction(radius) * T
+    modules = [*span_modules(okn_lattice(field, 2), 1, RT),
+               *span_modules(okn_lattice(field, 3), 1, RT),
+               *enumerate_primitive_modules(field, 2, 2, 1)]
+    want = [ball_tuples(P.lattice, n, RT) for P in modules]
+    builds = []
+    monkeypatch.setattr(counting, "short_vectors",
+                        lambda lat, r: builds.append(lat) or short_vectors(lat, r))
+    assert counting._ball_tuple_counts(modules, n, RT) == want
+    keys = {counting._class_key(P)[1] for P in modules}
+    assert len(builds) == len(keys)
+    if classes is not None:
+        # the rank-one classes, and O_K^2 as a class of its own
+        assert len(keys) == classes
+
+
+_GL2_STEPS = {"swap": [[0, 1], [1, 0]], "negate": [[-1, 0], [0, 1]],
+              "add": [[1, 1], [0, 1]], "subtract": [[1, -1], [0, 1]]}
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.integers(1, 30), b=st.integers(-30, 30), c=st.integers(1, 30),
+       steps=st.lists(st.sampled_from(sorted(_GL2_STEPS)), max_size=12))
+def test_gauss_reduction_is_a_class_invariant(a, b, c, steps):
+    # the reduced form of U G U^T, U a product of generators of GL_2(Z), is
+    # that of G, and is reduced
+    assume(a * c > b * b)
+    U = np.identity(2, dtype=np.int64)
+    for step in steps:
+        U = np.array(_GL2_STEPS[step]) @ U
+    (x, y), (_, z) = (U @ np.array([[a, b], [b, c]]) @ U.T).tolist()
+    key = counting._gauss_reduced(a, b, c)
+    assert counting._gauss_reduced(x, y, z) == key
+    (a0, b0), (_, c0) = key
+    assert 0 <= 2 * b0 <= a0 <= c0 and a0 * c0 - b0 * b0 == a * c - b * b
 
 
 def test_theta_count_on_the_sphere(QQ):

@@ -16,7 +16,6 @@ from latrank import (
     echelon_of_module,
     enumerate_primitive_modules,
     lambda_of,
-    matrices_with_rows,
     okn_lattice,
     schmidt_count,
     to_echelon,
@@ -29,9 +28,6 @@ from latrank.modules import (
     _echelon_keys,
     _echelon_matrix,
     dump_module_lines,
-    jacobian,
-    jacobian_sq,
-    matrix_module_index,
     rank_factorize,
     span_modules,
 )
@@ -50,9 +46,13 @@ from tests_support import (
     echelon_rref,
     from_integral_coords,
     is_integral,
+    jacobian,
+    jacobian_sq,
     k_rref,
     kmat_mul,
     lambda_of_loop,
+    matrices_with_rows,
+    matrix_module_index,
     max_minor_gcd,
     rref_loop,
     span_modules_loop,

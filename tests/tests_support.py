@@ -7,13 +7,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from latrank import intmat
-from latrank.counting import Ball, TestFunction
+from latrank import intmat, kernels
+from latrank.counting import Ball, TestFunction, _truncated_product
 from latrank.errors import NotIntegralError
 from latrank.exactval import PowerProduct
 from latrank.hecke import enumerate_subspaces, hecke_neighbor, sample_subspace
-from latrank.modules import span_modules
-from latrank.zlattice import okn_lattice, short_vectors
+from latrank.modules import lambda_of, span_modules
+from latrank.zlattice import (
+    _int_norms,
+    _norm_bound,
+    direct_sum,
+    from_ok_rows,
+    okn_lattice,
+    short_vectors,
+    sublattice_coords,
+    unit_ball_volume,
+)
 
 
 def brute_force_short(lat, radius_sq: Fraction):
@@ -52,6 +61,73 @@ def lhs_stratified_enumerated(field, n, m, k, T, f):
         raw, tuples = TestFunction.module_sum(f, raw, P, n, k, T, RT)
         seen += tuples
     return raw, seen
+
+
+def ball_tuples(lat, n, radius) -> int:
+    """The number of n-tuples of vectors of lat whose squared norms sum to <= radius^2.
+
+    The per-lattice reference for the theta tables of counting: one
+    enumeration of lat gives its theta series up to the bound X of
+    `_norm_bound`, in integer norms; n - 2 truncated products give the first
+    n - 1 rows by their total norm, and the last row is read from the
+    cumulative series.
+    """
+    X = _norm_bound(radius, lat.scale_sq, lat.gram_den)
+    coords = short_vectors(lat, radius)
+    norms, counts = np.unique(_int_norms(coords, lat.gram_int, 2 * X), return_counts=True)
+    counts = counts.astype(kernels.int_dtype(len(coords) ** n))
+    acc_norms, acc_counts = norms, counts
+    for _ in range(n - 2):
+        acc_norms, acc_counts = _truncated_product(acc_norms, acc_counts, norms, counts, X)
+    # norms[0] = 0, so every remaining budget X - s >= 0 finds a norm
+    last = np.searchsorted(norms, X - acc_norms, side="right") - 1
+    return int((acc_counts * np.cumsum(counts)[last]).sum())
+
+
+def _theta_Z_powers(top, X):
+    """[r_1, ..., r_top]: r_j[h] is the number of vectors of Z^j of norm h <= X."""
+    r1 = np.zeros(X + 1, dtype=np.int64)
+    r1[np.arange(math.isqrt(X) + 1) ** 2] = 2
+    r1[0] = 1
+    reps = [r1]
+    while len(reps) < top:
+        r = reps[-1]
+        shifted = np.zeros_like(r)
+        for j in range(1, math.isqrt(X) + 1):
+            shifted[j * j:] += r[:X + 1 - j * j]
+        reps.append(r + 2 * shifted)
+    return reps
+
+
+def lhs_k1_oracle_Q(n, m, T, R=1):
+    """(raw_sum, matrices_seen) of the rank-one ball count over Q, in NumPy alone.
+
+    A rank-one Lambda_D is Z v for a primitive v of Z^m, up to sign, and its
+    n-tuples of norm <= R T are the c v, c in Z^n with |c|^2 <= X / |v|^2,
+    X = floor((R T)^2).  With r_j(h) the number of vectors of Z^j of norm h,
+    r*_m(h) = sum_(c^2 | h) mu(c) r_m(h / c^2) counts the primitive ones and
+    C_n(Y) = r_n(0) + ... + r_n(Y), so
+    seen = 1/2 sum_h r*_m(h) C_n(floor(X / h)) and raw = seen less one zero
+    tuple per module.
+    """
+    X = math.floor(Fraction(R) ** 2 * Fraction(T) ** 2)
+    reps = _theta_Z_powers(max(m, n), X)
+    r_m = reps[m - 1]
+    mu = np.ones(math.isqrt(X) + 1, dtype=np.int64)
+    for p in range(2, len(mu)):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
+    prim = np.zeros(X + 1, dtype=np.int64)
+    for c in range(1, len(mu)):
+        if mu[c]:
+            prim[::c * c] += mu[c] * r_m[:X // (c * c) + 1]
+    prim[0] = 0
+    cum_n = np.cumsum(reps[n - 1])
+    h = np.arange(1, X + 1)
+    modules = int(prim[1:].sum()) // 2
+    seen = int((prim[1:] * cum_n[X // h]).sum()) // 2
+    return seen - modules, seen
 
 
 def gram_loop(lat):
@@ -809,3 +885,59 @@ def is_integral(field, x) -> bool:
         return True
     except NotIntegralError:
         return False
+
+
+# -- module helpers that only tests use ------------------------------------------
+
+
+def pivot_product_integral(P, n: int, f) -> float:
+    """Closed form of the product integral when D has only pivot and zero columns.
+
+    Independent of the Monte Carlo path; used as its cross-check.
+    """
+    D = P.echelon
+    field = D.field
+    d = field.degree
+    radii = f.column_radii(D.m)
+    val = float(P.height_sq) ** (-n / 2.0)
+    for j in range(D.m):
+        col = [D.rows[i][j] for i in range(D.k)]
+        if j in D.pivot_cols:
+            val *= unit_ball_volume(n * d) * float(radii[j]) ** (n * d)
+        elif all(x.is_zero() for x in col):
+            continue
+        else:
+            raise ValueError("matrix has a non-pivot nonzero column")
+    return val
+
+
+def matrices_with_rows(n: int, P, radius):
+    """All elements of M_n(Lambda_D) with Frobenius twisted norm <= radius, as K-matrices."""
+    stacked = direct_sum(P.lattice, n)
+    coords = short_vectors(stacked, radius).tolist()
+    r = P.lattice.rank
+    out = []
+    for c in coords:
+        rows = [P.lattice.kvector_of_coords(c[t * r:(t + 1) * r]) for t in range(n)]
+        out.append(rows)
+    return out
+
+
+def matrix_module_index(D, n: int) -> int:
+    """[M_{n x k}(O_K) D : M_n(Lambda_D)] = |det X|^n, exact.
+
+    X holds the coordinates of Lambda_D in the Z-basis of the O_K-span of
+    D's rows; it is square and nonsingular, as both have Z-rank kd.
+    """
+    X = sublattice_coords(lambda_of(D).lattice, from_ok_rows(D.field, D.rows))
+    return int(abs(intmat.det(X))) ** n
+
+
+def jacobian_sq(D) -> Fraction:
+    """Squared volume scaling of x -> x D on M_{1 x k}(K_R), exact rational."""
+    # the image of O_K^k is the O_K-span of D's rows
+    return from_ok_rows(D.field, D.rows).det_gram() / okn_lattice(D.field, D.k).det_gram()
+
+
+def jacobian(D) -> float:
+    return math.sqrt(float(jacobian_sq(D)))
