@@ -20,7 +20,7 @@ import numpy as np
 from . import intmat, kernels
 from .errors import ValidationError
 from .exactval import PowerProduct
-from .modules import PrimitiveModule, enumerate_primitive_modules, span_modules
+from .modules import PrimitiveModule, _okm_form, enumerate_primitive_modules, span_modules
 from .numfield import NumberField, ranks_over_K, unflatten_kvector
 from .zlattice import (
     ZLattice,
@@ -84,26 +84,8 @@ class TestFunction:
         return raw, seen
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
-        """D(D)^(-n) * integral of f(x D), by Monte Carlo over the subspace measure."""
-        lat = P.lattice
-        kd = lat.rank
-        hn = float(P.height_sq) ** (-n / 2.0)
-        if mc_samples <= 0:
-            raise ValueError("mc_samples must be positive for non-ball test functions")
-        m, d = P.m, P.field.degree
-        # orthonormal frame of the embedded row space
-        basis_emb = np.array([lat.ambient.embed(row) for row in lat.basis])
-        q, _ = np.linalg.qr(basis_emb.T)        # (m d, kd), orthonormal columns
-        fro = self._support_radius(m)     # Frobenius support radius on m columns
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-fro, fro, size=(mc_samples, n, kd))
-        vals = self._sample_values(pts, q, m, d)
-        volume = (2.0 * fro) ** (n * kd)
-        mean = float(vals.mean())
-        std = float(vals.std(ddof=1)) if mc_samples > 1 else 0.0
-        value = hn * volume * mean
-        stderr = hn * volume * std / math.sqrt(mc_samples)
-        return TermValue(value=value, stderr=stderr, method="monte_carlo")
+        """D(D)^(-n) * integral of f(x D), by Monte Carlo (`_mc_term`)."""
+        return _mc_term(self, P, n, mc_samples, seed)
 
     def column_product(self, m: int, d: int) -> "TestFunction":
         """x -> prod_j f(column j of x) as a test function on n x m matrices."""
@@ -234,6 +216,30 @@ class ProductOfBalls(TestFunction):
             gram = (B_j @ form @ B_j.T).tolist()
             inside &= _filter_exact(x, gram, _norm_bound(r * T, amb.scale_sq, den))
         return raw + int(np.count_nonzero(inside))
+
+    def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
+        """As TestFunction.module_term, in closed form where the integral is
+        the volume of a ball, by Monte Carlo (`_mc_term`) elsewhere.
+
+        At K-rank m (O_K^m) the orthonormal frame of the row space is square,
+        so the integral is the product of the n d-dimensional column balls.
+        When every column block of the frame is a similarity c_j of the row
+        space (`_similarity_radius_sq`), column j of x D has squared norm
+        c_j ||x||^2, so the support is the ball ||x|| <= rho of dimension
+        n k d.  No lattice is built for either.
+        """
+        hn = float(P.height_sq) ** (-n / 2.0)
+        radii = self.column_radii(P.m)
+        s = n * P.field.degree
+        if P.k == P.m:
+            vol = math.prod(unit_ball_volume(s) * float(r) ** s for r in radii)
+            return TermValue(value=hn * vol, stderr=0.0, method="closed_form")
+        rho_sq = _similarity_radius_sq(P, radii)
+        if rho_sq is None:
+            return _mc_term(self, P, n, mc_samples, seed)
+        s *= P.k
+        val = hn * unit_ball_volume(s) * float(rho_sq) ** (s / 2.0)
+        return TermValue(value=val, stderr=0.0, method="closed_form")
 
     def _sample_values(self, pts, q, m: int, d: int) -> np.ndarray:
         radii = np.array([float(r) for r in self.column_radii(m)])
@@ -598,17 +604,83 @@ def _inside_product_of_balls(pts: np.ndarray, q: np.ndarray, radii_sq: np.ndarra
     return inside
 
 
+def _similarity_radius_sq(P: PrimitiveModule, radii):
+    """rho^2 = min over c_j > 0 of r_j^2 / c_j, exact, when every column block
+    of Lambda_D's row space is a similarity c_j of it; None otherwise.
+
+    S is Lambda_D's Hermite basis in integral coordinates and G the form of
+    O_K^m on them (`_okm_form`), block diagonal with one d x d block G_jj per
+    column, so S G S^T is the sum of the column Grams G_j = S_j G_jj S_j^T.
+    Column j of the embedded frame is a similarity exactly when
+    G_j = c_j S G S^T, which is tested in integers with c_j = G_j[0, 0] /
+    (S G S^T)[0, 0].  Every line over Q passes (k d = 1), and so does every
+    line over Q(i).
+    """
+    d, r = P.field.degree, len(P._hermite)
+    G = _okm_form(P._ambient)[0]
+    col_grams = []
+    for j in range(P.m):
+        blk = slice(j * d, (j + 1) * d)
+        S_j = [row[blk] for row in P._hermite]
+        col_grams.append(intmat.mat_mul(intmat.mat_mul(S_j, G[blk, blk].tolist()),
+                                        intmat.transpose(S_j)))
+    full = [[sum(g[a][b] for g in col_grams) for b in range(r)] for a in range(r)]
+    f00 = full[0][0]
+    best = None     # (num, den) of the least r_j^2 / c_j so far
+    for g, rad in zip(col_grams, radii):
+        g00 = g[0][0]
+        if any(x * f00 != g00 * y for g_row, f_row in zip(g, full)
+               for x, y in zip(g_row, f_row)):
+            return None
+        if g00:
+            num, den = rad.numerator ** 2 * f00, rad.denominator ** 2 * g00
+            if best is None or num * best[1] < best[0] * den:
+                best = num, den
+    return Fraction(*best)
+
+
+def _mc_term(f: TestFunction, P: PrimitiveModule, n: int, mc_samples: int,
+             seed) -> TermValue:
+    """D(D)^(-n) * integral of f(x D), by Monte Carlo over the subspace measure.
+
+    The estimator of every module term without a closed form, and a
+    cross-check of the closed forms of a product of balls.
+    """
+    lat = P.lattice
+    kd = lat.rank
+    hn = float(P.height_sq) ** (-n / 2.0)
+    if mc_samples <= 0:
+        raise ValueError("mc_samples must be positive for non-ball test functions")
+    m, d = P.m, P.field.degree
+    # orthonormal frame of the embedded row space
+    basis_emb = np.array([lat.ambient.embed(row) for row in lat.basis])
+    q, _ = np.linalg.qr(basis_emb.T)        # (m d, kd), orthonormal columns
+    fro = f._support_radius(m)     # Frobenius support radius on m columns
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-fro, fro, size=(mc_samples, n, kd))
+    vals = f._sample_values(pts, q, m, d)
+    volume = (2.0 * fro) ** (n * kd)
+    mean = float(vals.mean())
+    std = float(vals.std(ddof=1)) if mc_samples > 1 else 0.0
+    value = hn * volume * mean
+    stderr = hn * volume * std / math.sqrt(mc_samples)
+    return TermValue(value=value, stderr=stderr, method="monte_carlo")
+
+
 def term_value_detail(P: PrimitiveModule, n: int, f: TestFunction,
                       mc_samples: int = 0, seed=None) -> TermValue:
     """D(D)^(-n) * integral of f(x D) over M_{n x k}(K_R).
 
-    Ball test functions have the closed form H^(-n) V(knd) R^(knd); product
-    and custom ones are integrated by Monte Carlo over the subspace measure
-    with a reported standard error.  For a product of balls, floats propose
-    each sample's in/out decision from one quadratic form per column, and the
-    reference expression decides every sample within the derived rounding
-    margin of a column radius (`_inside_product_of_balls`), so the estimate is
-    the same bit for bit as evaluating the reference on every sample.
+    Ball test functions have the closed form H^(-n) V(knd) R^(knd), and so
+    does a product of balls on O_K^m and on a module whose column blocks are
+    similarities of its row space (`ProductOfBalls.module_term`); the other
+    product-of-balls terms and custom ones are integrated by Monte Carlo over
+    the subspace measure with a reported standard error (`_mc_term`).  For a
+    product of balls, floats propose each sample's in/out decision from one
+    quadratic form per column, and the reference expression decides every
+    sample within the derived rounding margin of a column radius
+    (`_inside_product_of_balls`), so the estimate is the same bit for bit as
+    evaluating the reference on every sample.
     """
     return f.module_term(P, n, mc_samples, seed)
 

@@ -2,13 +2,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from latrank import ball, c1_estimate
 from latrank.cli import main
-from latrank.zlattice import DEFAULT_ENUM_CAP
+from latrank.zlattice import DEFAULT_ENUM_CAP, unit_ball_volume
+from tests_support import moment_k1_oracle_Q
 
 
 def read_records(out_dir: Path):
@@ -380,21 +382,22 @@ def test_entry_point_installed():
 
 GOLDEN_RECORDS = (
     '{"p": 5, "s": 2, "n": 3, "m": 2, "mode": "exact", "lhs": "60.6129032258064", '
-    '"stratified": "60.6129032258064", "rhs_limit": "91.9147905092004", '
-    '"abs_error": "31.301887283394", "lhs_exact": "1879/31", "seed": 7}\n'
+    '"stratified": "60.6129032258064", "rhs_limit": "90.4612462817147", '
+    '"abs_error": "29.8483430559082", "lhs_exact": "1879/31", "seed": 7}\n'
     '{"p": 7, "s": 2, "n": 3, "m": 2, "mode": "exact", "lhs": "88.4385964912281", '
-    '"stratified": "88.4385964912281", "rhs_limit": "91.9147905092004", '
-    '"abs_error": "3.47619401797238", "lhs_exact": "5041/57", "seed": 7}\n'
+    '"stratified": "88.4385964912281", "rhs_limit": "90.4612462817147", '
+    '"abs_error": "2.0226497904866", "lhs_exact": "5041/57", "seed": 7}\n'
 )
 GOLDEN_SUMMARY = (
     "p,lhs,stratified,rhs_limit,abs_error\r\n"
-    "5,60.6129032258064,60.6129032258064,91.9147905092004,31.301887283394\r\n"
-    "7,88.4385964912281,88.4385964912281,91.9147905092004,3.47619401797238\r\n"
+    "5,60.6129032258064,60.6129032258064,90.4612462817147,29.8483430559082\r\n"
+    "7,88.4385964912281,88.4385964912281,90.4612462817147,2.0226497904866\r\n"
 )
 
 
 def test_hecke_moment_golden_records(tmp_path):
-    # records of a seeded run with a Monte Carlo limit, byte for byte
+    # records of a seeded run, byte for byte; over Q at m = 2 every term of
+    # the limit is closed form, so the seed reaches only the seed field
     out = tmp_path / "run"
     code = main(["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5,7",
                  "--ball", "1.2", "--cutoff", "8", "--mc-samples", "2000", "--seed", "7",
@@ -402,6 +405,20 @@ def test_hecke_moment_golden_records(tmp_path):
     assert code == 0
     assert (out / "records.jsonl").read_bytes() == GOLDEN_RECORDS.encode()
     assert (out / "summary.csv").read_bytes() == GOLDEN_SUMMARY.encode()
+
+
+def test_hecke_moment_limit_is_the_oracle_at_every_seed(tmp_path):
+    # the limit pinned in CI's smoke step: 1 + the rank-one oracle + V(3)^2 R^6
+    R = Fraction(6, 5)
+    oracle = 1 + moment_k1_oracle_Q(3, R, 8) + unit_ball_volume(3) ** 2 * float(R) ** 6
+    assert f"{oracle:.15g}" == "90.4612462817147"
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5",
+                     "--ball", "6/5", "--cutoff", "8", "--seed", seed,
+                     "--output-dir", str(out)]) == 0
+        record = json.loads((out / "records.jsonl").read_text())
+        assert record["rhs_limit"] == "90.4612462817147"
 
 
 # sha256 of records.jsonl from c1-sum and of repr(c1_estimate(...).terms),

@@ -158,9 +158,10 @@ class TestTermValue:
     def test_mc_matches_pivot_closed_form(self, QQ):
         P = lambda_of(to_echelon(QQ, [[1, 0]]))
         f = product_of_balls(1, 2)
-        tv = term_value_detail(P, 2, f, mc_samples=60000, seed=12)
+        tv = counting._mc_term(f, P, 2, 60000, 12)
         cf = pivot_product_integral(P, 2, f)
         assert abs(tv.value - cf) <= 3 * tv.stderr
+        assert term_value(P, 2, f) == pytest.approx(cf, rel=1e-12)
 
     def test_mc_matches_max_column_closed_form(self, QQ):
         # independent reduction for K = Q, k = 1: columns x*d_j constrain
@@ -168,24 +169,29 @@ class TestTermValue:
         D = to_echelon(QQ, [[1, Fraction(3, 2)]])
         P = lambda_of(D)
         f = product_of_balls(1, 2)
-        tv = term_value_detail(P, 3, f, mc_samples=80000, seed=13)
+        tv = counting._mc_term(f, P, 3, 80000, 13)
         cf = float(P.height_sq) ** (-1.5) * unit_ball_volume(3) * \
             float(P.denominator) ** 3 / float(Fraction(3, 2)) ** 3
         # D(D)^(-n) Int f(xD) dx = D^-n V(3) (R/max)^3 over x in R^3
         cf = unit_ball_volume(3) * (1 / 1.5) ** 3 / P.denominator ** 3
         assert abs(tv.value - cf) <= 3 * tv.stderr + 1e-12
+        assert term_value(P, 3, f) == pytest.approx(cf, rel=1e-12)
 
     def test_mc_requires_samples(self, QQ):
-        P = lambda_of(to_echelon(QQ, [[1, 0]]))
+        # a plane of Q^3 has no closed form: its column blocks are 1 x 2
+        P = lambda_of(to_echelon(QQ, [[1, 0, 1], [0, 1, 2]]))
+        f = product_of_balls(1, 3)
         with pytest.raises(ValueError):
-            term_value(P, 2, product_of_balls(1, 2), mc_samples=0)
+            term_value(P, 4, f, mc_samples=0)
+        with pytest.raises(ValueError):
+            counting._mc_term(f, P, 4, 0, 1)
 
     def test_mc_deterministic_per_seed(self, QQ):
         P = lambda_of(to_echelon(QQ, [[1, Fraction(1, 2)]]))
         f = product_of_balls(1, 2)
-        a = term_value(P, 3, f, mc_samples=2000, seed=5)
-        b = term_value(P, 3, f, mc_samples=2000, seed=5)
-        assert a == b
+        a = counting._mc_term(f, P, 3, 2000, 5)
+        b = counting._mc_term(f, P, 3, 2000, 5)
+        assert a == b and a.stderr > 0
 
 
 class TestC1Estimate:
@@ -343,9 +349,10 @@ class TestProductOfBallsBroadcast:
 
     def test_term_matches_explicit_radii(self, QQ):
         P = list(enumerate_primitive_modules(QQ, 1, 2, 3))[2]
-        a = term_value_detail(P, 3, product_of_balls(1), mc_samples=20000, seed=1)
-        b = term_value_detail(P, 3, product_of_balls(1, 2), mc_samples=20000, seed=1)
+        a = counting._mc_term(product_of_balls(1), P, 3, 20000, 1)
+        b = counting._mc_term(product_of_balls(1, 2), P, 3, 20000, 1)
         assert (a.value, a.stderr) == (b.value, b.stderr)
+        assert term_value(P, 3, product_of_balls(1)) == term_value(P, 3, product_of_balls(1, 2))
 
 
 class TestUnsupportedTestFunctions:
@@ -716,6 +723,56 @@ def test_ranks_over_K_chunks(Qs5, monkeypatch):
     assert ranks_over_K(Qs5, coords[:0], basis).shape == (0,)
 
 
+# -- closed-form product-of-balls terms against the Monte Carlo estimator -------------
+
+
+def test_similarity_radius_is_exact(QQ, Qs5):
+    radii = (Fraction(6, 5), Fraction(1))
+    # Z (2, -3): c_j = v_j^2 / |v|^2 = 4/13 and 9/13, so rho^2 = min(117/25, 13/9)
+    P = lambda_of(to_echelon(QQ, [[1, Fraction(-3, 2)]]))
+    assert counting._similarity_radius_sq(P, radii) == Fraction(13, 9)
+    # a coordinate line: c = (0, 1), so only column 2 bounds
+    P = lambda_of(to_echelon(QQ, [[0, 1]]))
+    assert counting._similarity_radius_sq(P, radii) == 1
+    # the Q(sqrt 5) line through (1, phi): |phi| and |phi'| differ
+    P = lambda_of(to_echelon(Qs5, [[Qs5.one(), Qs5.element([Fraction(1, 2), Fraction(1, 2)])]]))
+    assert counting._similarity_radius_sq(P, radii) is None
+    P = lambda_of(to_echelon(QQ, [[1, 0, 1], [0, 1, 2]]))
+    assert counting._similarity_radius_sq(P, radii + (Fraction(1),)) is None
+
+
+@pytest.mark.parametrize("name,k,m,cutoff", [("QQ", 1, 2, 5), ("QQ", 1, 3, 2), ("Qi", 1, 2, 3),
+                                             ("Qs5", 1, 2, 4), ("QQ", 2, 2, 1),
+                                             ("QQ", 3, 3, 1), ("Qi", 2, 2, 1)])
+def test_closed_form_terms_match_mc(request, name, k, m, cutoff):
+    # every closed-form term within 4 stderr of the estimator where it hits
+    field = request.getfixturevalue(name)
+    f = product_of_balls([Fraction(6, 5), Fraction(1), Fraction(7, 5)][:m])
+    closed = hits = 0
+    for idx, P in enumerate(enumerate_primitive_modules(field, k, m, cutoff)):
+        tv = term_value_detail(P, 3, f, mc_samples=20000, seed=idx)
+        if tv.method != "closed_form":
+            continue
+        closed += 1
+        assert tv.stderr == 0.0
+        mc = counting._mc_term(f, P, 3, 20000, idx)
+        if mc.stderr > 0:
+            hits += 1
+            assert abs(mc.value - tv.value) <= 4 * mc.stderr
+    assert hits >= 1 and closed >= 1
+
+
+def test_non_similar_line_keeps_the_mc_estimate(Qs5):
+    # (value, stderr) as the estimator gave them before the closed forms
+    P = lambda_of(to_echelon(Qs5, [[Qs5.one(),
+                                    Qs5.element([Fraction(-1, 2), Fraction(-1, 2)])]]))
+    f = product_of_balls([Fraction(6, 5), 1])
+    tv = term_value_detail(P, 3, f, mc_samples=3000, seed=11)
+    assert tv.method == "monte_carlo"
+    assert (tv.value, tv.stderr) == (3.520277604560171, 0.3057416692615787)
+    assert (tv.value, tv.stderr) == term_value_detail_loop(P, 3, f, 3000, seed=11)
+
+
 # -- Monte Carlo product-of-balls decisions against the reference loop ----------------
 
 
@@ -735,7 +792,7 @@ def test_mc_product_of_balls_matches_reference_loop(name, data, QQ, Qi, Qs5):
     f = product_of_balls([Fraction(r, 20) for r in radii])
     samples = data.draw(st.integers(1, 5000))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    tv = term_value_detail(P, n, f, mc_samples=samples, seed=seed)
+    tv = counting._mc_term(f, P, n, samples, seed)
     assert (tv.value, tv.stderr) == term_value_detail_loop(P, n, f, samples, seed=seed)
 
 
@@ -787,5 +844,5 @@ def test_mc_reference_path_alone_gives_the_same_estimate(QQ, Qi, monkeypatch):
     for P, n in cases:
         f = product_of_balls([Fraction(6, 5), Fraction(1), Fraction(7, 5)][:P.echelon.m])
         for seed in (3, 29):
-            tv = term_value_detail(P, n, f, mc_samples=3000, seed=seed)
+            tv = counting._mc_term(f, P, n, 3000, seed)
             assert (tv.value, tv.stderr) == term_value_detail_loop(P, n, f, 3000, seed=seed)

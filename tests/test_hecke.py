@@ -12,6 +12,7 @@ from latrank import (
     c1_estimate,
     containment_probability,
     convergence_table,
+    enumerate_primitive_modules,
     enumerate_subspaces,
     gaussian_binomial,
     hecke_neighbor,
@@ -29,7 +30,8 @@ from latrank.counting import custom, product_of_balls
 from latrank.hecke import sample_subspace, validate_moment_window
 from latrank.kernels import ranks_mod_p
 from latrank.zlattice import short_vectors
-from tests_support import enumerate_subspaces_loop, moment_lhs_loop
+from latrank.zlattice import unit_ball_volume
+from tests_support import enumerate_subspaces_loop, moment_k1_oracle_Q, moment_lhs_loop
 
 
 class TestGaussianBinomial:
@@ -367,6 +369,30 @@ class TestMomentRhs:
         # increasing the cutoff only adds positive terms, within MC noise
         assert v60 >= v30 - 3 * (e30 + e60)
         assert v60 - v30 < 5.0
+
+    @pytest.mark.parametrize("name,n,m,cutoff", [("Qi", 3, 2, 4), ("Qs5", 3, 2, 2),
+                                                 ("QQ", 4, 3, 2)])
+    def test_rank_m_term_is_the_product_of_column_balls(self, request, name, n, m, cutoff):
+        # O_K^m: hn (V(n d) R^(n d))^m; Monte Carlo drew no hit over Q(i),
+        # where the integral lives in dimension 12, and reported 0.0
+        field = request.getfixturevalue(name)
+        R, nd = Fraction(6, 5), n * field.degree
+        _, per_k, _ = moment_rhs_limit(field, n, m, ball(R), cutoff, mc_samples=2000, seed=1)
+        (P,) = enumerate_primitive_modules(field, m, m, 1)
+        want = float(P.height_sq) ** (-n / 2) * (unit_ball_volume(nd) * float(R) ** nd) ** m
+        assert per_k[m] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [8, 30])
+    def test_limit_over_Q_against_the_oracle(self, QQ, cutoff):
+        # every term over Q at m = 2 is closed form, so the limit has no
+        # Monte Carlo error and no seed dependence
+        R = Fraction(6, 5)
+        value, per_k, err = moment_rhs_limit(QQ, 3, 2, ball(R), cutoff, mc_samples=20000, seed=1)
+        assert per_k[1] == pytest.approx(moment_k1_oracle_Q(3, R, cutoff), rel=1e-12)
+        assert per_k[2] == pytest.approx(unit_ball_volume(3) ** 2 * float(R) ** 6, rel=1e-12)
+        assert err == 0.0
+        assert moment_rhs_limit(QQ, 3, 2, ball(R), cutoff, mc_samples=20000,
+                                seed=2) == (value, per_k, err)
 
     def test_window_rejected(self, QQ):
         with pytest.raises(ValidationError):

@@ -130,6 +130,22 @@ def lhs_k1_oracle_Q(n, m, T, R=1):
     return seen - modules, seen
 
 
+def moment_k1_oracle_Q(n, R, C) -> float:
+    """per_k[1] of the moment limit over Q at m = 2 for a ball of radius R and
+    height cutoff C (an integer), in NumPy alone.
+
+    A rank-one Lambda_D is Z v for a primitive v of Z^2, up to sign, with
+    H = |v|.  Column j of x v is x v_j, so the column product of the ball is
+    the ball |x| <= R / ||v||_inf of R^n, and the term H^(-n) |v|^n V(n)
+    R^n / ||v||_inf^n is V(n) R^n ||v||_inf^(-n).
+    """
+    x, y = (g.ravel() for g in np.meshgrid(np.arange(-C, C + 1), np.arange(-C, C + 1)))
+    keep = (np.gcd(x, y) == 1) & (x * x + y * y <= C * C)
+    sup = np.maximum(np.abs(x), np.abs(y))[keep].astype(float)
+    vol = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    return 0.5 * vol * float(R) ** n * float(np.sum(sup ** -float(n)))
+
+
 def gram_loop(lat):
     """basis * form * basis^T by Fraction loops over the ambient form."""
     form = lat.ambient.form
@@ -726,8 +742,8 @@ def pp_le_loop(x: PowerProduct, y: PowerProduct) -> bool:
 def term_value_detail_loop(P, n, f, mc_samples, seed=None):
     """Reference Monte Carlo term: the embedded samples pts @ q.T in full.
 
-    Draws the same samples from the same stream as
-    `counting.term_value_detail` and decides every product-of-balls sample
+    Draws the same samples from the same stream as the estimator
+    `counting._mc_term` and decides every product-of-balls sample
     with the reference expression.  Returns (value, stderr).
     """
     lat = P.lattice
