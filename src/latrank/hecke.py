@@ -416,12 +416,13 @@ def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,
     """Limit value of the moments: sum over ranks k of the echelon series.
 
     The k = 0 term is g(0)^m; each k >= 1 term integrates the column-product
-    of g against the module measure.  For a ball g that is a product of
-    balls, whose term is closed form on O_K^m and on every module whose
-    column blocks are similarities of its row space (every line over Q and
-    Q(i)), and Monte Carlo on the rest (`ProductOfBalls.module_term`).  Each
-    module draws from its own stream, so the closed forms leave the other
-    modules' estimates as they were.  Returns (value, per_k breakdown, stderr).
+    of g against the module measure.  For a ball g that column product is a
+    product of balls, whose term is closed form on O_K^m and on every module
+    whose column blocks are similarities of its row space (every line over Q
+    and Q(i)), and Monte Carlo on the rest (`ProductOfBalls.module_term`).
+    Each module draws from its own stream, so the closed forms leave the
+    other modules' estimates as they were.  Returns (value, per_k breakdown,
+    stderr).
     """
     if not (n >= 2 and 1 <= m <= n - 1):
         raise ValidationError(f"need n >= 2 and 1 <= m <= n-1, got n={n}, m={m}")

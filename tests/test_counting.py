@@ -754,7 +754,7 @@ def test_closed_form_terms_match_mc(request, name, k, m, cutoff):
         if tv.method != "closed_form":
             continue
         closed += 1
-        assert tv.stderr == 0.0
+        assert tv.stderr == 0.0 and "lattice" not in vars(P)    # no lattice was built
         mc = counting._mc_term(f, P, 3, 20000, idx)
         if mc.stderr > 0:
             hits += 1
