@@ -117,41 +117,34 @@ class Ball(TestFunction):
     def support_cover(self, T, m: int):
         return self.radius * T
 
-    def rank_k_sum(self, raw, lat, coords, hit, n: int, m: int, T):
-        # the points were enumerated in f's own ball, so f(A/T) = 1 on each
-        return raw + int(np.count_nonzero(hit))
-
-    def module_sum(self, raw, P: PrimitiveModule, n: int, k: int, T, RT):
-        """As TestFunction.module_sum: modules_sum on the one module."""
-        total, tuples = self.modules_sum([P], n, k, T, RT)
-        return raw + total, tuples
-
     def modules_sum(self, modules, n: int, k: int, T, RT):
-        """As TestFunction.modules_sum; the modules of K-rank k = 1 or k = m
-        are counted from theta tables (`_ball_tuple_counts`), without ranking
-        a matrix.
+        """As TestFunction.modules_sum, from theta tables (`_ball_tuple_counts`).
 
-        Every nonzero n-tuple of vectors of a K-rank 1 Lambda_D has rank 1.
-        A K-rank m module is O_K^m, and every matrix of rank j < m in its
-        ball has the one Lambda_D of rank j that its rows span: the rank-m
-        count is the theta count less the zero matrix and the stratified
-        counts of ranks 1, ..., m - 1, each one modules_sum call.
+        A matrix of rank i < j in the ball of a K-rank j Lambda_D has rows
+        spanning one saturated rank-i submodule of it, spanned by vectors of
+        norm <= RT (`span_modules`), so the module's tuples of rank j are its
+        theta count less the zero tuple and the full-rank tuples of those
+        submodules, i = 1, ..., j - 1: a Möbius recursion over the rank,
+        memoized by echelon key, so each submodule's theta count is built
+        once.  A module of K-rank above k (O_K^m in the direct count at
+        k < m) sums its rank-k submodules; every module's matrices_seen is
+        its own theta count.
         """
-        raw = seen = 0
-        theta = []
-        for P in modules:
-            if k == P.k and not 1 < k < P.m:
-                theta.append(P)
-            else:
-                raw, tuples = super().module_sum(raw, P, n, k, T, RT)
-                seen += tuples
-        tuples = _ball_tuple_counts(theta, n, RT)
-        raw += sum(tuples) - len(tuples)
-        seen += sum(tuples)
-        for P in theta:
-            for j in range(1, k):
-                raw -= self.modules_sum(span_modules(P.lattice, j, RT), n, j, T, RT)[0]
-        return raw, seen
+        exact = {}      # echelon key -> its module's count of tuples of full K-rank
+
+        def total(mods):
+            new = [P for P in mods if P._key not in exact]
+            for P, t in zip(new, _ball_tuple_counts(new, n, RT)):
+                exact[P._key] = full_rank(P, t)
+            return sum(exact[P._key] for P in mods)
+
+        def full_rank(P, t):
+            return t - 1 - sum(total(span_modules(P.lattice, i, RT)) for i in range(1, P.k))
+
+        thetas = _ball_tuple_counts(modules, n, RT)
+        raw = sum(full_rank(P, t) if P.k == k else total(span_modules(P.lattice, k, RT))
+                  for P, t in zip(modules, thetas))
+        return raw, sum(thetas)
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
         hn = float(P.height_sq) ** (-n / 2.0)
@@ -328,8 +321,8 @@ class RankCountReport:
     normalized: float       # raw_sum / T^(k n d)
     # the n-tuples of Lambda_D vectors of norm <= R T, summed over the
     # modules: the matrices the enumeration of each Lambda_D^n sees, which a
-    # ball on a module of K-rank 1 or m reads from the theta table of
-    # Lambda_D's Gram class without enumerating them
+    # ball reads from the theta table of Lambda_D's Gram class without
+    # enumerating them
     matrices_seen: int
     method: str
 
@@ -363,15 +356,15 @@ def lhs_count(field: NumberField, n: int, m: int, k: int, T, f: TestFunction,
 
     Both methods hand one list of primitive modules, each the Lambda_D that
     holds the rows of its matrices, to f.modules_sum.  "direct" takes the
-    one rank-m module O_K^m, whose Lambda_D^n holds every integral matrix,
-    and ranks them all; "stratified" takes the modules Lambda_D of rank k
-    that carry the rank-k matrices, which is how large T stays tractable.  A
-    ball counts the modules of K-rank 1 from theta tables, one per Gram class
-    of Lambda_D up to scale (`_ball_tuple_counts`), and the module O_K^m at
-    k = m, by either method, from its theta table less the stratified counts
-    of the lower ranks.  The two methods agree exactly (tested), so "auto"
-    picks by cost.  `threads` is accepted for compatibility and has no
-    effect.
+    one rank-m module O_K^m, whose Lambda_D^n holds every integral matrix;
+    "stratified" takes the modules Lambda_D of rank k that carry the rank-k
+    matrices.  A ball ranks no matrix: it counts every module from theta
+    tables, one per Gram class of Lambda_D up to scale
+    (`_ball_tuple_counts`), less the counts of its submodules of lower rank
+    (`Ball.modules_sum`); product-of-balls and custom test functions
+    enumerate each Lambda_D^n and rank every matrix.  The two methods agree
+    exactly (tested), so "auto" picks by cost.  `threads` is accepted for
+    compatibility and has no effect.
     """
     if not (n > m >= k >= 1):
         raise ValueError("need n > m >= k >= 1")
@@ -646,11 +639,12 @@ def _mc_term(f: TestFunction, P: PrimitiveModule, n: int, mc_samples: int,
     The estimator of every module term without a closed form, and a
     cross-check of the closed forms of a product of balls.
     """
+    if mc_samples < 1:
+        raise ValidationError(f"a term without a closed form is integrated by Monte Carlo "
+                              f"and needs mc_samples (--mc-samples) >= 1, got {mc_samples}")
     lat = P.lattice
     kd = lat.rank
     hn = float(P.height_sq) ** (-n / 2.0)
-    if mc_samples <= 0:
-        raise ValueError("mc_samples must be positive for non-ball test functions")
     m, d = P.m, P.field.degree
     # orthonormal frame of the embedded row space
     basis_emb = np.array([lat.ambient.embed(row) for row in lat.basis])

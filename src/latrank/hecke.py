@@ -421,14 +421,14 @@ def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,
     whose column blocks are similarities of its row space (every line over Q
     and Q(i)), and Monte Carlo on the rest (`ProductOfBalls.module_term`).
     Each module draws from its own stream, so the closed forms leave the
-    other modules' estimates as they were.  Returns (value, per_k breakdown,
-    stderr).
+    other modules' estimates as they were; with mc_samples = 0 a term that
+    needs Monte Carlo raises ValidationError.  Returns (value, per_k
+    breakdown, stderr).
     """
     if not (n >= 2 and 1 <= m <= n - 1):
         raise ValidationError(f"need n >= 2 and 1 <= m <= n-1, got n={n}, m={m}")
-    if mc_samples < 1:
-        raise ValidationError(f"the moment limit integrates the column product of g by Monte "
-                              f"Carlo and needs mc_samples (--mc-samples) >= 1, got {mc_samples}")
+    if mc_samples < 0:
+        raise ValidationError(f"mc_samples (--mc-samples) must be >= 0, got {mc_samples}")
     f = g.column_product(m, field.degree)
     per_k = [g.at_zero(n, field.degree) ** m]
     stderr_sq = 0.0

@@ -198,10 +198,13 @@ def test_factorize(tmp_path):
      "(not JSON"),
     (["c1-sum", "--n", "3", "--m", "2", "--k", "1", "--cutoff", "5", "--mc-samples", "-5"],
      "mc_samples (--mc-samples) must be >= 0, got -5"),
-    *[(["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5", "--ball", "1",
-        "--cutoff", "3", "--mc-samples", count],
-       "the moment limit integrates the column product of g by Monte Carlo and needs "
-       f"mc_samples (--mc-samples) >= 1, got {count}") for count in ("0", "-1")],
+    (["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5", "--ball", "1",
+      "--cutoff", "3", "--mc-samples", "-1"],
+     "mc_samples (--mc-samples) must be >= 0, got -1"),
+    (["hecke-moment", "--n", "4", "--m", "3", "--s", "3", "--primes", "2", "--ball", "1",
+      "--cutoff", "2", "--mc-samples", "0"],
+     "a term without a closed form is integrated by Monte Carlo and needs "
+     "mc_samples (--mc-samples) >= 1, got 0"),
 ])
 def test_arithmetic_and_shape_errors_exit_2(tmp_path, capsys, argv, message):
     # bad rationals, infinite or too small cutoffs, malformed matrices and
@@ -211,6 +214,17 @@ def test_arithmetic_and_shape_errors_exit_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--output-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_hecke_moment_closed_form_needs_no_samples(tmp_path):
+    # over Q at m = 2 every term of the limit is closed form, so no sample is
+    # drawn and --mc-samples 0 gives the default run's records
+    args = ["hecke-moment", "--n", "3", "--m", "2", "--s", "2", "--primes", "5", "--ball", "1",
+            "--cutoff", "3", "--output-dir"]
+    assert main(args + [str(tmp_path / "zero"), "--mc-samples", "0"]) == 0
+    assert main(args + [str(tmp_path / "default")]) == 0
+    assert (tmp_path / "zero" / "records.jsonl").read_bytes() == \
+        (tmp_path / "default" / "records.jsonl").read_bytes()
 
 
 def test_config_file_overrides_flags(tmp_path):

@@ -27,6 +27,7 @@ from latrank.counting import (
     ranks_over_K,
     term_value_detail,
 )
+from latrank.errors import ValidationError
 from latrank.exactval import PowerProduct
 from latrank.modules import span_modules
 from latrank.numfield import rank_over_K
@@ -36,6 +37,7 @@ from tests_support import (
     from_integral_coords,
     k_rref,
     kmat_mul,
+    lhs_direct_enumerated,
     lhs_k1_oracle_Q,
     lhs_stratified_enumerated,
     pivot_product_integral,
@@ -181,9 +183,9 @@ class TestTermValue:
         # a plane of Q^3 has no closed form: its column blocks are 1 x 2
         P = lambda_of(to_echelon(QQ, [[1, 0, 1], [0, 1, 2]]))
         f = product_of_balls(1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="--mc-samples"):
             term_value(P, 4, f, mc_samples=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="--mc-samples"):
             counting._mc_term(f, P, 4, 0, 1)
 
     def test_mc_deterministic_per_seed(self, QQ):
@@ -387,10 +389,10 @@ def test_direct_equals_stratified_property(name, data, QQ, Qi, Qs5, Qzeta8):
     a = lhs_count(field, n, m, k, T, g, method="direct")
     b = lhs_count(field, n, m, k, T, g, method="stratified")
     assert a.raw_sum == b.raw_sum
-    if k == m:
-        # both methods take the theta branch at k = m: compare with enumeration
-        want = lhs_stratified_enumerated(field, n, m, k, T, g)
-        assert (a.raw_sum, a.matrices_seen) == (b.raw_sum, b.matrices_seen) == want
+    # both methods run the one theta recursion for a ball: compare each with
+    # its enumeration, which ranks every matrix
+    assert (a.raw_sum, a.matrices_seen) == lhs_direct_enumerated(field, n, m, k, T, g)
+    assert (b.raw_sum, b.matrices_seen) == lhs_stratified_enumerated(field, n, m, k, T, g)
 
 
 def _spy_module_sums(monkeypatch):
@@ -458,6 +460,62 @@ def test_rank_m_count_equals_enumeration(name, n, m, T, radius, raw, seen, reque
         assert (rep.raw_sum, rep.matrices_seen) == (raw, seen)
 
 
+@pytest.mark.parametrize("name,n,m,k,T,raw,seen_stratified,seen_direct", [
+    ("QQ", 4, 3, 2, 3, 178128, 206989, 959801),
+    ("QQ", 5, 3, 2, 2, 15840, 20545, 25961),
+    ("QQ", 5, 4, 2, 2, 41600, 72002, 87481),
+    ("QQ", 5, 4, 3, 2, 42240, 336480, 87481),
+    ("Qi", 4, 3, 2, Fraction(3, 2), 576, 4063, 1153),
+    ("Qs5", 4, 3, 2, Fraction(3, 2), 720, 6553, 1393),
+])
+def test_count_below_rank_m_equals_enumeration(name, n, m, k, T, raw, seen_stratified,
+                                               seen_direct, request):
+    # at 1 < k < m a rank-k module counts its theta count less its submodules'
+    # full-rank counts, and O_K^m, in the direct count, sums its rank-k
+    # submodules; the enumerated references rank every matrix
+    field = request.getfixturevalue(name)
+    f = ball(1)
+    assert lhs_stratified_enumerated(field, n, m, k, T, f) == (raw, seen_stratified)
+    assert lhs_direct_enumerated(field, n, m, k, T, f) == (raw, seen_direct)
+    for method, seen in (("stratified", seen_stratified), ("direct", seen_direct)):
+        rep = lhs_count(field, n, m, k, T, f, method=method)
+        assert (rep.raw_sum, rep.matrices_seen) == (raw, seen)
+
+
+@pytest.mark.parametrize("name,n,m,T", [
+    ("QQ", 2, 1, 3), ("QQ", 3, 2, 3), ("QQ", 4, 3, 2),
+    ("Qi", 3, 2, Fraction(3, 2)), ("Qi", 4, 3, Fraction(3, 2)), ("Qs5", 4, 3, Fraction(3, 2)),
+])
+def test_ball_counts_rank_no_matrix(name, n, m, T, request, monkeypatch):
+    # every ball count, by either method and at every k, runs the theta
+    # recursion: nothing calls the rank filter, and Ball keeps no enumeration
+    field = request.getfixturevalue(name)
+    want = {(k, "direct"): lhs_direct_enumerated(field, n, m, k, T, ball(1))
+            for k in range(1, m + 1)}
+    want.update({(k, "stratified"): lhs_stratified_enumerated(field, n, m, k, T, ball(1))
+                 for k in range(1, m + 1)})
+
+    def refuse(*args):
+        raise AssertionError("a ball count ranked a matrix")
+
+    monkeypatch.setattr(counting, "ranks_over_K", refuse)
+    for (k, method), (raw, seen) in want.items():
+        rep = lhs_count(field, n, m, k, T, ball(1), method=method)
+        assert (rep.raw_sum, rep.matrices_seen) == (raw, seen)
+    assert not {"rank_k_sum", "module_sum"} & set(vars(Ball))
+
+
+def test_each_module_reaches_the_theta_tables_once(QQ, monkeypatch):
+    # the recursion memoizes each submodule's count by echelon key, so no
+    # module's theta count is built twice in one count
+    keys, build = [], counting._ball_tuple_counts
+    monkeypatch.setattr(counting, "_ball_tuple_counts",
+                        lambda mods, *args: keys.extend(P._key for P in mods) or build(mods, *args))
+    rep = lhs_count(QQ, 4, 3, 2, 3, ball(1), method="stratified")
+    assert rep.raw_sum == 178128
+    assert len(keys) == len(set(keys)) and {len(key) for key in keys} == {5, 9}
+
+
 def test_rank_m_count_reach(QQ):
     # the values the enumeration of Z^6 gives at T = 10, 5,260,181 matrices
     rep = lhs_count(QQ, 3, 2, 2, 10, ball(1), method="direct")
@@ -482,6 +540,9 @@ def test_rank_m_count_against_r2_convolution(QQ):
     for method in ("direct", "stratified"):
         rep = lhs_count(QQ, 3, 2, 2, 40, ball(1), method=method)
         assert (rep.raw_sum, rep.matrices_seen) == (points - 1 - 992560, points)
+    # the direct rank-one count, O_K^2 summing its lines, sees the same points
+    rep = lhs_count(QQ, 3, 2, 1, 40, ball(1), method="direct")
+    assert (rep.raw_sum, rep.matrices_seen) == (992560, points)
 
 
 # -- rank-one ball counts from the theta series of Lambda_D ---------------------------
@@ -591,14 +652,15 @@ def test_theta_count_on_the_sphere(QQ):
     # 0 and the 3 places x 2 signs of +-(3, 4), each with norms summing to X
     P = lambda_of(to_echelon(QQ, [[3, 4]]))
     assert zlattice._norm_bound(5, P.lattice.scale_sq, P.lattice.gram_den) == 25
-    assert ball(1).module_sum(0, P, 3, 1, Fraction(5), Fraction(5)) == (6, 7)
+    assert ball(1).modules_sum([P], 3, 1, Fraction(5), Fraction(5)) == (6, 7)
 
 
 def test_ball_sums_stay_exact(QQ):
-    # past 2^53 a float sum would lose the + 1
+    # the sums are Python ints: past 2^53 a float sum would lose the + 1
     P = next(iter(span_modules(okn_lattice(QQ, 2), 1, 1)))
-    raw, tuples = ball(1).module_sum(2 ** 60, P, 3, 1, Fraction(1), Fraction(1))
-    assert raw == 2 ** 60 + tuples - 1 and type(raw) is int
+    raw, tuples = ball(1).modules_sum([P], 3, 1, Fraction(1), Fraction(1))
+    assert type(raw) is int and type(tuples) is int
+    assert 2 ** 60 + raw == 2 ** 60 + tuples - 1
 
 
 def test_theta_count_on_python_ints(QQ, Qs5, monkeypatch):

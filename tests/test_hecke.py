@@ -393,6 +393,8 @@ class TestMomentRhs:
         assert err == 0.0
         assert moment_rhs_limit(QQ, 3, 2, ball(R), cutoff, mc_samples=20000,
                                 seed=2) == (value, per_k, err)
+        # so it draws no sample and needs none
+        assert moment_rhs_limit(QQ, 3, 2, ball(R), cutoff, mc_samples=0) == (value, per_k, err)
 
     def test_window_rejected(self, QQ):
         with pytest.raises(ValidationError):

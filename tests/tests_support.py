@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 
 from latrank import intmat, kernels
-from latrank.counting import Ball, TestFunction, _truncated_product
+from latrank.counting import Ball, _truncated_product
 from latrank.errors import NotIntegralError
 from latrank.exactval import PowerProduct
 from latrank.hecke import enumerate_subspaces, hecke_neighbor, sample_subspace
-from latrank.modules import lambda_of, span_modules
+from latrank.modules import enumerate_primitive_modules, lambda_of, span_modules
 from latrank.zlattice import (
     _int_norms,
     _norm_bound,
@@ -47,20 +47,41 @@ def brute_force_short(lat, radius_sq: Fraction):
     return out
 
 
-def lhs_stratified_enumerated(field, n, m, k, T, f):
-    """(raw_sum, matrices_seen) of the stratified count, every module by enumeration.
+class _EnumeratedBall(Ball):
+    """A ball whose rank-k sum counts the enumerated hits."""
 
-    Runs the base TestFunction.module_sum, which enumerates Lambda_D^n and
-    ranks every matrix, also for a Ball at k = 1, where the library counts
-    from the theta series of Lambda_D instead.
-    """
-    T = Fraction(T)
-    RT = f.support_cover(T, m)
+    def rank_k_sum(self, raw, lat, coords, hit, n, m, T):
+        # the points were enumerated in the ball's own radius, so f(A/T) = 1 on each
+        return raw + int(np.count_nonzero(hit))
+
+
+def _lhs_enumerated(modules, n, k, T, f, RT):
+    """(raw_sum, matrices_seen) over the modules, each by the base
+    TestFunction.module_sum, which enumerates Lambda_D^n and ranks every
+    matrix; a Ball, which the library counts from theta series, is counted
+    by its hits."""
+    if isinstance(f, Ball):
+        f = _EnumeratedBall(f.radius)
     raw = seen = 0
-    for P in span_modules(okn_lattice(field, m), k, RT):
-        raw, tuples = TestFunction.module_sum(f, raw, P, n, k, T, RT)
+    for P in modules:
+        raw, tuples = f.module_sum(raw, P, n, k, T, RT)
         seen += tuples
     return raw, seen
+
+
+def lhs_stratified_enumerated(field, n, m, k, T, f):
+    """(raw_sum, matrices_seen) of the stratified count, every module by enumeration."""
+    T = Fraction(T)
+    RT = f.support_cover(T, m)
+    return _lhs_enumerated(span_modules(okn_lattice(field, m), k, RT), n, k, T, f, RT)
+
+
+def lhs_direct_enumerated(field, n, m, k, T, f):
+    """(raw_sum, matrices_seen) of the direct count: every matrix of O_K^(nm)
+    in the ball enumerated and ranked."""
+    T = Fraction(T)
+    RT = f.support_cover(T, m)
+    return _lhs_enumerated(enumerate_primitive_modules(field, m, m, 1), n, k, T, f, RT)
 
 
 def ball_tuples(lat, n, radius) -> int:
