@@ -48,6 +48,7 @@ from .hecke import (
 )
 from .modules import (
     EchelonMatrix,
+    ModuleSet,
     PrimitiveModule,
     denominator,
     echelon_of_module,

@@ -20,7 +20,7 @@ import numpy as np
 from . import intmat, kernels
 from .errors import ValidationError
 from .exactval import PowerProduct
-from .modules import PrimitiveModule, _okm_form, enumerate_primitive_modules, span_modules
+from .modules import ModuleSet, PrimitiveModule, enumerate_primitive_modules, span_modules
 from .numfield import NumberField, ranks_over_K, unflatten_kvector
 from .zlattice import (
     ZLattice,
@@ -87,6 +87,17 @@ class TestFunction:
         """D(D)^(-n) * integral of f(x D), by Monte Carlo (`_mc_term`)."""
         return _mc_term(self, P, n, mc_samples, seed)
 
+    def module_terms(self, modules, n: int, mc_samples: int, entropy: tuple):
+        """(values, stderrs) of the terms of the modules, in their order:
+        term_value_detail on each, module i's Monte Carlo stream seeded from
+        the tuple (*entropy, i)."""
+        values, stderrs = [], []
+        for i, P in enumerate(modules):
+            tv = term_value_detail(P, n, self, mc_samples=mc_samples, seed=(*entropy, i))
+            values.append(tv.value)
+            stderrs.append(tv.stderr)
+        return values, stderrs
+
     def column_product(self, m: int, d: int) -> "TestFunction":
         """x -> prod_j f(column j of x) as a test function on n x m matrices."""
         raise ValueError("moment limits take ball or custom g")
@@ -147,10 +158,19 @@ class Ball(TestFunction):
         return raw, sum(thetas)
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
-        hn = float(P.height_sq) ** (-n / 2.0)
-        s = P.k * P.field.degree * n
-        val = hn * unit_ball_volume(s) * float(self.radius) ** s
+        (val,) = self._terms([float(P.height_sq)], P.k * P.field.degree, n)
         return TermValue(value=val, stderr=0.0, method="closed_form")
+
+    def module_terms(self, modules: ModuleSet, n: int, mc_samples: int, entropy: tuple):
+        """As TestFunction.module_terms, from the float H^2 of the module set."""
+        values = self._terms(modules.hsq.tolist(), modules.k * modules.field.degree, n)
+        return values, [0.0] * len(values)
+
+    def _terms(self, hsq: list, kd: int, n: int) -> list:
+        """The closed form H^(-n) V(s) R^s, s = k d n, for each float H^2 of hsq."""
+        s = kd * n
+        e, vol, rs = -n / 2.0, unit_ball_volume(s), float(self.radius) ** s
+        return [h ** e * vol * rs for h in hsq]
 
     def column_product(self, m: int, d: int) -> TestFunction:
         return product_of_balls(self.radius, m)
@@ -607,16 +627,11 @@ def _similarity_radius_sq(P: PrimitiveModule, radii):
     Column j of the embedded frame is a similarity exactly when
     G_j = c_j S G S^T, which is tested in integers with c_j = G_j[0, 0] /
     (S G S^T)[0, 0].  Every line over Q passes (k d = 1), and so does every
-    line over Q(i).
+    line over Q(i).  The G_j come from the module set that holds P, one
+    integer product per column for the whole set (modules._ColumnGrams).
     """
-    d, r = P.field.degree, len(P._hermite)
-    G = _okm_form(P._ambient)[0]
-    col_grams = []
-    for j in range(P.m):
-        blk = slice(j * d, (j + 1) * d)
-        S_j = [row[blk] for row in P._hermite]
-        col_grams.append(intmat.mat_mul(intmat.mat_mul(S_j, G[blk, blk].tolist()),
-                                        intmat.transpose(S_j)))
+    col_grams = P._column_grams[P._index]
+    r = len(col_grams[0])
     full = [[sum(g[a][b] for g in col_grams) for b in range(r)] for a in range(r)]
     f00 = full[0][0]
     best = None     # (num, den) of the least r_j^2 / c_j so far
@@ -637,7 +652,10 @@ def _mc_term(f: TestFunction, P: PrimitiveModule, n: int, mc_samples: int,
     """D(D)^(-n) * integral of f(x D), by Monte Carlo over the subspace measure.
 
     The estimator of every module term without a closed form, and a
-    cross-check of the closed forms of a product of balls.
+    cross-check of the closed forms of a product of balls.  seed is what
+    np.random.default_rng takes: a tuple of ints draws the stream of the
+    SeedSequence of that tuple, so a series passes each module's entropy
+    tuple and no SeedSequence is built for a closed-form term.
     """
     if mc_samples < 1:
         raise ValidationError(f"a term without a closed form is integrated by Monte Carlo "
@@ -692,18 +710,15 @@ def c1_estimate(field: NumberField, n: int, m: int, k: int, f: TestFunction,
     if mc_samples < 0:
         raise ValidationError(f"mc_samples (--mc-samples) must be >= 0, got {mc_samples}")
     modules = enumerate_primitive_modules(field, k, m, height_cutoff)
+    # independent deterministic stream per module, in canonical module order;
+    # exact integrals (mc_samples = 0) draw nothing
+    values, stderrs = f.module_terms(modules, n, mc_samples, (0 if seed is None else int(seed),))
     total = 0.0
     var = 0.0
-    terms = []
-    base_seed = 0 if seed is None else int(seed)
-    for idx, P in enumerate(modules):
-        # independent deterministic stream per module, in canonical module order;
-        # exact integrals (mc_samples = 0) draw nothing
-        seed_seq = np.random.SeedSequence((base_seed, idx)) if mc_samples else None
-        tv = term_value_detail(P, n, f, mc_samples=mc_samples, seed=seed_seq)
-        total += tv.value
-        var += tv.stderr ** 2
-        terms.append((P.height, P.denominator, tv.value))
+    for value, stderr in zip(values, stderrs):
+        total += value
+        var += stderr ** 2
+    terms = list(zip(modules.heights.tolist(), modules.denominators.tolist(), values))
     cutoff = float(height_cutoff)
     tail = _tail_estimate(terms, cutoff, m, n)
     return C1Estimate(n=n, m=m, k=k, cutoff=cutoff, partial_sum=total,
@@ -782,7 +797,7 @@ def koecher_identity_check(field: NumberField, n: int, m: int, cutoff):
         raise ValueError("the zeta comparison is stated over the rationals")
     modules = enumerate_primitive_modules(field, 1, m, cutoff)
     f = ball(1)
-    series = sum(term_value(P, n, f) for P in modules)
+    series = sum(f.module_terms(modules, n, 0, ())[0])
     _, nsq = _grid_norm_sq(m, float(cutoff))
     z_trunc = 0.5 * float((np.sqrt(nsq.astype(float)) ** (-float(n))).sum())
     zeta_side = unit_ball_volume(n) * z_trunc / zeta(n)

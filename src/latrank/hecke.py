@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import intmat, kernels
-from .counting import TestFunction, term_value_detail
+from .counting import TestFunction
 from .errors import InvariantError, ValidationError
 from .exactval import PowerProduct
 from .kernels import int_dtype, ranks_mod_p
@@ -435,12 +435,11 @@ def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,
     base_seed = 0 if seed is None else int(seed)
     for k in range(1, m + 1):
         modules = enumerate_primitive_modules(field, k, m, height_cutoff)
+        values, stderrs = f.module_terms(modules, n, mc_samples, (base_seed, k))
         acc = 0.0
-        for idx, P in enumerate(modules):
-            tv = term_value_detail(P, n, f, mc_samples=mc_samples,
-                                   seed=np.random.SeedSequence((base_seed, k, idx)))
-            acc += tv.value
-            stderr_sq += tv.stderr ** 2
+        for value, stderr in zip(values, stderrs):
+            acc += value
+            stderr_sq += stderr ** 2
         per_k.append(acc)
     return sum(per_k), per_k, math.sqrt(stderr_sq)
 

@@ -8,7 +8,10 @@ matrix comes from one batched integer Gauss-Jordan pass, `_echelon_keys`, as
 an integer key; one module data pass, `_modules`, takes Lambda_D and Den(D)
 of all keys of one shape from one batched Hermite form
 (intmat.saturation_basis) and H^2 from one batched reduction of their integer
-Grams, and a PrimitiveModule forms Fractions only when they are read.
+Grams, and returns them as one ModuleSet: columns of keys, Hermite bases,
+Grams, Den(D), exact H^2 and float heights.  The set orders, cuts and sums
+on those columns; a PrimitiveModule is built from them only when an entry is
+read, and forms Fractions only when its echelon or lattice is read.
 One search finds modules: `span_modules` takes Lambda_D for the K-spans of k
 independent short vectors of O_K^m, at every k through that pass.  The
 complete enumeration of primitive rank-k modules below a height bound runs
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,9 +43,11 @@ from .zlattice import (
     ZLattice,
     _check_ok_stable,
     _height_sq,
+    _height_sq_ratio,
     _int_norms,
     _reduced_gram,
     _scale_power,
+    _scaled_floats,
     is_primitive_in,
     okn_lattice,
     short_vectors,
@@ -163,22 +169,30 @@ def rank_factorize(field: NumberField, rows):
 class PrimitiveModule:
     """An echelon matrix together with its module Lambda_D, height and denominator.
 
-    The module data pass (_modules) gives it in integers: the echelon key of
-    D, the Hermite basis of Lambda_D in integral coordinates, its checked
-    Gram (gram_int rows, gram_den, det), H^2 and Den(D).  `echelon` and
-    `lattice`, which hold Fractions, are built from them the first time
-    something reads them, the lattice by the ZLattice constructor, which
-    takes the checked Gram.
+    Entry i of a ModuleSet, built the first time it is read: the echelon key
+    of D, the Hermite basis of Lambda_D in integral coordinates, its checked
+    Gram (gram_int rows, gram_den, det), the float H and Den(D).  H^2 as a
+    PowerProduct, and `echelon` and `lattice`, which hold Fractions, are
+    built from them the first time something reads them, the lattice by the
+    ZLattice constructor, which takes the checked Gram.
     """
 
-    def __init__(self, field: NumberField, k: int, m: int, key, hermite, gram,
-                 height_sq: PowerProduct, denominator: int, ambient: Ambient):
-        self.field, self.k, self.m = field, k, m
-        self.pivot_cols = key[:k]
-        self.height_sq = height_sq
-        self.height = math.sqrt(float(height_sq))
-        self.denominator = denominator
-        self._key, self._hermite, self._gram, self._ambient = key, hermite, gram, ambient
+    def __init__(self, modules: "ModuleSet", i: int):
+        self.field, self.k, self.m = modules.field, modules.k, modules.m
+        key = modules.keys[i]
+        S, gram_int, gram_den, det, dens, heights = modules._lists()
+        self.pivot_cols = key[:self.k]
+        self.height = heights[i]
+        self.denominator = dens[i]
+        self._key, self._ambient, self._scale = key, modules.ambient, modules.scale
+        self._hermite = S[i]
+        self._gram = gram_int[i], gram_den[i], det[i]
+        self._column_grams, self._index = modules.column_grams, i
+
+    @functools.cached_property
+    def height_sq(self) -> PowerProduct:
+        r = self.k * self.field.degree
+        return _height_sq(self._scale, r, self._gram[2], self._gram[1])
 
     @property
     def gram_int(self):
@@ -206,7 +220,115 @@ class PrimitiveModule:
 
     def _order(self):
         """A sort key that orders the modules of one k and m as (H, key()) does."""
-        return self.height, _Entries(self._key[self.k], self._key[self.k + 1:])
+        return self.height, _Entries.of(self._key, self.k)
+
+
+class ModuleSet(Sequence):
+    """The primitive modules of one module data pass (_modules), as columns.
+
+    All modules have k K-rows in K^m.  Per module i: keys[i], the echelon
+    key of D; S[i], the Hermite basis of Lambda_D in integral coordinates;
+    gram_int[i], gram_den[i] and det[i], its checked Gram, whose integers
+    det[i] and gram_den[i] give H^2 exactly over the one scale =
+    _scale_power(scale_sq, k d) of the set (zlattice._height_sq_ratio);
+    denominators[i], Den(D); hsq[i], the float of H^2 as
+    PowerProduct.__float__ gives it, and heights[i] = sqrt(hsq[i]), the float
+    H.  A sequence of PrimitiveModule: entry i is built from these columns
+    the first time it is read, and kept.
+    """
+
+    def __init__(self, field: NumberField, k: int, ambient: Ambient, keys: list,
+                 S, gram_int, gram_den, det, denominators, hsq, heights):
+        self.field, self.k, self.ambient = field, k, ambient
+        self.m = ambient.dim // field.degree
+        self.scale = _scale_power(ambient.scale_sq, k * field.degree)
+        self.keys, self.S, self.gram_int = keys, S, gram_int
+        self.gram_den, self.det = gram_den, det
+        self.denominators, self.hsq, self.heights = denominators, hsq, heights
+        self.column_grams = _ColumnGrams(self)
+        self._built = [None] * len(keys)
+        self._columns_as_lists = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._take(np.arange(len(self))[i])
+        P = self._built[i]
+        return P if P is not None else self._build(range(len(self))[i])
+
+    def __iter__(self):
+        for i, P in enumerate(self._built):
+            yield P if P is not None else self._build(i)
+
+    def _build(self, i: int) -> PrimitiveModule:
+        P = self._built[i] = PrimitiveModule(self, i)
+        return P
+
+    def height_sq_at(self, i: int) -> PowerProduct:
+        """H^2 of module i, exactly, without building the entry."""
+        return _height_sq(self.scale, self.k * self.field.degree, int(self.det[i]),
+                          int(self.gram_den[i]))
+
+    def _lists(self) -> tuple:
+        """The columns a PrimitiveModule reads, in Python ints and floats,
+        converted together the first time an entry is built."""
+        if self._columns_as_lists is None:
+            self._columns_as_lists = tuple(a.tolist() for a in (
+                self.S, self.gram_int, self.gram_den, self.det, self.denominators, self.heights))
+        return self._columns_as_lists
+
+    def _take(self, idx: np.ndarray) -> "ModuleSet":
+        """The modules idx, in that order."""
+        return ModuleSet(self.field, self.k, self.ambient, [self.keys[i] for i in idx.tolist()],
+                         *(a[idx] for a in (self.S, self.gram_int, self.gram_den, self.det,
+                                            self.denominators, self.hsq, self.heights)))
+
+    def _sorted(self) -> "ModuleSet":
+        """The modules in (H, key()) order.
+
+        One stable argsort of the float heights; within each run of equal
+        heights, the echelon entries (_Entries) decide, as in
+        PrimitiveModule._order.
+        """
+        order = np.argsort(self.heights, kind="stable")
+        h = self.heights[order]
+        ties = h[1:] == h[:-1]
+        if ties.any():
+            # a run of equal heights h[a..b] flips ties to True at a and back at b
+            edges = np.flatnonzero(np.diff(np.concatenate(([False], ties, [False]))))
+            order = order.tolist()
+            for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
+                order[a:b + 1] = sorted(order[a:b + 1],
+                                        key=lambda i: _Entries.of(self.keys[i], self.k))
+            order = np.array(order, dtype=np.intp)
+        return self._take(order)
+
+
+class _ColumnGrams:
+    """Per module of a set, the m column Grams S_j G_jj S_j^T (see _okm_form)
+    as nested lists, G_jj the d x d block of column j: one integer product
+    per column for the whole set, on S's dtype, which holds S G S^T, formed
+    the first time one is read.  Entries hold this and not their set, so no
+    reference cycle outlives a call.
+    """
+
+    __slots__ = ("S", "ambient", "degree", "_grams")
+
+    def __init__(self, modules: ModuleSet):
+        self.S, self.ambient, self.degree = modules.S, modules.ambient, modules.field.degree
+        self._grams = None
+
+    def __getitem__(self, i: int) -> list:
+        if self._grams is None:
+            d, (B, r, width) = self.degree, self.S.shape
+            G = _okm_form(self.ambient)[0].astype(self.S.dtype)
+            S = self.S.reshape(B, r, width // d, d)
+            blocks = [G[c:c + d, c:c + d] for c in range(0, width, d)]
+            self._grams = np.stack([S[:, :, j] @ G_jj @ S[:, :, j].transpose(0, 2, 1)
+                                    for j, G_jj in enumerate(blocks)], axis=1).tolist()
+        return self._grams[i]
 
 
 class _Entries:
@@ -221,6 +343,11 @@ class _Entries:
 
     def __init__(self, den: int, rows):
         self.den, self.rows = den, rows
+
+    @classmethod
+    def of(cls, key, k: int) -> "_Entries":
+        """The entries of an echelon key with k K-rows."""
+        return cls(key[k], key[k + 1:])
 
     def __lt__(self, other: "_Entries") -> bool:
         for x, y in zip(self.rows, other.rows):
@@ -298,7 +425,7 @@ def _span_matrices(field: NumberField, k: int, keys):
     return den // g, out // g[:, None, None]
 
 
-def _modules(field: NumberField, k: int, keys, ambient: Ambient) -> list[PrimitiveModule]:
+def _modules(field: NumberField, k: int, keys, ambient: Ambient) -> ModuleSet:
     """Lambda_D, Den(D) and H^2 of a batch of echelon keys with k K-rows, in integers.
 
     q * A (see _span_matrices) is the numerator of the rational RREF of the
@@ -307,24 +434,28 @@ def _modules(field: NumberField, k: int, keys, ambient: Ambient) -> list[Primiti
     Hermite basis S of Lambda_D and its index Den(D) in that span for every
     key.  The Grams S G S^T (see _okm_form) are one integer product for the
     batch, and one _reduced_gram checks, scales and reduces them all, as the
-    ZLattice constructor does for one; their determinants give H^2.
+    ZLattice constructor does for one; their determinants give H^2 and its
+    floats.  Returns the modules as one ModuleSet, in the order of keys.
     """
+    d = field.degree
+    r, width = k * d, ambient.dim
     if not keys:
-        return []
-    m = ambient.dim // field.degree
+        none = np.zeros(0, dtype=np.int64)
+        return ModuleSet(field, k, ambient, [], none.reshape(0, r, width),
+                         none.reshape(0, r, r), none, none, none, np.zeros(0), np.zeros(0))
     S, dens = intmat.saturation_basis(*_span_matrices(field, k, keys))
     G, total = _okm_form(ambient)
     max_s = int(np.max(np.abs(S)))
-    dtype = kernels.int_dtype(max(max_s * max_s * int(np.max(np.abs(G))) * ambient.dim ** 2,
-                                  total))
+    dtype = kernels.int_dtype(max(max_s * max_s * int(np.max(np.abs(G))) * width ** 2, total))
     S = S.astype(dtype)
     gram_int, gram_den, det = _reduced_gram(S @ G.astype(dtype) @ S.transpose(0, 2, 1), total)
-    r = k * field.degree
     scale = _scale_power(ambient.scale_sq, r)
-    return [PrimitiveModule(field, k, m, key, sat, (gi, gd, dt), _height_sq(scale, r, dt, gd),
-                            den, ambient)
-            for key, sat, gi, gd, dt, den in zip(keys, S.tolist(), gram_int.tolist(),
-                                                 gram_den.tolist(), det.tolist(), dens.tolist())]
+    coeff = scale.coeff
+    bound = max(coeff.numerator * int(np.max(det)), coeff.denominator * int(np.max(gram_den)) ** r)
+    hdtype = kernels.int_dtype(bound)
+    num, den = _height_sq_ratio(scale, r, det.astype(hdtype), gram_den.astype(hdtype))
+    hsq = _scaled_floats(num, den, scale, bound)
+    return ModuleSet(field, k, ambient, keys, S, gram_int, gram_den, det, dens, hsq, np.sqrt(hsq))
 
 
 def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModule:
@@ -374,14 +505,23 @@ def _minkowski_constant(r: int) -> float:
     return c
 
 
+# the float H^2 of a module is within (1 + 3 E) units of roundoff of the exact
+# value, E the number of exponents of its scale (one correctly rounded
+# quotient, then per exponent a libm pow within one ulp and a product), and
+# the float of a rational bound within one: far inside this relative window
+_CUT_WINDOW = 2.0 ** -40
+
+
 def enumerate_primitive_modules(field: NumberField, k: int, m: int,
-                                height_bound) -> list[PrimitiveModule]:
-    """All primitive rank-k O_K-modules in O_K^m with H <= height_bound.
+                                height_bound) -> ModuleSet:
+    """All primitive rank-k O_K-modules in O_K^m with H <= height_bound, in (H, key) order.
 
     Search: every qualifying module has successive K-minima whose norms are
     bounded via Minkowski's second theorem, so the spans of k-tuples of short
     vectors (`span_modules`) exhaust the candidates.  The bound
-    over-enumerates on purpose; completeness is what is tested.
+    over-enumerates on purpose; completeness is what is tested.  The cut
+    H^2 <= height_bound^2 is proposed by the float H^2 of the set and decided
+    by the exact PowerProduct comparison within _CUT_WINDOW of the bound.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
@@ -403,14 +543,18 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int,
     # minimum is at least the shortest vector of O_K^m, so each ||l_i|| obeys:
     c6 = _minkowski_constant(kd)
     per_vec = (c6 * float(bound) / nu ** (d * (k - 1))) ** (1.0 / d)
-    bound_sq = PowerProduct.coerce(bound ** 2)
     spans = span_modules(okm, k, per_vec * (1 + 1e-9),
                          prod_bound=c6 * float(bound) * (1 + 1e-6))
-    return [P for P in spans if P.height_sq <= bound_sq]
+    bound_sq = bound ** 2
+    b = float(bound_sq)
+    keep = spans.hsq <= b
+    for i in np.flatnonzero(np.abs(spans.hsq - b) <= _CUT_WINDOW * b).tolist():
+        keep[i] = spans.height_sq_at(i) <= bound_sq
+    return spans._take(np.flatnonzero(keep))
 
 
 def span_modules(okm: ZLattice, k: int, radius,
-                 prod_bound: float = math.inf) -> list[PrimitiveModule]:
+                 prod_bound: float = math.inf) -> ModuleSet:
     """Lambda_D for every K-span of k independent vectors of okm = O_K^m with norm <= radius.
 
     The k-tuples of candidates, in itertools.combinations order, go through
@@ -418,8 +562,8 @@ def span_modules(okm: ZLattice, k: int, radius,
     of norms^d exceeds prod_bound (in floats) is dropped before its span is
     formed.  For k d = rank the first block with a span ends the search, as
     k independent vectors span all of K^m.  The distinct echelon keys go
-    through the module data pass (_modules) once; the result is sorted by
-    (H, key).
+    through the module data pass (_modules) once; the result is the
+    ModuleSet in (H, key) order.
     """
     field = okm.ambient.field
     d = field.degree
@@ -436,7 +580,7 @@ def span_modules(okm: ZLattice, k: int, radius,
         found.update(dict.fromkeys(new))
         if new and k * d == okm.rank:
             break
-    return sorted(_modules(field, k, list(found), okm.ambient), key=PrimitiveModule._order)
+    return _modules(field, k, list(found), okm.ambient)._sorted()
 
 
 def _candidates(okm: ZLattice, vecs: np.ndarray):
@@ -445,11 +589,11 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
     vecs holds the lexicographically sorted points of a ball in O_K^m, so of
     v and -v the first is the one whose first nonzero entry is negative, and
     only that one is kept.  zlattice._int_norms gives the integer squared
-    norms; a norm's float is that of the exact PowerProduct, as int / int
-    division rounds correctly.  One integer product gives the d rows of
-    Phi(v) (numfield._regular_rows) scaled by the lcm of the denominators of
-    okm's basis, which is what _echelons takes.  Both arrays are sorted by
-    (norm, coordinates).
+    norms q; a norm's float is that of the exact PowerProduct scale_sq q /
+    gram_den (zlattice._scaled_floats).  One integer product gives the d
+    rows of Phi(v) (numfield._regular_rows) scaled by the lcm of the
+    denominators of okm's basis, which is what _echelon_keys takes.  Both
+    arrays are sorted by (norm, coordinates), in one lexsort.
     """
     field = okm.ambient.field
     d = field.degree
@@ -461,18 +605,15 @@ def _candidates(okm: ZLattice, vecs: np.ndarray):
     max_v = int(np.max(np.abs(vecs))) if vecs.size else 0
     dtype = kernels.int_dtype(r * int(np.max(np.abs(phi))) * max_v)
     rows = (vecs.astype(dtype) @ phi.astype(dtype)).reshape(len(vecs), d, phi.shape[1] // d)
-    sq_int = _int_norms(vecs, okm.gram_int).tolist()
+    q = _int_norms(vecs, okm.gram_int)
     scale = okm.scale_sq
     num, den = scale.coeff.numerator, scale.coeff.denominator * okm.gram_den
-    norms = []
-    for q in sq_int:
-        key = (q * num) / den
-        for p, e in scale.exps:
-            key *= math.pow(p, float(e))
-        norms.append(key)
-    coords = vecs.tolist()
-    order = sorted(range(len(norms)), key=lambda i: (norms[i], coords[i]))
-    return np.array(norms, dtype=float)[order], rows[order]
+    max_q = num * (int(np.max(q)) if q.size else 0)
+    if num != 1:
+        q = q.astype(kernels.int_dtype(max_q)) * num
+    norms = _scaled_floats(q, den, scale, max(max_q, den))
+    order = np.lexsort((*vecs.T[::-1], norms))
+    return norms[order], rows[order]
 
 
 def schmidt_count(field: NumberField, k: int, m: int, T) -> int:

@@ -125,11 +125,39 @@ def _reduced_gram(g: np.ndarray, total: int):
     return gram_int, total // c, minors[:, -1]
 
 
+def _height_sq_ratio(scale_r: PowerProduct, r: int, det, gram_den):
+    """(num, den) of H^2 of a rank-r lattice whose Gram has determinant
+    det / gram_den^r: H^2 has scale_r's exponents and the coefficient
+    num / den, scale_r = _scale_power(scale_sq, r) of its space.  det and
+    gram_den are integers, or integer arrays in a dtype that holds the result.
+    """
+    coeff = scale_r.coeff
+    return coeff.numerator * det, coeff.denominator * gram_den ** r
+
+
 def _height_sq(scale_r: PowerProduct, r: int, det: int, gram_den: int) -> PowerProduct:
     """H^2 of a rank-r lattice whose Gram has determinant det / gram_den^r,
     with scale_r = _scale_power(scale_sq, r) of its space."""
-    coeff = scale_r.coeff
-    return scale_r._rescaled(Fraction(coeff.numerator * det, coeff.denominator * gram_den ** r))
+    return scale_r._rescaled(Fraction(*_height_sq_ratio(scale_r, r, det, gram_den)))
+
+
+def _scaled_floats(num: np.ndarray, den, scale: PowerProduct, bound: int) -> np.ndarray:
+    """The floats of num / den * prod(p ** e) over scale's exponents, for an
+    integer array num and an integer or integer array den, both at most
+    bound in size, as PowerProduct.__float__ gives the float of that value.
+
+    The quotient is rounded once, correctly, as Python's int / int rounds
+    it: in float64 when both sides are exact floats (bound <= 2^53), in
+    Python ints otherwise; then one product per exponent, in its order.
+    """
+    num, den = np.asarray(num), np.asarray(den)
+    if bound <= 2 ** 53:
+        v = num.astype(float) / den.astype(float)
+    else:
+        v = np.asarray(num.astype(object) / den.astype(object), dtype=float)
+    for p, e in scale.exps:
+        v = v * math.pow(p, float(e))
+    return v
 
 
 class ZLattice:

@@ -40,7 +40,9 @@ from tests_support import (
     lhs_direct_enumerated,
     lhs_k1_oracle_Q,
     lhs_stratified_enumerated,
+    modules_reference,
     pivot_product_integral,
+    similarity_radius_sq_loop,
     term_value_detail_loop,
 )
 
@@ -235,6 +237,29 @@ class TestC1Estimate:
         est = c1_estimate(QQ, 3, 2, 2, ball(1), 100)
         assert est.term_count == 1
         assert abs(est.partial_sum - unit_ball_volume(6)) < 1e-12
+
+    @pytest.mark.parametrize("name,n,k,m,H,radius", [
+        ("QQ", 3, 1, 2, 80, 1), ("QQ", 4, 1, 2, 30, Fraction(3, 2)), ("Qi", 3, 1, 2, 20, 1),
+        ("Qs5", 3, 1, 2, 6, Fraction(6, 5)), ("Qzeta8", 3, 1, 2, 3, 1),
+        ("QQ", 4, 2, 3, 6, 1), ("Qi", 4, 2, 3, 4, 1), ("QQ", 3, 2, 2, 5, 1)])
+    def test_ball_terms_match_object_reference(self, name, n, k, m, H, radius, request):
+        # the ball terms from the module set's float H^2, summed in module
+        # order, against term_value_detail on each module of the per-object
+        # path, bit for bit
+        field = request.getfixturevalue(name)
+        f = ball(radius)
+        est = c1_estimate(field, n, m, k, f, H)
+        total, terms = 0.0, []
+        for P in modules_reference(field, k, m, H):
+            value = term_value_detail(P, n, f).value
+            total += value
+            terms.append((P.height, P.denominator, value))
+        assert est.partial_sum == total and est.terms == terms and est.mc_stderr == 0.0
+
+    @pytest.mark.parametrize("n,m,cutoff", [(3, 2, 40), (4, 2, 60), (5, 3, 8)])
+    def test_koecher_series_matches_object_reference(self, QQ, n, m, cutoff):
+        series = koecher_identity_check(QQ, n, m, cutoff)[0]
+        assert series == sum(term_value(P, n, ball(1)) for P in modules_reference(QQ, 1, m, cutoff))
 
 
 class TestZeta:
@@ -801,6 +826,19 @@ def test_similarity_radius_is_exact(QQ, Qs5):
     assert counting._similarity_radius_sq(P, radii) is None
     P = lambda_of(to_echelon(QQ, [[1, 0, 1], [0, 1, 2]]))
     assert counting._similarity_radius_sq(P, radii + (Fraction(1),)) is None
+
+
+@pytest.mark.parametrize("name,k,m,cutoff", [("QQ", 1, 2, 12), ("QQ", 1, 3, 4), ("QQ", 2, 3, 4),
+                                             ("Qi", 1, 2, 5), ("Qi", 2, 3, 2), ("Qs5", 1, 2, 6),
+                                             ("Qzeta8", 1, 2, 2), ("Qi", 2, 2, 1)])
+def test_similarity_radius_matches_per_column_products(request, name, k, m, cutoff):
+    # the column Grams of the whole module set from one product per column,
+    # against two intmat.mat_mul calls per column and module; Q(sqrt 5) has
+    # lines of both kinds, planes have none that is a similarity
+    mods = enumerate_primitive_modules(request.getfixturevalue(name), k, m, cutoff)
+    radii = (Fraction(6, 5), Fraction(1), Fraction(7, 5))[:m]
+    got = [counting._similarity_radius_sq(P, radii) for P in mods]
+    assert got and got == [similarity_radius_sq_loop(P, radii) for P in mods]
 
 
 @pytest.mark.parametrize("name,k,m,cutoff", [("QQ", 1, 2, 5), ("QQ", 1, 3, 2), ("Qi", 1, 2, 3),

@@ -54,6 +54,7 @@ from tests_support import (
     matrices_with_rows,
     matrix_module_index,
     max_minor_gcd,
+    modules_reference,
     rref_loop,
     span_modules_loop,
     _w_blocks,
@@ -650,6 +651,77 @@ def test_module_dump_golden(name, k, m, H, request):
     field = request.getfixturevalue(name)
     dump = dump_module_lines(enumerate_primitive_modules(field, k, m, H))
     assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_DUMPS[name, k, m, H]
+
+
+# -- module sets: the columns against one object per key ---------------------------
+
+MODULE_SET_CASES = [("QQ", 1, 2, 30), ("Qi", 1, 2, 8), ("Qs5", 1, 2, 6), ("Qzeta8", 1, 2, 3),
+                    ("QQ", 2, 3, 6), ("Qi", 2, 3, 4), ("Qi", 2, 2, 1)]
+
+
+def _module_rows(mods):
+    return [(P.key(), P.height_sq, P.denominator, P.height) for P in mods]
+
+
+@pytest.mark.parametrize("name,k,m,H", MODULE_SET_CASES)
+def test_module_set_matches_object_reference(name, k, m, H, request):
+    # the set's order, height cut and float heights against one object per
+    # key sorted on PrimitiveModule._order and cut by PowerProduct comparison
+    field = request.getfixturevalue(name)
+    got = enumerate_primitive_modules(field, k, m, H)
+    want = modules_reference(field, k, m, H)
+    assert isinstance(got, modules.ModuleSet) and len(got) == len(want) > 0
+    assert _module_rows(got) == _module_rows(want)
+    assert got.hsq.tolist() == [float(P.height_sq) for P in want]
+    assert got.heights.tolist() == [P.height for P in want]
+
+
+def test_height_cut_keeps_an_attained_bound(QQ):
+    # the line through (3, 4) has H = 5 exactly: cutoff 5 keeps it and the
+    # exact comparison decides it; cutoff 49/10 drops it
+    line = to_echelon(QQ, [[3, 4]]).key()
+    calls = []
+    height_sq_at = modules.ModuleSet.height_sq_at
+
+    def spy(self, i):
+        calls.append(i)
+        return height_sq_at(self, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules.ModuleSet, "height_sq_at", spy)
+        kept = enumerate_primitive_modules(QQ, 1, 2, 5)
+    assert calls and line in [P.key() for P in kept]
+    dropped = enumerate_primitive_modules(QQ, 1, 2, Fraction(49, 10))
+    assert line not in [P.key() for P in dropped]
+    for bound, got in ((5, kept), (Fraction(49, 10), dropped)):
+        assert _module_rows(got) == _module_rows(modules_reference(QQ, 1, 2, bound))
+
+
+@pytest.mark.parametrize("H", [4, 6])
+def test_height_cut_at_an_irrational_height(Qs5, H):
+    # Q(sqrt 5) has the irrational scale 5^(-1/2): with the float of an
+    # attained irrational H as the cutoff, which differs from H, the exact
+    # comparison decides each module of that height
+    mods = enumerate_primitive_modules(Qs5, 1, 2, H)
+    P = [P for P in mods if Fraction(P.height) ** 2 != P.height_sq][-1]
+    bound = Fraction(P.height)
+    got = enumerate_primitive_modules(Qs5, 1, 2, bound)
+    assert (P.key() in [Q.key() for Q in got]) == (P.height_sq <= bound ** 2)
+    assert _module_rows(got) == _module_rows(modules_reference(Qs5, 1, 2, bound))
+
+
+def test_module_set_is_a_sequence(QQ):
+    # entries are built once and kept; a slice is a module set of the same entries
+    mods = enumerate_primitive_modules(QQ, 1, 2, 6)
+    assert mods[0] is mods[0] and mods[-1] is mods[len(mods) - 1]
+    assert list(mods) == [mods[i] for i in range(len(mods))]
+    part = mods[2:9:3]
+    assert isinstance(part, modules.ModuleSet) and len(part) == 3
+    assert _module_rows(part) == _module_rows(list(mods)[2:9:3])
+    with pytest.raises(IndexError):
+        mods[len(mods)]
+    empty = span_modules(okn_lattice(QQ, 2), 1, Fraction(1, 2))
+    assert len(empty) == 0 and list(empty) == [] and dump_module_lines(empty) == ""
 
 
 # -- the module search: one integer echelon pass per block of k-tuples ----------

@@ -714,6 +714,50 @@ def span_modules_loop(okm, k, radius, prod_bound=math.inf):
     return sorted(found.values(), key=lambda P: (P.height, P.key()))
 
 
+class ModuleObject:
+    """One module of the per-object path: the integer data of one echelon key
+    from the module data pass, H^2 a PowerProduct from zlattice._height_sq
+    and H the square root of its float, as each PrimitiveModule held them
+    before module sets; ordered by PrimitiveModule._order."""
+
+    def __init__(self, P):
+        from latrank.zlattice import _height_sq, _scale_power
+
+        self.field, self.k, self.m = P.field, P.k, P.m
+        self.echelon, self.denominator, self._key = P.echelon, P.denominator, P._key
+        r = P.k * P.field.degree
+        self.height_sq = _height_sq(_scale_power(P._ambient.scale_sq, r), r, P._gram[2],
+                                    P.gram_den)
+        self.height = math.sqrt(float(self.height_sq))
+
+    def key(self):
+        return self.echelon.key()
+
+
+def modules_reference(field, k, m, height_bound):
+    """modules.enumerate_primitive_modules by the per-object path: the keys of
+    its search, one ModuleObject per key, sorted by PrimitiveModule._order
+    and cut by PowerProduct comparison."""
+    from latrank.modules import PrimitiveModule, _minkowski_constant
+    from latrank.zlattice import shortest_nonzero_sqnorm
+
+    bound = Fraction(height_bound)
+    if k == m:
+        found = enumerate_primitive_modules(field, m, m, bound)
+    else:
+        # the search radii of enumerate_primitive_modules
+        okm = okn_lattice(field, m)
+        d = field.degree
+        nu = math.sqrt(float(shortest_nonzero_sqnorm(okm)))
+        c6 = _minkowski_constant(k * d)
+        per_vec = (c6 * float(bound) / nu ** (d * (k - 1))) ** (1.0 / d)
+        found = span_modules(okm, k, per_vec * (1 + 1e-9),
+                             prod_bound=c6 * float(bound) * (1 + 1e-6))
+    bound_sq = PowerProduct.coerce(bound ** 2)
+    return [P for P in sorted(map(ModuleObject, found), key=PrimitiveModule._order)
+            if k == m or P.height_sq <= bound_sq]
+
+
 def denominator_loop(D) -> int:
     """Den(D) from a second Smith form, of the rows theta^a * D_i mapped through
     the integral-basis blocks: B = Wk * t_rows * Wm^-1."""
@@ -758,6 +802,30 @@ def pp_le_loop(x: PowerProduct, y: PowerProduct) -> bool:
     for _, e in ratio.exps:
         lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
     return pp_pow_loop(ratio, lcm).as_fraction() <= 1
+
+
+def similarity_radius_sq_loop(P, radii):
+    """counting._similarity_radius_sq with each column Gram S_j G_jj S_j^T
+    formed by two intmat.mat_mul calls on the module's own Hermite rows."""
+    from latrank.modules import _okm_form
+
+    d, r = P.field.degree, len(P._hermite)
+    G = _okm_form(P._ambient)[0]
+    col_grams = []
+    for j in range(P.m):
+        blk = slice(j * d, (j + 1) * d)
+        S_j = [row[blk] for row in P._hermite]
+        col_grams.append(intmat.mat_mul(intmat.mat_mul(S_j, G[blk, blk].tolist()),
+                                        intmat.transpose(S_j)))
+    full = [[sum(g[a][b] for g in col_grams) for b in range(r)] for a in range(r)]
+    ratios = []
+    for g, rad in zip(col_grams, radii):
+        if any(x * full[0][0] != g[0][0] * y for g_row, f_row in zip(g, full)
+               for x, y in zip(g_row, f_row)):
+            return None
+        if g[0][0]:
+            ratios.append(rad ** 2 * Fraction(full[0][0], g[0][0]))
+    return min(ratios)
 
 
 def term_value_detail_loop(P, n, f, mc_samples, seed=None):
