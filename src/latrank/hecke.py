@@ -7,9 +7,10 @@ rank-stratified sum over integral matrices exactly at every finite prime, and
 converges to the echelon-matrix series as N(P) grows.
 
 Lattice sums never build a neighbor: one enumeration of O_K^n per prime,
-reduced mod P and grouped by residue class, gives the sum over every
-neighbor at once, since x lies in the neighbor of S exactly when x mod P
-lies in S.
+reduced mod P and grouped by the line each residue spans, gives the sum over
+every neighbor at once, since x lies in the neighbor of S exactly when
+x mod P lies in S.  The rank-stratified side counts tuples of reduced
+columns by the flats mod P they span, and forms no tuple.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import intmat, kernels
+from . import intmat
 from .counting import TestFunction
 from .errors import InvariantError, ValidationError
 from .exactval import PowerProduct
-from .kernels import int_dtype, ranks_mod_p
+from .kernels import echelon_mod_p, int_dtype, ranks_mod_p
 from .modules import enumerate_primitive_modules
 from .numfield import NumberField, PrimeIdealData, rank_over_K
 from .zlattice import ZLattice, okn_lattice
@@ -39,10 +40,10 @@ EXACT_SUBSPACE_CAP = 5000
 # Subspaces drawn per prime by convergence_table's "sampled" and "auto" modes.
 DEFAULT_SAMPLE_COUNT = 2000
 
-# Largest number of (subspace, residue class) membership tests one batched
-# pass holds; the subspaces are tested in consecutive chunks of
-# _PAIR_BLOCK // (number of classes), so a pass's memory stays bounded at
-# every prime (the convention of kernels._BLOCK).
+# Largest number of (subspace, line) membership tests, or of (flat, line)
+# pairs, that one batched pass holds; the subspaces are tested in consecutive
+# chunks of _PAIR_BLOCK // (number of lines), so a pass's memory stays
+# bounded at every prime (the convention of kernels._BLOCK).
 _PAIR_BLOCK = 1 << 18
 
 
@@ -274,6 +275,29 @@ def hecke_neighbor(field: NumberField, P: PrimeIdealData, S: FiniteSubspace,
     return hl
 
 
+def _lines(red: np.ndarray, p: int):
+    """The lines mod p that the nonzero rows of red (N, n), entries in [0, p), span.
+
+    Each nonzero row is scaled by the inverse of its leading entry
+    (kernels.echelon_mod_p on rows of one).  Returns (lines, line_of,
+    counts, zero): the distinct scaled rows (L, n) in np.unique order, the
+    line of each nonzero row, the number of rows on each line, and the
+    mask of the zero rows.
+    """
+    zero = ~red.any(axis=1)
+    lines, line_of, counts = np.unique(echelon_mod_p(red[~zero, None, :], p)[:, 0], axis=0,
+                                       return_inverse=True, return_counts=True)
+    return lines, line_of.reshape(-1), counts, zero
+
+
+def _line_incidence(rows: np.ndarray, lines: np.ndarray, p: int) -> np.ndarray:
+    """(B, L) bool: which of the lines (L, n) lie in the subspace with echelon rows rows[b]."""
+    n = rows.shape[2]
+    dtype = int_dtype(n * p * p)
+    checks = _check_matrices(rows, p).astype(dtype)
+    return (checks @ lines.T.astype(dtype) % p == 0).all(axis=1)
+
+
 def _neighbor_sums(field: NumberField, P: PrimeIdealData, rows: np.ndarray, g: TestFunction,
                    include_zero: bool, check_incidence: bool = False) -> list:
     """Sum of g over each rescaled (P, s)-neighbor of O_K^n, one per echelon basis in rows.
@@ -281,14 +305,16 @@ def _neighbor_sums(field: NumberField, P: PrimeIdealData, rows: np.ndarray, g: T
     rows is a (B, s, n) integer array.  The neighbor of S is
     L_S = {x in O_K^n : x mod P in S}, so one enumeration of O_K^n at g's
     support radius times T_P serves all of them: the points are reduced mod
-    P and grouped by residue class, and each class is tested against the
-    check matrix of each S, in chunks of _PAIR_BLOCK tests.  Ball
-    indicators give exact int counts; custom g sums its values on the
-    embedded points divided by T_P, as floats.
+    P and grouped by the line their residue spans (_lines).  A nonzero
+    residue lies in S exactly when its line does, and the zero residue lies
+    in every S, so each line is tested against the check matrix of each S,
+    in chunks of _PAIR_BLOCK tests.  Ball indicators give exact int counts;
+    custom g sums its values on the embedded points divided by T_P, as
+    floats.
 
     With check_incidence, rows must be the whole Grassmannian, and the
     points counted over all neighbors must match the incidence count: the
-    zero class lies in every S and any other class in the
+    zero residue lies in every S and any other residue in the
     gaussian_binomial(s - 1, n - 1, p) subspaces that contain it.
     """
     p = P.p
@@ -299,26 +325,22 @@ def _neighbor_sums(field: NumberField, P: PrimeIdealData, rows: np.ndarray, g: T
         nonzero = (coords != 0).any(axis=1)
         coords = coords[nonzero]
         values = None if values is None else values[nonzero]
-    classes, inverse, counts = np.unique(_residues(field, P, coords), axis=0,
-                                         return_inverse=True, return_counts=True)
-    dtype = int_dtype(n * p * p)
-    classes_t = classes.T.astype(dtype)
+    lines, line_of, counts, zero = _lines(_residues(field, P, coords), p)
+    zero_count = int(zero.sum())
     hits = np.zeros(len(rows), dtype=np.int64)
     sums = np.zeros(len(rows)) if values is not None else hits
     if values is not None:
-        class_values = np.bincount(inverse.reshape(-1), weights=values,
-                                   minlength=len(classes))
-    step = max(1, _PAIR_BLOCK // max(1, len(classes)))
+        line_values = np.bincount(line_of, weights=values[~zero], minlength=len(lines))
+        zero_value = float(values[zero].sum())
+    step = max(1, _PAIR_BLOCK // max(1, len(lines)))
     for start in range(0, len(rows), step):
-        checks = _check_matrices(rows[start:start + step], p).astype(dtype)
-        inside = (checks @ classes_t % p == 0).all(axis=1)       # (chunk, classes)
-        hits[start:start + step] = inside @ counts
+        inside = _line_incidence(rows[start:start + step], lines, p)   # (chunk, lines)
+        hits[start:start + step] = inside @ counts + zero_count
         if values is not None:
-            sums[start:start + step] = inside @ class_values
+            sums[start:start + step] = inside @ line_values + zero_value
     if check_incidence:
-        zero_class = int(counts[~classes.any(axis=1)].sum())
-        want = (gaussian_binomial(s, n, p) * zero_class
-                + gaussian_binomial(s - 1, n - 1, p) * (len(coords) - zero_class))
+        want = (gaussian_binomial(s, n, p) * zero_count
+                + gaussian_binomial(s - 1, n - 1, p) * (len(coords) - zero_count))
         got = int(hits.sum())
         if got != want:
             raise InvariantError(
@@ -394,21 +416,97 @@ def moment_stratified(field: NumberField, P: PrimeIdealData, n: int, s: int, m: 
     Sums, over integral n x m matrices x with every column inside the support
     of g scaled by T_P, the probability that a uniform s-dim subspace contains
     the span of x mod P.  The probability is driven by the rank of x mod P,
-    not the rank over K.
+    not the rank over K, so the sum is sum_r a_r containment_probability(r),
+    with a_r the number of m-tuples of reduced columns whose span has
+    dimension r (_rank_counts), counted without forming a tuple.
     """
     p = P.p
     cols = g.points_inside(okn_lattice(field, n), _t_scale_sq(p, n, s, field.degree).sqrt())
-    red_arr = _residues(field, P, cols)                         # (|C|, n)
-    probs = [containment_probability(k, s, n, p) for k in range(min(n, m) + 1)]
-    # every m-tuple of columns, in itertools.product order and in pieces of
-    # kernels._BLOCK tuples, so memory stays bounded however large |C|^m is
-    shape, total = (len(cols),) * m, len(cols) ** m
-    counts = np.zeros(len(probs), dtype=np.int64)
-    for start in range(0, total, kernels._BLOCK):
-        combos = np.unravel_index(np.arange(start, min(start + kernels._BLOCK, total)), shape)
-        batch = np.stack([red_arr[c] for c in combos], axis=2)  # (block, n, m)
-        counts += np.bincount(ranks_mod_p(batch, p), minlength=len(probs))
-    return sum((int(c) * probs[k] for k, c in enumerate(counts)), Fraction(0))
+    counts = _rank_counts(_residues(field, P, cols), p, m)
+    return sum((c * containment_probability(r, s, n, p) for r, c in enumerate(counts)),
+               Fraction(0))
+
+
+def _rank_counts(red: np.ndarray, p: int, m: int) -> list:
+    """a_0 .. a_top: the m-tuples of rows of red (C, n) by the dimension of their span mod p.
+
+    top = min(n, m).  A flat is a subspace spanned by rows of red; N_V rows
+    lie in the flat V, and the tuples with span exactly V number
+    exact(V) = N_V^m - sum of exact(V') over the flats V' strictly inside V,
+    a Möbius recursion over the flats.  a_0 = z^m for the z zero rows, a_r
+    sums exact over the flats of dimension r < top, and a_top is the rest of
+    the C^m tuples.  The lines come from _lines; the flats of dimension
+    j + 1 are the echelon keys of (flat of dimension j, line of higher index
+    than every line in it), deduplicated with np.unique, in chunks of
+    _PAIR_BLOCK pairs (_next_flats); every flat arises so, since its highest
+    line and some lines of lower index form a basis of it, and those span a
+    flat of one dimension less.  Lines lie in a flat by its check matrix
+    (_line_incidence), and V' lies in V exactly when every line of V' does.
+    A flat of dimension below top is spanned by fewer than m rows, so
+    exact(V) >= 1; InvariantError when that or a_top >= 0 fails.
+    """
+    total, n = red.shape
+    top = min(n, m)
+    lines, _, counts, zero = _lines(red, p)
+    z, nlines = int(zero.sum()), len(lines)
+    if top == 1 or not nlines:
+        return [z ** m] + [0] * (top - 1) + [total ** m - z ** m]
+    dtype = int_dtype(total ** m)       # every count below is at most C^m
+    exact_lines = (z + counts).astype(dtype) ** m - z ** m
+    rank_counts = [z ** m, int(exact_lines.sum())]
+    rows, last = lines[:, None, :], np.arange(nlines)    # last: a flat's highest line
+    flats = []                          # (incidence, exact) of the flats of dimension >= 2
+    for j in range(2, top):
+        rows = _next_flats(rows, last, lines, p)
+        higher = j + 1 < top            # only then is this dimension's incidence read again
+        step = max(1, _PAIR_BLOCK // max([nlines] + [len(ex) for _, ex in flats]))
+        incidence, exact = [np.zeros((0, nlines), dtype=bool)], [np.zeros(0, dtype=dtype)]
+        for start in range(0, len(rows), step):
+            inside = _line_incidence(rows[start:start + step], lines, p)     # (chunk, L)
+            lower = inside.astype(dtype) @ exact_lines
+            for inc, ex in flats:
+                lower += ex @ (~(inc @ ~inside.T)).astype(dtype)   # V' lies in V
+            exact.append((z + inside @ counts).astype(dtype) ** m - z ** m - lower)
+            if higher:
+                incidence.append(inside)
+        incidence, exact = np.concatenate(incidence), np.concatenate(exact)
+        if (exact < 1).any():
+            raise InvariantError("flat counts: a flat spanned by fewer than m columns "
+                                 "holds no tuple that spans it")
+        if higher:
+            last = nlines - 1 - incidence[:, ::-1].argmax(axis=1)
+            flats.append((incidence, exact))
+        rank_counts.append(int(exact.sum()))
+    rank_counts.append(total ** m - sum(rank_counts))
+    if rank_counts[-1] < 0:
+        raise InvariantError(f"flat counts: {rank_counts[-1]} tuples of full rank {top}")
+    return rank_counts
+
+
+def _next_flats(rows: np.ndarray, last: np.ndarray, lines: np.ndarray, p: int) -> np.ndarray:
+    """(F', j + 1, n) echelon rows of the flats one dimension above the flats rows (F, j, n).
+
+    Flat f pairs with every line of index above last[f], its highest line,
+    in chunks of at most _PAIR_BLOCK pairs (one flat's pairs at least); the
+    pairs' echelon keys mod p are deduplicated with np.unique.
+    """
+    _, j, n = rows.shape
+    per_flat = len(lines) - 1 - last
+    ends = np.cumsum(per_flat)
+    keys = [np.zeros((0, (j + 1) * n), dtype=np.int64)]
+    start = 0
+    while start < len(rows):
+        base = int(ends[start] - per_flat[start])
+        stop = max(int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")), start + 1)
+        flat_of = np.repeat(np.arange(start, stop), per_flat[start:stop])
+        # pair k of flat f takes the line last[f] + 1 + (k - the first pair of f)
+        line_of = np.arange(base, int(ends[stop - 1])) + np.repeat(
+            last[start:stop] + 1 - (ends[start:stop] - per_flat[start:stop]),
+            per_flat[start:stop])
+        pairs = np.concatenate([rows[flat_of], lines[line_of, None, :]], axis=1)
+        keys.append(np.unique(echelon_mod_p(pairs, p).reshape(len(pairs), -1), axis=0))
+        start = stop
+    return np.unique(np.concatenate(keys), axis=0).reshape(-1, j + 1, n)
 
 
 def moment_rhs_limit(field: NumberField, n: int, m: int, g: TestFunction,

@@ -4,8 +4,9 @@ Every kernel is array-native NumPy: the enumeration expands a whole level of
 the Fincke-Pohst tree at once, and the rank filters and the fraction-free
 Gauss-Jordan run one elimination step on every matrix of a batch at once.
 gauss_jordan is the library's one elimination over Q: it gives every echelon
-matrix of modules.py, intmat.rref and every saturation.  The loop versions
-they replace are kept in the tests as reference implementations.
+matrix of modules.py, intmat.rref and every saturation; echelon_mod_p runs
+the same elimination mod a prime for hecke.py's lines and flats.  The loop
+versions they replace are kept in the tests as reference implementations.
 
 The one elimination, _eliminate, holds each block of matrices batch-last,
 (n, m, N), so a step is a few operations on contiguous length-N vectors.
@@ -296,3 +297,26 @@ def ranks_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
 def _mod_p_step(rows, pivot_row, pval, entries, prev, p):
     # a row scaled by the unit pval plus a multiple of the pivot row
     return (pval * rows - entries * pivot_row) % p
+
+
+def echelon_mod_p(batch: np.ndarray, p: int) -> np.ndarray:
+    """Reduced echelon forms mod a prime p of a (N, r, n) batch with entries in [0, p).
+
+    _eliminate in Jordan mode with _mod_p_step clears every pivot column
+    but at its pivot, scaling rows only by units; each row is then divided
+    by its leading entry, inverted mod p as entry^(p-2).  So the first
+    rank rows of matrix i are the canonical echelon basis of its row space
+    mod p, pivots 1 and pivot columns cleared, and the other rows are zero.
+    """
+    rows = batch.astype(int_dtype(2 * int(p) ** 2), copy=False)
+    if rows.shape[1] > 1:       # the elimination leaves a single row as it is
+        step = functools.partial(_mod_p_step, p=p)
+        rows = np.concatenate([_swap_order(work, _eliminate(work, step, True)[0])
+                               for work in _blocks(rows)])
+    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=2)[:, :, None], axis=2)
+    inverse, base = np.ones_like(lead), lead
+    for bit in bin(int(p) - 2)[:1:-1]:      # the bits of p - 2, lowest first
+        if bit == "1":
+            inverse = inverse * base % p
+        base = base * base % p
+    return rows * inverse % p

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latrank import kernels
 from latrank.errors import EnumerationCapError
@@ -237,22 +237,37 @@ def test_eliminate_keeps_the_swap_order():
     assert _eliminate_in_blocks(batch, kernels._bareiss_step, False)[2].tolist() == [6]
 
 
-def _rank_mod_p_oracle(M, p):
-    """Gauss-Jordan over F_p on Python ints."""
+def _rref_mod_p_oracle(M, p):
+    """Gauss-Jordan over F_p on Python ints: (rank, reduced echelon rows with unit pivots)."""
     rows = [[int(v) % p for v in row] for row in M]
     rank = 0
-    for col in range(len(rows[0])):
+    for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
-                f = rows[i][col] * inv % p
+                f = rows[i][col]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rank, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_small_batches(), p=st.sampled_from([2, 3, 5, 53, 46337, 2147483659]))
+def test_echelon_mod_p_matches_oracle(batch, p):
+    # the canonical echelon basis mod p, zero rows below it, in blocks of 7
+    # matrices so that a batch crosses blocks; 2 p^2 > 2**62 at the last p,
+    # which runs in Python ints
+    assume(batch.shape[2] > 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK", 7)
+        got = kernels.echelon_mod_p(batch % p, p)
+    assert got.shape == batch.shape
+    assert got.tolist() == [_rref_mod_p_oracle(M, p)[1] for M in batch]
 
 
 def test_ranks_mod_p_paths_agree(monkeypatch):
@@ -263,7 +278,7 @@ def test_ranks_mod_p_paths_agree(monkeypatch):
             batch = batch * rng.integers(1, 10 ** 6, size=batch.shape)  # entries past p
             expect = ranks_mod_p_loop(batch, np.int64(p), np.zeros(len(batch), dtype=np.int64))
             assert np.array_equal(kernels.ranks_mod_p(batch, p), expect)
-            assert list(expect) == [_rank_mod_p_oracle(M, p) for M in batch]
+            assert list(expect) == [_rref_mod_p_oracle(M, p)[0] for M in batch]
     monkeypatch.setattr(kernels, "_BLOCK", 16)
     batch = batches[4]
     expect = ranks_mod_p_loop(batch, np.int64(5), np.zeros(len(batch), dtype=np.int64))
@@ -275,7 +290,8 @@ def test_ranks_mod_p_paths_agree(monkeypatch):
         assert kernels.int_dtype(2 * p * p) is dtype
         for batch in batches:
             batch = batch * rng.integers(1, 10 ** 6, size=batch.shape)
-            assert list(kernels.ranks_mod_p(batch, p)) == [_rank_mod_p_oracle(M, p) for M in batch]
+            assert list(kernels.ranks_mod_p(batch, p)) == \
+                [_rref_mod_p_oracle(M, p)[0] for M in batch]
 
 
 def test_ranks_mod_p_reduces_each_block(monkeypatch):

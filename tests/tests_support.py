@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from latrank import intmat, kernels
+from latrank import hecke, intmat, kernels
 from latrank.counting import Ball, _truncated_product
 from latrank.errors import NotIntegralError
 from latrank.exactval import PowerProduct
@@ -915,6 +915,25 @@ def moment_lhs_loop(field, P, n, s, m, g, mode="exact", sample_count=0, seed=Non
     stderr = float(vals.std(ddof=1) / math.sqrt(sample_count)) if sample_count > 1 else 0.0
     return float(vals.mean()), stderr
 
+
+
+def moment_stratified_reference(field, P, n, s, m, g):
+    """`hecke.moment_stratified` by ranking every m-tuple of the reduced columns.
+
+    The tuples come in itertools.product order, in pieces of kernels._BLOCK
+    tuples, each ranked by kernels.ranks_mod_p; the time grows like |C|^m.
+    """
+    p = P.p
+    cols = g.points_inside(okn_lattice(field, n), hecke._t_scale_sq(p, n, s, field.degree).sqrt())
+    red = hecke._residues(field, P, cols)                          # (|C|, n)
+    probs = [hecke.containment_probability(k, s, n, p) for k in range(min(n, m) + 1)]
+    shape, total = (len(cols),) * m, len(cols) ** m
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for start in range(0, total, kernels._BLOCK):
+        combos = np.unravel_index(np.arange(start, min(start + kernels._BLOCK, total)), shape)
+        batch = np.stack([red[c] for c in combos], axis=2)     # (block, n, m)
+        counts += np.bincount(kernels.ranks_mod_p(batch, p), minlength=len(probs))
+    return sum((int(c) * probs[k] for k, c in enumerate(counts)), Fraction(0))
 
 # -- matrices over K: the FieldElement reference for latrank.modules._echelon ------
 
