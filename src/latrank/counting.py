@@ -20,7 +20,13 @@ import numpy as np
 from . import intmat, kernels
 from .errors import ValidationError
 from .exactval import PowerProduct
-from .modules import ModuleSet, PrimitiveModule, enumerate_primitive_modules, span_modules
+from .modules import (
+    ModuleSet,
+    PrimitiveModule,
+    _okm_form,
+    enumerate_primitive_modules,
+    span_modules,
+)
 from .numfield import NumberField, ranks_over_K, unflatten_kvector
 from .zlattice import (
     ZLattice,
@@ -29,6 +35,7 @@ from .zlattice import (
     _LLL_DELTA,
     _lll_transform,
     _norm_bound,
+    _quotient_floats,
     direct_sum,
     okn_lattice,
     short_vectors,
@@ -231,28 +238,56 @@ class ProductOfBalls(TestFunction):
         return raw + int(np.count_nonzero(inside))
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
-        """As TestFunction.module_term, in closed form where the integral is
-        the volume of a ball, by Monte Carlo (`_mc_term`) elsewhere.
+        """As TestFunction.module_term: `_closed_forms` on P alone, and
+        Monte Carlo (`_mc_term`) where it has none."""
+        (val,) = self._closed_forms(np.array([P._hermite], dtype=object), P._ambient, P.k,
+                                    [float(P.height_sq)], n)
+        if val is None:
+            return _mc_term(self, P, n, mc_samples, seed)
+        return TermValue(value=val, stderr=0.0, method="closed_form")
+
+    def module_terms(self, modules: ModuleSet, n: int, mc_samples: int, entropy: tuple):
+        """As TestFunction.module_terms: `_closed_forms` on the module set,
+        and `_mc_term` on each module without one, in module order."""
+        values = self._closed_forms(modules.S, modules.ambient, modules.k,
+                                    modules.hsq.tolist(), n)
+        stderrs = [0.0] * len(values)
+        for i, val in enumerate(values):
+            if val is None:
+                tv = _mc_term(self, modules[i], n, mc_samples, (*entropy, i))
+                values[i], stderrs[i] = tv.value, tv.stderr
+        return values, stderrs
+
+    def _closed_forms(self, S: np.ndarray, ambient, k: int, hsq: list, n: int) -> list:
+        """Per module of K-rank k with Hermite basis S[i] (see
+        `_similarity_radii_sq`) and float H^2 hsq[i], the closed form of
+        D(D)^(-n) * integral of f(x D) where the integral is the volume of a
+        ball, and None elsewhere.
 
         At K-rank m (O_K^m) the orthonormal frame of the row space is square,
         so the integral is the product of the n d-dimensional column balls.
         When every column block of the frame is a similarity c_j of the row
-        space (`_similarity_radius_sq`), column j of x D has squared norm
-        c_j ||x||^2, so the support is the ball ||x|| <= rho of dimension
-        n k d.  No lattice is built for either.
+        space, column j of x D has squared norm c_j ||x||^2, so the support
+        is the ball ||x|| <= rho of dimension n k d.  No lattice is built for
+        either.  Each value is H^(-n) V(s) rho^s in Python floats, from the
+        float of rho^2 rounded once, correctly.
         """
-        hn = float(P.height_sq) ** (-n / 2.0)
-        radii = self.column_radii(P.m)
-        s = n * P.field.degree
-        if P.k == P.m:
+        d = ambient.field.degree
+        m = ambient.dim // d
+        radii = self.column_radii(m)
+        s = n * d
+        e = -n / 2.0
+        if k == m:
             vol = math.prod(unit_ball_volume(s) * float(r) ** s for r in radii)
-            return TermValue(value=hn * vol, stderr=0.0, method="closed_form")
-        rho_sq = _similarity_radius_sq(P, radii)
-        if rho_sq is None:
-            return _mc_term(self, P, n, mc_samples, seed)
-        s *= P.k
-        val = hn * unit_ball_volume(s) * float(rho_sq) ** (s / 2.0)
-        return TermValue(value=val, stderr=0.0, method="closed_form")
+            return [h ** e * vol for h in hsq]
+        similar, num, den, bound = _similarity_radii_sq(S, ambient, radii)
+        s *= k
+        vol, half = unit_ball_volume(s), s / 2.0
+        out = [None] * len(hsq)
+        idx = np.flatnonzero(similar)
+        for i, rho_sq in zip(idx.tolist(), _quotient_floats(num[idx], den[idx], bound).tolist()):
+            out[i] = hsq[i] ** e * vol * rho_sq ** half
+        return out
 
     def _sample_values(self, pts, q, m: int, d: int) -> np.ndarray:
         radii = np.array([float(r) for r in self.column_radii(m)])
@@ -617,34 +652,52 @@ def _inside_product_of_balls(pts: np.ndarray, q: np.ndarray, radii_sq: np.ndarra
     return inside
 
 
-def _similarity_radius_sq(P: PrimitiveModule, radii):
-    """rho^2 = min over c_j > 0 of r_j^2 / c_j, exact, when every column block
-    of Lambda_D's row space is a similarity c_j of it; None otherwise.
+def _similarity_radii_sq(S: np.ndarray, ambient, radii):
+    """(similar, num, den, bound): per module of a Hermite array S, whether
+    every column block of Lambda_D's row space is a similarity c_j of it,
+    and then rho^2 = min over c_j > 0 of r_j^2 / c_j = num / den, exact, with
+    num and den at most bound.
 
-    S is Lambda_D's Hermite basis in integral coordinates and G the form of
-    O_K^m on them (`_okm_form`), block diagonal with one d x d block G_jj per
-    column, so S G S^T is the sum of the column Grams G_j = S_j G_jj S_j^T.
+    S[i] is a Hermite basis of Lambda_D in integral coordinates and G the
+    form of O_K^m on them (`_okm_form`), block diagonal with one d x d block
+    G_jj per column, so S G S^T is the sum F of the column Grams
+    G_j = S_j G_jj S_j^T, one integer product per column for the batch.
     Column j of the embedded frame is a similarity exactly when
-    G_j = c_j S G S^T, which is tested in integers with c_j = G_j[0, 0] /
-    (S G S^T)[0, 0].  Every line over Q passes (k d = 1), and so does every
-    line over Q(i).  The G_j come from the module set that holds P, one
-    integer product per column for the whole set (modules._ColumnGrams).
+    G_j = c_j F, which is tested in integers with c_j = G_j[0, 0] / F[0, 0],
+    and the least r_j^2 / c_j is picked by cross-multiplying.  Every line
+    over Q passes (k d = 1), and so does every line over Q(i).  The dtype
+    bounds the cross-products, not only the Grams.
     """
-    col_grams = P._column_grams[P._index]
-    r = len(col_grams[0])
-    full = [[sum(g[a][b] for g in col_grams) for b in range(r)] for a in range(r)]
-    f00 = full[0][0]
-    best = None     # (num, den) of the least r_j^2 / c_j so far
-    for g, rad in zip(col_grams, radii):
-        g00 = g[0][0]
-        if any(x * f00 != g00 * y for g_row, f_row in zip(g, full)
-               for x, y in zip(g_row, f_row)):
-            return None
-        if g00:
-            num, den = rad.numerator ** 2 * f00, rad.denominator ** 2 * g00
-            if best is None or num * best[1] < best[0] * den:
-                best = num, den
-    return Fraction(*best)
+    d = ambient.field.degree
+    B, r, width = S.shape
+    G = _okm_form(ambient)[0]
+    max_s, max_g = int(np.max(np.abs(S), initial=0)), int(np.max(np.abs(G)))
+    gram_bound = max_s * max_s * max_g * d * width
+    rad_bound = max(max(x.numerator, x.denominator) for x in radii) ** 2
+    bound = rad_bound * gram_bound
+    dtype = kernels.int_dtype(bound * bound)
+    S = S.astype(dtype).reshape(B, r, width // d, d)
+    grams = np.stack([S[:, :, j] @ G[c:c + d, c:c + d].astype(dtype) @ S[:, :, j].transpose(0, 2, 1)
+                      for j, c in enumerate(range(0, width, d))], axis=1)     # (B, m, r, r)
+    full = grams.sum(axis=1)
+    f00, g00 = full[:, 0, 0], grams[:, :, 0, 0]
+    similar = np.all(grams * f00[:, None, None, None] == g00[:, :, None, None] * full[:, None],
+                     axis=(1, 2, 3))
+    # num / den starts at +infinity; a column with c_j = 0 has den 0 and never wins
+    num, den = np.ones(B, dtype=dtype), np.zeros(B, dtype=dtype)
+    for j, rad in enumerate(radii):
+        num_j, den_j = rad.numerator ** 2 * f00, rad.denominator ** 2 * g00[:, j]
+        better = num_j * den < num * den_j
+        num, den = np.where(better, num_j, num), np.where(better, den_j, den)
+    return similar, num, den, bound
+
+
+def _similarity_radius_sq(P: PrimitiveModule, radii):
+    """rho^2 of `_similarity_radii_sq` for P alone, as a Fraction; None when
+    some column block of its row space is not a similarity of it."""
+    similar, num, den, _ = _similarity_radii_sq(np.array([P._hermite], dtype=object),
+                                                P._ambient, radii)
+    return Fraction(int(num[0]), int(den[0])) if similar[0] else None
 
 
 def _mc_term(f: TestFunction, P: PrimitiveModule, n: int, mc_samples: int,

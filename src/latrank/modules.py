@@ -45,6 +45,7 @@ from .zlattice import (
     _height_sq,
     _height_sq_ratio,
     _int_norms,
+    _quotient_floats,
     _reduced_gram,
     _scale_power,
     _scaled_floats,
@@ -187,7 +188,6 @@ class PrimitiveModule:
         self._key, self._ambient, self._scale = key, modules.ambient, modules.scale
         self._hermite = S[i]
         self._gram = gram_int[i], gram_den[i], det[i]
-        self._column_grams, self._index = modules.column_grams, i
 
     @functools.cached_property
     def height_sq(self) -> PowerProduct:
@@ -245,7 +245,6 @@ class ModuleSet(Sequence):
         self.keys, self.S, self.gram_int = keys, S, gram_int
         self.gram_den, self.det = gram_den, det
         self.denominators, self.hsq, self.heights = denominators, hsq, heights
-        self.column_grams = _ColumnGrams(self)
         self._built = [None] * len(keys)
         self._columns_as_lists = None
 
@@ -286,49 +285,50 @@ class ModuleSet(Sequence):
                                             self.denominators, self.hsq, self.heights)))
 
     def _sorted(self) -> "ModuleSet":
-        """The modules in (H, key()) order.
+        """The modules in (H, key()) order, as PrimitiveModule._order orders them.
 
-        One stable argsort of the float heights; within each run of equal
-        heights, the echelon entries (_Entries) decide, as in
-        PrimitiveModule._order.
+        One np.lexsort of the float heights and the floats of the echelon
+        entries x / den (`_quotient_floats`).  Each float is rounded once,
+        correctly, so floats that differ order their entries exactly; but an
+        entry whose floats tie may still differ exactly and leave the
+        decision to a later entry.  So each adjacent pair of equal H is
+        checked in integers: its first entry that differs, by
+        cross-multiplying, must be its first whose floats differ.  A run of
+        equal H with a pair that fails is sorted on _Entries.
         """
         order = np.argsort(self.heights, kind="stable")
         h = self.heights[order]
-        ties = h[1:] == h[:-1]
-        if ties.any():
-            # a run of equal heights h[a..b] flips ties to True at a and back at b
-            edges = np.flatnonzero(np.diff(np.concatenate(([False], ties, [False]))))
+        if not (h[1:] == h[:-1]).any():
+            return self._take(order)
+        k, shape = self.k, (len(self), len(self.keys[0]))
+        try:
+            keys = np.fromiter(itertools.chain.from_iterable(self.keys), dtype=np.int64,
+                               count=shape[0] * shape[1]).reshape(shape)
+        except OverflowError:
+            keys = np.array(self.keys, dtype=object)
+        den, x = keys[:, k], keys[:, k + 1:]
+        max_x, max_den = int(np.max(np.abs(x))), int(np.max(den))
+        floats = _quotient_floats(x, den[:, None], max(max_x, max_den))
+        order = np.lexsort((*floats.T[::-1], self.heights))
+        h = self.heights[order]
+        pairs = np.flatnonzero(h[1:] == h[:-1])
+        a, b = order[pairs], order[pairs + 1]
+        dtype = kernels.int_dtype(max_x * max_den)
+        x, den = x.astype(dtype), den.astype(dtype)
+        bad = pairs[_first_true(x[a] * den[b, None] != x[b] * den[a, None])
+                    != _first_true(floats[a] != floats[b])]
+        if bad.size:
             order = order.tolist()
-            for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
-                order[a:b + 1] = sorted(order[a:b + 1],
-                                        key=lambda i: _Entries.of(self.keys[i], self.k))
+            for v in np.unique(h[bad]).tolist():
+                lo, hi = int(np.searchsorted(h, v, "left")), int(np.searchsorted(h, v, "right"))
+                order[lo:hi] = sorted(order[lo:hi], key=lambda i: _Entries.of(self.keys[i], k))
             order = np.array(order, dtype=np.intp)
         return self._take(order)
 
 
-class _ColumnGrams:
-    """Per module of a set, the m column Grams S_j G_jj S_j^T (see _okm_form)
-    as nested lists, G_jj the d x d block of column j: one integer product
-    per column for the whole set, on S's dtype, which holds S G S^T, formed
-    the first time one is read.  Entries hold this and not their set, so no
-    reference cycle outlives a call.
-    """
-
-    __slots__ = ("S", "ambient", "degree", "_grams")
-
-    def __init__(self, modules: ModuleSet):
-        self.S, self.ambient, self.degree = modules.S, modules.ambient, modules.field.degree
-        self._grams = None
-
-    def __getitem__(self, i: int) -> list:
-        if self._grams is None:
-            d, (B, r, width) = self.degree, self.S.shape
-            G = _okm_form(self.ambient)[0].astype(self.S.dtype)
-            S = self.S.reshape(B, r, width // d, d)
-            blocks = [G[c:c + d, c:c + d] for c in range(0, width, d)]
-            self._grams = np.stack([S[:, :, j] @ G_jj @ S[:, :, j].transpose(0, 2, 1)
-                                    for j, G_jj in enumerate(blocks)], axis=1).tolist()
-        return self._grams[i]
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Per row of a boolean array, the index of its first True, or its width."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
 
 
 class _Entries:

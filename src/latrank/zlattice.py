@@ -146,18 +146,24 @@ def _scaled_floats(num: np.ndarray, den, scale: PowerProduct, bound: int) -> np.
     integer array num and an integer or integer array den, both at most
     bound in size, as PowerProduct.__float__ gives the float of that value.
 
-    The quotient is rounded once, correctly, as Python's int / int rounds
-    it: in float64 when both sides are exact floats (bound <= 2^53), in
-    Python ints otherwise; then one product per exponent, in its order.
+    The quotient is `_quotient_floats`; then one product per exponent, in
+    its order.
     """
-    num, den = np.asarray(num), np.asarray(den)
-    if bound <= 2 ** 53:
-        v = num.astype(float) / den.astype(float)
-    else:
-        v = np.asarray(num.astype(object) / den.astype(object), dtype=float)
+    v = _quotient_floats(num, den, bound)
     for p, e in scale.exps:
         v = v * math.pow(p, float(e))
     return v
+
+
+def _quotient_floats(num, den, bound: int) -> np.ndarray:
+    """The floats of num / den for integer arrays (or integers) num and den,
+    both at most bound in size, each rounded once, correctly, as Python's
+    int / int rounds it: in float64 when both sides are exact floats
+    (bound <= 2^53), in Python ints otherwise."""
+    num, den = np.asarray(num), np.asarray(den)
+    if bound <= 2 ** 53:
+        return num.astype(float) / den.astype(float)
+    return np.asarray(num.astype(object) / den.astype(object), dtype=float)
 
 
 class ZLattice:

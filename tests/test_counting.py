@@ -42,6 +42,7 @@ from tests_support import (
     lhs_stratified_enumerated,
     modules_reference,
     pivot_product_integral,
+    pob_term_loop,
     similarity_radius_sq_loop,
     term_value_detail_loop,
 )
@@ -830,15 +831,26 @@ def test_similarity_radius_is_exact(QQ, Qs5):
 
 @pytest.mark.parametrize("name,k,m,cutoff", [("QQ", 1, 2, 12), ("QQ", 1, 3, 4), ("QQ", 2, 3, 4),
                                              ("Qi", 1, 2, 5), ("Qi", 2, 3, 2), ("Qs5", 1, 2, 6),
-                                             ("Qzeta8", 1, 2, 2), ("Qi", 2, 2, 1)])
+                                             ("Qzeta8", 1, 2, 2), ("Qi", 2, 2, 1), ("QQ", 3, 3, 1)])
 def test_similarity_radius_matches_per_column_products(request, name, k, m, cutoff):
-    # the column Grams of the whole module set from one product per column,
-    # against two intmat.mat_mul calls per column and module; Q(sqrt 5) has
-    # lines of both kinds, planes have none that is a similarity
+    # the similarity test and the terms of the whole module set, from one
+    # product per column, against two intmat.mat_mul calls per column and
+    # module and the term of one module at a time; Q(sqrt 5) has lines of
+    # both kinds, so Monte Carlo terms sit between closed forms, planes have
+    # none that is a similarity, and k = m is O_K^m.  Radii with 11-digit
+    # numerators take the object dtype and rho^2 past 2^53 in Python ints
     mods = enumerate_primitive_modules(request.getfixturevalue(name), k, m, cutoff)
-    radii = (Fraction(6, 5), Fraction(1), Fraction(7, 5))[:m]
-    got = [counting._similarity_radius_sq(P, radii) for P in mods]
-    assert got and got == [similarity_radius_sq_loop(P, radii) for P in mods]
+    for radii in ((Fraction(6, 5), Fraction(1), Fraction(7, 5))[:m],
+                  (Fraction(123456789, 10 ** 8), Fraction(98765432101, 10 ** 11), Fraction(2))[:m]):
+        got = [counting._similarity_radius_sq(P, radii) for P in mods]
+        assert got and got == [similarity_radius_sq_loop(P, radii) for P in mods]
+        f = product_of_balls(radii)
+        values, stderrs = f.module_terms(mods, 3, 2000, (1, k))
+        want = [pob_term_loop(f, P, 3, 2000, (1, k, i)) for i, P in enumerate(mods)]
+        assert values == [tv.value for tv in want] and stderrs == [tv.stderr for tv in want]
+        assert [f.module_term(P, 3, 2000, (1, k, i)) for i, P in enumerate(mods)] == want
+    # no closed-form entry built a lattice
+    assert all("lattice" not in vars(P) for P, tv in zip(mods, want) if tv.method == "closed_form")
 
 
 @pytest.mark.parametrize("name,k,m,cutoff", [("QQ", 1, 2, 5), ("QQ", 1, 3, 2), ("Qi", 1, 2, 3),

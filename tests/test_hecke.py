@@ -455,6 +455,12 @@ class TestMomentRhs:
         # so it draws no sample and needs none
         assert moment_rhs_limit(QQ, 3, 2, ball(R), cutoff, mc_samples=0) == (value, per_k, err)
 
+    def test_limit_over_Q_at_H_200(self, QQ):
+        # the 38,180 lines of Z^2 with H <= 200 and Z^2 itself, every term
+        # closed form, summed in module order
+        assert moment_rhs_limit(QQ, 3, 2, ball(Fraction(6, 5)), 200, mc_samples=0) == \
+            (92.91104082064436, [1.0, 39.519074904231225, 52.39196591641314], 0.0)
+
     def test_window_rejected(self, QQ):
         with pytest.raises(ValidationError):
             moment_rhs_limit(QQ, 3, 3, ball(1), 10)

@@ -710,6 +710,53 @@ def test_height_cut_at_an_irrational_height(Qs5, H):
     assert _module_rows(got) == _module_rows(modules_reference(Qs5, 1, 2, bound))
 
 
+def _entries_order(s):
+    """The keys of s sorted by one Python sort on (float H, _Entries)."""
+    order = sorted(range(len(s)), key=lambda i: (s.heights[i], modules._Entries.of(s.keys[i], s.k)))
+    return [s.keys[i] for i in order]
+
+
+@pytest.mark.parametrize("name,k,m,H", MODULE_SET_CASES + [("QQ", 1, 2, 80), ("QQ", 1, 3, 4)])
+def test_sorted_matches_the_entries_sort(name, k, m, H, request):
+    # the lexsort on float heights and entry floats, shuffled first
+    s = enumerate_primitive_modules(request.getfixturevalue(name), k, m, H)
+    s = s._take(np.random.default_rng(len(s)).permutation(len(s)))
+    assert s._sorted().keys == _entries_order(s)
+
+
+def _relabelled(s, keys, heights):
+    """A module set with the columns of the first len(keys) modules of s,
+    under the given echelon keys and float heights, which are all that
+    ModuleSet._sorted reads."""
+    h, n = np.array(heights, dtype=float), len(keys)
+    return modules.ModuleSet(s.field, s.k, s.ambient, keys,
+                             *(a[:n] for a in (s.S, s.gram_int, s.gram_den, s.det,
+                                               s.denominators)), h * h, h)
+
+
+def test_sorted_decides_equal_entry_floats_exactly(QQ):
+    # den = 2^60 > 2^53: entries 1 + 1/2^60 and 1 + 3/2^60 both have the
+    # float 1.0, so the exact comparison orders them; in the lines of Q^3 the
+    # floats of the middle entries tie, the exact entries do not, and the
+    # last entry's floats would order the pair the other way
+    D = 2 ** 60
+    keys = [(0, D, D, D + 3), (0, 1, 1, 0), (0, D, D, D + 1), (0, 1, 1, 2)]
+    s = _relabelled(enumerate_primitive_modules(QQ, 1, 2, 6), keys, [5.0, 5.0, 5.0, 2.0])
+    assert s._sorted().keys == _entries_order(s) == [keys[3], keys[1], keys[2], keys[0]]
+    keys = [(0, D, D, D + 3, 0), (0, D, D, D + 1, D), (0, 2, 2, 1, 1)]
+    s = _relabelled(enumerate_primitive_modules(QQ, 1, 3, 4), keys, [3.0, 3.0, 3.0])
+    assert s._sorted().keys == _entries_order(s) == [keys[2], keys[1], keys[0]]
+
+
+def test_sorted_takes_keys_beyond_int64(QQ):
+    # den = 2^70 needs the object dtype; mixed dens, ties and a distinct H
+    D = 2 ** 70
+    keys = [(0, D, D, 3 * 2 ** 68 + 1), (0, 4, 4, 3), (0, D, D, D - 1), (0, D, D, -5),
+            (0, D, D, 3 * 2 ** 68 - 1), (0, 1, 1, 1)]
+    s = _relabelled(enumerate_primitive_modules(QQ, 1, 2, 6), keys, [7.0] * 5 + [1.5])
+    assert s._sorted().keys == _entries_order(s) == [keys[i] for i in (5, 3, 4, 1, 0, 2)]
+
+
 def test_module_set_is_a_sequence(QQ):
     # entries are built once and kept; a slice is a module set of the same entries
     mods = enumerate_primitive_modules(QQ, 1, 2, 6)

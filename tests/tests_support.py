@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from latrank import hecke, intmat, kernels
+from latrank import counting, hecke, intmat, kernels
 from latrank.counting import Ball, _truncated_product
 from latrank.errors import NotIntegralError
 from latrank.exactval import PowerProduct
@@ -826,6 +826,24 @@ def similarity_radius_sq_loop(P, radii):
         if g[0][0]:
             ratios.append(rad ** 2 * Fraction(full[0][0], g[0][0]))
     return min(ratios)
+
+
+def pob_term_loop(f, P, n, mc_samples, seed=None):
+    """ProductOfBalls.module_term one module at a time: the closed form on
+    O_K^m and where similarity_radius_sq_loop finds rho^2, in Python floats
+    from the Fraction rho^2, and counting._mc_term elsewhere."""
+    hn = float(P.height_sq) ** (-n / 2.0)
+    radii = f.column_radii(P.m)
+    s = n * P.field.degree
+    if P.k == P.m:
+        vol = math.prod(unit_ball_volume(s) * float(r) ** s for r in radii)
+        return counting.TermValue(value=hn * vol, stderr=0.0, method="closed_form")
+    rho_sq = similarity_radius_sq_loop(P, radii)
+    if rho_sq is None:
+        return counting._mc_term(f, P, n, mc_samples, seed)
+    s *= P.k
+    val = hn * unit_ball_volume(s) * float(rho_sq) ** (s / 2.0)
+    return counting.TermValue(value=val, stderr=0.0, method="closed_form")
 
 
 def term_value_detail_loop(P, n, f, mc_samples, seed=None):
