@@ -23,7 +23,10 @@ from .exactval import PowerProduct
 from .modules import (
     ModuleSet,
     PrimitiveModule,
+    _distinct_rows,
+    _modules,
     _okm_form,
+    _span_keys,
     enumerate_primitive_modules,
     span_modules,
 )
@@ -135,33 +138,36 @@ class Ball(TestFunction):
     def support_cover(self, T, m: int):
         return self.radius * T
 
-    def modules_sum(self, modules, n: int, k: int, T, RT):
+    def modules_sum(self, modules: ModuleSet, n: int, k: int, T, RT):
         """As TestFunction.modules_sum, from theta tables (`_ball_tuple_counts`).
 
         A matrix of rank i < j in the ball of a K-rank j Lambda_D has rows
         spanning one saturated rank-i submodule of it, spanned by vectors of
-        norm <= RT (`span_modules`), so the module's tuples of rank j are its
+        norm <= RT (`_span_keys`), so the module's tuples of rank j are its
         theta count less the zero tuple and the full-rank tuples of those
         submodules, i = 1, ..., j - 1: a Möbius recursion over the rank,
-        memoized by echelon key, so each submodule's theta count is built
-        once.  A module of K-rank above k (O_K^m in the direct count at
-        k < m) sums its rank-k submodules; every module's matrices_seen is
-        its own theta count.
+        memoized by echelon key: only keys not yet counted go through the
+        module data pass, unsorted, as the sums are exact.  A module of K-rank
+        above k (O_K^m in the direct count at k < m) sums its rank-k
+        submodules; every module's matrices_seen is its own theta count.
         """
         exact = {}      # echelon key -> its module's count of tuples of full K-rank
 
-        def total(mods):
-            new = [P for P in mods if P._key not in exact]
-            for P, t in zip(new, _ball_tuple_counts(new, n, RT)):
-                exact[P._key] = full_rank(P, t)
-            return sum(exact[P._key] for P in mods)
+        def total(lat, i):
+            keys = _span_keys(lat, i, RT)
+            rows = list(map(tuple, keys.tolist()))
+            new = [j for j, key in enumerate(rows) if key not in exact]
+            mods = _modules(lat.ambient.field, i, keys[new], lat.ambient)
+            for j, t in enumerate(_ball_tuple_counts(mods, n, RT)):
+                exact[rows[new[j]]] = full_rank(mods, j, t)
+            return sum(exact[key] for key in rows)
 
-        def full_rank(P, t):
-            return t - 1 - sum(total(span_modules(P.lattice, i, RT)) for i in range(1, P.k))
+        def full_rank(mods, i, t):
+            return t - 1 - sum(total(mods[i].lattice, j) for j in range(1, mods.k))
 
         thetas = _ball_tuple_counts(modules, n, RT)
-        raw = sum(full_rank(P, t) if P.k == k else total(span_modules(P.lattice, k, RT))
-                  for P, t in zip(modules, thetas))
+        raw = sum(full_rank(modules, i, t) if modules.k == k else total(modules[i].lattice, k)
+                  for i, t in enumerate(thetas))
         return raw, sum(thetas)
 
     def module_term(self, P: PrimitiveModule, n: int, mc_samples: int, seed) -> TermValue:
@@ -474,79 +480,79 @@ def _truncated_product(av, ac, bv, bc, X: int):
     return deg, coef
 
 
-def _gauss_reduced(a: int, b: int, c: int):
-    """The Gram ((a, b), (b, c)) with 0 <= 2 b <= a <= c that is GL_2(Z)-equivalent
-    to the positive definite form a x^2 + 2 b x y + c y^2 (Gauss reduction)."""
+def _gauss_reduced(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Per entry of the integer arrays, the reduced Gram (a0, b0, c0) with
+    0 <= 2 b0 <= a0 <= c0 GL_2(Z)-equivalent to the positive definite form
+    ((a, b), (b, c)) (Gauss reduction), which a further step leaves as it is;
+    as |b| < max(a, c) and |r a| <= |b| + a, every value is below 8 max(a, c)."""
+    dtype = kernels.int_dtype(8 * max(int(np.max(a)), int(np.max(c))))
+    a, b, c = a.astype(dtype), b.astype(dtype), c.astype(dtype)
     while True:
         r = (2 * b + a) // (2 * a)      # the nearest integer to b / a
         b, c = b - r * a, c - r * (2 * b - r * a)
-        if a <= c:
-            return (a, abs(b)), (abs(b), c)
-        a, c = c, a
+        if (a <= c).all():
+            return a, np.abs(b), c
+        a, c = np.minimum(a, c), np.maximum(a, c)
 
 
-def _class_key(P: PrimitiveModule):
-    """(c, G0): the content c of Lambda_D's integer Gram and its class key G0.
+def _class_keys(gram: np.ndarray):
+    """(c, G0): per integer Gram G of a (B, r, r) array, its content c and its
+    class key G0, a reduced Gram over c, as a (B,) and a (B, w) array: [[1]]
+    at r = 1, the Gauss-reduced form at r = 2, and beyond U G U^T flattened,
+    U from zlattice._lll_transform on G, one Gram at a time.  Every norm of
+    G is c times one of G0, so modules with one key have one theta series in
+    q / c; isometric modules with unequal keys only cost a second table."""
+    r = gram.shape[1]
+    if r == 1:
+        return gram[:, 0, 0], np.ones((len(gram), 1), dtype=np.int64)
+    if r == 2:
+        a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+        g = np.gcd(np.gcd(a, b), c)
+        return g, np.column_stack(_gauss_reduced(a // g, b // g, c // g))
+    red = [sum(intmat.mat_mul(intmat.mat_mul(U, G), intmat.transpose(U)), [])
+           for G, U in ((G, _lll_transform(G, _LLL_DELTA)) for G in gram.tolist())]
+    content = [math.gcd(*row) for row in red]
+    keys = [[x // g for x in row] for row, g in zip(red, content)]
+    dtype = kernels.int_dtype(max(abs(x) for row in keys for x in row))
+    return np.array(content, dtype=gram.dtype), np.array(keys, dtype=dtype)
 
-    G0 is a reduced integer Gram of Lambda_D over c: [[1]] at rank 1, the
-    Gauss-reduced binary form at rank 2, and the LLL-reduced Gram U G U^T
-    beyond, with U from zlattice._lll_transform on the module's integer Gram,
-    so no lattice is built.  Every integer norm of Lambda_D is c times a norm
-    of G0, so modules with one key have one theta series in q / c; isometric
-    modules with unequal keys only cost a second table.
-    """
-    gram = P.gram_int
-    if len(gram) == 1:
-        return gram[0][0], ((1,),)
-    if len(gram) == 2:
-        (a, b), (_, c) = gram
-        g = math.gcd(a, b, c)
-        return g, _gauss_reduced(a // g, b // g, c // g)
-    U = _lll_transform(gram, _LLL_DELTA)
-    red = intmat.mat_mul(intmat.mat_mul(U, gram), intmat.transpose(U))
-    g = math.gcd(*(x for row in red for x in row))
-    return g, tuple(tuple(x // g for x in row) for row in red)
 
-
-def _ball_tuple_counts(modules, n: int, radius) -> list:
+def _ball_tuple_counts(modules: ModuleSet, n: int, radius) -> list:
     """Per module, the number of n-tuples of Lambda_D vectors whose squared
     norms sum to <= radius^2: one cumulative theta table per class key.
 
     The theta series of Lambda_D^n is the n-th power of Lambda_D's (Conway
     and Sloane, SPLAG ch. 2).  A module's tuples are those whose integer
-    norms sum to at most X of `_norm_bound`; with q = c q0 (`_class_key`)
-    that is q0 <= Y = floor(X / c).  One grouping pass by key finds each
-    class's largest Y; one `short_vectors` call on the member that has it,
-    its norms over c, n - 1 truncated products up to that Y and a cumsum
-    give the table, and each member's count is one lookup at its Y.  The
-    norms have room for a sum of two, at most 2 Y; every count is at most
-    (vectors)^n, and int_dtype picks the arrays that hold it.
-    """
-    bounds = {}     # gram_den -> X
-    classes = {}    # class key -> [(module index, c, Y)]
-    for i, P in enumerate(modules):
-        X = bounds.get(P.gram_den)
-        if X is None:
-            X = bounds[P.gram_den] = _norm_bound(radius, P.field.scale_sq, P.gram_den)
-        c, key = _class_key(P)
-        classes.setdefault(key, []).append((i, c, X // c))
-    counts = [0] * len(modules)
-    for members in classes.values():
-        i, c, Y = max(members, key=lambda t: t[2])
+    norms sum to at most X of `_norm_bound`, one per distinct gram_den; with
+    q = c q0 (`_class_keys` of the set's gram_int) that is q0 <= Y =
+    floor(X / c).  Per class, one `short_vectors` call on the member with
+    the largest Y, the one entry built, its norms over c, n - 1 truncated
+    products up to that Y and a cumsum give the table, and each member's
+    count is one lookup at its Y.  The norms have room for a sum of two, at
+    most 2 Y; every count is at most (vectors)^n, which int_dtype holds."""
+    if not len(modules):
+        return []
+    dens, at = np.unique(modules.gram_den, return_inverse=True)
+    X = [_norm_bound(radius, modules.field.scale_sq, g) for g in dens.tolist()]
+    content, keys = _class_keys(modules.gram_int)
+    Y = np.array(X, dtype=kernels.int_dtype(max(X)))[at] // content
+    order, starts = _distinct_rows(keys)
+    counts = np.zeros(len(modules), dtype=object)
+    for members in np.split(order, starts[1:]):
+        i = int(members[np.argmax(Y[members])])
+        c, y = int(content[i]), int(Y[i])
         lat = modules[i].lattice
         coords = short_vectors(lat, radius)
-        norms, hist = np.unique(_int_norms(coords, lat.gram_int, 2 * Y) // c,
+        norms, hist = np.unique(_int_norms(coords, lat.gram_int, 2 * y) // c,
                                 return_counts=True)
         hist = hist.astype(kernels.int_dtype(len(coords) ** n))
         deg, coef = norms, hist
         for _ in range(n - 1):
-            deg, coef = _truncated_product(deg, coef, norms, hist, Y)
+            deg, coef = _truncated_product(deg, coef, norms, hist, y)
         # deg[0] = 0 <= every Y
-        at = np.searchsorted(deg, np.array([y for _, _, y in members], dtype=deg.dtype),
-                             side="right") - 1
-        for (j, _, _), t in zip(members, np.cumsum(coef)[at].tolist()):
-            counts[j] = t
-    return counts
+        counts[members] = np.cumsum(coef)[np.searchsorted(deg, Y[members].astype(deg.dtype),
+                                                          side="right") - 1]
+    return counts.tolist()
 
 
 # -- right side: per-module subspace integrals ----------------------------------------

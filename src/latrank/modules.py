@@ -3,20 +3,20 @@
 An echelon matrix D (row-reduced, maximal rank) canonically represents a
 point of Gr(k, K^m); its module Lambda_D is the set of integral vectors in
 the row space.  This file implements the three-way dictionary between those
-objects and the height/denominator data attached to them.  Every echelon
-matrix comes from one batched integer Gauss-Jordan pass, `_echelon_keys`, as
-an integer key; one module data pass, `_modules`, takes Lambda_D and Den(D)
-of all keys of one shape from one batched Hermite form
-(intmat.saturation_basis) and H^2 from one batched reduction of their integer
-Grams, and returns them as one ModuleSet: columns of keys, Hermite bases,
-Grams, Den(D), exact H^2 and float heights.  The set orders, cuts and sums
-on those columns; a PrimitiveModule is built from them only when an entry is
-read, and forms Fractions only when its echelon or lattice is read.
-One search finds modules: `span_modules` takes Lambda_D for the K-spans of k
-independent short vectors of O_K^m, at every k through that pass.  The
-complete enumeration of primitive rank-k modules below a height bound runs
-it on the vectors that the successive minima allow, and the stratified count
-on the vectors that can be rows of a counted matrix.
+objects and the height/denominator data attached to them.  Echelon matrices
+come from one batched integer Gauss-Jordan pass, `_echelon_keys`, as rows of
+one integer key array, deduplicated by one lexsort; one module data pass,
+`_modules`, takes Lambda_D and Den(D) of a key array from one batched
+Hermite form (intmat.saturation_basis) and H^2 from one batched reduction of
+their integer Grams, and returns them as one ModuleSet: columns of keys,
+Hermite bases, Grams, Den(D), exact H^2 and float heights.  The set orders,
+cuts and sums on those columns; a PrimitiveModule is built from them only
+when an entry is read, and forms Fractions only when its echelon or lattice
+is read.  One search finds modules: `span_modules` takes Lambda_D for the
+K-spans of k independent short vectors of O_K^m, at every k.  The complete
+enumeration of primitive rank-k modules below a height bound runs it on the
+vectors that the successive minima allow, and the stratified count on the
+vectors that can be rows of a counted matrix.
 """
 
 from __future__ import annotations
@@ -94,12 +94,11 @@ def _echelon(field: NumberField, phi_rows) -> EchelonMatrix:
     ints = intmat._integral(phi_rows)[1]
     width = len(ints[0]) if ints else 0
     batch = np.array(ints, dtype=object).reshape(1, len(ints), width)
-    key = _echelon_keys(field, batch)[0]
+    key = tuple(_echelon_keys(field, batch)[0].tolist())
     return _echelon_matrix(field, (len(key) - 1) // (width + 1), key)
 
 
-def _echelon_keys(field: NumberField, phi: np.ndarray, k: int | None = None,
-                  known=()) -> list:
+def _echelon_keys(field: NumberField, phi: np.ndarray, k: int | None = None) -> np.ndarray:
     """The distinct echelon keys of the row spaces of a batch of integer Phi rows.
 
     phi[i] holds rational rows, each scaled to integers, that span a K-stable
@@ -108,23 +107,34 @@ def _echelon_keys(field: NumberField, phi: np.ndarray, k: int | None = None,
     rational RREF is Phi of its RREF over K, so rows 0, d, 2d, ... of it are
     the K-rows and every d-th pivot, over d, is a K-pivot.  One
     kernels.gauss_jordan pass gives den * RREF for the whole batch.  The key
-    of a matrix, the tuple of its k K-pivots, den and the k K-rows over their
-    gcd in power coordinates, signed so that den > 0, is canonical, so the
-    batch is deduplicated in integers; _echelon_matrix builds the Fractions.
-
-    Returns the keys in first-occurrence order, of the matrices of K-rank k
-    (of any K-rank when k is None) whose key is not in `known`.
+    of a matrix, its k K-pivots, den and the k K-rows over their gcd in
+    power coordinates, signed so that den > 0, is canonical, so the batch is
+    deduplicated in integers; _echelon_matrix builds the Fractions.  Returns
+    the distinct keys of K-rank k (phi[0]'s when k is None) as one
+    (keys, k + 1 + k m d) array, in the int_dtype of its entries.
     """
     d, width = field.degree, phi.shape[2]
     R, rank, pivots, den = kernels.gauss_jordan(phi)
-    found: dict = {}
-    for kk in (k,) if k is not None else set((rank // d).tolist()):
-        sel = np.flatnonzero(rank == kk * d)
-        rows = R[sel, :kk * d:d].reshape(len(sel), kk * width)
-        g = np.gcd(np.gcd.reduce(rows, axis=1), den[sel]) * np.where(den[sel] < 0, -1, 1)
-        keys = np.column_stack([pivots[sel, :kk * d:d] // d, den[sel] // g, rows // g[:, None]])
-        found.update(dict.fromkeys(key for key in map(tuple, keys.tolist()) if key not in known))
-    return list(found)
+    if k is None:
+        k = int(rank[0]) // d
+    sel = np.flatnonzero(rank == k * d)
+    rows = R[sel, :k * d:d].reshape(len(sel), k * width)
+    g = np.gcd(np.gcd.reduce(rows, axis=1), den[sel]) * np.where(den[sel] < 0, -1, 1)
+    keys = np.column_stack([pivots[sel, :k * d:d] // d, den[sel] // g, rows // g[:, None]])
+    order, starts = _distinct_rows(keys)
+    keys = keys[order[starts]]
+    return keys.astype(kernels.int_dtype(int(np.max(np.abs(keys), initial=0))), copy=False)
+
+
+def _distinct_rows(rows: np.ndarray):
+    """(order, starts): a stable lexicographic order of the rows of a 2-d int64
+    or object array (np.lexsort, which, unlike np.unique(axis=0), runs on
+    both) and the places in it where a run of equal rows starts."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(new)
 
 
 def _echelon_matrix(field: NumberField, k: int, key) -> EchelonMatrix:
@@ -136,12 +146,13 @@ def _echelon_matrix(field: NumberField, k: int, key) -> EchelonMatrix:
         for i in range(k)))
 
 
-def _key_of(D: EchelonMatrix):
-    """The echelon key of D (see _echelon_keys): den is the lcm of the
-    denominators of its entries, so den and the rows den * D have gcd 1."""
+def _key_of(D: EchelonMatrix) -> np.ndarray:
+    """The echelon key of D as a one-row key array (see _echelon_keys): den is
+    the lcm of the denominators of its entries, so den and den * D have gcd 1."""
     coords = [c for row in D.rows for x in row for c in x.coords]
     den = math.lcm(*(c.denominator for c in coords))
-    return (*D.pivot_cols, den, *(c.numerator * (den // c.denominator) for c in coords))
+    key = (*D.pivot_cols, den, *(c.numerator * (den // c.denominator) for c in coords))
+    return np.array([key], dtype=kernels.int_dtype(max(map(abs, key))))
 
 
 def _echelon_of_rows(field: NumberField, mat) -> EchelonMatrix:
@@ -170,35 +181,27 @@ def rank_factorize(field: NumberField, rows):
 class PrimitiveModule:
     """An echelon matrix together with its module Lambda_D, height and denominator.
 
-    Entry i of a ModuleSet, built the first time it is read: the echelon key
-    of D, the Hermite basis of Lambda_D in integral coordinates, its checked
-    Gram (gram_int rows, gram_den, det), the float H and Den(D).  H^2 as a
-    PowerProduct, and `echelon` and `lattice`, which hold Fractions, are
-    built from them the first time something reads them, the lattice by the
-    ZLattice constructor, which takes the checked Gram.
+    Entry i of a ModuleSet, built the first time it is read, with its row of
+    each column in Python ints and floats.  H^2 as a PowerProduct, and
+    `echelon` and `lattice`, which hold Fractions, are built from them the
+    first time something reads them, the lattice by the ZLattice
+    constructor, which takes the checked Gram.
     """
 
     def __init__(self, modules: "ModuleSet", i: int):
         self.field, self.k, self.m = modules.field, modules.k, modules.m
-        key = modules.keys[i]
-        S, gram_int, gram_den, det, dens, heights = modules._lists()
-        self.pivot_cols = key[:self.k]
-        self.height = heights[i]
-        self.denominator = dens[i]
-        self._key, self._ambient, self._scale = key, modules.ambient, modules.scale
-        self._hermite = S[i]
-        self._gram = gram_int[i], gram_den[i], det[i]
+        self._key = tuple(modules.keys[i].tolist())
+        self.pivot_cols = self._key[:self.k]
+        self.height = float(modules.heights[i])
+        self.denominator = int(modules.denominators[i])
+        self._ambient, self._scale = modules.ambient, modules.scale
+        self._hermite = modules.S[i].tolist()
+        self._gram = modules.gram_int[i].tolist(), int(modules.gram_den[i]), int(modules.det[i])
 
     @functools.cached_property
     def height_sq(self) -> PowerProduct:
         r = self.k * self.field.degree
         return _height_sq(self._scale, r, self._gram[2], self._gram[1])
-
-    @property
-    def gram_int(self):
-        """The integer Gram rows of Lambda_D's Hermite basis, as ZLattice.gram_int,
-        read without building the lattice."""
-        return self._gram[0]
 
     @property
     def gram_den(self) -> int:
@@ -218,18 +221,14 @@ class PrimitiveModule:
     def key(self):
         return self.echelon.key()
 
-    def _order(self):
-        """A sort key that orders the modules of one k and m as (H, key()) does."""
-        return self.height, _Entries.of(self._key, self.k)
-
 
 class ModuleSet(Sequence):
     """The primitive modules of one module data pass (_modules), as columns.
 
     All modules have k K-rows in K^m.  Per module i: keys[i], the echelon
-    key of D; S[i], the Hermite basis of Lambda_D in integral coordinates;
-    gram_int[i], gram_den[i] and det[i], its checked Gram, whose integers
-    det[i] and gram_den[i] give H^2 exactly over the one scale =
+    key of D, a row of one integer array; S[i], the Hermite basis of Lambda_D
+    in integral coordinates; gram_int[i], gram_den[i] and det[i], its checked
+    Gram, whose integers det[i] and gram_den[i] give H^2 exactly over the one scale =
     _scale_power(scale_sq, k d) of the set (zlattice._height_sq_ratio);
     denominators[i], Den(D); hsq[i], the float of H^2 as
     PowerProduct.__float__ gives it, and heights[i] = sqrt(hsq[i]), the float
@@ -237,7 +236,7 @@ class ModuleSet(Sequence):
     the first time it is read, and kept.
     """
 
-    def __init__(self, field: NumberField, k: int, ambient: Ambient, keys: list,
+    def __init__(self, field: NumberField, k: int, ambient: Ambient, keys: np.ndarray,
                  S, gram_int, gram_den, det, denominators, hsq, heights):
         self.field, self.k, self.ambient = field, k, ambient
         self.m = ambient.dim // field.degree
@@ -246,7 +245,6 @@ class ModuleSet(Sequence):
         self.gram_den, self.det = gram_den, det
         self.denominators, self.hsq, self.heights = denominators, hsq, heights
         self._built = [None] * len(keys)
-        self._columns_as_lists = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -270,22 +268,14 @@ class ModuleSet(Sequence):
         return _height_sq(self.scale, self.k * self.field.degree, int(self.det[i]),
                           int(self.gram_den[i]))
 
-    def _lists(self) -> tuple:
-        """The columns a PrimitiveModule reads, in Python ints and floats,
-        converted together the first time an entry is built."""
-        if self._columns_as_lists is None:
-            self._columns_as_lists = tuple(a.tolist() for a in (
-                self.S, self.gram_int, self.gram_den, self.det, self.denominators, self.heights))
-        return self._columns_as_lists
-
     def _take(self, idx: np.ndarray) -> "ModuleSet":
         """The modules idx, in that order."""
-        return ModuleSet(self.field, self.k, self.ambient, [self.keys[i] for i in idx.tolist()],
-                         *(a[idx] for a in (self.S, self.gram_int, self.gram_den, self.det,
-                                            self.denominators, self.hsq, self.heights)))
+        return ModuleSet(self.field, self.k, self.ambient,
+                         *(a[idx] for a in (self.keys, self.S, self.gram_int, self.gram_den,
+                                            self.det, self.denominators, self.hsq, self.heights)))
 
     def _sorted(self) -> "ModuleSet":
-        """The modules in (H, key()) order, as PrimitiveModule._order orders them.
+        """The modules in (H, key()) order.
 
         One np.lexsort of the float heights and the floats of the echelon
         entries x / den (`_quotient_floats`).  Each float is rounded once,
@@ -300,13 +290,8 @@ class ModuleSet(Sequence):
         h = self.heights[order]
         if not (h[1:] == h[:-1]).any():
             return self._take(order)
-        k, shape = self.k, (len(self), len(self.keys[0]))
-        try:
-            keys = np.fromiter(itertools.chain.from_iterable(self.keys), dtype=np.int64,
-                               count=shape[0] * shape[1]).reshape(shape)
-        except OverflowError:
-            keys = np.array(self.keys, dtype=object)
-        den, x = keys[:, k], keys[:, k + 1:]
+        k = self.k
+        den, x = self.keys[:, k], self.keys[:, k + 1:]
         max_x, max_den = int(np.max(np.abs(x))), int(np.max(den))
         floats = _quotient_floats(x, den[:, None], max(max_x, max_den))
         order = np.lexsort((*floats.T[::-1], self.heights))
@@ -321,7 +306,8 @@ class ModuleSet(Sequence):
             order = order.tolist()
             for v in np.unique(h[bad]).tolist():
                 lo, hi = int(np.searchsorted(h, v, "left")), int(np.searchsorted(h, v, "right"))
-                order[lo:hi] = sorted(order[lo:hi], key=lambda i: _Entries.of(self.keys[i], k))
+                order[lo:hi] = sorted(order[lo:hi],
+                                      key=lambda i: _Entries.of(self.keys[i].tolist(), k))
             order = np.array(order, dtype=np.intp)
         return self._take(order)
 
@@ -402,8 +388,8 @@ def _blockwise(rows, blk, d: int):
 
 
 def _span_matrices(field: NumberField, k: int, keys):
-    """(qs, spans): q and q * A of each echelon key with k K-rows, as (B,) and
-    (B, k d, m d) integer arrays.
+    """(qs, spans): q and q * A of each row of a key array with k K-rows, as
+    (B,) and (B, k d, m d) integer arrays.
 
     Row i d + b of A holds the integral coordinates of u_b * D_i, so the rows
     of A span the O_K-module of D's row space over Z; q is the lcm of the
@@ -413,20 +399,19 @@ def _span_matrices(field: NumberField, k: int, keys):
     den over the gcd of den and the entries of that product.
     """
     d, n = field.degree, len(keys)
-    arr = np.array(keys, dtype=object).reshape(n, -1)
     mults = np.array(_field_maps(field)[0], dtype=object)     # (b, j, l)
-    max_key = int(np.max(np.abs(arr[:, k:])))
+    max_key = int(np.max(np.abs(keys[:, k:])))
     dtype = kernels.int_dtype(d * max_key * int(np.max(np.abs(mults))))
-    den = arr[:, k].astype(dtype)
-    prod = arr[:, k + 1:].astype(dtype).reshape(-1, d) @ \
+    den = keys[:, k].astype(dtype)
+    prod = keys[:, k + 1:].astype(dtype).reshape(-1, d) @ \
         mults.transpose(1, 0, 2).reshape(d, d * d).astype(dtype)
     out = prod.reshape(n, k, -1, d, d).transpose(0, 1, 3, 2, 4).reshape(n, k * d, -1)
     g = np.gcd(np.gcd.reduce(out.reshape(n, -1), axis=1), den)
     return den // g, out // g[:, None, None]
 
 
-def _modules(field: NumberField, k: int, keys, ambient: Ambient) -> ModuleSet:
-    """Lambda_D, Den(D) and H^2 of a batch of echelon keys with k K-rows, in integers.
+def _modules(field: NumberField, k: int, keys: np.ndarray, ambient: Ambient) -> ModuleSet:
+    """Lambda_D, Den(D) and H^2 of a key array with k K-rows, in integers.
 
     q * A (see _span_matrices) is the numerator of the rational RREF of the
     O_K-span of D's rows: A is the identity on the integral coordinates of
@@ -439,9 +424,9 @@ def _modules(field: NumberField, k: int, keys, ambient: Ambient) -> ModuleSet:
     """
     d = field.degree
     r, width = k * d, ambient.dim
-    if not keys:
+    if not len(keys):
         none = np.zeros(0, dtype=np.int64)
-        return ModuleSet(field, k, ambient, [], none.reshape(0, r, width),
+        return ModuleSet(field, k, ambient, keys, none.reshape(0, r, width),
                          none.reshape(0, r, r), none, none, none, np.zeros(0), np.zeros(0))
     S, dens = intmat.saturation_basis(*_span_matrices(field, k, keys))
     G, total = _okm_form(ambient)
@@ -463,12 +448,12 @@ def lambda_of(D: EchelonMatrix, ambient: Ambient | None = None) -> PrimitiveModu
 
     The module data pass (_modules) on D's echelon key.
     """
-    return _modules(D.field, D.k, [_key_of(D)], ambient or Ambient.for_field(D.field, D.m))[0]
+    return _modules(D.field, D.k, _key_of(D), ambient or Ambient.for_field(D.field, D.m))[0]
 
 
 def denominator(D: EchelonMatrix) -> int:
     """Index [O_K^k : {v in O_K^k : v D is integral}], computed over Z-coordinates."""
-    return int(intmat.saturation_basis(*_span_matrices(D.field, D.k, [_key_of(D)]))[1][0])
+    return int(intmat.saturation_basis(*_span_matrices(D.field, D.k, _key_of(D)))[1][0])
 
 
 def echelon_of_module(lat: ZLattice) -> EchelonMatrix:
@@ -533,7 +518,7 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int,
     d = field.degree
     if k == m:
         # Phi of the identity over K is the identity over Q
-        keys = _echelon_keys(field, np.array(intmat.identity(m * d), dtype=object)[None])
+        keys = _echelon_keys(field, np.array(intmat.identity(m * d), dtype=object)[None], m)
         return _modules(field, m, keys, Ambient.for_field(field, m))
 
     okm = okn_lattice(field, m)
@@ -555,32 +540,40 @@ def enumerate_primitive_modules(field: NumberField, k: int, m: int,
 
 def span_modules(okm: ZLattice, k: int, radius,
                  prod_bound: float = math.inf) -> ModuleSet:
-    """Lambda_D for every K-span of k independent vectors of okm = O_K^m with norm <= radius.
+    """Lambda_D for every K-span of k independent vectors of okm = O_K^m with
+    norm <= radius: _modules on the keys of _span_keys, in (H, key) order."""
+    return _modules(okm.ambient.field, k, _span_keys(okm, k, radius, prod_bound),
+                    okm.ambient)._sorted()
+
+
+def _span_keys(okm: ZLattice, k: int, radius, prod_bound: float = math.inf) -> np.ndarray:
+    """The distinct echelon keys of the K-spans of k independent vectors of
+    okm with norm <= radius, as one key array.
 
     The k-tuples of candidates, in itertools.combinations order, go through
     _echelon_keys in blocks of at most kernels._BLOCK; a tuple whose product
     of norms^d exceeds prod_bound (in floats) is dropped before its span is
     formed.  For k d = rank the first block with a span ends the search, as
-    k independent vectors span all of K^m.  The distinct echelon keys go
-    through the module data pass (_modules) once; the result is the
-    ModuleSet in (H, key) order.
+    k independent vectors span all of K^m.  The key arrays of the blocks
+    are concatenated and deduplicated once.
     """
-    field = okm.ambient.field
-    d = field.degree
+    d = okm.ambient.field.degree
     norms, phi = _candidates(okm, short_vectors(okm, radius))
     powers = np.array([x ** (d / 2.0) for x in norms.tolist()])
     combos = itertools.combinations(range(len(powers)), k)
-    found: dict = {}
+    blocks = [np.zeros((0, k + 1 + k * phi.shape[2]), dtype=np.int64)]
     for _ in range(0, math.comb(len(powers), k), kernels._BLOCK):
         flat = itertools.chain.from_iterable(itertools.islice(combos, kernels._BLOCK))
         tuples = np.fromiter(flat, dtype=np.int64).reshape(-1, k)
         # each product of norms^d in floats, factor by factor in tuple order
         tuples = tuples[functools.reduce(np.multiply, powers[tuples].T) <= prod_bound]
-        new = _echelon_keys(field, phi[tuples].reshape(len(tuples), k * d, phi.shape[2]), k, found)
-        found.update(dict.fromkeys(new))
-        if new and k * d == okm.rank:
+        blocks.append(_echelon_keys(okm.ambient.field,
+                                    phi[tuples].reshape(len(tuples), k * d, phi.shape[2]), k))
+        if len(blocks[-1]) and k * d == okm.rank:
             break
-    return _modules(field, k, list(found), okm.ambient)._sorted()
+    keys = np.concatenate(blocks)
+    order, starts = _distinct_rows(keys)
+    return keys[order[starts]]
 
 
 def _candidates(okm: ZLattice, vecs: np.ndarray):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from latrank import counting, kernels, zlattice
+from latrank import counting, kernels, modules, zlattice
 from latrank import (
     ball,
     c1_estimate,
@@ -31,7 +31,7 @@ from latrank.errors import ValidationError
 from latrank.exactval import PowerProduct
 from latrank.modules import span_modules
 from latrank.numfield import rank_over_K
-from latrank.zlattice import okn_lattice, short_vectors, unit_ball_volume
+from latrank.zlattice import Ambient, okn_lattice, short_vectors, unit_ball_volume
 from tests_support import (
     ball_tuples,
     from_integral_coords,
@@ -536,7 +536,8 @@ def test_each_module_reaches_the_theta_tables_once(QQ, monkeypatch):
     # module's theta count is built twice in one count
     keys, build = [], counting._ball_tuple_counts
     monkeypatch.setattr(counting, "_ball_tuple_counts",
-                        lambda mods, *args: keys.extend(P._key for P in mods) or build(mods, *args))
+                        lambda mods, *args: keys.extend(map(tuple, mods.keys.tolist()))
+                        or build(mods, *args))
     rep = lhs_count(QQ, 4, 3, 2, 3, ball(1), method="stratified")
     assert rep.raw_sum == 178128
     assert len(keys) == len(set(keys)) and {len(key) for key in keys} == {5, 9}
@@ -611,16 +612,38 @@ def test_theta_count_reach(QQ):
     assert (rep.raw_sum, rep.matrices_seen) == (992560, 994092)
 
 
-@pytest.mark.parametrize("T", [20, 40, 200])
+@pytest.mark.parametrize("T", [20, 40, 200, 400])
 def test_theta_count_against_oracle(QQ, T):
     # the NumPy count from the primitive-norm histogram of Z^2 and the theta
-    # series of Z^3, which shares no code with the library
+    # series of Z^3, which shares no code with the library; T = 400 lists
+    # about 152k lines in one module set
     rep = lhs_count(QQ, 3, 2, 1, T, ball(1), method="stratified")
     assert (rep.raw_sum, rep.matrices_seen) == lhs_k1_oracle_Q(3, 2, T)
 
 
+@pytest.mark.parametrize("name,T", [("QQ", 20), ("Qi", 4), ("Qs5", 2)])
+def test_rank_one_count_builds_one_entry_per_class(name, T, request, monkeypatch):
+    # a rank-one ball count reads the class keys from the set's Gram rows:
+    # the only module-set entries it builds are one representative per
+    # class key, and no other
+    field = request.getfixturevalue(name)
+    mods = span_modules(okn_lattice(field, 2), 1, ball(1).support_cover(Fraction(T), 2))
+    classes = set(map(tuple, counting._class_keys(mods.gram_int)[1].tolist()))
+    built, build = [], modules.ModuleSet._build
+
+    def spy(self, i):
+        built.append(tuple(counting._class_keys(self.gram_int[i:i + 1])[1][0].tolist()))
+        return build(self, i)
+
+    monkeypatch.setattr(modules.ModuleSet, "_build", spy)
+    rep = lhs_count(field, 3, 2, 1, T, ball(1), method="stratified")
+    assert rep.raw_sum > 0
+    assert len(built) == len(set(built)) == len(classes) and set(built) == classes
+
+
 def test_oracle_pins():
     assert lhs_k1_oracle_Q(3, 2, 200) == (125570764, 125608944)
+    assert lhs_k1_oracle_Q(3, 2, 400) == (1005932144, 1006084952)
     assert lhs_k1_oracle_Q(3, 2, 1000) == (15731108588, 15732063476)
 
 
@@ -634,22 +657,22 @@ def test_oracle_pins():
 def test_class_tables_equal_per_module_reference(name, T, radius, classes, n, request,
                                                  monkeypatch):
     # one theta table per class key gives every module the count of its own
-    # enumeration, for the rank-one modules of O_K^2 and O_K^3 and for O_K^2
+    # enumeration, for the rank-one modules of O_K^2 and O_K^3 and for O_K^2,
+    # one module set each
     field = request.getfixturevalue(name)
     RT = Fraction(radius) * T
-    modules = [*span_modules(okn_lattice(field, 2), 1, RT),
-               *span_modules(okn_lattice(field, 3), 1, RT),
-               *enumerate_primitive_modules(field, 2, 2, 1)]
-    want = [ball_tuples(P.lattice, n, RT) for P in modules]
+    sets = [span_modules(okn_lattice(field, 2), 1, RT), span_modules(okn_lattice(field, 3), 1, RT),
+            enumerate_primitive_modules(field, 2, 2, 1)]
+    want = [[ball_tuples(P.lattice, n, RT) for P in mods] for mods in sets]
     builds = []
     monkeypatch.setattr(counting, "short_vectors",
                         lambda lat, r: builds.append(lat) or short_vectors(lat, r))
-    assert counting._ball_tuple_counts(modules, n, RT) == want
-    keys = {counting._class_key(P)[1] for P in modules}
-    assert len(builds) == len(keys)
+    assert [counting._ball_tuple_counts(mods, n, RT) for mods in sets] == want
+    keys = [set(map(tuple, counting._class_keys(mods.gram_int)[1].tolist())) for mods in sets]
+    assert len(builds) == sum(map(len, keys))
     if classes is not None:
         # the rank-one classes, and O_K^2 as a class of its own
-        assert len(keys) == classes
+        assert len(set().union(*keys)) == classes
 
 
 _GL2_STEPS = {"swap": [[0, 1], [1, 0]], "negate": [[-1, 0], [0, 1]],
@@ -667,24 +690,26 @@ def test_gauss_reduction_is_a_class_invariant(a, b, c, steps):
     for step in steps:
         U = np.array(_GL2_STEPS[step]) @ U
     (x, y), (_, z) = (U @ np.array([[a, b], [b, c]]) @ U.T).tolist()
-    key = counting._gauss_reduced(a, b, c)
-    assert counting._gauss_reduced(x, y, z) == key
-    (a0, b0), (_, c0) = key
+    reduced = counting._gauss_reduced(np.array([a, x]), np.array([b, y]), np.array([c, z]))
+    (a0, a1), (b0, b1), (c0, c1) = (v.tolist() for v in reduced)
+    assert (a1, b1, c1) == (a0, b0, c0)
     assert 0 <= 2 * b0 <= a0 <= c0 and a0 * c0 - b0 * b0 == a * c - b * b
 
 
 def test_theta_count_on_the_sphere(QQ):
     # Lambda_D = Z (3, 4) has norms 25 c^2; at T = 5 its tuples in the ball are
     # 0 and the 3 places x 2 signs of +-(3, 4), each with norms summing to X
-    P = lambda_of(to_echelon(QQ, [[3, 4]]))
+    mods = modules._modules(QQ, 1, modules._key_of(to_echelon(QQ, [[3, 4]])),
+                            Ambient.for_field(QQ, 2))
+    P = mods[0]
     assert zlattice._norm_bound(5, P.lattice.scale_sq, P.lattice.gram_den) == 25
-    assert ball(1).modules_sum([P], 3, 1, Fraction(5), Fraction(5)) == (6, 7)
+    assert ball(1).modules_sum(mods, 3, 1, Fraction(5), Fraction(5)) == (6, 7)
 
 
 def test_ball_sums_stay_exact(QQ):
     # the sums are Python ints: past 2^53 a float sum would lose the + 1
-    P = next(iter(span_modules(okn_lattice(QQ, 2), 1, 1)))
-    raw, tuples = ball(1).modules_sum([P], 3, 1, Fraction(1), Fraction(1))
+    mods = span_modules(okn_lattice(QQ, 2), 1, 1)[:1]
+    raw, tuples = ball(1).modules_sum(mods, 3, 1, Fraction(1), Fraction(1))
     assert type(raw) is int and type(tuples) is int
     assert 2 ** 60 + raw == 2 ** 60 + tuples - 1
 

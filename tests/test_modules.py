@@ -455,7 +455,7 @@ def test_module_data_pass_matches_loops(name, k, data, QQ, Qi, Qs5):
     if field is Qi and k == 2 and m == 3:
         Ds.append(_found13(Qi))
     amb = Ambient.for_field(field, m)
-    got = modules._modules(field, k, [modules._key_of(D) for D in Ds], amb)
+    got = modules._modules(field, k, np.concatenate([modules._key_of(D) for D in Ds]), amb)
     W, Winv = _w_blocks(field, m)
     found13 = _found13(Qi).key()
     for D, P in zip(Ds, got):
@@ -489,7 +489,7 @@ def test_module_data_pass_rejects_bad_grams(QQ, monkeypatch):
         monkeypatch.setattr(modules, "_okm_form",
                             lambda amb, G=np.array(bad, dtype=object): (G, total))
         with pytest.raises(ValueError, match=message):
-            modules._modules(QQ, 2, [key], amb)
+            modules._modules(QQ, 2, key, amb)
 
 
 @pytest.mark.parametrize("name,k,m", [("QQ", 1, 3), ("Qi", 2, 3)])
@@ -549,7 +549,7 @@ def test_module_data_large_entries_gaussian(Qi):
                                [Qi.zero(), Qi.one(), from_integral_coords(Qi, [x(), x()])]])
 
     D = _found13(Qi)
-    assert tuple(x.tolist() for x in modules._span_matrices(Qi, 2, [modules._key_of(D)])) == (
+    assert tuple(x.tolist() for x in modules._span_matrices(Qi, 2, modules._key_of(D))) == (
         [180], [[[180, 0, 0, 0, -495, -220],
                  [0, 180, 0, 0, 220, -495],
                  [0, 0, 180, 0, -288, 60],
@@ -653,6 +653,16 @@ def test_module_dump_golden(name, k, m, H, request):
     assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_DUMPS[name, k, m, H]
 
 
+@pytest.mark.parametrize("name,k,m,H,block", [("QQ", 2, 3, 6, 7), ("Qi", 2, 3, 4, 1 << 10)])
+def test_module_dump_golden_in_small_blocks(name, k, m, H, block, request, monkeypatch):
+    # in small blocks the keys of many blocks meet in the one
+    # concatenate-and-dedupe of the search, and the dump stays the same; the
+    # 1.4 million plane tuples of Q(i)^3 take about 1,350 blocks of 2^10
+    # (196,710 blocks of 7 would take half a minute)
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    test_module_dump_golden(name, k, m, H, request)
+
+
 # -- module sets: the columns against one object per key ---------------------------
 
 MODULE_SET_CASES = [("QQ", 1, 2, 30), ("Qi", 1, 2, 8), ("Qs5", 1, 2, 6), ("Qzeta8", 1, 2, 3),
@@ -666,7 +676,7 @@ def _module_rows(mods):
 @pytest.mark.parametrize("name,k,m,H", MODULE_SET_CASES)
 def test_module_set_matches_object_reference(name, k, m, H, request):
     # the set's order, height cut and float heights against one object per
-    # key sorted on PrimitiveModule._order and cut by PowerProduct comparison
+    # key sorted on ModuleObject.order and cut by PowerProduct comparison
     field = request.getfixturevalue(name)
     got = enumerate_primitive_modules(field, k, m, H)
     want = modules_reference(field, k, m, H)
@@ -712,8 +722,9 @@ def test_height_cut_at_an_irrational_height(Qs5, H):
 
 def _entries_order(s):
     """The keys of s sorted by one Python sort on (float H, _Entries)."""
-    order = sorted(range(len(s)), key=lambda i: (s.heights[i], modules._Entries.of(s.keys[i], s.k)))
-    return [s.keys[i] for i in order]
+    order = sorted(range(len(s)),
+                   key=lambda i: (s.heights[i], modules._Entries.of(s.keys[i].tolist(), s.k)))
+    return s.keys[order]
 
 
 @pytest.mark.parametrize("name,k,m,H", MODULE_SET_CASES + [("QQ", 1, 2, 80), ("QQ", 1, 3, 4)])
@@ -721,7 +732,7 @@ def test_sorted_matches_the_entries_sort(name, k, m, H, request):
     # the lexsort on float heights and entry floats, shuffled first
     s = enumerate_primitive_modules(request.getfixturevalue(name), k, m, H)
     s = s._take(np.random.default_rng(len(s)).permutation(len(s)))
-    assert s._sorted().keys == _entries_order(s)
+    assert np.array_equal(s._sorted().keys, _entries_order(s))
 
 
 def _relabelled(s, keys, heights):
@@ -729,6 +740,7 @@ def _relabelled(s, keys, heights):
     under the given echelon keys and float heights, which are all that
     ModuleSet._sorted reads."""
     h, n = np.array(heights, dtype=float), len(keys)
+    keys = np.array(keys, dtype=kernels.int_dtype(max(abs(x) for key in keys for x in key)))
     return modules.ModuleSet(s.field, s.k, s.ambient, keys,
                              *(a[:n] for a in (s.S, s.gram_int, s.gram_den, s.det,
                                                s.denominators)), h * h, h)
@@ -742,10 +754,13 @@ def test_sorted_decides_equal_entry_floats_exactly(QQ):
     D = 2 ** 60
     keys = [(0, D, D, D + 3), (0, 1, 1, 0), (0, D, D, D + 1), (0, 1, 1, 2)]
     s = _relabelled(enumerate_primitive_modules(QQ, 1, 2, 6), keys, [5.0, 5.0, 5.0, 2.0])
-    assert s._sorted().keys == _entries_order(s) == [keys[3], keys[1], keys[2], keys[0]]
+    assert s.keys.dtype == np.int64
+    assert np.array_equal(s._sorted().keys, _entries_order(s))
+    assert np.array_equal(_entries_order(s), s.keys[[3, 1, 2, 0]])
     keys = [(0, D, D, D + 3, 0), (0, D, D, D + 1, D), (0, 2, 2, 1, 1)]
     s = _relabelled(enumerate_primitive_modules(QQ, 1, 3, 4), keys, [3.0, 3.0, 3.0])
-    assert s._sorted().keys == _entries_order(s) == [keys[2], keys[1], keys[0]]
+    assert np.array_equal(s._sorted().keys, _entries_order(s))
+    assert np.array_equal(_entries_order(s), s.keys[[2, 1, 0]])
 
 
 def test_sorted_takes_keys_beyond_int64(QQ):
@@ -754,7 +769,9 @@ def test_sorted_takes_keys_beyond_int64(QQ):
     keys = [(0, D, D, 3 * 2 ** 68 + 1), (0, 4, 4, 3), (0, D, D, D - 1), (0, D, D, -5),
             (0, D, D, 3 * 2 ** 68 - 1), (0, 1, 1, 1)]
     s = _relabelled(enumerate_primitive_modules(QQ, 1, 2, 6), keys, [7.0] * 5 + [1.5])
-    assert s._sorted().keys == _entries_order(s) == [keys[i] for i in (5, 3, 4, 1, 0, 2)]
+    assert s.keys.dtype == object
+    assert np.array_equal(s._sorted().keys, _entries_order(s))
+    assert np.array_equal(_entries_order(s), s.keys[[5, 3, 4, 1, 0, 2]])
 
 
 def test_module_set_is_a_sequence(QQ):
@@ -780,8 +797,8 @@ def _check_tuple_echelons(field, k, data, max_vectors):
     # the batched fraction-free keys of k-tuples of candidates against the
     # rational RREF of each tuple's Phi rows, on int64 rows and on rows scaled
     # by 2**40 past the int64 guard; integer multiples of a vector must
-    # dedupe to its one line, dependent tuples must drop out, and known keys
-    # must be skipped
+    # dedupe to its one line, dependent tuples must drop out, and a batch
+    # repeated in reverse order dedupes to the same keys
     m = data.draw(st.integers(k, 3))
     r = m * field.degree
     vecs = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r)
@@ -801,10 +818,12 @@ def _check_tuple_echelons(field, k, data, max_vectors):
             if D.k == k:
                 want.setdefault(D.key(), D.pivot_cols)
         got = _echelon_keys(field, batch, k)
+        assert got.dtype == kernels.int_dtype(int(np.max(np.abs(got), initial=0)))
         assert {D.key(): D.pivot_cols
-                for D in (_echelon_matrix(field, k, key) for key in got)} == want
+                for D in (_echelon_matrix(field, k, tuple(key)) for key in got.tolist())} == want
         assert len(got) == len(want)
-        assert _echelon_keys(field, batch, k, got) == []
+        again = _echelon_keys(field, np.concatenate([batch, batch[::-1]]), k)
+        assert np.array_equal(again, got)
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)

@@ -718,7 +718,7 @@ class ModuleObject:
     """One module of the per-object path: the integer data of one echelon key
     from the module data pass, H^2 a PowerProduct from zlattice._height_sq
     and H the square root of its float, as each PrimitiveModule held them
-    before module sets; ordered by PrimitiveModule._order."""
+    before module sets; ordered by `order`."""
 
     def __init__(self, P):
         from latrank.zlattice import _height_sq, _scale_power
@@ -733,12 +733,19 @@ class ModuleObject:
     def key(self):
         return self.echelon.key()
 
+    def order(self):
+        """A sort key that orders the modules of one k and m as (H, key()) does,
+        with no Fraction formed."""
+        from latrank.modules import _Entries
+
+        return self.height, _Entries.of(self._key, self.k)
+
 
 def modules_reference(field, k, m, height_bound):
     """modules.enumerate_primitive_modules by the per-object path: the keys of
-    its search, one ModuleObject per key, sorted by PrimitiveModule._order
+    its search, one ModuleObject per key, sorted by ModuleObject.order
     and cut by PowerProduct comparison."""
-    from latrank.modules import PrimitiveModule, _minkowski_constant
+    from latrank.modules import _minkowski_constant
     from latrank.zlattice import shortest_nonzero_sqnorm
 
     bound = Fraction(height_bound)
@@ -754,7 +761,7 @@ def modules_reference(field, k, m, height_bound):
         found = span_modules(okm, k, per_vec * (1 + 1e-9),
                              prod_bound=c6 * float(bound) * (1 + 1e-6))
     bound_sq = PowerProduct.coerce(bound ** 2)
-    return [P for P in sorted(map(ModuleObject, found), key=PrimitiveModule._order)
+    return [P for P in sorted(map(ModuleObject, found), key=ModuleObject.order)
             if k == m or P.height_sq <= bound_sq]
 
 
